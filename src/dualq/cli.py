@@ -99,32 +99,27 @@ def _report_exit(report, cfg) -> int:
     return 0 if report.passed else 1
 
 
+def _exact_exit(cfg, name: str, params: dict, test: str, failures: int) -> int:
+    """Emit the report of an exact check that failed on ``failures`` of the cases."""
+    ok = failures == 0
+    _emit({"name": name, "params": params, "seed": {"master": cfg.seed, "stream": 0},
+           "tests": [{"name": test, "statistic": failures, "p_value": 1.0 if ok else 0.0,
+                      "n_samples": cfg.cases, "alpha": 0.0, "passed": ok}],
+           "verdict": "pass" if ok else "fail"}, cfg)
+    return 0 if ok else 1
+
+
 def _cmd_verify_identities(cfg) -> int:
     seed = Seed(cfg.seed)
-    rng_seeds = [seed.substream(i) for i in range(cfg.cases)]
-
-    def one(sub):
-        gen = sub.generator()
+    failures = 0
+    for i in range(cfg.cases):
+        gen = seed.substream(i).generator()
         n = int(gen.integers(1, cfg.n + 1))
         k = int(gen.integers(1, cfg.k + 1))
         u = gen.integers(0, cfg.max_entry + 1, size=(n, k))
-        return rsk.verify_row_queue(tandem.ServiceMatrix(u)).ok
-
-    oks = stattest.ordered_map(one, rng_seeds, threads=cfg.threads)
-    failures = sum(1 for ok in oks if not ok)
-    payload = {
-        "name": "verify-identities",
-        "params": {"n": cfg.n, "k": cfg.k, "max_entry": cfg.max_entry,
-                   "cases": cfg.cases},
-        "seed": {"master": cfg.seed, "stream": 0},
-        "tests": [{"name": "six-way-identity", "statistic": failures,
-                   "p_value": 1.0 if failures == 0 else 0.0,
-                   "n_samples": cfg.cases, "alpha": 0.0,
-                   "passed": failures == 0}],
-        "verdict": "pass" if failures == 0 else "fail",
-    }
-    _emit(payload, cfg)
-    return 0 if failures == 0 else 1
+        failures += 0 if rsk.verify_row_queue(tandem.ServiceMatrix(u)).ok else 1
+    params = {"n": cfg.n, "k": cfg.k, "max_entry": cfg.max_entry, "cases": cfg.cases}
+    return _exact_exit(cfg, "verify-identities", params, "six-way-identity", failures)
 
 
 def _cmd_particles(cfg) -> int:
@@ -151,19 +146,9 @@ def _cmd_particles(cfg) -> int:
         rhs = particles.to_exclusion(particles.bus_stop_step(counts, buses)[0])
         ok = ok and np.array_equal(lhs, rhs)
         failures += 0 if ok else 1
-    payload = {
-        "name": "particles",
-        "params": {"cases": cfg.cases, "max_n": cfg.max_n, "max_k": cfg.max_k,
-                   "max_entry": cfg.max_entry},
-        "seed": {"master": cfg.seed, "stream": 0},
-        "tests": [{"name": "particle-equivalences", "statistic": failures,
-                   "p_value": 1.0 if failures == 0 else 0.0,
-                   "n_samples": cfg.cases, "alpha": 0.0,
-                   "passed": failures == 0}],
-        "verdict": "pass" if failures == 0 else "fail",
-    }
-    _emit(payload, cfg)
-    return 0 if failures == 0 else 1
+    params = {"cases": cfg.cases, "max_n": cfg.max_n, "max_k": cfg.max_k,
+              "max_entry": cfg.max_entry}
+    return _exact_exit(cfg, "particles", params, "particle-equivalences", failures)
 
 
 def _cmd_trace(cfg) -> int:
@@ -235,7 +220,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         "n": (int, 6, "max customers"), "k": (int, 4, "max stages"),
         "max_entry": (int, 5, "entries drawn from {0..max}"),
         "cases": (int, 10000, "random matrices"), "seed": (int, 0, ""),
-        "threads": (int, 1, "case-level parallelism"),
     }, help="six-way tableau/path/tandem identity on random matrices")
     add("burke", {
         "model": (str, "geom", "geom or exp"),

@@ -94,6 +94,24 @@ def lindley_forward(w1, a, s) -> np.ndarray:
     return w
 
 
+def _fifo_series(A, s):
+    """Departure epochs of K FIFO queues in series, in closed form.
+
+    Customer n reaches queue 1 at ``A[..., n]`` and queue k when it leaves
+    queue k-1; ``s[..., n, k]`` is its service at queue k.  Each queue
+    solves D_n = max(D_{n-1}, A_n) + s_n by one scan over the customers,
+    D = S + cummax(A - (S - s)) with S the partial sums of its services.
+    Returns the departures, shaped like ``s``.
+    """
+    S = s.cumsum(axis=-2)
+    before = S - s                 # sum_{i<n} s_i
+    D = np.empty_like(S)
+    for k in range(s.shape[-1]):
+        A = np.add(S[..., k], np.maximum.accumulate(A - before[..., k], axis=-1),
+                   out=D[..., k])
+    return D
+
+
 def trace_from_arrays(A, s, w1=0) -> QueueTrace:
     """Build the full trace from raw epoch/mark arrays.
 
@@ -113,10 +131,9 @@ def trace_from_arrays(A, s, w1=0) -> QueueTrace:
     dtype = _common_dtype(A, s, extra_scalar=w1)
     A = A.astype(dtype)
     s = s.astype(dtype)
-    S = np.cumsum(s)
-    anchors = A - (S - s)          # A_k - sum_{i<k} s_i
-    anchors[0] += dtype(w1)
-    D = S + np.maximum.accumulate(anchors)
+    arrivals = A.copy()
+    arrivals[0] += dtype(w1)       # the first customer finds w1 of work ahead
+    D = _fifo_series(arrivals, s[:, None])[:, 0]
     # w via w_{n+1} = (D_n - A_{n+1})^+ rather than D - s - A: the clamp
     # makes idle arrivals exactly zero, with no float residue
     w = np.empty_like(D)

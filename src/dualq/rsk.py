@@ -1,12 +1,14 @@
-"""Row insertion, the service-matrix word, min/max operator chains, and
-brute-force lattice-path oracles.
+"""Row insertion, growth-diagram shapes, the service-matrix word, min/max
+operator chains, and brute-force lattice-path oracles.
 
 The central identity: writing w(U) for the word of the N x K matrix U and
 (lambda_1 >= ... >= lambda_K) for the shape of its insertion tableau,
 lambda_1 equals both the up-right path maximum over U and the last queue
 departure D(N, K), while lambda_K equals the skew path minimum and the
 cumulative store output R(N).  :func:`verify_row_queue` checks all six
-numbers against each other.
+numbers against each other, each computed independently.
+:func:`growth_shapes` gives the same shapes from Fomin's local rule, batched
+over replications, for the Monte Carlo shape law.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ __all__ = [
     "normalize_partition",
     "is_partition",
     "word_of",
+    "growth_shapes",
     "insert",
     "tableau_of",
     "shape",
@@ -129,6 +132,32 @@ def _bump(rows: list[list[int]], x: int) -> None:
             return
         x, row[j] = row[j], x
         i += 1
+
+
+def growth_shapes(u) -> np.ndarray:
+    """Zero-padded shapes of ``tableau_of(word_of(u[b, :n]))`` for every rep b
+    and prefix n = 0..N of a (reps, N, K) integer array, shape (reps, N+1, K).
+
+    Fomin's growth-diagram rule (Krattenthaler 2006; O'Connell 2003): with
+    mu, nu, rho the shapes at cells (i-1, j-1), (i-1, j), (i, j-1),
+    lambda_1 = max(nu_1, rho_1) + u(i, j) and, for k >= 2,
+    lambda_k = max(nu_k, rho_k) + min(nu_{k-1}, rho_{k-1}) - mu_{k-1}.
+    """
+    u = np.asarray(u, dtype=np.int64)
+    reps, N, K = u.shape
+    out = np.zeros((reps, N + 1, K), dtype=np.int64)
+    prev = np.zeros((reps, K + 1, K), dtype=np.int64)  # lambda(i-1, 0..K)
+    for i in range(N):
+        cur = np.zeros_like(prev)
+        for j in range(1, K + 1):
+            mu, nu, rho = prev[:, j - 1], prev[:, j], cur[:, j - 1]
+            lam = cur[:, j]
+            np.maximum(nu, rho, out=lam)
+            lam[:, 0] += u[:, i, j - 1]
+            lam[:, 1:] += np.minimum(nu[:, :-1], rho[:, :-1]) - mu[:, :-1]
+        out[:, i + 1] = cur[:, K]
+        prev = cur
+    return out
 
 
 def insert(T: Tableau, letter: int) -> Tableau:
@@ -297,19 +326,9 @@ def verify_row_queue(U, limit: int = BRUTE_FORCE_LIMIT) -> RowQueueReport:
     lam1_chain, lamK_chain = lambda_operators(U)
     pmax = int(path_max(U, limit))
     pmin = int(path_min(U, limit))
-    D = int(queue_last_departure(U))
-    R = int(store_total(U))
+    D = int(tandem.queue_departures(U)[U.N, U.K])
+    R = int(tandem.store_flow(U)[2][-1])
     lam1 = (lam1_rsk, lam1_chain, pmax, D)
     lamK = (lamK_rsk, lamK_chain, pmin, R)
     ok = len(set(lam1)) == 1 and len(set(lamK)) == 1
     return RowQueueReport(lambda1=lam1, lambdaK=lamK, ok=ok)
-
-
-def queue_last_departure(U):
-    U = tandem._as_matrix(U)
-    return tandem.queue_departures(U)[U.N, U.K]
-
-
-def store_total(U):
-    U = tandem._as_matrix(U)
-    return tandem.store_flow(U)[2][-1]

@@ -16,6 +16,9 @@ __all__ = [
     "Seed",
     "MarkedSequence",
     "RateParams",
+    "draw_geometric",
+    "draw_geometric0",
+    "draw_exponential",
     "sample_geometric",
     "sample_geometric0",
     "sample_exponential",
@@ -24,6 +27,7 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+_CHILDREN = (1 << 32) - 1  # substream indices per parent
 
 
 @dataclass(frozen=True)
@@ -38,10 +42,18 @@ class Seed:
         return np.random.Generator(np.random.Philox(key=key))
 
     def substream(self, index: int) -> "Seed":
-        """Child seed ``index``; children occupy a disjoint block of the stream space."""
-        if index < 0:
-            raise ValueError("substream index must be >= 0")
-        return Seed(self.master, ((self.stream << 32) + index + 1) & _MASK64)
+        """Child seed ``index``; children occupy a disjoint block of the stream space.
+
+        The child stream is ``stream * 2**32 + index + 1``, which is
+        injective only while ``stream < 2**32`` and ``index < 2**32 - 1``;
+        outside that range two paths would share a key, so it raises.
+        From ``Seed(master)`` this allows paths of depth two.
+        """
+        if not 0 <= index < _CHILDREN:
+            raise ValueError(f"substream index must lie in 0..{_CHILDREN - 1}")
+        if not 0 <= self.stream < 1 << 32:
+            raise ValueError("stream too large to derive collision-free substreams")
+        return Seed(self.master, (self.stream << 32) + index + 1)
 
 
 @dataclass(frozen=True)
@@ -105,6 +117,24 @@ class RateParams:
         return self.arrival / self.service
 
 
+def draw_geometric(gen: np.random.Generator, p: float, shape) -> np.ndarray:
+    """Inverse CDF of P{X=k} = (1-p)^(k-1) p on {1, 2, ...}: one uniform per draw."""
+    u = gen.random(shape)
+    with np.errstate(divide="ignore"):
+        return (np.floor(np.log1p(-u) / np.log1p(-p)) + 1).astype(np.int64)
+
+
+def draw_geometric0(gen: np.random.Generator, q: float, shape) -> np.ndarray:
+    """Inverse CDF of P{X=k} = (1-q) q^k on {0, 1, 2, ...}: one uniform per draw."""
+    u = gen.random(shape)
+    return np.floor(np.log1p(-u) / np.log(q)).astype(np.int64)
+
+
+def draw_exponential(gen: np.random.Generator, rate: float, shape) -> np.ndarray:
+    """Inverse CDF of Exp(rate) (mean 1/rate): one uniform per draw."""
+    return -np.log1p(-gen.random(shape)) / rate
+
+
 def sample_geometric(p: float, n: int, seed: Seed) -> np.ndarray:
     """``n`` i.i.d. draws with P{X=k} = (1-p)^(k-1) p on {1, 2, ...}.
 
@@ -114,10 +144,7 @@ def sample_geometric(p: float, n: int, seed: Seed) -> np.ndarray:
         raise ValueError("p must lie in (0, 1]")
     if n < 0:
         raise ValueError("n must be >= 0")
-    u = seed.generator().random(n)
-    with np.errstate(divide="ignore"):
-        x = np.floor(np.log1p(-u) / np.log1p(-p)) + 1
-    return x.astype(np.int64)
+    return draw_geometric(seed.generator(), p, n)
 
 
 def sample_geometric0(q: float, n: int, seed: Seed) -> np.ndarray:
@@ -132,8 +159,7 @@ def sample_geometric0(q: float, n: int, seed: Seed) -> np.ndarray:
         raise ValueError("n must be >= 0")
     if q == 0:
         return np.zeros(n, dtype=np.int64)
-    u = seed.generator().random(n)
-    return np.floor(np.log1p(-u) / np.log(q)).astype(np.int64)
+    return draw_geometric0(seed.generator(), q, n)
 
 
 def sample_exponential(rate: float, n: int, seed: Seed) -> np.ndarray:
@@ -142,8 +168,7 @@ def sample_exponential(rate: float, n: int, seed: Seed) -> np.ndarray:
         raise ValueError("rate must be positive")
     if n < 0:
         raise ValueError("n must be >= 0")
-    u = seed.generator().random(n)
-    return -np.log1p(-u) / rate
+    return draw_exponential(seed.generator(), rate, n)
 
 
 def sample_input(params: RateParams, horizon: int, seed: Seed) -> MarkedSequence:
@@ -155,12 +180,9 @@ def sample_input(params: RateParams, horizon: int, seed: Seed) -> MarkedSequence
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if params.model == "mm1":
-        gaps = sample_exponential(params.arrival, horizon, seed.substream(0))
-        marks = sample_exponential(params.service, horizon, seed.substream(1))
-    else:
-        gaps = sample_geometric(params.arrival, horizon, seed.substream(0))
-        marks = sample_geometric(params.service, horizon, seed.substream(1))
+    sample = sample_exponential if params.model == "mm1" else sample_geometric
+    gaps = sample(params.arrival, horizon, seed.substream(0))
+    marks = sample(params.service, horizon, seed.substream(1))
     epochs = np.cumsum(gaps)
     return MarkedSequence(epochs, marks, window_end=epochs[-1])
 

@@ -10,19 +10,26 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import stats
 
 from . import tandem
+from .rsk import growth_shapes
 from .queue_store import (
     ZigzagTrajectory,
     enumerate_trajectories,
     transform,
 )
-from .sampling import RateParams, Seed, sample_input
+from .sampling import (
+    RateParams,
+    Seed,
+    draw_exponential,
+    draw_geometric,
+    draw_geometric0,
+    sample_input,
+)
 from .schur import (
     WeightVector,
     shape_distribution,
@@ -48,7 +55,6 @@ __all__ = [
     "interchange_experiment",
     "shape_law_experiment",
     "laguerre_check",
-    "ordered_map",
 ]
 
 
@@ -107,14 +113,6 @@ class ExperimentReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-
-def ordered_map(fn, items, threads: int = 1) -> list:
-    """Map preserving order; results do not depend on the thread count."""
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -262,16 +260,11 @@ def geometric_fit_test(sample, p, *, name: str = "geometric-fit",
 # experiments
 
 
-def _geom_stream(par, gen):
-    """Geometric(par) on {1,2,...} drawn from a live generator."""
-    def draw(n):
-        return (np.floor(np.log1p(-gen.random(n)) / np.log1p(-par)) + 1).astype(np.int64)
-    return draw
-
-
-def _geom0_batch(q, shape, gen):
-    u = gen.random(shape)
-    return np.floor(np.log1p(-u) / np.log(q)).astype(np.int64)
+def _geometric0_matrices(weights, reps: int, N: int, seed: Seed, base: int) -> np.ndarray:
+    """(reps, N, K) tandem entries; column j is zero-inclusive geometric with
+    parameter weights[j], drawn from substream base + j."""
+    return np.stack([draw_geometric0(seed.substream(base + j).generator(), w, (reps, N))
+                     for j, w in enumerate(weights)], axis=2)
 
 
 def _relaxation_customers(params: RateParams) -> int:
@@ -352,9 +345,7 @@ def trajectory_pmf(runs, p: float, q: float) -> float:
 def _sample_busy_trajectories(p, q, n_periods, seed, chunk=1 << 15):
     gen_s = seed.substream(0).generator()
     gen_a = seed.substream(1).generator()
-    draw_s = _geom_stream(q, gen_s)
-    draw_a = _geom_stream(p, gen_a)
-    buf_s, buf_a = draw_s(chunk), draw_a(chunk)
+    buf_s, buf_a = draw_geometric(gen_s, q, chunk), draw_geometric(gen_a, p, chunk)
     is_, ia = 0, 0
     out = []
     for _ in range(n_periods):
@@ -362,13 +353,13 @@ def _sample_busy_trajectories(p, q, n_periods, seed, chunk=1 << 15):
         h = 0
         while True:
             if is_ == chunk:
-                buf_s, is_ = draw_s(chunk), 0
+                buf_s, is_ = draw_geometric(gen_s, q, chunk), 0
             s = int(buf_s[is_])
             is_ += 1
             runs.append(s)
             h += s
             if ia == chunk:
-                buf_a, ia = draw_a(chunk), 0
+                buf_a, ia = draw_geometric(gen_a, p, chunk), 0
             a = int(buf_a[ia])
             ia += 1
             if a > h:
@@ -481,14 +472,9 @@ def noncolliding_experiment(params: RateParams, n: int, horizon_trunc: int,
     if n < 1 or horizon_trunc < n:
         raise ValueError("need 1 <= n <= horizon_trunc")
     geometric = params.model == "geomgeom1"
+    draw = draw_geometric if geometric else draw_exponential
     gen_a = seed.substream(0).generator()
     gen_s = seed.substream(1).generator()
-
-    def draw(gen, par, shape):
-        u = gen.random(shape)
-        if geometric:
-            return (np.floor(np.log1p(-u) / np.log1p(-par)) + 1).astype(np.int64)
-        return -np.log1p(-u) / par
 
     batch = max(4096, min(reps, 1 << 16))
     acc_x, acc_y = [], []
@@ -551,11 +537,7 @@ def interchange_experiment(q, sigma, N: int, reps: int, seed: Seed,
     q_perm = tuple(q[sigma[j]] for j in range(K))
 
     def sample_outputs(weights, base):
-        u = np.stack(
-            [_geom0_batch(weights[j], (reps, N), seed.substream(base + j).generator())
-             for j in range(K)],
-            axis=2,
-        )
+        u = _geometric0_matrices(weights, reps, N, seed, base)
         D = tandem.queue_departures_batch(u)[:, 1:, K]
         R = tandem.store_departures_batch(u)[:, -1]
         return D, R
@@ -587,35 +569,9 @@ def interchange_experiment(q, sigma, N: int, reps: int, seed: Seed,
     )
 
 
-def _rsk_shapes_batch(u, upto: int):
-    """Shapes after ``upto`` rows and after one more, per replication."""
-    import bisect as _bisect
-
-    reps, n_rows, K = u.shape
-    shapes_n = []
-    shapes_n1 = []
-    for rrow in u:
-        rows: list[list[int]] = []
-        for i in range(n_rows):
-            for j in range(K):
-                for _ in range(int(rrow[i, j])):
-                    x = j + 1
-                    ri = 0
-                    while True:
-                        if ri == len(rows):
-                            rows.append([x])
-                            break
-                        row = rows[ri]
-                        pos = _bisect.bisect_right(row, x)
-                        if pos == len(row):
-                            row.append(x)
-                            break
-                        x, row[pos] = row[pos], x
-                        ri += 1
-            if i == upto - 1:
-                shapes_n.append(tuple(len(r) for r in rows))
-        shapes_n1.append(tuple(len(r) for r in rows))
-    return shapes_n, shapes_n1
+def _shape_keys(shapes: np.ndarray) -> list[tuple]:
+    """Rows of a zero-padded shape array as tuples of ints, zeros dropped."""
+    return [tuple(x for x in sh if x) for sh in shapes.tolist()]
 
 
 def _pmf_chi2(counter: Counter, pmf: dict, total: int, *, name: str,
@@ -643,21 +599,13 @@ def shape_law_experiment(q, N: int, reps: int, seed: Seed,
     """
     q = _weights(q)
     K = len(q)
-    u = np.stack(
-        [_geom0_batch(q[j], (reps, N + 1), seed.substream(j).generator())
-         for j in range(K)],
-        axis=2,
-    )
-    shapes_n, shapes_n1 = _rsk_shapes_batch(u, N)
+    u = _geometric0_matrices(q, reps, N + 1, seed, 0)
+    grown = growth_shapes(u)
+    shapes_n, shapes_n1 = _shape_keys(grown[:, N]), _shape_keys(grown[:, N + 1])
     count_n = Counter(shapes_n)
 
-    q_rev = tuple(reversed(q))
-    u2 = np.stack(
-        [_geom0_batch(q_rev[j], (reps, N), seed.substream(K + j).generator())
-         for j in range(K)],
-        axis=2,
-    )
-    shapes_rev, _ = _rsk_shapes_batch(u2, N)
+    u2 = _geometric0_matrices(q[::-1], reps, N, seed, K)
+    shapes_rev = _shape_keys(growth_shapes(u2)[:, N])
 
     dist = {k: float(v) for k, v in shape_distribution(q, N, residual=1e-12).items()}
     results = [_pmf_chi2(count_n, dist, reps, name="shape-frequencies", alpha=alpha)]
@@ -700,7 +648,7 @@ def laguerre_check(K: int, reps: int, seed: Seed, reference_mean: float | None =
     remaining = reps
     while remaining > 0:
         b = min(chunk, remaining)
-        u = -np.log1p(-gen.random((b, K, K)))
+        u = draw_exponential(gen, 1.0, (b, K, K))
         values.append(tandem.store_departures_batch(u)[:, -1])
         remaining -= b
     R = np.concatenate(values)

@@ -9,13 +9,19 @@ stock; everything else starts empty.
 The two observables are D(N, K), the departure instant of customer N from
 the last queue, and R(N), the cumulative amount shipped by the last store
 over slots 1..N.
+
+Each tandem has one kernel over a leading batch axis, which the scalar
+entry points call with a batch of one.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
+
+from .queue_store import _fifo_series
 
 __all__ = [
     "ServiceMatrix",
@@ -86,15 +92,40 @@ class TandemTrace:
     D_seq: np.ndarray
 
 
+def _queue_scan(u: np.ndarray) -> np.ndarray:
+    """Zero-padded departure epochs D (B, N+1, K+1) of each (N, K) slice of
+    ``u``: every customer waits at queue 1 from time 0."""
+    B, N, K = u.shape
+    D = np.zeros((B, N + 1, K + 1), dtype=u.dtype)
+    D[:, 1:, 1:] = _fifo_series(0, u)
+    return D
+
+
+def _store_scan(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-slot shipments r (B, N, K) and stocks w (B, N+1, K) of the store tandem.
+
+    One step per slot updates every store at once: stores 2..K receive
+    what their predecessors shipped the slot before, then ship
+    min(stock + inflow, request) and keep the rest.  Slot-major buffers
+    keep each step's rows contiguous.
+    """
+    B, N, K = u.shape
+    req = u.transpose(1, 0, 2)[:, :, ::-1]  # store j requests u(., K+1-j)
+    r = np.empty((N, B, K), dtype=u.dtype)
+    w = np.zeros((N + 1, B, K), dtype=u.dtype)
+    r[:, :, 0] = req[:, :, 0]  # store 1 always meets its request
+    inflow = 0
+    for n in range(N if K > 1 else 0):
+        avail = w[n, :, 1:] + inflow
+        np.minimum(avail, req[n, :, 1:], out=r[n, :, 1:])
+        np.subtract(avail, r[n, :, 1:], out=w[n + 1, :, 1:])
+        inflow = r[n, :, :-1]
+    return r.transpose(1, 0, 2), w.transpose(1, 0, 2)
+
+
 def queue_departures(U) -> np.ndarray:
     """Departure epochs of the queue tandem, zero-padded boundary included."""
-    U = _as_matrix(U)
-    u = U.u
-    D = np.zeros((U.N + 1, U.K + 1), dtype=u.dtype)
-    for n in range(1, U.N + 1):
-        for k in range(1, U.K + 1):
-            D[n, k] = max(D[n - 1, k], D[n, k - 1]) + u[n - 1, k - 1]
-    return D
+    return _queue_scan(_as_matrix(U).u[None])[0]
 
 
 def store_flow(U) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -105,21 +136,8 @@ def store_flow(U) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Returns (rmat, wmat, R_seq) with R_seq the running total shipped by
     store K.
     """
-    U = _as_matrix(U)
-    u = U.u
-    N, K = U.N, U.K
-    r = np.zeros((N, K), dtype=u.dtype)
-    w = np.zeros((N + 1, K), dtype=u.dtype)
-    r[:, 0] = u[:, K - 1]
-    for k in range(2, K + 1):
-        req = u[:, K - k]
-        for n in range(1, N + 1):
-            inflow = r[n - 2, k - 2] if n >= 2 else 0
-            avail = w[n - 1, k - 1] + inflow
-            r[n - 1, k - 1] = min(avail, req[n - 1])
-            w[n, k - 1] = avail - r[n - 1, k - 1]
-    R_seq = np.cumsum(r[:, K - 1])
-    return r, w, R_seq
+    r, w = _store_scan(_as_matrix(U).u[None])
+    return r[0], w[0], np.cumsum(r[0, :, -1])
 
 
 def tandem_trace(U) -> TandemTrace:
@@ -141,47 +159,38 @@ def tandem_outputs(U, upto_N: int | None = None) -> tuple[np.ndarray, np.ndarray
 
 
 def queue_departures_batch(u: np.ndarray) -> np.ndarray:
-    """D(., ., K-column) recursion vectorised over the leading axis.
-
-    ``u`` has shape (reps, N, K); returns D of shape (reps, N+1, K+1).
-    Same arithmetic as :func:`queue_departures`, checked against it in the
-    test suite.
-    """
-    u = np.asarray(u)
-    reps, N, K = u.shape
-    D = np.zeros((reps, N + 1, K + 1), dtype=u.dtype)
-    for n in range(1, N + 1):
-        for k in range(1, K + 1):
-            D[:, n, k] = np.maximum(D[:, n - 1, k], D[:, n, k - 1]) + u[:, n - 1, k - 1]
-    return D
+    """:func:`queue_departures` of each (N, K) slice,
+    (reps, N, K) -> (reps, N+1, K+1)."""
+    return _queue_scan(np.asarray(u))
 
 
 def store_departures_batch(u: np.ndarray) -> np.ndarray:
-    """R_seq (cumulative output of store K) vectorised over the leading axis."""
-    u = np.asarray(u)
-    reps, N, K = u.shape
-    r = np.zeros((reps, N, K), dtype=u.dtype)
-    w = np.zeros((reps, N + 1, K), dtype=u.dtype)
-    r[:, :, 0] = u[:, :, K - 1]
-    for k in range(2, K + 1):
-        req = u[:, :, K - k]
-        for n in range(1, N + 1):
-            inflow = r[:, n - 2, k - 2] if n >= 2 else 0
-            avail = w[:, n - 1, k - 1] + inflow
-            r[:, n - 1, k - 1] = np.minimum(avail, req[:, n - 1])
-            w[:, n, k - 1] = avail - r[:, n - 1, k - 1]
-    return np.cumsum(r[:, :, K - 1], axis=1)
+    """R_seq (cumulative output of store K) of each (N, K) slice,
+    (reps, N, K) -> (reps, N)."""
+    return np.cumsum(_store_scan(np.asarray(u))[0][:, :, -1], axis=1)
 
 
 def matrix_to_csv(U, fh) -> None:
-    """One row per customer, one column per queue index."""
+    """One row per customer, one column per queue index.
+
+    Floats keep their decimal point (``%#.17g``), so :func:`matrix_from_csv`
+    reads an integral-valued float matrix back as floats.
+    """
     U = _as_matrix(U)
-    fmt = "%d" if U.u.dtype.kind == "i" else "%.17g"
+    fmt = "%d" if U.u.dtype.kind == "i" else "%#.17g"
     np.savetxt(fh, U.u, delimiter=",", fmt=fmt)
 
 
+_INTEGER_TEXT = re.compile(r"[\d\s,+-]*")
+
+
 def matrix_from_csv(fh) -> ServiceMatrix:
-    u = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if np.all(u == np.floor(u)):
-        u = u.astype(np.int64)
+    """Read a matrix written by :func:`matrix_to_csv`.
+
+    The text fixes the dtype, not the values: a file of plain integer
+    fields gives int64 entries, any other number format float64.
+    """
+    text = fh.read()
+    dtype = np.int64 if _INTEGER_TEXT.fullmatch(text) else np.float64
+    u = np.loadtxt(text.splitlines(), delimiter=",", ndmin=2, dtype=dtype)
     return ServiceMatrix(u)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualq.rsk import (
+    growth_shapes,
     BRUTE_FORCE_LIMIT,
     SizeLimitError,
     Tableau,
@@ -220,3 +221,15 @@ def test_verify_all_zero():
 @given(matrices(max_n=5, max_k=4, max_entry=5))
 def test_verify_random(U):
     assert verify_row_queue(U).ok
+
+
+# --- growth diagram against insertion ----------------------------------------------
+
+@settings(deadline=None, max_examples=80)
+@given(matrices(max_n=5, max_k=4, max_entry=4))
+def test_growth_shapes_match_insertion_on_every_prefix(U):
+    grown = growth_shapes(U.u[None])[0]
+    assert not grown[0].any()
+    for n in range(1, U.N + 1):
+        sh = shape(tableau_of(word_of(ServiceMatrix(U.u[:n]))))
+        assert tuple(x for x in grown[n].tolist() if x) == sh

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from dualq.sampling import (
     MarkedSequence,
@@ -29,6 +29,46 @@ def test_substreams_are_distinct():
     children = {s.substream(i) for i in range(100)}
     assert len(children) == 100
     assert s not in children
+
+
+def test_substream_keys_in_use_are_unchanged():
+    assert Seed(4).substream(3) == Seed(4, 4)
+    assert Seed(4).substream(3).substream(0) == Seed(4, (4 << 32) + 1)
+
+
+def test_substream_refuses_colliding_paths():
+    # depth three shifted the outermost index out of the 64-bit stream
+    # (paths (1, 2, 3) and (7, 2, 3) shared a key), and an index of 2**32
+    # reached the key of path (0, 0)
+    with pytest.raises(ValueError):
+        Seed(0).substream(1).substream(2).substream(3)
+    with pytest.raises(ValueError):
+        Seed(0).substream(2**32)
+    with pytest.raises(ValueError):
+        Seed(0).substream(2**32 - 1)
+    with pytest.raises(ValueError):
+        Seed(0).substream(-1)
+    assert Seed(0).substream(2**32 - 2).substream(2**32 - 2).stream == 2**64 - 1
+
+
+def _key(master, path):
+    s = Seed(master)
+    for i in path:
+        try:
+            s = s.substream(i)
+        except ValueError:
+            return None
+    return s
+
+
+paths = st.lists(st.one_of(st.integers(0, 8), st.integers(0, 2**32)), max_size=3)
+
+
+@given(st.integers(0, 2**64 - 1), paths, paths)
+def test_distinct_accepted_paths_give_distinct_keys(master, p1, p2):
+    k1, k2 = _key(master, p1), _key(master, p2)
+    assume(k1 is not None and k2 is not None and p1 != p2)
+    assert k1 != k2
 
 
 def test_geometric_degenerate_p_one():

@@ -16,7 +16,6 @@ from dualq.stattest import (
     lag1_test,
     laguerre_check,
     noncolliding_experiment,
-    ordered_map,
     shape_law_experiment,
     trajectory_pmf,
     zigzag_law_experiment,
@@ -121,12 +120,6 @@ def test_lag1_detects_autocorrelation():
     assert lag1_test(x).passed
     walk = np.cumsum(x)
     assert not lag1_test(walk).passed
-
-
-def test_ordered_map_thread_invariance():
-    items = list(range(50))
-    f = lambda i: i * i
-    assert ordered_map(f, items, threads=1) == ordered_map(f, items, threads=4)
 
 
 # --- burke ----------------------------------------------------------------------

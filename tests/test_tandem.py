@@ -2,7 +2,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dualq.rsk import shape, tableau_of, word_of
 from dualq.sampling import Seed
@@ -177,24 +177,83 @@ def test_shape_mass_and_ordering():
     assert D_seq[-1] >= R_seq[-1]
 
 
-# --- batched twins -------------------------------------------------------------
+# --- kernels against a cell-by-cell recursion ------------------------------------
 
-def test_batches_match_scalar_paths():
-    gen = Seed(17).generator()
-    u_int = gen.integers(0, 6, size=(50, 4, 3))
-    D3 = queue_departures_batch(u_int)
-    R2 = store_departures_batch(u_int)
-    for i in range(50):
-        U = ServiceMatrix(u_int[i])
-        assert np.array_equal(D3[i], queue_departures(U))
-        assert np.array_equal(R2[i], store_flow(U)[2])
-    u_float = gen.exponential(1.0, size=(30, 3, 3))
-    D3 = queue_departures_batch(u_float)
-    R2 = store_departures_batch(u_float)
-    for i in range(30):
-        U = ServiceMatrix(u_float[i])
-        assert np.allclose(D3[i], queue_departures(U), rtol=1e-15)
-        assert np.allclose(R2[i], store_flow(U)[2], rtol=1e-15)
+def queue_cells(u):
+    """D(n, k) = max(D(n-1, k), D(n, k-1)) + u(n, k), one cell at a time."""
+    N, K = u.shape
+    D = np.zeros((N + 1, K + 1), dtype=u.dtype)
+    for n in range(1, N + 1):
+        for k in range(1, K + 1):
+            D[n, k] = max(D[n - 1, k], D[n, k - 1]) + u[n - 1, k - 1]
+    return D
+
+
+def store_cells(u):
+    """Store k ships min(stock + inflow, u(n, K+1-k)) at slot n, one cell at a time."""
+    N, K = u.shape
+    r = np.zeros((N, K), dtype=u.dtype)
+    w = np.zeros((N + 1, K), dtype=u.dtype)
+    r[:, 0] = u[:, K - 1]
+    for k in range(2, K + 1):
+        for n in range(1, N + 1):
+            inflow = r[n - 2, k - 2] if n >= 2 else 0
+            avail = w[n - 1, k - 1] + inflow
+            r[n - 1, k - 1] = min(avail, u[n - 1, K - k])
+            w[n, k - 1] = avail - r[n - 1, k - 1]
+    return r, w, np.cumsum(r[:, K - 1])
+
+
+@st.composite
+def batches(draw, floats=False):
+    """(reps, N, K) arrays, some with an all-zero row or column."""
+    reps, n, k = draw(st.integers(1, 3)), draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    entry = (st.floats(0, 10, allow_nan=False, allow_infinity=False) if floats
+             else st.integers(0, 6))
+    size = reps * n * k
+    u = np.array(draw(st.lists(entry, min_size=size, max_size=size)),
+                 dtype=np.float64 if floats else np.int64).reshape(reps, n, k)
+    if draw(st.booleans()):
+        u[:, draw(st.integers(0, n - 1)), :] = 0
+    if draw(st.booleans()):
+        u[:, :, draw(st.integers(0, k - 1))] = 0
+    return u
+
+
+@settings(deadline=None, max_examples=80)
+@given(batches())
+@example(np.zeros((2, 3, 3), dtype=np.int64))
+@example(np.arange(4, dtype=np.int64).reshape(1, 1, 4))  # N = 1
+@example(np.arange(5, dtype=np.int64).reshape(1, 5, 1))  # K = 1
+@example(np.arange(20, dtype=np.int64).reshape(2, 2, 5) % 6)  # N < K
+def test_batches_match_scalar_paths(u):
+    # integer kernels, scalar and batch entry points alike, are exact
+    D3 = queue_departures_batch(u)
+    R2 = store_departures_batch(u)
+    for i in range(u.shape[0]):
+        D, (r, w, R) = queue_cells(u[i]), store_cells(u[i])
+        tr = tandem_trace(ServiceMatrix(u[i]))
+        for got, want in ((D3[i], D), (queue_departures(u[i]), D), (tr.Dmat, D),
+                          (R2[i], R), (tr.rmat, r), (tr.wmat, w), (tr.R_seq, R)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@settings(deadline=None, max_examples=60)
+@given(batches(floats=True))
+@example(np.random.default_rng(0).exponential(size=(4, 3, 5)))
+def test_float_kernels_against_cell_recursion(u):
+    # the store kernel does each cell's arithmetic in the same order, so it
+    # is bit-identical; the queue scan is a closed form, within 1e-12 relative
+    D3 = queue_departures_batch(u)
+    R2 = store_departures_batch(u)
+    for i in range(u.shape[0]):
+        D, (r, w, R) = queue_cells(u[i]), store_cells(u[i])
+        scale = max(1.0, float(D.max()))
+        assert np.max(np.abs(D3[i] - D)) <= 1e-12 * scale
+        assert np.max(np.abs(queue_departures(u[i]) - D)) <= 1e-12 * scale
+        r1, w1, R1 = store_flow(u[i])
+        for got, want in ((R2[i], R), (r1, r), (w1, w), (R1, R)):
+            assert np.array_equal(got, want)
 
 
 # --- io -------------------------------------------------------------------------
@@ -206,6 +265,14 @@ def test_matrix_csv_roundtrip():
     U2 = matrix_from_csv(buf)
     assert np.array_equal(U2.u, U22.u)
     assert U2.u.dtype == np.int64
+    # a float matrix stays float, integral values included
+    for u in ([[1.0, 2.0], [0.0, 3.0]], [[0.1, 2.5e-300], [1e300, 3.0]]):
+        buf = io.StringIO()
+        matrix_to_csv(ServiceMatrix(np.array(u)), buf)
+        buf.seek(0)
+        U2 = matrix_from_csv(buf)
+        assert U2.u.dtype == np.float64
+        assert np.array_equal(U2.u, np.array(u))
 
 
 def test_matrix_validation():
