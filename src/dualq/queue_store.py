@@ -266,14 +266,10 @@ def busy_periods(trace: QueueTrace) -> list[BusyPeriod]:
     server busy and extends the current period.
     """
     A, D = trace.A, trace.D
-    out = []
-    first = 0
-    for n in range(1, len(trace)):
-        if A[n] > D[n - 1]:
-            out.append(BusyPeriod(float(A[first]), float(D[n - 1]), range(first, n)))
-            first = n
-    out.append(BusyPeriod(float(A[first]), float(D[-1]), range(first, len(trace))))
-    return out
+    firsts = np.concatenate(([0], np.flatnonzero(A[1:] > D[:-1]) + 1))
+    ends = np.append(firsts[1:], len(trace))
+    return [BusyPeriod(float(a), float(d), range(f, e)) for a, d, f, e in
+            zip(A[firsts].tolist(), D[ends - 1].tolist(), firsts.tolist(), ends.tolist())]
 
 
 @dataclass(frozen=True)
@@ -345,7 +341,7 @@ def zigzag(s, a) -> ZigzagTrajectory:
 
 def zigzag_from_trace(trace: QueueTrace, period: BusyPeriod) -> ZigzagTrajectory:
     c = period.customers
-    return zigzag(trace.s[c.start:c.stop], trace.a[c.start:c.stop - 1])
+    return zigzag(trace.s[c.start:c.stop], np.diff(trace.A[c.start:c.stop]))
 
 
 def enumerate_trajectories(total_rise: int) -> list[ZigzagTrajectory]:

@@ -7,7 +7,8 @@ of the insertion tableau of an N x K matrix is distributed as
     P{shape = l} = prod_j (1-q_j)^N  *  s_l(q_1..q_K)  *  #SSYT(l over N letters),
 
 and the shape sequence in N is a Markov chain whose transitions multiply
-a(q) s_l(q) / s_m(q) on interlacing pairs.  Everything is exact when the
+a(q) s_l(q) / s_m(q) on interlacing pairs.  #SSYT is the hook-content
+formula; s_l sums over interlacing chains.  Everything is exact when the
 q_j are ``fractions.Fraction``; floats work too.
 """
 
@@ -15,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import combinations_with_replacement, product
+from math import factorial, perm, prod
 
 from .rsk import Tableau, is_partition, normalize_partition
 
@@ -103,37 +105,31 @@ def ssyt_enumerate(shape, k: int) -> list[Tableau]:
 
 @lru_cache(maxsize=None)
 def ssyt_count(shape: tuple, n: int) -> int:
-    """#SSYT of ``shape`` over {1..n}, counted as interlacing chains.
+    """#SSYT of ``shape`` over {1..n}, by the hook-content formula.
 
-    Peeling the largest letter off a tableau leaves a tableau over one
-    letter fewer whose shape interlaces the original, so the count
-    satisfies count(l, n) = sum over interlacing m of count(m, n-1).
+    count(l, n) = prod over boxes u of (n + c(u)) / h(u) (Stanley, EC2,
+    Cor. 7.21.4), exactly in integers.  Row i (from 0) has contents n-i ..
+    n-i+l_i-1; with b_i = l_i + k-1-i over k parts, the hooks multiply to
+    prod b_i! / prod_{i<j} (b_i - b_j).
     """
     shape = normalize_partition(shape)
     if len(shape) > n:
         return 0
     if not shape:
         return 1
-    if n == 0:
-        return 0
-    total = 0
-    for m in _interlacing_below(shape):
-        total += ssyt_count(m, n - 1)
-    return total
-
-
-def _interlacing_below(l: tuple):
-    """All partitions m with l_1 >= m_1 >= l_2 >= m_2 >= ..."""
-    l = tuple(l)
-    bounds = [(l[i + 1] if i + 1 < len(l) else 0, l[i]) for i in range(len(l))]
-    for m in product(*[range(lo, hi + 1) for lo, hi in bounds]):
-        yield normalize_partition(m)
+    k = len(shape)
+    b = [r + k - 1 - i for i, r in enumerate(shape)]
+    num = prod(perm(n - i + r - 1, r) for i, r in enumerate(shape))
+    num *= prod(b[i] - b[j] for i in range(k) for j in range(i + 1, k))
+    return num // prod(map(factorial, b))
 
 
 @lru_cache(maxsize=None)
-def _schur_rec(shape: tuple, x: tuple):
+def _schur_rec(shape: tuple, x: tuple, kinds: tuple):
     # peel the largest letter: its boxes form a horizontal strip, so
-    # s_l(x_1..x_k) = sum over interlacing m of x_k^{|l|-|m|} s_m(x_1..x_{k-1})
+    # s_l(x_1..x_k) = sum over interlacing m of x_k^{|l|-|m|} s_m(x_1..x_{k-1}).
+    # l has at most k parts; an m with more than k-1 has s_m = 0 and is not
+    # generated.  kinds = the types of x, since 0.5 and Fraction(1, 2) hash alike
     if not shape:
         return 1
     if not x:
@@ -141,8 +137,12 @@ def _schur_rec(shape: tuple, x: tuple):
     xk = x[-1]
     boxes = sum(shape)
     total = 0
-    for m in _interlacing_below(shape):
-        inner = _schur_rec(m, x[:-1])
+    ranges = [range(shape[i + 1] if i + 1 < len(shape) else 0, shape[i] + 1)
+              for i in range(min(len(shape), len(x) - 1))]
+    for m in product(*ranges):
+        if m and not m[-1]:
+            m = m[:-1]
+        inner = _schur_rec(m, x[:-1], kinds[:-1])
         if inner:
             total = total + inner * xk ** (boxes - sum(m))
     return total
@@ -151,11 +151,11 @@ def _schur_rec(shape: tuple, x: tuple):
 def schur_eval(shape, x):
     """s_shape(x): the sum of x^T over semistandard tableaux of the shape.
 
-    Evaluated by stripping the tableaux letter by letter (each letter
-    occupies a horizontal strip), which walks the same interlacing chains
-    that :func:`ssyt_count` counts.  Exact whenever the inputs are exact
-    (ints, Fractions); returns 0 for a shape with more parts than
-    variables.
+    Evaluated by stripping the tableaux letter by letter: each letter
+    occupies a horizontal strip, so the sum runs over chains of
+    interlacing shapes, and only chains whose shapes fit the remaining
+    variables are walked.  Exact whenever the inputs are exact (ints,
+    Fractions); returns 0 for a shape with more parts than variables.
     """
     if not is_partition(shape):
         raise ValueError(f"{shape!r} is not a partition")
@@ -163,7 +163,7 @@ def schur_eval(shape, x):
     shape = normalize_partition(shape)
     if len(shape) > len(x):
         return 0
-    return _schur_rec(shape, x)
+    return _schur_rec(shape, x, tuple(map(type, x)))
 
 
 def shape_pmf(l, q, N: int):
@@ -175,16 +175,6 @@ def shape_pmf(l, q, N: int):
     if not is_partition(l):
         raise ValueError(f"{l!r} is not a partition")
     return empty_row_prob(q) ** N * schur_eval(l, q) * ssyt_count(l, N)
-
-
-def _desc_tuples(maxval: int, length: int):
-    """Weakly decreasing tuples of the given length with entries in [0, maxval]."""
-    if length == 0:
-        yield ()
-        return
-    for v in range(maxval, -1, -1):
-        for rest in _desc_tuples(v, length - 1):
-            yield (v,) + rest
 
 
 def shape_distribution(q, N: int, residual: float = 1e-10) -> dict:
@@ -199,7 +189,7 @@ def shape_distribution(q, N: int, residual: float = 1e-10) -> dict:
     total = 0
     c = 0
     while True:
-        for tail in _desc_tuples(c, K - 1):
+        for tail in combinations_with_replacement(range(c, -1, -1), K - 1):
             l = normalize_partition((c,) + tail)
             p = shape_pmf(l, q, N)
             out[l] = p
@@ -246,8 +236,11 @@ def transition_distribution(m, q, residual: float = 1e-10) -> dict:
     q = _weights(q)
     m = normalize_partition(m)
     K = len(q)
+    if len(m) > K:
+        raise ValueError(f"{m!r} has more parts than the {K} weights")
     out: dict[tuple, object] = {}
     total = 0
+    a, sm, kinds = empty_row_prob(q), schur_eval(m, q), tuple(map(type, q))
     m1 = m[0] if m else 0
     pad = list(m) + [0] * (K - len(m))
     # interlacing forces l_i in [m_i, m_{i-1}] for i >= 2; only l_1 is free
@@ -255,8 +248,8 @@ def transition_distribution(m, q, residual: float = 1e-10) -> dict:
     c = m1
     while True:
         for rest in product(*inner_ranges):
-            l = normalize_partition((c,) + tuple(rest))
-            out[l] = transition_prob(m, l, q)
+            l = normalize_partition((c,) + rest)
+            out[l] = a * _schur_rec(l, q, kinds) / sm
             total = total + out[l]
         if 1 - total < residual:
             return out

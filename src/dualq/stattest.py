@@ -180,11 +180,11 @@ def chi2_two_sample(keys_x, keys_y, *, name: str = "chi2-2samp",
     cy = Counter(keys_y)
     nx, ny = sum(cx.values()), sum(cy.values())
     total = nx + ny
-    combined = Counter(cx) + Counter(cy)
-    order = sorted(combined.items(), key=lambda kv: (-kv[1], repr(kv[0])))
+    order = sorted((cx + cy).items(), key=lambda kv: (-kv[1], repr(kv[0])))
     frac = min(nx, ny) / total
     keep = [k for k, c in order if c * frac >= min_expected]
-    rest = [k for k, _ in order if k not in set(keep)]
+    kept = set(keep)
+    rest = [k for k, _ in order if k not in kept]
     row_x = [cx.get(k, 0) for k in keep]
     row_y = [cy.get(k, 0) for k in keep]
     if rest:
@@ -547,8 +547,7 @@ def interchange_experiment(q, sigma, N: int, reps: int, seed: Seed,
 
     joint1 = list(zip(D1[:, -1].tolist(), R1.tolist()))
     joint2 = list(zip(D2[:, -1].tolist(), R2.tolist()))
-    prefix1 = [tuple(row) for row in D1.tolist()]
-    prefix2 = [tuple(row) for row in D2.tolist()]
+    prefix1, prefix2 = _row_keys(D1), _row_keys(D2)
     results = [
         chi2_two_sample(joint1, joint2, name="joint-D-R-two-sample", alpha=alpha),
         chi2_two_sample(prefix1, prefix2, name="departure-prefix-two-sample", alpha=alpha),
@@ -569,9 +568,18 @@ def interchange_experiment(q, sigma, N: int, reps: int, seed: Seed,
     )
 
 
+def _row_keys(rows: np.ndarray, key=tuple) -> list:
+    """``key`` of each row (as a list of ints), computed once per distinct row."""
+    rows = np.ascontiguousarray(rows)
+    raw = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
+    keys = [key(row) for row in rows[first].tolist()]
+    return [keys[i] for i in inverse.tolist()]
+
+
 def _shape_keys(shapes: np.ndarray) -> list[tuple]:
     """Rows of a zero-padded shape array as tuples of ints, zeros dropped."""
-    return [tuple(x for x in sh if x) for sh in shapes.tolist()]
+    return _row_keys(shapes, lambda row: tuple(x for x in row if x))
 
 
 def _pmf_chi2(counter: Counter, pmf: dict, total: int, *, name: str,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualq.queue_store import (
+    BusyPeriod,
     backward_check,
     busy_periods,
     enumerate_trajectories,
@@ -245,6 +246,32 @@ def test_busy_idle_partition():
     # arrival at the exact departure instant keeps the period going
     for p in periods[1:]:
         assert p.start > tr.D[p.customers.start - 1]
+
+
+def busy_periods_loop(tr):
+    """Customer by customer: a period ends when the next arrival comes
+    strictly after the last departure."""
+    out, first = [], 0
+    for n in range(1, len(tr)):
+        if tr.A[n] > tr.D[n - 1]:
+            out.append(BusyPeriod(float(tr.A[first]), float(tr.D[n - 1]), range(first, n)))
+            first = n
+    out.append(BusyPeriod(float(tr.A[first]), float(tr.D[-1]), range(first, len(tr))))
+    return out
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=30),
+       st.sampled_from([1, 0.5]))
+def test_busy_periods_and_zigzags_match_loops(pairs, scale):
+    # integer gaps and marks hit the tie "arrival at the departure instant"
+    A = np.cumsum([g for g, _ in pairs]) * scale
+    tr = trace_from_arrays(A, np.array([m for _, m in pairs]) * scale)
+    periods = busy_periods(tr)
+    assert repr(periods) == repr(busy_periods_loop(tr))
+    for p in periods:
+        c = p.customers
+        assert zigzag_from_trace(tr, p) == zigzag(tr.s[c.start:c.stop], tr.a[c.start:c.stop - 1])
 
 
 # --- zigzag ------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from fractions import Fraction
-from itertools import permutations
+from functools import lru_cache
+from itertools import permutations, product
 from math import comb
 
 import pytest
@@ -59,6 +60,63 @@ def test_ssyt_count_matches_enumeration():
             assert ssyt_count(shape, k) == len(ssyt_enumerate(shape, k))
 
 
+def interlacing_below(l):
+    """All partitions m with l_1 >= m_1 >= l_2 >= m_2 >= ..., trailing zeros dropped."""
+    bounds = [(l[i + 1] if i + 1 < len(l) else 0, l[i]) for i in range(len(l))]
+    for m in product(*[range(lo, hi + 1) for lo, hi in bounds]):
+        yield tuple(x for x in m if x)
+
+
+@lru_cache(maxsize=None)
+def ssyt_count_chains(shape, n):
+    """Independent route: peeling the largest letter off a tableau leaves a
+    tableau over one letter fewer whose shape interlaces the original."""
+    if len(shape) > n:
+        return 0
+    if not shape:
+        return 1
+    return sum(ssyt_count_chains(m, n - 1) for m in interlacing_below(shape))
+
+
+@lru_cache(maxsize=None)
+def schur_chains(shape, x):
+    """s_shape(x) over every interlacing m, including those with more parts
+    than the remaining variables (they add nothing)."""
+    if not shape:
+        return 1
+    if not x:
+        return 0
+    total = 0
+    for m in interlacing_below(shape):
+        inner = schur_chains(m, x[:-1])
+        if inner:
+            total = total + inner * x[-1] ** (sum(shape) - sum(m))
+    return total
+
+
+def test_ssyt_count_hook_content_matches_chain_recursion():
+    # every shape with <= 4 parts and l_1 <= 8, including the empty shape,
+    # over n = 0..7 letters (so n < len(shape) and n = 0 occur)
+    shapes = small_partitions(max_boxes=32, max_parts=4)
+    shapes = [l for l in shapes if not l or l[0] <= 8]
+    assert len(shapes) == comb(12, 4)
+    for l in shapes:
+        for n in range(8):
+            assert ssyt_count(l, n) == ssyt_count_chains(l, n), (l, n)
+    assert ssyt_count((3, 1, 0, 0), 3) == ssyt_count((3, 1), 3)
+
+
+def test_schur_eval_bits_match_unpruned_recursion():
+    # the pruned recursion sums the same nonzero terms in the same order,
+    # so float results agree to the last bit, not just to rounding
+    weights = [(0.3,), (0.2, 0.3), (0.2, 0.3, 0.4), (0.5, 0.5, 0.5),
+               (0.1, 0.7, 0.3, 0.4), (F(1, 3), F(1, 2), F(2, 7))]
+    for x in weights:
+        for l in small_partitions(max_boxes=8, max_parts=len(x)):
+            got, want = schur_eval(l, x), schur_chains(l, x)
+            assert repr(got) == repr(want), (l, x)
+
+
 def test_ssyt_count_single_row_binomial():
     # stars and bars: weakly increasing words of length m over n letters
     for m in range(6):
@@ -85,6 +143,14 @@ def test_schur_at_ones_counts_tableaux():
 
 def test_schur_too_many_parts():
     assert schur_eval((1, 1, 1), [0.5, 0.5]) == 0
+
+
+def test_schur_exact_after_equal_float_weights():
+    # 0.5 == Fraction(1, 2) with equal hashes: the float result must not be
+    # handed back for the exact call
+    assert schur_eval((2, 1), (0.5, 0.25)) == 0.09375
+    exact = schur_eval((2, 1), (F(1, 2), F(1, 4)))
+    assert isinstance(exact, Fraction) and exact == F(3, 32)
 
 
 def test_schur_symmetric_exact():
@@ -184,6 +250,23 @@ def test_transition_non_interlacing_is_zero():
 def test_transition_single_stage_value():
     # a(q) s_(5)/s_(2) = (1-q) q^3
     assert transition_prob((2,), (5,), (F(3, 10),)) == F(7, 10) * F(3, 10) ** 3
+
+
+def test_transition_distribution_row_matches_transition_prob():
+    # values bit for bit, including float weights
+    for q in [(F(3, 10), F(1, 2)), (0.3, 0.5), (0.2, 0.3, 0.4)]:
+        for m in [(), (1,), (3, 1), (2, 2), (4, 2, 1)[:len(q)]]:
+            row = transition_distribution(m, q, residual=1e-8)
+            assert all(interlaces(l, m) for l in row)
+            assert {l: repr(p) for l, p in row.items()} == {
+                l: repr(transition_prob(m, l, q)) for l in row}
+
+
+def test_transition_distribution_rejects_bad_rows():
+    with pytest.raises(ValueError):
+        transition_distribution((1, 2), (0.3, 0.5))
+    with pytest.raises(ValueError):
+        transition_distribution((1, 1, 1), (0.3, 0.5))
 
 
 def test_transition_distribution_normalizes():

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -5,6 +7,7 @@ from scipy import stats
 from dualq.sampling import RateParams, Seed, sample_exponential
 from dualq.stattest import (
     DegenerateTestError,
+    GofResult,
     InfeasibleError,
     burke_experiment,
     chi2_test,
@@ -20,6 +23,7 @@ from dualq.stattest import (
     trajectory_pmf,
     zigzag_law_experiment,
     _minmax_functionals,
+    _shape_keys,
 )
 from dualq.queue_store import enumerate_trajectories
 
@@ -104,6 +108,47 @@ def test_two_sample_shifted_law_fails():
     x = gen1.poisson(3.0, 20_000).tolist()
     y = gen2.poisson(3.2, 20_000).tolist()
     assert not chi2_two_sample(x, y).passed
+
+
+def chi2_two_sample_reference(x, y, name, alpha=0.01, min_expected=5.0):
+    """Homogeneity chi-square built cell by cell: categories by combined
+    count (ties by repr), thin ones pooled into one rest cell."""
+    cx, cy = Counter(x), Counter(y)
+    cats = sorted(set(x) | set(y), key=lambda k: (-(cx[k] + cy[k]), repr(k)))
+    frac = min(len(x), len(y)) / (len(x) + len(y))
+    table, rest = [], [0, 0]
+    for k in cats:
+        if (cx[k] + cy[k]) * frac >= min_expected:
+            table.append([cx[k], cy[k]])
+        else:
+            rest[0] += cx[k]
+            rest[1] += cy[k]
+    if any(rest):
+        table.append(rest)
+    res = stats.chi2_contingency(np.array(table, dtype=float).T, correction=False)
+    return GofResult(name, float(res.statistic), float(res.pvalue), len(x) + len(y), alpha)
+
+
+def test_two_sample_many_categories_matches_reference():
+    # > 5000 categories, most of them rare, so both kept cells and the
+    # rest cell are large
+    gen = Seed(8).generator()
+    x = (gen.geometric(0.3, 6000).tolist() + gen.integers(100, 20_000, 6000).tolist())
+    y = (gen.geometric(0.3, 5000).tolist() + gen.integers(100, 20_000, 5000).tolist())
+    assert len(set(x) | set(y)) > 5000
+    assert chi2_two_sample(x, y, name="many") == chi2_two_sample_reference(x, y, "many")
+
+
+@pytest.mark.parametrize("shapes", [
+    np.zeros((4, 3), dtype=np.int64),
+    np.array([[0], [3], [0], [3], [1]]),
+    np.array([[2, 1, 0]]),
+    np.array([[3, 1, 0], [0, 0, 0], [3, 1, 0], [2, 2, 1], [0, 0, 0]])[:, :2],
+])
+def test_shape_keys_match_rowwise_tuples(shapes):
+    keys = _shape_keys(shapes)
+    assert keys == [tuple(x for x in row if x) for row in shapes.tolist()]
+    assert all(type(x) is int for key in keys for x in key)
 
 
 def test_independence_detects_coupling():
