@@ -1,7 +1,12 @@
 """Command-line entry point: experiment runner and identity verifier.
 
-Every subcommand accepts ``--config FILE`` (JSON with the same keys as the
-flags; flags win) and ``--output PATH``.  Exit status: 0 when every check
+Each subcommand is one entry of :data:`COMMANDS`, declared with
+:func:`_command` next to its runner: its flags as (type, default, help) and
+a runner that takes the merged settings and returns ``(payload, ok)``.
+Every subcommand accepts ``--config FILE`` (a JSON object with the same
+keys as the flags, each value of its flag's type; flags win) and
+``--output PATH``; the report subcommands also take ``--format json|csv``,
+while ``trace`` always writes CSV.  Exit status: 0 when every check
 passes, 1 when a verdict fails, 2 on usage errors.  Reports carry the seed
 and parameters, so identical invocations produce identical bytes.
 """
@@ -13,57 +18,53 @@ import csv
 import io
 import json
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import particles, queue_store, rsk, stattest, tandem
 from .sampling import RateParams, Seed
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 
-SUBCOMMANDS = (
-    "verify-identities",
-    "burke",
-    "zigzag-law",
-    "noncolliding",
-    "interchange",
-    "shape-law",
-    "laguerre",
-    "particles",
-    "trace",
-)
+@dataclass(frozen=True)
+class Command:
+    help: str
+    flags: dict  # key -> (type, default, help), the shared --config/--output first
+    run: Callable  # settings namespace -> (payload, ok)
 
 
-class RunConfig:
-    """Merged view of defaults, config file, and explicit flags."""
+COMMANDS: dict[str, Command] = {}
 
-    def __init__(self, subcommand: str, defaults: dict, config: dict, flags: dict):
-        unknown = set(config) - set(defaults)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        self.subcommand = subcommand
-        self.values = {**defaults, **config, **flags}
-
-    def __getattr__(self, key):
-        try:
-            return self.values[key]
-        except KeyError:
-            raise AttributeError(key) from None
+_IO_FLAGS = {"config": (str, None, "JSON file supplying the same keys; flags override"),
+             "output": (str, None, None)}
+_REPORT_FLAGS = {**_IO_FLAGS, "format": (str, "json", None)}
+_FORMATS = ("json", "csv")
 
 
-def _num_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip() != ""]
+def _command(name: str, help: str, io_flags: dict = _REPORT_FLAGS, **flags):
+    """Register the decorated runner as subcommand ``name``; ``--help`` keeps this order."""
+    def register(run):
+        COMMANDS[name] = Command(help, {**io_flags, **flags}, run)
+        return run
+    return register
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip() != ""]
+def _split(text: str, typ) -> list:
+    return [typ(x) for x in text.split(",") if x.strip() != ""]
 
 
-def _maybe_int_array(values: list[float]) -> np.ndarray:
-    if all(float(v).is_integer() for v in values):
-        return np.array([int(v) for v in values], dtype=np.int64)
-    return np.array(values, dtype=np.float64)
+def _number_array(text: str) -> np.ndarray:
+    """Plain integer fields give int64 via int(), any other format float64,
+    the rule :func:`tandem.matrix_from_csv` follows."""
+    if not tandem._INTEGER_TEXT.fullmatch(text):
+        return np.array(_split(text, float), dtype=np.float64)
+    try:
+        return np.array(_split(text, int), dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"{text!r} holds an integer outside int64") from None
 
 
 def _rate_params(cfg) -> RateParams:
@@ -74,220 +75,213 @@ def _rate_params(cfg) -> RateParams:
     return RateParams(model=model, arrival=cfg.p, service=cfg.q)
 
 
-def _emit(payload: dict, cfg) -> None:
-    if cfg.format == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    elif cfg.format == "csv":
+def _verdict(report: stattest.ExperimentReport) -> tuple[dict, bool]:
+    return report.to_dict(), report.passed
+
+
+def _random_cases(cfg, n_key: str, k_key: str, test: str, check) -> tuple[dict, bool]:
+    """Count the random matrices on which ``check(u, gen)`` fails.
+
+    Case i draws from substream i: n in 1..cfg.<n_key>, k in 1..cfg.<k_key>,
+    then an n x k matrix u with entries in 0..max_entry; ``check`` may go on
+    drawing from ``gen``.
+    """
+    seed = Seed(cfg.seed)
+    failures = 0
+    for i in range(cfg.cases):
+        gen = seed.substream(i).generator()
+        n = int(gen.integers(1, getattr(cfg, n_key) + 1))
+        k = int(gen.integers(1, getattr(cfg, k_key) + 1))
+        failures += not check(gen.integers(0, cfg.max_entry + 1, size=(n, k)), gen)
+    ok = failures == 0
+    params = {key: getattr(cfg, key) for key in (n_key, k_key, "max_entry", "cases")}
+    return {"name": cfg.subcommand, "params": params,
+            "seed": {"master": cfg.seed, "stream": 0},
+            "tests": [{"name": test, "statistic": failures, "p_value": 1.0 if ok else 0.0,
+                       "n_samples": cfg.cases, "alpha": 0.0, "passed": ok}],
+            "verdict": "pass" if ok else "fail"}, ok
+
+
+@_command("verify-identities", "six-way tableau/path/tandem identity on random matrices",
+         n=(int, 6, "max customers"), k=(int, 4, "max stages"),
+         max_entry=(int, 5, "entries drawn from {0..max}"),
+         cases=(int, 10000, "random matrices"), seed=(int, 0, ""))
+def _verify_identities(cfg):
+    return _random_cases(cfg, "n", "k", "six-way-identity",
+                         lambda u, gen: rsk.verify_row_queue(tandem.ServiceMatrix(u)).ok)
+
+
+@_command("burke", "joint output law of the equilibrium queue",
+         model=(str, "geom", "geom or exp"),
+         p=(float, 0.3, "arrival parameter (p or lambda)"),
+         q=(float, 0.6, "mark parameter (q or mu)"),
+         horizon=(int, 100000, ""), burn_in=(int, 10000, ""),
+         seed=(int, 0, ""), alpha=(float, 0.01, ""),
+         dump_samples=(str, "", "write raw (d, r) pairs to this CSV path"))
+def _burke(cfg):
+    return _verdict(stattest.burke_experiment(
+        _rate_params(cfg), cfg.horizon, cfg.burn_in, Seed(cfg.seed), alpha=cfg.alpha,
+        samples_path=cfg.dump_samples or None))
+
+
+@_command("zigzag-law", "busy-period trajectory law",
+         p=(float, 0.3, ""), q=(float, 0.7, ""),
+         periods=(int, 100000, "busy periods"),
+         max_rise=(int, 4, "enumerate trajectories up to this rise"),
+         seed=(int, 0, ""), alpha=(float, 0.01, ""))
+def _zigzag_law(cfg):
+    return _verdict(stattest.zigzag_law_experiment(
+        cfg.p, cfg.q, Seed(cfg.seed), n_periods=cfg.periods, max_rise=cfg.max_rise,
+        alpha=cfg.alpha))
+
+
+@_command("noncolliding", "conditioned walks vs max/min functionals",
+         model=(str, "geom", "geom or exp"),
+         p=(float, 0.3, ""), q=(float, 0.7, ""),
+         n=(int, 3, "prefix length"), trunc=(int, 50, "conditioning horizon"),
+         reps=(int, 100000, "accepted samples"),
+         seed=(int, 0, ""), alpha=(float, 0.01, ""))
+def _noncolliding(cfg):
+    return _verdict(stattest.noncolliding_experiment(
+        _rate_params(cfg), cfg.n, cfg.trunc, cfg.reps, Seed(cfg.seed), alpha=cfg.alpha))
+
+
+@_command("interchange", "stage reordering leaves (D, R) unchanged",
+         q=(str, "0.3,0.6", "comma-separated stage weights"),
+         sigma=(str, "1,0", "0-based permutation"),
+         n=(int, 4, "customers"), reps=(int, 100000, ""),
+         seed=(int, 0, ""), alpha=(float, 0.01, ""))
+def _interchange(cfg):
+    return _verdict(stattest.interchange_experiment(
+        _split(cfg.q, float), _split(cfg.sigma, int), cfg.n, cfg.reps, Seed(cfg.seed),
+        alpha=cfg.alpha))
+
+
+@_command("shape-law", "insertion-shape law and growth transitions",
+         q=(str, "0.3,0.5", "comma-separated stage weights"),
+         n=(int, 4, "rows"), reps=(int, 100000, ""),
+         seed=(int, 0, ""), alpha=(float, 0.01, ""))
+def _shape_law(cfg):
+    return _verdict(stattest.shape_law_experiment(
+        _split(cfg.q, float), cfg.n, cfg.reps, Seed(cfg.seed), alpha=cfg.alpha))
+
+
+@_command("laguerre", "exponentiality of R in the square exponential case",
+         k=(int, 3, "stages (square case)"), reps=(int, 1000000, ""),
+         reference_mean=(float, 0.0, "0 means the exact 1/K"),
+         seed=(int, 0, ""), alpha=(float, 0.01, ""))
+def _laguerre(cfg):
+    ref = cfg.reference_mean if cfg.reference_mean > 0 else None
+    return _verdict(stattest.laguerre_check(cfg.k, cfg.reps, Seed(cfg.seed),
+                                            reference_mean=ref, alpha=cfg.alpha))
+
+
+def _particles_agree(u, gen) -> bool:
+    """Zero-range jumps = queue departures, bus-stop loads = store flow, and the
+    exclusion encoding inverts and commutes with a bus-stop slot on counts and
+    buses drawn from ``gen``."""
+    k = u.shape[1]
+    counts = gen.integers(0, 6, size=k).tolist()
+    counts[0] += int(np.sum(u))  # ample reservoir
+    buses = gen.integers(0, 6, size=k).tolist()
+    U = tandem.ServiceMatrix(u)
+    D = tandem.queue_departures(U)
+    jumps = {(e.particle, e.site): e.slot for e in particles.zero_range_run(U)}
+    config = particles.to_exclusion(counts)
+    return (all(jumps.get((p, j)) == D[p, j]
+                for p in range(1, U.N + 1) for j in range(1, k + 1))
+            and np.array_equal(particles.bus_stop_run(U), tandem.store_flow(U)[0])
+            and particles.from_exclusion(config) == counts
+            and np.array_equal(
+                np.trim_zeros(particles.exclusion_step(config, buses), "f"),
+                particles.to_exclusion(particles.bus_stop_step(counts, buses)[0])))
+
+
+@_command("particles", "particle-system equivalences on random instances",
+         cases=(int, 1000, ""), max_n=(int, 5, ""), max_k=(int, 5, ""),
+         max_entry=(int, 5, ""), seed=(int, 0, ""))
+def _particles(cfg):
+    return _random_cases(cfg, "max_n", "max_k", "particle-equivalences", _particles_agree)
+
+
+@_command("trace", "per-customer trace table as CSV", io_flags=_IO_FLAGS,
+         a=(str, "0,3", "comma-separated arrival epochs"),
+         s=(str, "5,1", "comma-separated marks"),
+         w1=(float, 0.0, "initial wait"))
+def _trace(cfg):
+    buf = io.StringIO()
+    queue_store.trace_to_csv(
+        queue_store.trace_from_arrays(_number_array(cfg.a), _number_array(cfg.s), w1=cfg.w1),
+        buf)
+    return buf.getvalue(), True
+
+
+def _render(payload, fmt) -> str:
+    if isinstance(payload, str):  # trace: CSV already
+        return payload
+    if fmt == "json":
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["test", "statistic", "p_value", "n_samples", "alpha", "passed"])
         for t in payload.get("tests", []):
             writer.writerow([t["name"], t["statistic"], t["p_value"],
                              t["n_samples"], t["alpha"], t["passed"]])
-        text = buf.getvalue()
-    else:
-        raise ValueError(f"unknown format {cfg.format!r}")
-    if cfg.output:
-        with open(cfg.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        return buf.getvalue()
+    raise ValueError(f"unknown format {fmt!r}")
 
 
-def _report_exit(report, cfg) -> int:
-    _emit(report.to_dict(), cfg)
-    return 0 if report.passed else 1
+# JSON types a config value may have, by the type of its flag
+_CONFIG_TYPES = {int: (int,), float: (int, float), str: (str,)}
 
 
-def _exact_exit(cfg, name: str, params: dict, test: str, failures: int) -> int:
-    """Emit the report of an exact check that failed on ``failures`` of the cases."""
-    ok = failures == 0
-    _emit({"name": name, "params": params, "seed": {"master": cfg.seed, "stream": 0},
-           "tests": [{"name": test, "statistic": failures, "p_value": 1.0 if ok else 0.0,
-                      "n_samples": cfg.cases, "alpha": 0.0, "passed": ok}],
-           "verdict": "pass" if ok else "fail"}, cfg)
-    return 0 if ok else 1
+def _settings(cmd: Command, flags: dict) -> argparse.Namespace:
+    """defaults <- config file <- flags; config values must have their flag's type."""
+    config = {}
+    if "config" in flags:
+        with open(flags["config"]) as fh:
+            config = json.load(fh)
+        if not isinstance(config, dict):
+            raise ValueError("the config file must hold a JSON object")
+    unknown = set(config) - set(cmd.flags)
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in config.items():
+        typ = cmd.flags[key][0]
+        if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[typ]):
+            raise ValueError(f"config key {key!r} must be {typ.__name__}, got {value!r}")
+        config[key] = typ(value)
+    defaults = {key: default for key, (_, default, _) in cmd.flags.items()}
+    return argparse.Namespace(**{**defaults, **config, **flags})
 
 
-def _cmd_verify_identities(cfg) -> int:
-    seed = Seed(cfg.seed)
-    failures = 0
-    for i in range(cfg.cases):
-        gen = seed.substream(i).generator()
-        n = int(gen.integers(1, cfg.n + 1))
-        k = int(gen.integers(1, cfg.k + 1))
-        u = gen.integers(0, cfg.max_entry + 1, size=(n, k))
-        failures += 0 if rsk.verify_row_queue(tandem.ServiceMatrix(u)).ok else 1
-    params = {"n": cfg.n, "k": cfg.k, "max_entry": cfg.max_entry, "cases": cfg.cases}
-    return _exact_exit(cfg, "verify-identities", params, "six-way-identity", failures)
-
-
-def _cmd_particles(cfg) -> int:
-    seed = Seed(cfg.seed)
-    failures = 0
-    for i in range(cfg.cases):
-        gen = seed.substream(i).generator()
-        n = int(gen.integers(1, cfg.max_n + 1))
-        k = int(gen.integers(1, cfg.max_k + 1))
-        u = gen.integers(0, cfg.max_entry + 1, size=(n, k))
-        U = tandem.ServiceMatrix(u)
-        Dmat = tandem.queue_departures(U)
-        jumps = {(e.particle, e.site): e.slot for e in particles.zero_range_run(U)}
-        ok = all(jumps.get((p, j)) == Dmat[p, j]
-                 for p in range(1, n + 1) for j in range(1, k + 1))
-        rmat = tandem.store_flow(U)[0]
-        ok = ok and np.array_equal(particles.bus_stop_run(U), rmat)
-        counts = gen.integers(0, 6, size=k).tolist()
-        counts[0] += int(np.sum(u))  # ample reservoir
-        ok = ok and particles.from_exclusion(particles.to_exclusion(counts)) == counts
-        buses = gen.integers(0, 6, size=k).tolist()
-        lhs = np.trim_zeros(
-            particles.exclusion_step(particles.to_exclusion(counts), buses), "f")
-        rhs = particles.to_exclusion(particles.bus_stop_step(counts, buses)[0])
-        ok = ok and np.array_equal(lhs, rhs)
-        failures += 0 if ok else 1
-    params = {"cases": cfg.cases, "max_n": cfg.max_n, "max_k": cfg.max_k,
-              "max_entry": cfg.max_entry}
-    return _exact_exit(cfg, "particles", params, "particle-equivalences", failures)
-
-
-def _cmd_trace(cfg) -> int:
-    A = _maybe_int_array(_num_list(cfg.a))
-    s = _maybe_int_array(_num_list(cfg.s))
-    trace = queue_store.trace_from_arrays(A, s, w1=cfg.w1)
-    if cfg.output:
-        with open(cfg.output, "w", newline="") as fh:
-            queue_store.trace_to_csv(trace, fh)
-    else:
-        queue_store.trace_to_csv(trace, sys.stdout)
-    return 0
-
-
-def _experiment_command(cfg) -> int:
-    name = cfg.subcommand
-    seed = Seed(cfg.seed)
-    if name == "burke":
-        report = stattest.burke_experiment(_rate_params(cfg), cfg.horizon,
-                                           cfg.burn_in, seed, alpha=cfg.alpha,
-                                           samples_path=cfg.dump_samples or None)
-    elif name == "zigzag-law":
-        report = stattest.zigzag_law_experiment(cfg.p, cfg.q, seed,
-                                                n_periods=cfg.periods,
-                                                max_rise=cfg.max_rise,
-                                                alpha=cfg.alpha)
-    elif name == "noncolliding":
-        report = stattest.noncolliding_experiment(_rate_params(cfg), cfg.n,
-                                                  cfg.trunc, cfg.reps, seed,
-                                                  alpha=cfg.alpha)
-    elif name == "interchange":
-        q = _num_list(cfg.q)
-        sigma = _int_list(cfg.sigma)
-        report = stattest.interchange_experiment(q, sigma, cfg.n, cfg.reps,
-                                                 seed, alpha=cfg.alpha)
-    elif name == "shape-law":
-        report = stattest.shape_law_experiment(_num_list(cfg.q), cfg.n,
-                                               cfg.reps, seed, alpha=cfg.alpha)
-    elif name == "laguerre":
-        ref = cfg.reference_mean if cfg.reference_mean > 0 else None
-        report = stattest.laguerre_check(cfg.k, cfg.reps, seed,
-                                         reference_mean=ref, alpha=cfg.alpha)
-    else:  # pragma: no cover
-        raise ValueError(name)
-    return _report_exit(report, cfg)
-
-
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dualq",
                                      description="queue/store duality toolkit")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    defaults: dict[str, dict] = {}
-
-    def add(name, spec, help=""):
-        p = sub.add_parser(name, help=help)
-        d = {"output": None, "format": "json", "config": None}
-        p.add_argument("--config", default=argparse.SUPPRESS,
-                       help="JSON file supplying the same keys; flags override")
-        p.add_argument("--output", default=argparse.SUPPRESS)
-        p.add_argument("--format", choices=["json", "csv"], default=argparse.SUPPRESS)
-        for flag, (typ, default, hlp) in spec.items():
-            p.add_argument(f"--{flag.replace('_', '-')}", dest=flag, type=typ,
-                           default=argparse.SUPPRESS, help=hlp)
-            d[flag] = default
-        defaults[name] = d
-        return p
-
-    add("verify-identities", {
-        "n": (int, 6, "max customers"), "k": (int, 4, "max stages"),
-        "max_entry": (int, 5, "entries drawn from {0..max}"),
-        "cases": (int, 10000, "random matrices"), "seed": (int, 0, ""),
-    }, help="six-way tableau/path/tandem identity on random matrices")
-    add("burke", {
-        "model": (str, "geom", "geom or exp"),
-        "p": (float, 0.3, "arrival parameter (p or lambda)"),
-        "q": (float, 0.6, "mark parameter (q or mu)"),
-        "horizon": (int, 100000, ""), "burn_in": (int, 10000, ""),
-        "seed": (int, 0, ""), "alpha": (float, 0.01, ""),
-        "dump_samples": (str, "", "write raw (d, r) pairs to this CSV path"),
-    }, help="joint output law of the equilibrium queue")
-    add("zigzag-law", {
-        "p": (float, 0.3, ""), "q": (float, 0.7, ""),
-        "periods": (int, 100000, "busy periods"),
-        "max_rise": (int, 4, "enumerate trajectories up to this rise"),
-        "seed": (int, 0, ""), "alpha": (float, 0.01, ""),
-    }, help="busy-period trajectory law")
-    add("noncolliding", {
-        "model": (str, "geom", "geom or exp"),
-        "p": (float, 0.3, ""), "q": (float, 0.7, ""),
-        "n": (int, 3, "prefix length"), "trunc": (int, 50, "conditioning horizon"),
-        "reps": (int, 100000, "accepted samples"),
-        "seed": (int, 0, ""), "alpha": (float, 0.01, ""),
-    }, help="conditioned walks vs max/min functionals")
-    add("interchange", {
-        "q": (str, "0.3,0.6", "comma-separated stage weights"),
-        "sigma": (str, "1,0", "0-based permutation"),
-        "n": (int, 4, "customers"), "reps": (int, 100000, ""),
-        "seed": (int, 0, ""), "alpha": (float, 0.01, ""),
-    }, help="stage reordering leaves (D, R) unchanged")
-    add("shape-law", {
-        "q": (str, "0.3,0.5", "comma-separated stage weights"),
-        "n": (int, 4, "rows"), "reps": (int, 100000, ""),
-        "seed": (int, 0, ""), "alpha": (float, 0.01, ""),
-    }, help="insertion-shape law and growth transitions")
-    add("laguerre", {
-        "k": (int, 3, "stages (square case)"), "reps": (int, 1000000, ""),
-        "reference_mean": (float, 0.0, "0 means the exact 1/K"),
-        "seed": (int, 0, ""), "alpha": (float, 0.01, ""),
-    }, help="exponentiality of R in the square exponential case")
-    add("particles", {
-        "cases": (int, 1000, ""), "max_n": (int, 5, ""), "max_k": (int, 5, ""),
-        "max_entry": (int, 5, ""), "seed": (int, 0, ""),
-    }, help="particle-system equivalences on random instances")
-    add("trace", {
-        "a": (str, "0,3", "comma-separated arrival epochs"),
-        "s": (str, "5,1", "comma-separated marks"),
-        "w1": (float, 0.0, "initial wait"),
-    }, help="per-customer trace table as CSV")
-    defaults["trace"]["format"] = "csv"
-    return parser, defaults
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        for key, (typ, _, hlp) in cmd.flags.items():
+            p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=typ, help=hlp,
+                           choices=_FORMATS if key == "format" else None,
+                           default=argparse.SUPPRESS)
+    return parser
 
 
 def main(argv=None) -> int:
-    parser, defaults = _build_parser()
-    args = parser.parse_args(argv)
-    flags = {k: v for k, v in vars(args).items() if k != "subcommand"}
-    config = {}
-    if "config" in flags:
-        with open(flags.pop("config")) as fh:
-            config = json.load(fh)
+    flags = vars(_build_parser().parse_args(argv))
+    cmd = COMMANDS[flags["subcommand"]]
     try:
-        cfg = RunConfig(args.subcommand, defaults[args.subcommand], config, flags)
-        if args.subcommand == "verify-identities":
-            return _cmd_verify_identities(cfg)
-        if args.subcommand == "particles":
-            return _cmd_particles(cfg)
-        if args.subcommand == "trace":
-            return _cmd_trace(cfg)
-        return _experiment_command(cfg)
+        cfg = _settings(cmd, flags)
+        payload, ok = cmd.run(cfg)
+        text = _render(payload, getattr(cfg, "format", None))
+        if cfg.output:
+            with open(cfg.output, "w", newline="") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return 0 if ok else 1
     except (ValueError, OSError, stattest.InfeasibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,8 +24,6 @@ import numpy as np
 from . import tandem
 
 __all__ = [
-    "ZeroRangeState",
-    "BusStopState",
     "JumpEvent",
     "zero_range_run",
     "bus_stop_run",
@@ -47,36 +45,6 @@ class JumpEvent:
     slot: int
 
 
-@dataclass
-class ZeroRangeState:
-    """Sites in stage order; site 1 holds the reservoir of unserved particles.
-
-    ``sites[j]`` lists resident particle ids front-first; the front of a
-    nonempty site carries ``clocks[j]`` remaining service and became front
-    at time ``front_since[j]``.
-    """
-
-    sites: list
-    clocks: list
-    front_since: list
-
-    @property
-    def counts(self) -> list:
-        return [len(s) for s in self.sites]
-
-
-@dataclass
-class BusStopState:
-    """Per-site particle counts at a slot boundary, arrivals already landed.
-
-    Site 1 is the reservoir, carried as an explicit finite count that is
-    large enough never to run dry over the simulated horizon.
-    """
-
-    counts: list
-    slot: int = 0
-
-
 def zero_range_run(U) -> list[JumpEvent]:
     """Run the clock dynamics to completion and log every jump.
 
@@ -89,13 +57,12 @@ def zero_range_run(U) -> list[JumpEvent]:
         raise ValueError("zero-range clocks need integer entries")
     N, K = U.N, U.K
     u = U.u
-    state = ZeroRangeState(
-        sites=[deque(range(1, N + 1))] + [deque() for _ in range(K - 1)],
-        clocks=[int(u[0, 0])] + [None] * (K - 1),
-        front_since=[0] + [0] * (K - 1),
-    )
+    # sites[j] lists resident particle ids front-first; the front of a
+    # nonempty site has clocks[j] service left and became front at front_since[j]
+    sites = [deque(range(1, N + 1))] + [deque() for _ in range(K - 1)]
+    clocks = [int(u[0, 0])] + [None] * (K - 1)
+    front_since = [0] * K
     log: list[JumpEvent] = []
-    tally = {"exited": 0}
 
     def cascade(t):
         # expired fronts jump now; zero clocks chain through several sites
@@ -103,35 +70,32 @@ def zero_range_run(U) -> list[JumpEvent]:
         while moved:
             moved = False
             for j in range(K - 1, -1, -1):
-                if not state.sites[j] or state.clocks[j] != 0:
+                if not sites[j] or clocks[j] != 0:
                     continue
-                p = state.sites[j].popleft()
+                p = sites[j].popleft()
                 log.append(JumpEvent(particle=p, site=j + 1, slot=t))
                 moved = True
-                if state.sites[j]:
-                    nxt = state.sites[j][0]
-                    state.clocks[j] = int(u[nxt - 1, j])
-                    state.front_since[j] = t
+                if sites[j]:
+                    clocks[j] = int(u[sites[j][0] - 1, j])
+                    front_since[j] = t
                 else:
-                    state.clocks[j] = None
+                    clocks[j] = None
                 if j + 1 < K:
-                    state.sites[j + 1].append(p)
-                    if len(state.sites[j + 1]) == 1:
-                        state.clocks[j + 1] = int(u[p - 1, j + 1])
-                        state.front_since[j + 1] = t
-                else:
-                    tally["exited"] += 1
+                    sites[j + 1].append(p)
+                    if len(sites[j + 1]) == 1:
+                        clocks[j + 1] = int(u[p - 1, j + 1])
+                        front_since[j + 1] = t
 
     cascade(0)
     t = 0
     horizon_guard = int(u.sum()) + N * K + 2
-    while tally["exited"] < N:
+    while any(sites):  # a particle leaving the last site is gone
         t += 1
         if t > horizon_guard:
             raise RuntimeError("zero-range run failed to drain")
         for j in range(K):
-            if state.sites[j] and state.front_since[j] < t:
-                state.clocks[j] -= 1
+            if sites[j] and front_since[j] < t:
+                clocks[j] -= 1
         cascade(t)
     return log
 
@@ -155,6 +119,18 @@ def bus_stop_step(counts, bus_sizes) -> tuple[list, list]:
     return nxt, moved
 
 
+def _bus_stop_slots(U) -> tuple[list, list]:
+    """Site counts at every slot boundary (the initial ones first) and the
+    amounts each slot transported; bus j of slot n has size u(n, K+1-j)."""
+    counts = [U.u[:, -1].sum() + 1] + [0] * (U.K - 1)  # a reservoir that never runs dry
+    history, moves = [counts], []
+    for row in U.u:
+        counts, moved = bus_stop_step(counts, row[::-1])
+        history.append(counts)
+        moves.append(moved)
+    return history, moves
+
+
 def bus_stop_run(U) -> np.ndarray:
     """Transported amounts, one row per slot and one column per site.
 
@@ -162,27 +138,17 @@ def bus_stop_run(U) -> np.ndarray:
     particular the last column's total is R(N).
     """
     U = tandem._as_matrix(U)
-    N, K = U.N, U.K
-    reservoir = U.u[:, K - 1].sum() + 1
-    state = BusStopState(counts=[reservoir] + [0] * (K - 1))
-    out = np.zeros((N, K), dtype=U.u.dtype)
-    for n in range(1, N + 1):
-        buses = [U.u[n - 1, K - j] for j in range(1, K + 1)]
-        state.counts, moved = bus_stop_step(state.counts, buses)
-        state.slot = n
-        out[n - 1] = moved
-    return out
+    return np.array(_bus_stop_slots(U)[1], dtype=U.u.dtype)
 
 
-def to_exclusion(state) -> np.ndarray:
+def to_exclusion(counts) -> np.ndarray:
     """Gap encoding of per-site counts as a 0/1 configuration.
 
-    Accepts a state object with ``counts`` or a plain sequence.  Sites are
-    written downstream-first: one occupied cell per site, then one empty
-    cell per resident particle, with the reservoir's (finite, truncated)
-    count ending the configuration.
+    Sites are written downstream-first: one occupied cell per site, then
+    one empty cell per resident particle, with the reservoir's (finite,
+    truncated) count ending the configuration.
     """
-    counts = list(getattr(state, "counts", state))
+    counts = list(counts)
     if not counts or any(c < 0 or int(c) != c for c in counts):
         raise ValueError("counts must be nonnegative integers")
     cells = []
@@ -213,17 +179,10 @@ def occupancy_history(U, model: str = "bus-stop") -> np.ndarray:
     exactly.
     """
     U = tandem._as_matrix(U)
-    N, K = U.N, U.K
     if model == "bus-stop":
-        reservoir = U.u[:, K - 1].sum() + 1
-        counts = [reservoir] + [0] * (K - 1)
-        rows = [list(counts)]
-        for n in range(1, N + 1):
-            buses = [U.u[n - 1, K - j] for j in range(1, K + 1)]
-            counts, _ = bus_stop_step(counts, buses)
-            rows.append(list(counts))
-        return np.array(rows, dtype=np.int64)
+        return np.array(_bus_stop_slots(U)[0], dtype=np.int64)
     if model == "zero-range":
+        N, K = U.N, U.K
         log = zero_range_run(U)
         horizon = max((e.slot for e in log), default=0)
         out = np.zeros((horizon + 1, K), dtype=np.int64)

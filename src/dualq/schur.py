@@ -56,7 +56,8 @@ class WeightVector:
 
 
 def _weights(q) -> tuple:
-    return tuple(q.q) if isinstance(q, WeightVector) else tuple(q)
+    """The weights as a tuple, each checked to lie in (0, 1) as WeightVector does."""
+    return (q if isinstance(q, WeightVector) else WeightVector(q)).q
 
 
 def empty_row_prob(q):

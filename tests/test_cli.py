@@ -191,3 +191,91 @@ def test_exact_reports_pinned(capsys, argv):
 @pytest.mark.parametrize("argv", sorted(SCIPY_DIGESTS))
 def test_experiment_reports_pinned(capsys, argv):
     assert _report_digest(capsys, argv) == SCIPY_DIGESTS[argv]
+
+
+# --- config types, dropped and invalid inputs ----------------------------------
+
+@pytest.mark.parametrize("subcommand, config", [
+    ("burke", {"seed": 1.5}),          # int flag, JSON float
+    ("burke", {"seed": 2.0}),          # int flag, integral JSON float
+    ("burke", {"horizon": "100"}),     # int flag, JSON string
+    ("burke", {"seed": True}),         # int flag, JSON bool
+    ("burke", {"alpha": "0.1"}),       # float flag, JSON string
+    ("burke", {"p": False}),           # float flag, JSON bool
+    ("burke", {"model": 1}),           # str flag, JSON number
+    ("burke", {"dump_samples": None}),  # str flag, JSON null
+    ("trace", {"w1": [0]}),            # float flag, JSON list
+    ("interchange", {"q": [0.3, 0.6]}),
+])
+def test_config_value_of_wrong_type_exits_two(tmp_path, capsys, subcommand, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, subcommand, "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert repr(next(iter(config))) in err
+
+
+def test_config_file_must_hold_an_object(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(["horizon"]))
+    code, _, err = run(capsys, "burke", "--config", str(cfg))
+    assert code == 2 and err.startswith("error:")
+
+
+def test_config_int_valued_float_matches_flag(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha": 1, "horizon": 3000, "burn_in": 300}))
+    from_config = run(capsys, "burke", "--config", str(cfg))
+    from_flags = run(capsys, "burke", "--alpha", "1", "--horizon", "3000",
+                     "--burn-in", "300")
+    assert from_config == from_flags
+    assert json.loads(from_config[1])["tests"][0]["alpha"] == 1.0
+
+
+def test_trace_has_no_format_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", "--format", "json"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format": "csv"}))
+    code, _, err = run(capsys, "trace", "--config", str(cfg))
+    assert code == 2 and "unknown config keys" in err
+
+
+def test_help_lists_subcommands_in_order(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert ("{verify-identities,burke,zigzag-law,noncolliding,interchange,"
+            "shape-law,laguerre,particles,trace}") in capsys.readouterr().out
+
+
+def test_trace_keeps_integers_exact(capsys):
+    # 2^53 + 1 has no float64; going through float() printed 9007199254740992
+    code, out, _ = run(capsys, "trace", "--a", "0,9007199254740993", "--s", "1,1")
+    assert code == 0
+    assert out.splitlines()[2] == "2,9007199254740993,1,9007199254740994,,0"
+
+
+def test_trace_float_text_stays_float(capsys):
+    code, out, _ = run(capsys, "trace", "--a", "0.0,3.0", "--s", "5.0,1.0")
+    assert code == 0
+    assert out.splitlines()[1:] == ["1,0.0,5.0,5.0,3.0,0.0", "2,3.0,1.0,6.0,,2.0"]
+
+
+def test_trace_integer_outside_int64_exits_two(capsys):
+    code, _, err = run(capsys, "trace", "--a", "0,99999999999999999999", "--s", "1,1")
+    assert code == 2 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("shape-law", "--q", "1.5,0.3"),        # died with OverflowError
+    ("shape-law", "--q", "0.5,1.0"),
+    ("interchange", "--q", "1.0,0.5"),      # reported a failed verdict (exit 1)
+    ("interchange", "--q", "0.3,-0.5"),
+])
+def test_invalid_weights_exit_two(capsys, argv):
+    code, out, err = run(capsys, *argv, "--reps", "200")
+    assert code == 2 and out == ""
+    assert "strictly in (0, 1)" in err

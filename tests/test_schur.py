@@ -311,3 +311,13 @@ def chain_pmf(l, q, N):
 def test_chain_reproduces_shape_law_exactly(l, N):
     q = (F(3, 10), F(1, 2), F(1, 5))
     assert chain_pmf(l, q, N) == shape_pmf(l, q, N)
+
+
+@pytest.mark.parametrize("q", [(0.5, 1.0), (1.5, 0.3), (0.3, -0.5), (0.0,), ()])
+def test_weights_checked_where_they_enter(q):
+    # (0.5, 1.0) made shape_distribution widen its cap 10000 times
+    for call in (lambda: shape_distribution(q, 2), lambda: shape_pmf((1,), q, 2),
+                 lambda: empty_row_prob(q), lambda: transition_prob((), (1,), q),
+                 lambda: transition_distribution((), q)):
+        with pytest.raises(ValueError, match="strictly in"):
+            call()
