@@ -79,27 +79,58 @@ def _verdict(report: stattest.ExperimentReport) -> tuple[dict, bool]:
     return report.to_dict(), report.passed
 
 
+# cases drawn, then checked, together; bounds the memory of any --cases
+CASE_BLOCK = 4096
+
+
 def _random_cases(cfg, n_key: str, k_key: str, test: str, check) -> tuple[dict, bool]:
-    """Count the random matrices on which ``check(u, gen)`` fails.
+    """Count the random matrices that fail ``check``.
 
     Case i draws from substream i: n in 1..cfg.<n_key>, k in 1..cfg.<k_key>,
-    then an n x k matrix u with entries in 0..max_entry; ``check`` may go on
-    drawing from ``gen``.
+    then an n x k matrix u with entries in 0..max_entry.  Cases are drawn
+    :data:`CASE_BLOCK` at a time; ``check`` takes a block as a list of
+    ``(u, gen)`` pairs, where ``gen`` may go on drawing for its case, and
+    returns per case None on a pass or a dict describing the failure.  The
+    diagnostics name the first failing case, and appear only if one fails.
     """
     seed = Seed(cfg.seed)
-    failures = 0
-    for i in range(cfg.cases):
-        gen = seed.substream(i).generator()
-        n = int(gen.integers(1, getattr(cfg, n_key) + 1))
-        k = int(gen.integers(1, getattr(cfg, k_key) + 1))
-        failures += not check(gen.integers(0, cfg.max_entry + 1, size=(n, k)), gen)
+    failures, first = 0, None
+    for lo in range(0, cfg.cases, CASE_BLOCK):
+        block = []
+        for i in range(lo, min(lo + CASE_BLOCK, cfg.cases)):
+            gen = seed.substream(i).generator()
+            n = int(gen.integers(1, getattr(cfg, n_key) + 1))
+            k = int(gen.integers(1, getattr(cfg, k_key) + 1))
+            block.append((gen.integers(0, cfg.max_entry + 1, size=(n, k)), gen))
+        for i, ((u, _), failure) in enumerate(zip(block, check(block)), lo):
+            if failure is not None:
+                failures += 1
+                if first is None:
+                    first = {"case": i, "matrix": u.tolist(), **failure}
     ok = failures == 0
     params = {key: getattr(cfg, key) for key in (n_key, k_key, "max_entry", "cases")}
-    return {"name": cfg.subcommand, "params": params,
-            "seed": {"master": cfg.seed, "stream": 0},
-            "tests": [{"name": test, "statistic": failures, "p_value": 1.0 if ok else 0.0,
-                       "n_samples": cfg.cases, "alpha": 0.0, "passed": ok}],
-            "verdict": "pass" if ok else "fail"}, ok
+    payload = {"name": cfg.subcommand, "params": params,
+               "seed": {"master": cfg.seed, "stream": 0},
+               "tests": [{"name": test, "statistic": failures, "p_value": 1.0 if ok else 0.0,
+                          "n_samples": cfg.cases, "alpha": 0.0, "passed": ok}],
+               "verdict": "pass" if ok else "fail"}
+    if first is not None:
+        payload["diagnostics"] = {"first_failure": first}
+    return payload, ok
+
+
+def _six_way_failures(block) -> list:
+    """Check the six-way identity once per shape group of the block; each
+    failure carries both quadruples."""
+    failures = [None] * len(block)
+    groups: dict[tuple, list[int]] = {}
+    for j, (u, _) in enumerate(block):
+        groups.setdefault(u.shape, []).append(j)
+    for members in groups.values():
+        lam1, lamK, ok = rsk.verify_row_queue_batch(np.stack([block[j][0] for j in members]))
+        for m in np.flatnonzero(~ok):
+            failures[members[m]] = {"lambda1": lam1[m].tolist(), "lambdaK": lamK[m].tolist()}
+    return failures
 
 
 @_command("verify-identities", "six-way tableau/path/tandem identity on random matrices",
@@ -107,8 +138,7 @@ def _random_cases(cfg, n_key: str, k_key: str, test: str, check) -> tuple[dict, 
          max_entry=(int, 5, "entries drawn from {0..max}"),
          cases=(int, 10000, "random matrices"), seed=(int, 0, ""))
 def _verify_identities(cfg):
-    return _random_cases(cfg, "n", "k", "six-way-identity",
-                         lambda u, gen: rsk.verify_row_queue(tandem.ServiceMatrix(u)).ok)
+    return _random_cases(cfg, "n", "k", "six-way-identity", _six_way_failures)
 
 
 @_command("burke", "joint output law of the equilibrium queue",
@@ -201,7 +231,9 @@ def _particles_agree(u, gen) -> bool:
          cases=(int, 1000, ""), max_n=(int, 5, ""), max_k=(int, 5, ""),
          max_entry=(int, 5, ""), seed=(int, 0, ""))
 def _particles(cfg):
-    return _random_cases(cfg, "max_n", "max_k", "particle-equivalences", _particles_agree)
+    return _random_cases(cfg, "max_n", "max_k", "particle-equivalences",
+                         lambda block: [None if _particles_agree(u, gen) else {}
+                                        for u, gen in block])
 
 
 @_command("trace", "per-customer trace table as CSV", io_flags=_IO_FLAGS,

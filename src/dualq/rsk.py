@@ -5,10 +5,14 @@ The central identity: writing w(U) for the word of the N x K matrix U and
 (lambda_1 >= ... >= lambda_K) for the shape of its insertion tableau,
 lambda_1 equals both the up-right path maximum over U and the last queue
 departure D(N, K), while lambda_K equals the skew path minimum and the
-cumulative store output R(N).  :func:`verify_row_queue` checks all six
-numbers against each other, each computed independently.
+cumulative store output R(N).  :func:`verify_row_queue_batch` checks all
+six numbers against each other on a stack of same-shape matrices, each
+computed independently: the operator chains, both path enumerations and
+the two tandem kernels run once per stack, row insertion once per case.
+The scalar witnesses are the batched ones on a batch of one.
 :func:`growth_shapes` gives the same shapes from Fomin's local rule, batched
-over replications, for the Monte Carlo shape law.
+over replications, for the Monte Carlo shape law; its first coordinate is
+the queue recursion, so it is not one of the six witnesses.
 """
 
 from __future__ import annotations
@@ -38,9 +42,13 @@ __all__ = [
     "nabla",
     "triangle",
     "lambda_operators",
+    "lambda_operators_batch",
     "path_max",
+    "path_max_batch",
     "path_min",
+    "path_min_batch",
     "verify_row_queue",
+    "verify_row_queue_batch",
     "RowQueueReport",
 ]
 
@@ -185,13 +193,35 @@ def shape(T: Tableau) -> tuple:
     return T.shape()
 
 
+def _words(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Words of each (N, K) slice of ``u``, zero-padded to the longest:
+    (B, max M) letters and the word lengths M (B,)."""
+    if u.dtype.kind not in "iu":
+        raise ValueError("the word construction needs integer entries")
+    B, N, K = u.shape
+    runs = np.empty((B, N * K + 1), dtype=np.int64)  # one per entry, then the padding
+    runs[:, :-1] = u.reshape(B, N * K)
+    M = runs[:, :-1].sum(axis=1)
+    width = int(M.max(initial=0))
+    runs[:, -1] = width - M
+    letters = np.append(np.arange(N * K) % K + 1, 0)
+    words = np.repeat(np.broadcast_to(letters, runs.shape), runs.reshape(-1))
+    return words.reshape(B, width), M
+
+
 def word_of(U) -> np.ndarray:
     """Word of the matrix: row i contributes 1^u(i,1) 2^u(i,2) ... K^u(i,K)."""
-    U = tandem._as_matrix(U)
-    if U.u.dtype.kind != "i":
-        raise ValueError("the word construction needs integer entries")
-    letters = np.tile(np.arange(1, U.K + 1, dtype=np.int64), U.N)
-    return np.repeat(letters, U.u.reshape(-1))
+    return _words(tandem._as_matrix(U).u[None])[0][0]
+
+
+def _counting_maps(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`counting_maps` of each (N, K) slice, (B, K, max M + 1), and the
+    word lengths M (B,); past M_b, case b's counts stay at their final values."""
+    words, M = _words(u)
+    x = np.zeros((u.shape[0], u.shape[2], words.shape[1] + 1), dtype=np.int64)
+    letters = np.arange(1, u.shape[2] + 1)[:, None]
+    np.cumsum(words[:, None, :] == letters, axis=2, out=x[:, :, 1:])
+    return x, M
 
 
 def counting_maps(U) -> np.ndarray:
@@ -199,23 +229,34 @@ def counting_maps(U) -> np.ndarray:
 
     Returns a (K, M+1) array, n running over 0..M.
     """
-    U = tandem._as_matrix(U)
-    word = word_of(U)
-    M = word.size
-    x = np.zeros((U.K, M + 1), dtype=np.int64)
-    for i in range(1, U.K + 1):
-        x[i - 1, 1:] = np.cumsum(word == i)
-    return x
+    return _counting_maps(tandem._as_matrix(U).u[None])[0][0]
 
 
 def nabla(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(x nabla y)(n) = max_{0<=m<=n} [x(m) + y(n) - y(m)]."""
-    return np.maximum.accumulate(x - y) + y
+    """(x nabla y)(n) = max_{0<=m<=n} [x(m) + y(n) - y(m)], along the last axis."""
+    return np.maximum.accumulate(x - y, axis=-1) + y
 
 
 def triangle(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(x triangle y)(n) = min_{0<=m<=n} [x(m) + y(n) - y(m)]."""
-    return np.minimum.accumulate(x - y) + y
+    """(x triangle y)(n) = min_{0<=m<=n} [x(m) + y(n) - y(m)], along the last axis."""
+    return np.minimum.accumulate(x - y, axis=-1) + y
+
+
+def lambda_operators_batch(u) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`lambda_operators` of each (N, K) integer slice, (B, N, K) ->
+    ((B,), (B,)).  nabla and triangle at n read only 0..n, so running the
+    chains over zero-padded counting maps and reading case b at its own M_b
+    is exact."""
+    x, M = _counting_maps(np.asarray(u))
+    K = x.shape[1]
+    top = x[:, 0]
+    for i in range(1, K):
+        top = nabla(top, x[:, i])
+    bottom = x[:, K - 1]
+    for i in range(K - 2, -1, -1):
+        bottom = triangle(bottom, x[:, i])
+    rows = np.arange(x.shape[0])
+    return top[rows, M], bottom[rows, M]
 
 
 def lambda_operators(U) -> tuple[int, int]:
@@ -225,15 +266,8 @@ def lambda_operators(U) -> tuple[int, int]:
     lambda_K = x_K triangle ... triangle x_2 triangle x_1 (M); the
     operations are non-associative, so the fold order matters.
     """
-    x = counting_maps(U)
-    K, M = x.shape[0], x.shape[1] - 1
-    top = x[0]
-    for i in range(1, K):
-        top = nabla(top, x[i])
-    bottom = x[K - 1]
-    for i in range(K - 2, -1, -1):
-        bottom = triangle(bottom, x[i])
-    return int(top[M]), int(bottom[M])
+    top, bottom = lambda_operators_batch(tandem._as_matrix(U).u[None])
+    return int(top[0]), int(bottom[0])
 
 
 @lru_cache(maxsize=None)
@@ -256,18 +290,19 @@ def _up_right_paths(N: int, K: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _skew_paths(N: int, K: int) -> list[np.ndarray]:
-    """Flat node indices of every path in the dual set.
+def _skew_paths(N: int, K: int) -> np.ndarray:
+    """Flat node indices of every path in the dual set, one path per row.
 
     A path is determined by strictly increasing rows i_{K-1} < ... < i_1;
     it collects column K up to row i_{K-1}-1, column j between i_j and
     i_{j-1} exclusive, and column 1 after i_1.  All paths have (N-K+1)^+
-    nodes; the set is empty when N < K.
+    nodes.  The set is empty when N < K; one path without nodes stands in
+    for it, so its minimum reads 0.
     """
     if K == 1:
-        return [np.arange(N, dtype=np.intp) * K + 0]
+        return np.arange(N, dtype=np.intp)[None]
     if N < K:
-        return []
+        return np.empty((1, 0), dtype=np.intp)
     paths = []
     for combo in combinations(range(1, N + 1), K - 1):
         cuts = (0,) + combo + (N + 1,)  # i_K=0, i_{K-1}..i_1, i_0=N+1
@@ -277,35 +312,37 @@ def _skew_paths(N: int, K: int) -> list[np.ndarray]:
             lo, hi = cuts[idx] + 1, cuts[idx + 1] - 1
             for row in range(lo, hi + 1):
                 nodes.append((row - 1) * K + (col - 1))
-        paths.append(np.array(nodes, dtype=np.intp))
-    return paths
+        paths.append(nodes)
+    return np.array(paths, dtype=np.intp)
 
 
-def _check_limit(U, limit):
-    if U.N + U.K > limit:
-        raise SizeLimitError(
-            f"N+K = {U.N + U.K} exceeds the brute-force limit {limit}"
-        )
+def _path_sums(u, paths_of, limit: int) -> np.ndarray:
+    """Node sums (B, P) of the P paths ``paths_of(N, K)`` over each (N, K) slice."""
+    u = np.asarray(u)
+    B, N, K = u.shape
+    if N + K > limit:
+        raise SizeLimitError(f"N+K = {N + K} exceeds the brute-force limit {limit}")
+    return u.reshape(B, N * K)[:, paths_of(N, K)].sum(axis=-1)
+
+
+def path_max_batch(u, limit: int = BRUTE_FORCE_LIMIT) -> np.ndarray:
+    """:func:`path_max` of each (N, K) slice, (B, N, K) -> (B,)."""
+    return _path_sums(u, _up_right_paths, limit).max(axis=-1)
+
+
+def path_min_batch(u, limit: int = BRUTE_FORCE_LIMIT) -> np.ndarray:
+    """:func:`path_min` of each (N, K) slice, (B, N, K) -> (B,)."""
+    return _path_sums(u, _skew_paths, limit).min(axis=-1)
 
 
 def path_max(U, limit: int = BRUTE_FORCE_LIMIT):
     """Exhaustive maximum of node sums over up-right paths (1,1)->(N,K)."""
-    U = tandem._as_matrix(U)
-    _check_limit(U, limit)
-    flat = U.u.reshape(-1)
-    idx = _up_right_paths(U.N, U.K)
-    return flat[idx].sum(axis=1).max()
+    return path_max_batch(tandem._as_matrix(U).u[None], limit)[0]
 
 
 def path_min(U, limit: int = BRUTE_FORCE_LIMIT):
     """Exhaustive minimum of node sums over the dual path set; 0 when empty."""
-    U = tandem._as_matrix(U)
-    _check_limit(U, limit)
-    paths = _skew_paths(U.N, U.K)
-    if not paths:
-        return U.u.dtype.type(0)
-    flat = U.u.reshape(-1)
-    return min(flat[p].sum() for p in paths)
+    return path_min_batch(tandem._as_matrix(U).u[None], limit)[0]
 
 
 @dataclass(frozen=True)
@@ -318,17 +355,25 @@ class RowQueueReport:
     ok: bool
 
 
+def verify_row_queue_batch(u, limit: int = BRUTE_FORCE_LIMIT) -> tuple:
+    """The six-way identity on each (N, K) integer slice of ``u``: the (B, 4)
+    quadruples lambda1 and lambdaK, columns (tableau, operator chain, path
+    oracle, tandem recursion), and ok (B,), whether each holds one value."""
+    u = np.asarray(u)
+    B, N, K = u.shape
+    lam1, lamK = np.empty((2, B, 4), dtype=np.int64)
+    lam1[:, 1], lamK[:, 1] = lambda_operators_batch(u)
+    lam1[:, 2], lamK[:, 2] = path_max_batch(u, limit), path_min_batch(u, limit)
+    words, M = _words(u)
+    for b in range(B):  # row insertion: one fold per case
+        sh = tableau_of(words[b, :M[b]]).shape() + (0,) * K
+        lam1[b, 0], lamK[b, 0] = sh[0], sh[K - 1]
+    lam1[:, 3] = tandem.queue_departures_batch(u)[:, N, K]
+    lamK[:, 3] = tandem.store_departures_batch(u)[:, -1]
+    ok = (lam1 == lam1[:, :1]).all(axis=1) & (lamK == lamK[:, :1]).all(axis=1)
+    return lam1, lamK, ok
+
+
 def verify_row_queue(U, limit: int = BRUTE_FORCE_LIMIT) -> RowQueueReport:
-    U = tandem._as_matrix(U)
-    sh = tableau_of(word_of(U)).shape()
-    lam1_rsk = sh[0] if sh else 0
-    lamK_rsk = sh[U.K - 1] if len(sh) >= U.K else 0
-    lam1_chain, lamK_chain = lambda_operators(U)
-    pmax = int(path_max(U, limit))
-    pmin = int(path_min(U, limit))
-    D = int(tandem.queue_departures(U)[U.N, U.K])
-    R = int(tandem.store_flow(U)[2][-1])
-    lam1 = (lam1_rsk, lam1_chain, pmax, D)
-    lamK = (lamK_rsk, lamK_chain, pmin, R)
-    ok = len(set(lam1)) == 1 and len(set(lamK)) == 1
-    return RowQueueReport(lambda1=lam1, lambdaK=lamK, ok=ok)
+    lam1, lamK, ok = verify_row_queue_batch(tandem._as_matrix(U).u[None], limit)
+    return RowQueueReport(tuple(lam1[0].tolist()), tuple(lamK[0].tolist()), bool(ok[0]))

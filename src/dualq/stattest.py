@@ -477,6 +477,7 @@ def noncolliding_experiment(params: RateParams, n: int, horizon_trunc: int,
     gen_s = seed.substream(1).generator()
 
     batch = max(4096, min(reps, 1 << 16))
+    checked_at = 50  # batches drawn before the acceptance rate is judged
     acc_x, acc_y = [], []
     accepted = attempts = 0
     while accepted < reps:
@@ -488,7 +489,13 @@ def noncolliding_experiment(params: RateParams, n: int, horizon_trunc: int,
         acc_x.append(np.cumsum(a[ok, :n], axis=1)[:, -1])
         ys = np.cumsum(s[ok, :max(n - 1, 1)], axis=1)[:, -1] if n >= 2 else np.zeros(int(ok.sum()), dtype=a.dtype)
         acc_y.append(ys)
-        if attempts >= 50 * batch and accepted / attempts < min_acceptance:
+        # The rate is judged after `checked_at` batches and every batch after.
+        # Raise as soon as the run is bound to fail that: it cannot reach reps
+        # first, and even accepting every walk up to the check keeps it low.
+        done = attempts // batch
+        best = accepted + max(checked_at - done, 0) * batch
+        if ((done >= checked_at or accepted + (checked_at - 1 - done) * batch < reps)
+                and best / max(attempts, checked_at * batch) < min_acceptance):
             raise InfeasibleError(
                 f"acceptance rate {accepted / attempts:.2e} below {min_acceptance:.0e} "
                 f"after {attempts} attempts"

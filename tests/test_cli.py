@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 import scipy
 
+from dualq import cli, particles, tandem
 from dualq.cli import main
+from dualq.sampling import Seed
 
 
 def run(capsys, *argv):
@@ -157,6 +159,9 @@ EXACT_DIGESTS = {
         "6319e1bad924b6229e3a14db953ddf6fa7e66504762111a37819f0a1f4aad5a1",
     ("particles", "--cases", "100", "--seed", "1"):
         "9204848d18a3bdfbc97fbdcff869e65f02160e6e7b7ae0617db82ae70fac9ef6",
+    # the benchmark's size, 10^4 cases up to 6 x 6
+    ("verify-identities", "--n", "6", "--k", "6", "--max-entry", "5", "--seed", "1000"):
+        "e2190913bb74a7d7ed6b4a66118d22de83f39b843de8c7cfce32665306fc1861",
 }
 RECORDED_WITH = ("2.4.6", "1.17.1")  # numpy, scipy
 SCIPY_DIGESTS = {
@@ -191,6 +196,58 @@ def test_exact_reports_pinned(capsys, argv):
 @pytest.mark.parametrize("argv", sorted(SCIPY_DIGESTS))
 def test_experiment_reports_pinned(capsys, argv):
     assert _report_digest(capsys, argv) == SCIPY_DIGESTS[argv]
+
+
+# --- blocks and reproducers of the random-case checks ---------------------------
+
+@pytest.mark.parametrize("some_fail", [False, True])
+def test_blocks_do_not_change_the_report(capsys, monkeypatch, some_fail):
+    if some_fail:  # cases whose entries sum to a multiple of 7 fail
+        real = tandem.queue_departures_batch
+        monkeypatch.setattr(tandem, "queue_departures_batch", lambda u: real(u) + (
+            u.sum(axis=(1, 2)) % 7 == 0)[:, None, None])
+    argv = ("verify-identities", "--cases", "50", "--n", "5", "--k", "5", "--seed", "3")
+    whole = run(capsys, *argv)
+    monkeypatch.setattr(cli, "CASE_BLOCK", 3)  # 50 cases in 17 blocks, the last short
+    assert run(capsys, *argv) == whole
+    if some_fail:
+        payload = json.loads(whole[1])
+        assert 0 < payload["tests"][0]["statistic"] < 50
+        assert payload["diagnostics"]["first_failure"]["case"] >= 3  # not in block 0
+        return
+    particles_whole = run(capsys, "particles", "--cases", "30", "--seed", "3")
+    monkeypatch.setattr(cli, "CASE_BLOCK", 4)
+    assert run(capsys, "particles", "--cases", "30", "--seed", "3") == particles_whole
+
+
+def _case_matrix(seed, i, max_n, max_k, max_entry=5):
+    gen = Seed(seed).substream(i).generator()
+    n, k = int(gen.integers(1, max_n + 1)), int(gen.integers(1, max_k + 1))
+    return gen.integers(0, max_entry + 1, size=(n, k)).tolist()
+
+
+def test_verify_identities_names_first_failure(capsys, monkeypatch):
+    real = tandem.queue_departures_batch
+    monkeypatch.setattr(tandem, "queue_departures_batch", lambda u: real(u) + 1)
+    code, out, _ = run(capsys, "verify-identities", "--cases", "20", "--seed", "4")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["tests"][0]["statistic"] == 20
+    first = payload["diagnostics"]["first_failure"]
+    assert first["case"] == 0
+    assert first["matrix"] == _case_matrix(4, 0, 6, 4)
+    lam1, lamK = first["lambda1"], first["lambdaK"]
+    assert lam1[:3] == [lam1[0]] * 3 and lam1[3] == lam1[0] + 1
+    assert lamK == [lamK[0]] * 4
+
+
+def test_particles_names_first_failure(capsys, monkeypatch):
+    real = particles.bus_stop_run
+    monkeypatch.setattr(particles, "bus_stop_run", lambda U: real(U) + 1)
+    code, out, _ = run(capsys, "particles", "--cases", "10", "--seed", "4")
+    assert code == 1
+    first = json.loads(out)["diagnostics"]["first_failure"]
+    assert first == {"case": 0, "matrix": _case_matrix(4, 0, 5, 5)}
 
 
 # --- config types, dropped and invalid inputs ----------------------------------

@@ -1,6 +1,8 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dualq.rsk import (
     growth_shapes,
@@ -10,18 +12,22 @@ from dualq.rsk import (
     insert,
     is_partition,
     lambda_operators,
+    lambda_operators_batch,
     nabla,
     normalize_partition,
     path_max,
+    path_max_batch,
     path_min,
+    path_min_batch,
     pretty,
     shape,
     tableau_of,
     triangle,
     verify_row_queue,
+    verify_row_queue_batch,
     word_of,
 )
-from dualq.tandem import ServiceMatrix
+from dualq.tandem import ServiceMatrix, queue_departures, store_flow
 
 U22 = ServiceMatrix(np.array([[1, 2], [3, 4]]))
 
@@ -233,3 +239,124 @@ def test_growth_shapes_match_insertion_on_every_prefix(U):
     for n in range(1, U.N + 1):
         sh = shape(tableau_of(word_of(ServiceMatrix(U.u[:n]))))
         assert tuple(x for x in grown[n].tolist() if x) == sh
+
+
+# --- batched witnesses against per-case loops ----------------------------------
+
+def chain_loop(word, K):
+    """(lambda_1, lambda_K) by folding nabla/triangle over plain lists."""
+    x = [[0] * (len(word) + 1) for _ in range(K)]
+    for n, letter in enumerate(word, 1):
+        for i in range(K):
+            x[i][n] = x[i][n - 1] + (letter == i + 1)
+
+    def fold(x, y, pick):
+        best, out = None, []
+        for xm, ym, yn in zip(x, y, y):
+            best = xm - ym if best is None else pick(best, xm - ym)
+            out.append(best + yn)
+        return out
+
+    top = x[0]
+    for i in range(1, K):
+        top = fold(top, x[i], max)
+    bottom = x[K - 1]
+    for i in range(K - 2, -1, -1):
+        bottom = fold(bottom, x[i], min)
+    return top[-1], bottom[-1]
+
+
+def dual_path_sums(u):
+    """Node sums over the dual set, each path built from its cut rows
+    i_{K-1} < ... < i_1: column K above i_{K-1}, column j strictly
+    between i_j and i_{j-1}, column 1 below i_1."""
+    N, K = u.shape
+    sums = []
+    for cuts in combinations(range(1, N + 1), K - 1):
+        bounds = (0,) + cuts + (N + 1,)
+        sums.append(sum(int(u[row - 1, K - 1 - c])
+                        for c in range(K)
+                        for row in range(bounds[c] + 1, bounds[c + 1])))
+    return sums
+
+
+def stacks(max_b=4, max_n=6, max_k=5, max_entry=4):
+    """(B, N, K) integer stacks; N < K, N = 1 and K = 1 included."""
+    return st.tuples(st.integers(1, max_b), st.integers(1, max_n),
+                     st.integers(1, max_k)).flatmap(
+        lambda bnk: st.lists(st.integers(0, max_entry), min_size=bnk[0] * bnk[1] * bnk[2],
+                             max_size=bnk[0] * bnk[1] * bnk[2]
+                             ).map(lambda flat: np.array(flat, dtype=np.int64).reshape(bnk)))
+
+
+EDGE_STACKS = (np.zeros((3, 2, 2), dtype=np.int64),         # all zero
+               np.array([[[0, 0], [0, 0]], [[2, 1], [0, 3]]]),  # a zero case beside another
+               np.array([[[2], [0], [5]], [[1], [1], [0]]]),  # K = 1
+               np.array([[[1, 0, 4]], [[0, 2, 2]]]),         # N = 1 < K
+               np.array([[[3, 1, 0], [2, 0, 1]]]))           # N < K, empty dual set
+
+
+def _example_all(test):
+    for u in EDGE_STACKS:
+        test = example(u)(test)
+    return test
+
+
+@settings(deadline=None, max_examples=80)
+@_example_all
+@given(stacks())
+def test_chain_batch_matches_per_case_loops(u):
+    top, bottom = lambda_operators_batch(u)
+    for b in range(u.shape[0]):
+        expected = chain_loop(word_of(u[b]).tolist(), u.shape[2])
+        assert (int(top[b]), int(bottom[b])) == expected == lambda_operators(u[b])
+
+
+@settings(deadline=None, max_examples=80)
+@_example_all
+@given(stacks())
+def test_path_batches_match_per_case_loops(u):
+    hi, lo = path_max_batch(u), path_min_batch(u)
+    assert hi.dtype == lo.dtype == u.dtype
+    for b in range(u.shape[0]):
+        sums = dual_path_sums(u[b])
+        assert hi[b] == path_max(u[b])
+        assert lo[b] == path_min(u[b]) == (min(sums) if sums else 0)
+
+
+@settings(deadline=None, max_examples=80)
+@_example_all
+@given(stacks())
+def test_six_way_batch_matches_per_case_loops(u):
+    lam1, lamK, ok = verify_row_queue_batch(u)
+    assert ok.all()
+    N, K = u.shape[1:]
+    for b in range(u.shape[0]):
+        sh = shape(tableau_of(word_of(u[b])))
+        rep = verify_row_queue(u[b])
+        assert tuple(lam1[b].tolist()) == rep.lambda1
+        assert tuple(lamK[b].tolist()) == rep.lambdaK
+        assert rep.lambda1[0] == (sh[0] if sh else 0)
+        assert rep.lambdaK[0] == (sh[K - 1] if len(sh) >= K else 0)
+        assert rep.lambda1[3] == queue_departures(u[b])[N, K]
+        assert rep.lambdaK[3] == store_flow(u[b])[2][-1]
+
+
+def test_six_way_batch_names_the_failing_witness(monkeypatch):
+    from dualq import tandem
+    real = tandem.store_departures_batch
+    monkeypatch.setattr(tandem, "store_departures_batch", lambda u: real(u) + 1)
+    lam1, lamK, ok = verify_row_queue_batch(np.array([[[1, 2], [3, 4]]] * 2))
+    assert not ok.any()
+    assert lam1.tolist() == [[8, 8, 8, 8]] * 2
+    assert lamK.tolist() == [[2, 2, 2, 3]] * 2
+
+
+@pytest.mark.parametrize("fn", [path_max_batch, path_min_batch, verify_row_queue_batch])
+def test_batches_keep_the_brute_force_limit(fn):
+    u = np.ones((2, 10, 6), dtype=np.int64)
+    assert 10 + 6 > BRUTE_FORCE_LIMIT
+    with pytest.raises(SizeLimitError):
+        fn(u)
+    assert fn(u, limit=16) is not None
+

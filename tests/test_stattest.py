@@ -278,6 +278,15 @@ def test_noncolliding_infeasibility_guard():
                                 10**7, Seed(304), min_acceptance=0.9999)
 
 
+def test_noncolliding_guard_spares_runs_that_finish_early():
+    # the rate stays far below min_acceptance, but reps is reached within a few
+    # batches, long before the 50-batch check, so the run returns
+    rep = noncolliding_experiment(RateParams("geomgeom1", 0.3, 0.7), 2, 30,
+                                  4096, Seed(304), min_acceptance=0.9999)
+    assert rep.diagnostics["acceptance_rate"] < 0.9
+    assert rep.diagnostics["attempts"] < 50 * 4096
+
+
 # --- interchange -------------------------------------------------------------------
 
 def test_interchange_identity_permutation():
