@@ -58,7 +58,6 @@ from .rsk import (
 )
 from .schur import (
     WeightVector,
-    ShapeLaw,
     ssyt_enumerate,
     ssyt_count,
     schur_eval,
@@ -73,7 +72,6 @@ from .particles import (
     bus_stop_run,
     bus_stop_step,
     occupancy_history,
-    occupancy_to_csv,
     to_exclusion,
     from_exclusion,
     exclusion_step,

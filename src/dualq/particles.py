@@ -29,7 +29,6 @@ __all__ = [
     "bus_stop_run",
     "bus_stop_step",
     "occupancy_history",
-    "occupancy_to_csv",
     "to_exclusion",
     "from_exclusion",
     "exclusion_step",
@@ -193,15 +192,6 @@ def occupancy_history(U, model: str = "bus-stop") -> np.ndarray:
                 out[e.slot:, e.site] += 1
         return out
     raise ValueError(f"unknown model {model!r}; use 'bus-stop' or 'zero-range'")
-
-
-def occupancy_to_csv(U, fh, model: str = "bus-stop") -> None:
-    """Write the occupancy snapshots with a slot column for plotting."""
-    hist = occupancy_history(U, model=model)
-    K = hist.shape[1]
-    fh.write(",".join(["slot"] + [f"site_{j}" for j in range(1, K + 1)]) + "\n")
-    for t, row in enumerate(hist):
-        fh.write(",".join([str(t)] + [str(int(c)) for c in row]) + "\n")
 
 
 def exclusion_step(config, bus_sizes) -> np.ndarray:

@@ -9,11 +9,19 @@ queue; ``(D, r)`` is the output marked sequence.
 
 Everything here is deterministic: integer inputs stay in exact integer
 arithmetic, real inputs in double precision.
+
+The trace (:func:`_fifo_series`), the busy-period bounds and the knots of
+:func:`workload_pair` are array closed forms.  :func:`lindley_forward` and
+:func:`backward_check` stay element-by-element loops on Python scalars:
+they are the independent witnesses the closed forms are checked against,
+so they must not share code with them.  :func:`zigzag_from_trace`
+validates each excursion in one pass over the period's marks and epochs.
 """
 
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,11 +95,11 @@ def lindley_forward(w1, a, s) -> np.ndarray:
     if w1 < 0 or (a.size and a.min() < 0) or (s.size and s.min() < 0):
         raise ValueError("w1, gaps and marks must be nonnegative")
     dtype = _common_dtype(a, s, extra_scalar=w1)
-    w = np.empty(a.size + 1, dtype=dtype)
-    w[0] = w1
-    for i in range(a.size):
-        w[i + 1] = max(w[i] + s[i] - a[i], 0)
-    return w
+    # one step per customer, on python scalars of the output dtype
+    w = [dtype(w1).item()]
+    for ai, si in zip(a.astype(dtype).tolist(), s[:a.size].astype(dtype).tolist()):
+        w.append(max(w[-1] + si - ai, 0))
+    return np.array(w, dtype=dtype)
 
 
 def _fifo_series(A, s):
@@ -202,6 +210,13 @@ class PiecewiseLinear:
         return float(out[0]) if scalar else out
 
 
+def _period_bounds(A, D):
+    """First customer and one-past-last customer (0-based) of each busy
+    period: a period starts at 0 and wherever A_{n+1} > D_n."""
+    firsts = np.concatenate(([0], np.flatnonzero(A[1:] > D[:-1]) + 1))
+    return firsts, np.append(firsts[1:], A.size)
+
+
 def workload_pair(trace: QueueTrace) -> tuple[PiecewiseLinear, PiecewiseLinear]:
     """Workload W and its dual W-bar as exact piecewise-linear paths.
 
@@ -210,37 +225,30 @@ def workload_pair(trace: QueueTrace) -> tuple[PiecewiseLinear, PiecewiseLinear]:
     Customers count on [A_n, D_n) so both paths are right-continuous and
     vanish exactly off busy periods.  The declared left limit of W at A_n
     is w_n.
+
+    Both are built in closed form from the period bounds.  W has a knot at
+    every arrival (value D_n - A_n, left limit w_n) and one end knot per
+    period after its last customer.  W-bar has one start knot per period
+    before its first customer, then a knot at every departure: inside a
+    period the dual drops to the next head's age D_n - A_{n+1}, at the end
+    of the period to 0; its left limit there is D_n - A_n.
     """
     if np.any(trace.s <= 0):
         raise ValueError("workload paths need strictly positive marks")
     A, D, w = trace.A, trace.D, trace.w
-    periods = busy_periods(trace)
+    firsts, stops = _period_bounds(A, D)
+    f = np.float64
+    sojourn = (D - A).astype(f)
+    drop = np.zeros(len(trace))
+    drop[:-1] = D[:-1] - A[1:]
+    drop[stops - 1] = 0.0
 
-    wt, wv, wl = [], [], []
-    bt, bv, bl = [], [], []
-    for per in periods:
-        first, last = per.customers.start, per.customers.stop - 1
-        bt.append(float(A[first]))
-        bv.append(0.0)
-        bl.append(0.0)
-        for n in range(first, last + 1):
-            wt.append(float(A[n]))
-            wv.append(float(D[n] - A[n]))
-            wl.append(float(w[n]))
-            if n < last:
-                # departure inside the period: dual drops to the next head's age
-                bt.append(float(D[n]))
-                bv.append(float(D[n] - A[n + 1]))
-                bl.append(float(D[n] - A[n]))
-        wt.append(float(D[last]))
-        wv.append(0.0)
-        wl.append(0.0)
-        bt.append(float(D[last]))
-        bv.append(0.0)
-        bl.append(float(D[last] - A[last]))
-
-    W = PiecewiseLinear(np.array(wt), np.array(wv), np.array(wl))
-    Wbar = PiecewiseLinear(np.array(bt), np.array(bv), np.array(bl))
+    W = PiecewiseLinear(np.insert(A.astype(f), stops, D[stops - 1]),
+                        np.insert(sojourn, stops, 0.0),
+                        np.insert(w.astype(f), stops, 0.0))
+    Wbar = PiecewiseLinear(np.insert(D.astype(f), firsts, A[firsts]),
+                           np.insert(drop, firsts, 0.0),
+                           np.insert(sojourn, firsts, 0.0))
     return W, Wbar
 
 
@@ -266,10 +274,9 @@ def busy_periods(trace: QueueTrace) -> list[BusyPeriod]:
     server busy and extends the current period.
     """
     A, D = trace.A, trace.D
-    firsts = np.concatenate(([0], np.flatnonzero(A[1:] > D[:-1]) + 1))
-    ends = np.append(firsts[1:], len(trace))
+    firsts, stops = _period_bounds(A, D)
     return [BusyPeriod(float(a), float(d), range(f, e)) for a, d, f, e in
-            zip(A[firsts].tolist(), D[ends - 1].tolist(), firsts.tolist(), ends.tolist())]
+            zip(A[firsts].tolist(), D[stops - 1].tolist(), firsts.tolist(), stops.tolist())]
 
 
 @dataclass(frozen=True)
@@ -297,6 +304,13 @@ class ZigzagTrajectory:
         if h != 0:
             raise ValueError("total increase must equal total decrease")
 
+    @classmethod
+    def _validated(cls, runs: tuple) -> "ZigzagTrajectory":
+        """Wrap runs the caller has already checked, without checking again."""
+        z = object.__new__(cls)
+        object.__setattr__(z, "run_lengths", runs)
+        return z
+
     @property
     def total_rise(self):
         return sum(self.run_lengths[::2])
@@ -321,27 +335,39 @@ def zigzag(s, a) -> ZigzagTrajectory:
     a = list(np.asarray(a).tolist())
     if len(s) == 0 or len(a) != len(s) - 1:
         raise ValueError("need k marks and k-1 internal gaps")
-    runs = []
-    h = 0
-    for i, si in enumerate(s):
-        if si <= 0:
-            raise ValueError("marks must be positive within a busy period")
-        runs.append(si)
-        h += si
-        if i < len(a):
-            if a[i] <= 0:
-                raise ValueError("gaps must be positive")
-            if a[i] > h:
-                raise ValueError("gap exceeds current workload: not a single busy period")
-            runs.append(a[i])
-            h -= a[i]
-    runs.append(h)
-    return ZigzagTrajectory(tuple(runs))
+    return _zigzag_runs(s, a)
 
 
 def zigzag_from_trace(trace: QueueTrace, period: BusyPeriod) -> ZigzagTrajectory:
+    """:func:`zigzag` of one busy period of ``trace``."""
     c = period.customers
-    return zigzag(trace.s[c.start:c.stop], np.diff(trace.A[c.start:c.stop]))
+    A = trace.A[c.start:c.stop].tolist()
+    return _zigzag_runs(trace.s[c.start:c.stop].tolist(), map(operator.sub, A[1:], A))
+
+
+def _zigzag_runs(s: list, gaps) -> ZigzagTrajectory:
+    """Validate k marks and the k-1 gaps between them in one pass.
+
+    The running height takes the same steps as the check in
+    :class:`ZigzagTrajectory`, which therefore cannot fail and is skipped.
+    """
+    runs = []
+    h = 0
+    for si, ai in zip(s, gaps):
+        if si <= 0:
+            raise ValueError("marks must be positive within a busy period")
+        h += si
+        if ai <= 0:
+            raise ValueError("gaps must be positive")
+        if ai > h:
+            raise ValueError("gap exceeds current workload: not a single busy period")
+        runs += (si, ai)
+        h -= ai
+    if s[-1] <= 0:
+        raise ValueError("marks must be positive within a busy period")
+    h += s[-1]
+    runs += (s[-1], h)
+    return ZigzagTrajectory._validated(tuple(runs))
 
 
 def enumerate_trajectories(total_rise: int) -> list[ZigzagTrajectory]:
@@ -384,16 +410,17 @@ def backward_check(trace: QueueTrace, rel_tol: float | None = None) -> BackwardC
         rel_tol = 0.0 if trace.A.dtype.kind in "iu" else 1e-12
     scale = max(1.0, float(np.abs(trace.D).max()))
     tol = rel_tol * scale
-    w, s, r, d = trace.w, trace.s, trace.r, trace.d
+    # element by element on python scalars, independent of the closed forms
+    w, s, r, d = trace.w.tolist(), trace.s.tolist(), trace.r.tolist(), trace.d.tolist()
     worst = 0.0
     first = None
-    for n in range(len(trace) - 1):
+    for n in range(len(w) - 1):
         err = abs(float((w[n] + s[n]) - (w[n + 1] + r[n])))
         if err > worst:
             worst = err
         if err > tol and first is None:
             first = ("sojourn", n + 1, err)
-    for n in range(1, len(trace) - 1):
+    for n in range(1, len(w) - 1):
         lhs = w[n]
         rhs = max(w[n + 1] + r[n] - d[n - 1], 0)
         err = abs(float(lhs - rhs))

@@ -23,7 +23,6 @@ from .rsk import Tableau, is_partition, normalize_partition
 
 __all__ = [
     "WeightVector",
-    "ShapeLaw",
     "empty_row_prob",
     "ssyt_enumerate",
     "ssyt_count",
@@ -258,16 +257,3 @@ def transition_distribution(m, q, residual: float = 1e-10) -> dict:
         if c > m1 + 10000:
             raise RuntimeError("transition_distribution failed to converge")
 
-
-@dataclass(frozen=True)
-class ShapeLaw:
-    """The insertion-shape law for a fixed weight vector and row count."""
-
-    q: WeightVector
-    N: int
-
-    def pmf(self, l):
-        return shape_pmf(l, self.q, self.N)
-
-    def distribution(self, residual: float = 1e-10) -> dict:
-        return shape_distribution(self.q, self.N, residual)

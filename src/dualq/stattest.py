@@ -13,7 +13,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from . import tandem
 from .rsk import growth_shapes
@@ -121,6 +120,8 @@ class ExperimentReport:
 
 def ks_test(sample, cdf, *, name: str = "ks", alpha: float = 0.01) -> GofResult:
     """One-sample Kolmogorov-Smirnov against a callable CDF."""
+    from scipy import stats
+
     sample = np.asarray(sample)
     if sample.size == 0:
         raise ValueError("sample must be non-empty")
@@ -154,6 +155,8 @@ def chi2_test(observed, expected, *, name: str = "chi2", alpha: float = 0.01,
     Totals must agree to 1e-9 (relative); anything thinner than
     ``min_expected`` is merged with its neighbour before testing.
     """
+    from scipy import stats
+
     observed = np.asarray(observed, dtype=float)
     expected = np.asarray(expected, dtype=float)
     if observed.shape != expected.shape or observed.ndim != 1:
@@ -176,6 +179,8 @@ def chi2_two_sample(keys_x, keys_y, *, name: str = "chi2-2samp",
     group) are lumped into one rest cell; categories are ordered by
     combined count so the binning is deterministic.
     """
+    from scipy import stats
+
     cx = Counter(keys_x)
     cy = Counter(keys_y)
     nx, ny = sum(cx.values()), sum(cy.values())
@@ -221,6 +226,8 @@ def independence_test(x, y, *, name: str = "independence", alpha: float = 0.01,
                       n_bins: int = 8) -> GofResult:
     """Contingency chi-square of the binned joint against the product of
     the empirical marginals."""
+    from scipy import stats
+
     x = np.asarray(x)
     y = np.asarray(y)
     bx = _margin_bins(x, n_bins)
@@ -236,6 +243,8 @@ def independence_test(x, y, *, name: str = "independence", alpha: float = 0.01,
 
 def lag1_test(x, *, name: str = "lag1", alpha: float = 0.01) -> GofResult:
     """Pearson correlation between consecutive terms; i.i.d. data pass."""
+    from scipy import stats
+
     x = np.asarray(x, dtype=float)
     r, p = stats.pearsonr(x[:-1], x[1:])
     return GofResult(name, float(r), float(p), x.size, alpha)
@@ -285,6 +294,8 @@ def burke_experiment(params: RateParams, horizon: int, burn_in: int,
     report flags a burn-in that looks short for the drift.  When
     ``samples_path`` is given, the raw (d, r) pairs are dumped there as CSV.
     """
+    from scipy import stats
+
     if horizon < 1 or burn_in < 0:
         raise ValueError("need horizon >= 1 and burn_in >= 0")
     ms = sample_input(params, burn_in + horizon + 1, seed)
@@ -382,6 +393,8 @@ def zigzag_law_experiment(p: float, q: float, seed: Seed,
     directly at the regeneration points, which is exact by memorylessness
     of the geometric inputs.
     """
+    from scipy import stats
+
     if not 0 < p < q < 1:
         raise ValueError("need 0 < p < q < 1")
     trajs = _sample_busy_trajectories(p, q, n_periods, seed)
@@ -536,6 +549,8 @@ def interchange_experiment(q, sigma, N: int, reps: int, seed: Seed,
     weights, then runs two-sample tests on the joint (D, R), on the full
     departure prefix vector, and on the mean of D.
     """
+    from scipy import stats
+
     q = _weights(q)
     K = len(q)
     sigma = tuple(sigma)
@@ -656,6 +671,8 @@ def laguerre_check(K: int, reps: int, seed: Seed, reference_mean: float | None =
     default reference.  A different ``reference_mean`` can be supplied to
     test against an externally quoted value.
     """
+    from scipy import stats
+
     if K < 1 or reps < 1:
         raise ValueError("need K >= 1 and reps >= 1")
     gen = seed.substream(0).generator()

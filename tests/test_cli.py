@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -336,3 +340,30 @@ def test_invalid_weights_exit_two(capsys, argv):
     code, out, err = run(capsys, *argv, "--reps", "200")
     assert code == 2 and out == ""
     assert "strictly in (0, 1)" in err
+
+
+# Only the goodness-of-fit tests need scipy; the exact subcommands start without it.
+_SCIPY_PROBE = """
+import sys
+from dualq.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(code, "scipy" in sys.modules, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ("--help",),
+    ("trace",),
+    ("verify-identities", "--cases", "50"),
+    ("particles", "--cases", "50"),
+])
+def test_exact_subcommands_do_not_import_scipy(argv):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stderr.split()[-2:] == ["0", "False"], proc.stderr

@@ -8,7 +8,6 @@ from dualq.particles import (
     exclusion_step,
     from_exclusion,
     occupancy_history,
-    occupancy_to_csv,
     to_exclusion,
     zero_range_run,
 )
@@ -114,16 +113,6 @@ def test_bus_stop_occupancy_history():
     # what leaves the system each slot is exactly the last site's transport
     totals = hist.sum(axis=1)
     assert np.array_equal(totals[:-1] - totals[1:], moved[:, -1])
-
-
-def test_occupancy_csv(tmp_path):
-    import io
-
-    buf = io.StringIO()
-    occupancy_to_csv(U22, buf, model="bus-stop")
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "slot,site_1,site_2"
-    assert len(lines) == U22.N + 2  # header + initial state + one row per slot
 
 
 def test_occupancy_unknown_model():

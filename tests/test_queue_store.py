@@ -2,10 +2,14 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dualq.queue_store import (
+    BackwardCheckReport,
     BusyPeriod,
+    PiecewiseLinear,
+    QueueTrace,
+    ZigzagTrajectory,
     backward_check,
     busy_periods,
     enumerate_trajectories,
@@ -45,6 +49,78 @@ def waits_brute(a, s):
             best = max(best, sum(s[i] - a[i] for i in range(k, n)))
         w.append(max(best, 0))
     return w
+
+
+# Per-customer loops the array code replaced, kept as its oracles: numpy
+# scalars indexed one at a time, periods found customer by customer.
+
+def lindley_forward_loop(w1, a, s):
+    a = np.asarray(a)
+    s = np.asarray(s)
+    ints = all(x.dtype.kind in "iub" for x in (a, s)) and float(w1) == int(w1)
+    w = np.empty(a.size + 1, dtype=np.int64 if ints else np.float64)
+    w[0] = w1
+    for i in range(a.size):
+        w[i + 1] = max(w[i] + s[i] - a[i], 0)
+    return w
+
+
+def backward_check_loop(trace, rel_tol=None):
+    if rel_tol is None:
+        rel_tol = 0.0 if trace.A.dtype.kind in "iu" else 1e-12
+    tol = rel_tol * max(1.0, float(np.abs(trace.D).max()))
+    w, s, r, d = trace.w, trace.s, trace.r, trace.d
+    worst, first = 0.0, None
+    for n in range(len(trace) - 1):
+        err = abs(float((w[n] + s[n]) - (w[n + 1] + r[n])))
+        worst = max(worst, err)
+        if err > tol and first is None:
+            first = ("sojourn", n + 1, err)
+    for n in range(1, len(trace) - 1):
+        err = abs(float(w[n] - max(w[n + 1] + r[n] - d[n - 1], 0)))
+        worst = max(worst, err)
+        if err > tol and first is None:
+            first = ("backward-lindley", n + 1, err)
+    return BackwardCheckReport(ok=first is None, max_error=worst, first_violation=first)
+
+
+def workload_pair_loop(trace):
+    A, D, w = trace.A, trace.D, trace.w
+    wt, wv, wl = [], [], []
+    bt, bv, bl = [], [], []
+    for per in busy_periods_loop(trace):
+        first, last = per.customers.start, per.customers.stop - 1
+        bt.append(float(A[first]))
+        bv.append(0.0)
+        bl.append(0.0)
+        for n in range(first, last + 1):
+            wt.append(float(A[n]))
+            wv.append(float(D[n] - A[n]))
+            wl.append(float(w[n]))
+            if n < last:
+                bt.append(float(D[n]))
+                bv.append(float(D[n] - A[n + 1]))
+                bl.append(float(D[n] - A[n]))
+        wt.append(float(D[last]))
+        wv.append(0.0)
+        wl.append(0.0)
+        bt.append(float(D[last]))
+        bv.append(0.0)
+        bl.append(float(D[last] - A[last]))
+    return (PiecewiseLinear(np.array(wt), np.array(wv), np.array(wl)),
+            PiecewiseLinear(np.array(bt), np.array(bv), np.array(bl)))
+
+
+def busy_periods_loop(tr):
+    """Customer by customer: a period ends when the next arrival comes
+    strictly after the last departure."""
+    out, first = [], 0
+    for n in range(1, len(tr)):
+        if tr.A[n] > tr.D[n - 1]:
+            out.append(BusyPeriod(float(tr.A[first]), float(tr.D[n - 1]), range(first, n)))
+            first = n
+    out.append(BusyPeriod(float(tr.A[first]), float(tr.D[-1]), range(first, len(tr))))
+    return out
 
 
 def random_trace(master, model="geomgeom1", n=30, w1=0):
@@ -248,18 +324,6 @@ def test_busy_idle_partition():
         assert p.start > tr.D[p.customers.start - 1]
 
 
-def busy_periods_loop(tr):
-    """Customer by customer: a period ends when the next arrival comes
-    strictly after the last departure."""
-    out, first = [], 0
-    for n in range(1, len(tr)):
-        if tr.A[n] > tr.D[n - 1]:
-            out.append(BusyPeriod(float(tr.A[first]), float(tr.D[n - 1]), range(first, n)))
-            first = n
-    out.append(BusyPeriod(float(tr.A[first]), float(tr.D[-1]), range(first, len(tr))))
-    return out
-
-
 @settings(deadline=None)
 @given(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=30),
        st.sampled_from([1, 0.5]))
@@ -272,6 +336,124 @@ def test_busy_periods_and_zigzags_match_loops(pairs, scale):
     for p in periods:
         c = p.customers
         assert zigzag_from_trace(tr, p) == zigzag(tr.s[c.start:c.stop], tr.a[c.start:c.stop - 1])
+
+
+# --- array forms against their per-customer oracles ---------------------------
+
+# (gap, mark) per customer, the first gap being the first arrival epoch.
+# Integer gaps hit the tie "arrival at the departure instant" and zero gaps
+# give simultaneous arrivals; marks stay positive for the workload paths.
+customers = st.one_of(
+    st.lists(st.tuples(st.integers(0, 4), st.integers(1, 4)), min_size=1, max_size=30),
+    st.lists(st.tuples(st.floats(0, 4), st.floats(0.01, 4)), min_size=1, max_size=30))
+ONE_CUSTOMER = [(2, 3)]
+ONE_PERIOD = [(0, 3), (1, 2), (3, 1), (0, 2)]
+AT_DEPARTURE = [(0, 2), (2, 1), (1, 1), (4, 2.5)]  # 2nd arrives as the 1st leaves
+
+
+def trace_of(pairs, w1=0):
+    A = np.cumsum([g for g, _ in pairs])
+    return trace_from_arrays(A, np.array([m for _, m in pairs]), w1=w1)
+
+
+def assert_paths_equal(got, want):
+    for name in ("times", "values", "left_values"):
+        g, e = getattr(got, name), getattr(want, name)
+        assert g.dtype == e.dtype, name
+        assert np.array_equal(g, e), name
+
+
+@settings(deadline=None, max_examples=150)
+@given(customers, st.sampled_from([0, 3]))
+@example(ONE_CUSTOMER, 0)
+@example(ONE_PERIOD, 0)
+@example(AT_DEPARTURE, 0)
+@example([(0.5, 0.25), (0.25, 0.1), (0.1, 0.3)], 0)
+def test_workload_pair_matches_loop(pairs, w1):
+    tr = trace_of(pairs, w1)
+    W, Wbar = workload_pair(tr)
+    W_loop, Wbar_loop = workload_pair_loop(tr)
+    assert_paths_equal(W, W_loop)
+    assert_paths_equal(Wbar, Wbar_loop)
+
+
+@settings(deadline=None, max_examples=150)
+@given(customers, st.sampled_from([0, 2, 2.0, 0.5]), st.booleans())
+@example(ONE_CUSTOMER, 0, False)
+@example(ONE_PERIOD, 0.5, False)
+@example(AT_DEPARTURE, 0, True)
+def test_lindley_forward_matches_loop(pairs, w1, float_gaps):
+    a = np.array([g for g, _ in pairs[1:]], dtype=float if float_gaps else None)
+    s = np.array([m for _, m in pairs])
+    got = lindley_forward(w1, a, s)
+    want = lindley_forward_loop(w1, a, s)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@settings(deadline=None, max_examples=150)
+@given(customers, st.sampled_from([0, 3]), st.none() | st.integers(0, 29))
+@example(ONE_CUSTOMER, 0, 0)
+@example(ONE_PERIOD, 0, 2)
+@example(AT_DEPARTURE, 0, None)
+def test_backward_check_matches_loop(pairs, w1, corrupt):
+    tr = trace_of(pairs, w1)
+    if corrupt is not None:
+        w = tr.w.copy()
+        w[corrupt % len(w)] += 1
+        tr = QueueTrace(A=tr.A, s=tr.s, D=tr.D, w=w, r=tr.r)
+    got = backward_check(tr)
+    assert got == backward_check_loop(tr)
+    if corrupt is not None and len(tr) > 1:
+        assert got.first_violation is not None
+
+
+def test_backward_check_names_first_violation():
+    tr = trace_of(ONE_PERIOD)
+    w = tr.w.copy()
+    w[2] += 1
+    bad = QueueTrace(A=tr.A, s=tr.s, D=tr.D, w=w, r=tr.r)
+    got = backward_check(bad)
+    assert got == backward_check_loop(bad)
+    assert not got.ok
+    assert got.first_violation == ("sojourn", 2, 1.0)
+
+
+# --- zigzag validation ---------------------------------------------------------
+
+def raised(f, *args):
+    with pytest.raises(ValueError) as info:
+        f(*args)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("A, s", [
+    ([0, 1], [0, 2]),   # zero mark first
+    ([0, 1], [2, 0]),   # zero mark last
+    ([0, 0], [1, 1]),   # zero gap
+    ([0, 5], [1, 1]),   # gap breaks the period
+    ([0, 2], [1, 1]),   # gap one past the end of the first service
+])
+def test_zigzag_from_trace_rejects_like_zigzag(A, s):
+    A, s = np.array(A), np.array(s)
+    # hand-built: trace_from_arrays would accept these, but not as one period
+    tr = QueueTrace(A=A, s=s, D=A + s, w=np.zeros_like(A), r=np.zeros(1, dtype=A.dtype))
+    period = BusyPeriod(0.0, float(A[-1] + s[-1]), range(0, 2))
+    assert raised(zigzag_from_trace, tr, period) == raised(zigzag, s, np.diff(A))
+
+
+@pytest.mark.parametrize("runs, message", [
+    ((), "even, positive number of runs"),
+    ((3,), "even, positive number of runs"),
+    ((2, 1, 1), "even, positive number of runs"),
+    ((2, 0, 1, 3), "run lengths must be positive"),
+    ((2, -1, 1, 4), "run lengths must be positive"),
+    ((1, 2, 2, 1), "dips below zero"),
+    ((2, 1), "total increase must equal total decrease"),
+])
+def test_trajectory_constructor_still_validates(runs, message):
+    with pytest.raises(ValueError, match=message):
+        ZigzagTrajectory(runs)
 
 
 # --- zigzag ------------------------------------------------------------------

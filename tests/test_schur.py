@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualq.schur import (
-    ShapeLaw,
     WeightVector,
     empty_row_prob,
     interlaces,
@@ -221,10 +220,10 @@ def test_shape_pmf_symmetric_in_weights():
         assert len(vals) == 1
 
 
-def test_shape_law_wrapper():
-    law = ShapeLaw(WeightVector((0.3, 0.5)), 4)
-    assert law.pmf(()) == pytest.approx(0.35**4)
-    assert abs(sum(law.distribution().values()) - 1) < 1e-9
+def test_shape_law_for_a_weight_vector():
+    q = WeightVector((0.3, 0.5))
+    assert shape_pmf((), q, 4) == pytest.approx(0.35**4)
+    assert abs(sum(shape_distribution(q, 4).values()) - 1) < 1e-9
 
 
 # --- interlacing and transitions ------------------------------------------------------
