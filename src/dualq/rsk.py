@@ -38,7 +38,6 @@ __all__ = [
     "tableau_of",
     "shape",
     "pretty",
-    "counting_maps",
     "nabla",
     "triangle",
     "lambda_operators",
@@ -214,24 +213,6 @@ def word_of(U) -> np.ndarray:
     return _words(tandem._as_matrix(U).u[None])[0][0]
 
 
-def _counting_maps(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`counting_maps` of each (N, K) slice, (B, K, max M + 1), and the
-    word lengths M (B,); past M_b, case b's counts stay at their final values."""
-    words, M = _words(u)
-    x = np.zeros((u.shape[0], u.shape[2], words.shape[1] + 1), dtype=np.int64)
-    letters = np.arange(1, u.shape[2] + 1)[:, None]
-    np.cumsum(words[:, None, :] == letters, axis=2, out=x[:, :, 1:])
-    return x, M
-
-
-def counting_maps(U) -> np.ndarray:
-    """Prefix letter counts x_i(n) = #{j <= n : word_j = i}.
-
-    Returns a (K, M+1) array, n running over 0..M.
-    """
-    return _counting_maps(tandem._as_matrix(U).u[None])[0][0]
-
-
 def nabla(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """(x nabla y)(n) = max_{0<=m<=n} [x(m) + y(n) - y(m)], along the last axis."""
     return np.maximum.accumulate(x - y, axis=-1) + y
@@ -242,13 +223,13 @@ def triangle(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.minimum.accumulate(x - y, axis=-1) + y
 
 
-def lambda_operators_batch(u) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`lambda_operators` of each (N, K) integer slice, (B, N, K) ->
-    ((B,), (B,)).  nabla and triangle at n read only 0..n, so running the
-    chains over zero-padded counting maps and reading case b at its own M_b
-    is exact."""
-    x, M = _counting_maps(np.asarray(u))
-    K = x.shape[1]
+def _operator_chains(words: np.ndarray, M: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two chains over the prefix letter counts x_i(n) = #{j <= n :
+    word_j = i} of each zero-padded word (B, max M), read at its length M_b.
+    nabla and triangle at n read only 0..n, and the padding letter 0 counts
+    for no i, so running the chains over the padded counts is exact."""
+    x = np.zeros((words.shape[0], K, words.shape[1] + 1), dtype=np.int64)
+    np.cumsum(words[:, None, :] == np.arange(1, K + 1)[:, None], axis=2, out=x[:, :, 1:])
     top = x[:, 0]
     for i in range(1, K):
         top = nabla(top, x[:, i])
@@ -257,6 +238,13 @@ def lambda_operators_batch(u) -> tuple[np.ndarray, np.ndarray]:
         bottom = triangle(bottom, x[:, i])
     rows = np.arange(x.shape[0])
     return top[rows, M], bottom[rows, M]
+
+
+def lambda_operators_batch(u) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`lambda_operators` of each (N, K) integer slice, (B, N, K) ->
+    ((B,), (B,))."""
+    u = np.asarray(u)
+    return _operator_chains(*_words(u), u.shape[2])
 
 
 def lambda_operators(U) -> tuple[int, int]:
@@ -362,9 +350,9 @@ def verify_row_queue_batch(u, limit: int = BRUTE_FORCE_LIMIT) -> tuple:
     u = np.asarray(u)
     B, N, K = u.shape
     lam1, lamK = np.empty((2, B, 4), dtype=np.int64)
-    lam1[:, 1], lamK[:, 1] = lambda_operators_batch(u)
+    words, M = _words(u)  # one word build for the chains and the insertions
+    lam1[:, 1], lamK[:, 1] = _operator_chains(words, M, K)
     lam1[:, 2], lamK[:, 2] = path_max_batch(u, limit), path_min_batch(u, limit)
-    words, M = _words(u)
     for b in range(B):  # row insertion: one fold per case
         sh = tableau_of(words[b, :M[b]]).shape() + (0,) * K
         lam1[b, 0], lamK[b, 0] = sh[0], sh[K - 1]

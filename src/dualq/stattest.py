@@ -4,6 +4,9 @@ Each experiment is a pure function of its parameters and a
 :class:`~dualq.sampling.Seed`: rerunning with the same arguments rebuilds
 the identical report, byte for byte.  Verdicts are goodness-of-fit tests
 at a pre-registered significance level, never exact-equality claims.
+
+zigzag-law reads its busy periods off a :mod:`~dualq.queue_store` trace;
+noncolliding's reference pair is (D(n, 2), R(n)) from the :mod:`~dualq.tandem` kernels.
 """
 
 from __future__ import annotations
@@ -18,7 +21,9 @@ from . import tandem
 from .rsk import growth_shapes
 from .queue_store import (
     ZigzagTrajectory,
+    _period_bounds,
     enumerate_trajectories,
+    trace_from_arrays,
     transform,
 )
 from .sampling import (
@@ -30,7 +35,6 @@ from .sampling import (
     sample_input,
 )
 from .schur import (
-    WeightVector,
     shape_distribution,
     transition_distribution,
     _weights,
@@ -207,17 +211,17 @@ def _margin_bins(values, n_bins):
     """Deterministic per-value binning into roughly equal-mass groups."""
     values = np.asarray(values)
     if values.dtype.kind in "iu":
-        uniq, counts = np.unique(values, return_counts=True)
+        _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
         want = values.size / n_bins
-        mapping = {}
+        bins = []  # one bin per distinct value, in increasing order
         b, acc = 0, 0
-        for v, c in zip(uniq, counts):
-            mapping[int(v)] = b
+        for c in counts.tolist():
+            bins.append(b)
             acc += c
             if acc >= want and b < n_bins - 1:
                 b += 1
                 acc = 0
-        return np.array([mapping[int(v)] for v in values])
+        return np.array(bins)[inverse]
     edges = np.unique(np.quantile(values, np.linspace(0, 1, n_bins + 1)[1:-1]))
     return np.searchsorted(edges, values, side="right")
 
@@ -353,33 +357,26 @@ def trajectory_pmf(runs, p: float, q: float) -> float:
     return q**k * (1 - q) ** (L - k) * p ** (k - 1) * (1 - p) ** (L - k + 1)
 
 
-def _sample_busy_trajectories(p, q, n_periods, seed, chunk=1 << 15):
+def _sample_busy_trajectories(p, q, n_periods, seed):
+    """Runs of the first ``n_periods`` busy periods of one Geom/Geom/1 queue
+    trace: each period's (mark, gap) pairs, its last gap replaced by the last
+    customer's D - A.  Marks (substream 0) and gaps (substream 1) are drawn
+    ``n_periods`` at a time until the last period kept is closed."""
     gen_s = seed.substream(0).generator()
     gen_a = seed.substream(1).generator()
-    buf_s, buf_a = draw_geometric(gen_s, q, chunk), draw_geometric(gen_a, p, chunk)
-    is_, ia = 0, 0
-    out = []
-    for _ in range(n_periods):
-        runs = []
-        h = 0
-        while True:
-            if is_ == chunk:
-                buf_s, is_ = draw_geometric(gen_s, q, chunk), 0
-            s = int(buf_s[is_])
-            is_ += 1
-            runs.append(s)
-            h += s
-            if ia == chunk:
-                buf_a, ia = draw_geometric(gen_a, p, chunk), 0
-            a = int(buf_a[ia])
-            ia += 1
-            if a > h:
-                runs.append(h)
-                break
-            runs.append(a)
-            h -= a
-        out.append(tuple(runs))
-    return out
+    s = a = np.empty(0, dtype=np.int64)
+    while True:
+        s = np.append(s, draw_geometric(gen_s, q, n_periods))
+        a = np.append(a, draw_geometric(gen_a, p, n_periods))
+        tr = trace_from_arrays(np.concatenate(([0], np.cumsum(a[:-1]))), s)
+        firsts, stops = _period_bounds(tr.A, tr.D)
+        if firsts.size > n_periods:
+            break
+    firsts, stops = firsts[:n_periods], stops[:n_periods]
+    runs = np.stack([s, a], axis=1)[:stops[-1]]
+    runs[stops - 1, 1] = (tr.D - tr.A)[stops - 1]
+    flat = runs.ravel().tolist()
+    return [tuple(flat[2 * f:2 * e]) for f, e in zip(firsts.tolist(), stops.tolist())]
 
 
 def zigzag_law_experiment(p: float, q: float, seed: Seed,
@@ -389,14 +386,15 @@ def zigzag_law_experiment(p: float, q: float, seed: Seed,
 
     Checks the absolute trajectory frequencies against
     :func:`trajectory_pmf`, equiprobability inside each (length, peaks)
-    class, and invariance under time reversal.  Busy periods are sampled
-    directly at the regeneration points, which is exact by memorylessness
-    of the geometric inputs.
+    class, and invariance under time reversal.  The busy periods are those
+    of one queue trace that starts empty, split by the queue's own rule.
     """
     from scipy import stats
 
     if not 0 < p < q < 1:
         raise ValueError("need 0 < p < q < 1")
+    if n_periods < 1:
+        raise ValueError("need n_periods >= 1")
     trajs = _sample_busy_trajectories(p, q, n_periods, seed)
     counts = Counter(trajs)
     catalog = []
@@ -456,19 +454,8 @@ def _minmax_functionals(a, s):
 
     ``a`` has n columns (a_1..a_n); ``s`` has n columns holding s_2..s_{n+1}.
     """
-    n = a.shape[1]
-    ca = np.cumsum(a, axis=1)
-    cs = np.cumsum(s, axis=1)  # cs[:, j-1] = s_2 + ... + s_{j+1}
-    hi = None
-    lo = None
-    for j in range(1, n + 1):
-        tail_s = cs[:, n - 1] - (cs[:, j - 2] if j >= 2 else 0)
-        cand_hi = ca[:, j - 1] + tail_s
-        hi = cand_hi if hi is None else np.maximum(hi, cand_hi)
-        head_s = cs[:, j - 2] if j >= 2 else np.zeros(len(a), dtype=a.dtype)
-        cand_lo = head_s + (ca[:, n - 1] - ca[:, j - 1])
-        lo = cand_lo if lo is None else np.minimum(lo, cand_lo)
-    return hi, lo
+    u = np.stack([a, s], axis=2)  # D(n, 2) and R(n) of the two-stage tandem
+    return tandem.queue_departures_batch(u)[:, -1, -1], tandem.store_departures_batch(u)[:, -1]
 
 
 def noncolliding_experiment(params: RateParams, n: int, horizon_trunc: int,
@@ -479,8 +466,8 @@ def noncolliding_experiment(params: RateParams, n: int, horizon_trunc: int,
     Conditions the gap walk to stay strictly above the running mark sums
     (truncated at ``horizon_trunc`` steps) by rejection, then compares the
     joint law of (sum of the first n gaps, sum of the marks 2..n) with the
-    unconditional law of the tandem-style max/min functionals built from
-    fresh draws.
+    unconditional law of (D(n, 2), R(n)) of the two-stage tandem whose
+    columns are fresh gaps and marks, computed by the tandem kernels.
     """
     if n < 1 or horizon_trunc < n:
         raise ValueError("need 1 <= n <= horizon_trunc")
@@ -662,8 +649,11 @@ def shape_law_experiment(q, N: int, reps: int, seed: Seed,
     )
 
 
+LAGUERRE_BLOCK = 200_000  # matrices per draw: bounds the memory of one laguerre run
+
+
 def laguerre_check(K: int, reps: int, seed: Seed, reference_mean: float | None = None,
-                   alpha: float = 0.01, chunk: int = 200_000) -> ExperimentReport:
+                   alpha: float = 0.01) -> ExperimentReport:
     """Exponentiality of the square-case cumulative store output.
 
     With K x K mean-one exponential entries, R is the minimum over the K
@@ -679,7 +669,7 @@ def laguerre_check(K: int, reps: int, seed: Seed, reference_mean: float | None =
     values = []
     remaining = reps
     while remaining > 0:
-        b = min(chunk, remaining)
+        b = min(LAGUERRE_BLOCK, remaining)
         u = draw_exponential(gen, 1.0, (b, K, K))
         values.append(tandem.store_departures_batch(u)[:, -1])
         remaining -= b

@@ -181,6 +181,20 @@ SCIPY_DIGESTS = {
         "f90c3a1fc7b4bbbf166e58631710cf0f1423b2af5c3f006fe2e5c8a1bb001bfc",
     ("laguerre", "--reps", "20000", "--seed", "1"):
         "8100cded8dcbaf2c483a4dbcc6c49c99df0087ac98059a74312e68e245573ad5",
+    # recorded before zigzag-law and noncolliding moved onto the queue_store
+    # and tandem kernels; the 3000-period run at p = 0.55 draws several blocks
+    ("burke", "--horizon", "20000", "--seed", "0"):
+        "87222d0f8585e2ad48b65483900efd5ee18e2c47fc0a94cd67b19c3d007aca79",
+    ("burke", "--model", "exp", "--horizon", "20000", "--seed", "0"):
+        "2dea3a41a702e6a20a139b5795bd7109baacb0908a04b3a42b8bf4005caf0962",
+    ("zigzag-law", "--periods", "20000", "--seed", "0"):
+        "da34e6508d5ea671e6b23dfaa1eb926cca1fd7972580c8219db0d58e411db491",
+    ("zigzag-law", "--p", "0.55", "--q", "0.6", "--periods", "3000", "--seed", "0"):
+        "8eac6656f189ad6c2d43ef570081a1fbf74b9a6af460b969d06813ac7d4bf2fe",
+    ("noncolliding", "--reps", "20000", "--seed", "0"):
+        "5362c372af643bc47acb155d9fc400aa1a532f7d093e2aadeb1be1b61b32de65",
+    ("noncolliding", "--model", "exp", "--reps", "20000", "--seed", "0"):
+        "e6e989b265569a5aaeca3fe98379439b96a74dd2149887cb1bca303fdb29610c",
 }
 
 

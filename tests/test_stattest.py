@@ -2,9 +2,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from dualq.sampling import RateParams, Seed, sample_exponential
+from dualq import stattest
+from dualq.sampling import RateParams, Seed, draw_geometric, sample_exponential
 from dualq.stattest import (
     DegenerateTestError,
     GofResult,
@@ -22,7 +24,9 @@ from dualq.stattest import (
     shape_law_experiment,
     trajectory_pmf,
     zigzag_law_experiment,
+    _margin_bins,
     _minmax_functionals,
+    _sample_busy_trajectories,
     _shape_keys,
 )
 from dualq.queue_store import enumerate_trajectories
@@ -159,6 +163,33 @@ def test_independence_detects_coupling():
     assert not independence_test(x, x + gen.integers(0, 2, 20_000)).passed
 
 
+def margin_bins_reference(values, n_bins):
+    """Integer binning value by value: bins fill in increasing value order and
+    close once they hold values.size / n_bins samples, the last takes the rest."""
+    uniq, counts = np.unique(values, return_counts=True)
+    mapping = {}
+    b, acc = 0, 0
+    for v, c in zip(uniq.tolist(), counts.tolist()):
+        mapping[v] = b
+        acc += c
+        if acc >= len(values) / n_bins and b < n_bins - 1:
+            b += 1
+            acc = 0
+    return [mapping[v] for v in values.tolist()]
+
+
+@pytest.mark.parametrize("values, n_bins", [
+    (np.full(50, 4), 6),                                   # one distinct value
+    (np.array([1] * 90 + [2] * 5 + [3] * 5), 8),           # heavy ties
+    (np.array([3, 1, 2, 1]), 10),                          # more bins than values
+    (Seed(9).generator().geometric(0.3, 100_000), 8),
+])
+def test_margin_bins_match_per_value_reference(values, n_bins):
+    bins = _margin_bins(values, n_bins)
+    assert bins.dtype == np.int64
+    assert bins.tolist() == margin_bins_reference(values, n_bins)
+
+
 def test_lag1_detects_autocorrelation():
     gen = Seed(7).generator()
     x = gen.normal(size=20_000)
@@ -239,6 +270,62 @@ def test_zigzag_law_smoke():
 def test_zigzag_law_validates_params():
     with pytest.raises(ValueError):
         zigzag_law_experiment(0.7, 0.3, Seed(0))
+    with pytest.raises(ValueError):
+        zigzag_law_experiment(0.3, 0.7, Seed(0), n_periods=0)
+
+
+def busy_trajectories_loop(p, q, n_periods, seed, chunk=1 << 15):
+    """Independent busy-period sampler: one customer at a time, marks and gaps
+    read from chunk-buffered streams, a period ending when the next gap
+    exceeds the height left."""
+    gen_s = seed.substream(0).generator()
+    gen_a = seed.substream(1).generator()
+    buf_s, buf_a = draw_geometric(gen_s, q, chunk), draw_geometric(gen_a, p, chunk)
+    is_, ia = 0, 0
+    out = []
+    for _ in range(n_periods):
+        runs = []
+        h = 0
+        while True:
+            if is_ == chunk:
+                buf_s, is_ = draw_geometric(gen_s, q, chunk), 0
+            s = int(buf_s[is_])
+            is_ += 1
+            runs.append(s)
+            h += s
+            if ia == chunk:
+                buf_a, ia = draw_geometric(gen_a, p, chunk), 0
+            a = int(buf_a[ia])
+            ia += 1
+            if a > h:
+                runs.append(h)
+                break
+            runs.append(a)
+            h -= a
+        out.append(tuple(runs))
+    return out
+
+
+# Utilization p/q stays at most 0.95 so the customer-by-customer oracle keeps
+# to a few thousand customers per period.
+@settings(deadline=None, max_examples=40)
+@given(st.floats(0.01, 0.99).flatmap(
+           lambda q: st.tuples(st.floats(0.005, 0.95 * q), st.just(q))),
+       st.integers(0, 2**32), st.integers(1, 2000), st.sampled_from([64, 1 << 15]))
+def test_busy_trajectories_match_loop(pq, master, n_periods, chunk):
+    p, q = pq
+    seed = Seed(master)
+    got = _sample_busy_trajectories(p, q, n_periods, seed)
+    assert got == busy_trajectories_loop(p, q, n_periods, seed, chunk)
+    assert all(type(x) is int for runs in got for x in runs)
+
+
+def test_busy_trajectories_span_several_blocks():
+    # near saturation 3000 periods need many blocks of 3000 customers
+    p, q, seed = 0.55, 0.6, Seed(5)
+    got = _sample_busy_trajectories(p, q, 3000, seed)
+    assert sum(len(runs) for runs in got) // 2 > 3 * 3000
+    assert got == busy_trajectories_loop(p, q, 3000, seed)
 
 
 # --- noncolliding ----------------------------------------------------------------
@@ -249,6 +336,42 @@ def test_minmax_functionals_single_step():
     hi, lo = _minmax_functionals(a, s)
     assert hi.tolist() == [8, 11]  # a_1 + s_2
     assert lo.tolist() == [0, 0]
+
+
+def minmax_functionals_loop(a, s):
+    """Independent max/min pair: one candidate split j at a time over the
+    prefix sums of ``a`` and ``s``."""
+    n = a.shape[1]
+    ca = np.cumsum(a, axis=1)
+    cs = np.cumsum(s, axis=1)  # cs[:, j-1] = s_2 + ... + s_{j+1}
+    hi = None
+    lo = None
+    for j in range(1, n + 1):
+        tail_s = cs[:, n - 1] - (cs[:, j - 2] if j >= 2 else 0)
+        cand_hi = ca[:, j - 1] + tail_s
+        hi = cand_hi if hi is None else np.maximum(hi, cand_hi)
+        head_s = cs[:, j - 2] if j >= 2 else np.zeros(len(a), dtype=a.dtype)
+        cand_lo = head_s + (ca[:, n - 1] - ca[:, j - 1])
+        lo = cand_lo if lo is None else np.minimum(lo, cand_lo)
+    return hi, lo
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 8), st.integers(1, 40), st.integers(0, 2**32), st.booleans())
+def test_minmax_functionals_match_loop(n, reps, master, floats):
+    gen = Seed(master).generator()
+    if floats:
+        a, s = gen.exponential(1.0, (2, reps, n))
+    else:
+        a, s = gen.integers(0, 9, (2, reps, n))
+    hi, lo = _minmax_functionals(a, s)
+    ref_hi, ref_lo = minmax_functionals_loop(a, s)
+    assert hi.dtype == ref_hi.dtype and lo.dtype == ref_lo.dtype
+    if floats:
+        for got, ref in ((hi, ref_hi), (lo, ref_lo)):
+            assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+    else:
+        assert np.array_equal(hi, ref_hi) and np.array_equal(lo, ref_lo)
 
 
 def test_noncolliding_geometric_smoke():
@@ -332,6 +455,12 @@ def test_laguerre_two_stages():
     rep = laguerre_check(2, 100_000, Seed(601))
     assert rep.passed
     assert rep.diagnostics["sample_mean"] == pytest.approx(0.5, abs=0.01)
+
+
+def test_laguerre_blocks_do_not_change_the_report(monkeypatch):
+    whole = laguerre_check(3, 50, Seed(604)).to_json()
+    monkeypatch.setattr(stattest, "LAGUERRE_BLOCK", 7)  # 50 matrices in 8 blocks, the last short
+    assert laguerre_check(3, 50, Seed(604)).to_json() == whole
 
 
 def test_laguerre_quoted_reference_fails():
