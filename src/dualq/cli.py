@@ -157,12 +157,10 @@ def _burke(cfg):
 @_command("zigzag-law", "busy-period trajectory law",
          p=(float, 0.3, ""), q=(float, 0.7, ""),
          periods=(int, 100000, "busy periods"),
-         max_rise=(int, 4, "enumerate trajectories up to this rise"),
          seed=(int, 0, ""), alpha=(float, 0.01, ""))
 def _zigzag_law(cfg):
     return _verdict(stattest.zigzag_law_experiment(
-        cfg.p, cfg.q, Seed(cfg.seed), n_periods=cfg.periods, max_rise=cfg.max_rise,
-        alpha=cfg.alpha))
+        cfg.p, cfg.q, Seed(cfg.seed), n_periods=cfg.periods, alpha=cfg.alpha))
 
 
 @_command("noncolliding", "conditioned walks vs max/min functionals",

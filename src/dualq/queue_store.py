@@ -399,17 +399,15 @@ class BackwardCheckReport:
     first_violation: tuple | None
 
 
-def backward_check(trace: QueueTrace, rel_tol: float | None = None) -> BackwardCheckReport:
+def backward_check(trace: QueueTrace) -> BackwardCheckReport:
     """Verify the backward Lindley recursion and the sojourn identity.
 
     Checks w_n = (w_{n+1} + r_n - d_{n-1})^+ on interior indices and
     v_n = w_n + s_n = w_{n+1} + r_n wherever r is defined.  Exact for
-    integer traces; relative 1e-12 by default for real ones.
+    integer traces; relative 1e-12 for real ones.
     """
-    if rel_tol is None:
-        rel_tol = 0.0 if trace.A.dtype.kind in "iu" else 1e-12
-    scale = max(1.0, float(np.abs(trace.D).max()))
-    tol = rel_tol * scale
+    rel_tol = 0.0 if trace.A.dtype.kind in "iu" else 1e-12
+    tol = rel_tol * max(1.0, float(np.abs(trace.D).max()))
     # element by element on python scalars, independent of the closed forms
     w, s, r, d = trace.w.tolist(), trace.s.tolist(), trace.r.tolist(), trace.d.tolist()
     worst = 0.0

@@ -13,6 +13,7 @@ The scalar witnesses are the batched ones on a batch of one.
 :func:`growth_shapes` gives the same shapes from Fomin's local rule, batched
 over replications, for the Monte Carlo shape law; its first coordinate is
 the queue recursion, so it is not one of the six witnesses.
+The path oracles refuse matrices with N + K above :data:`BRUTE_FORCE_LIMIT`.
 """
 
 from __future__ import annotations
@@ -150,6 +151,8 @@ def growth_shapes(u) -> np.ndarray:
     lambda_1 = max(nu_1, rho_1) + u(i, j) and, for k >= 2,
     lambda_k = max(nu_k, rho_k) + min(nu_{k-1}, rho_{k-1}) - mu_{k-1}.
     """
+    if np.asarray(u).dtype.kind not in "iu":
+        raise ValueError("growth shapes need integer entries")
     u = np.asarray(u, dtype=np.int64)
     reps, N, K = u.shape
     out = np.zeros((reps, N + 1, K), dtype=np.int64)
@@ -304,33 +307,34 @@ def _skew_paths(N: int, K: int) -> np.ndarray:
     return np.array(paths, dtype=np.intp)
 
 
-def _path_sums(u, paths_of, limit: int) -> np.ndarray:
+def _path_sums(u, paths_of) -> np.ndarray:
     """Node sums (B, P) of the P paths ``paths_of(N, K)`` over each (N, K) slice."""
     u = np.asarray(u)
     B, N, K = u.shape
-    if N + K > limit:
-        raise SizeLimitError(f"N+K = {N + K} exceeds the brute-force limit {limit}")
+    if N + K > BRUTE_FORCE_LIMIT:
+        raise SizeLimitError(
+            f"N+K = {N + K} exceeds the brute-force limit {BRUTE_FORCE_LIMIT}")
     return u.reshape(B, N * K)[:, paths_of(N, K)].sum(axis=-1)
 
 
-def path_max_batch(u, limit: int = BRUTE_FORCE_LIMIT) -> np.ndarray:
+def path_max_batch(u) -> np.ndarray:
     """:func:`path_max` of each (N, K) slice, (B, N, K) -> (B,)."""
-    return _path_sums(u, _up_right_paths, limit).max(axis=-1)
+    return _path_sums(u, _up_right_paths).max(axis=-1)
 
 
-def path_min_batch(u, limit: int = BRUTE_FORCE_LIMIT) -> np.ndarray:
+def path_min_batch(u) -> np.ndarray:
     """:func:`path_min` of each (N, K) slice, (B, N, K) -> (B,)."""
-    return _path_sums(u, _skew_paths, limit).min(axis=-1)
+    return _path_sums(u, _skew_paths).min(axis=-1)
 
 
-def path_max(U, limit: int = BRUTE_FORCE_LIMIT):
+def path_max(U):
     """Exhaustive maximum of node sums over up-right paths (1,1)->(N,K)."""
-    return path_max_batch(tandem._as_matrix(U).u[None], limit)[0]
+    return path_max_batch(tandem._as_matrix(U).u[None])[0]
 
 
-def path_min(U, limit: int = BRUTE_FORCE_LIMIT):
+def path_min(U):
     """Exhaustive minimum of node sums over the dual path set; 0 when empty."""
-    return path_min_batch(tandem._as_matrix(U).u[None], limit)[0]
+    return path_min_batch(tandem._as_matrix(U).u[None])[0]
 
 
 @dataclass(frozen=True)
@@ -343,7 +347,7 @@ class RowQueueReport:
     ok: bool
 
 
-def verify_row_queue_batch(u, limit: int = BRUTE_FORCE_LIMIT) -> tuple:
+def verify_row_queue_batch(u) -> tuple:
     """The six-way identity on each (N, K) integer slice of ``u``: the (B, 4)
     quadruples lambda1 and lambdaK, columns (tableau, operator chain, path
     oracle, tandem recursion), and ok (B,), whether each holds one value."""
@@ -352,7 +356,7 @@ def verify_row_queue_batch(u, limit: int = BRUTE_FORCE_LIMIT) -> tuple:
     lam1, lamK = np.empty((2, B, 4), dtype=np.int64)
     words, M = _words(u)  # one word build for the chains and the insertions
     lam1[:, 1], lamK[:, 1] = _operator_chains(words, M, K)
-    lam1[:, 2], lamK[:, 2] = path_max_batch(u, limit), path_min_batch(u, limit)
+    lam1[:, 2], lamK[:, 2] = path_max_batch(u), path_min_batch(u)
     for b in range(B):  # row insertion: one fold per case
         sh = tableau_of(words[b, :M[b]]).shape() + (0,) * K
         lam1[b, 0], lamK[b, 0] = sh[0], sh[K - 1]
@@ -362,6 +366,6 @@ def verify_row_queue_batch(u, limit: int = BRUTE_FORCE_LIMIT) -> tuple:
     return lam1, lamK, ok
 
 
-def verify_row_queue(U, limit: int = BRUTE_FORCE_LIMIT) -> RowQueueReport:
-    lam1, lamK, ok = verify_row_queue_batch(tandem._as_matrix(U).u[None], limit)
+def verify_row_queue(U) -> RowQueueReport:
+    lam1, lamK, ok = verify_row_queue_batch(tandem._as_matrix(U).u[None])
     return RowQueueReport(tuple(lam1[0].tolist()), tuple(lamK[0].tolist()), bool(ok[0]))

@@ -103,7 +103,6 @@ def ssyt_enumerate(shape, k: int) -> list[Tableau]:
     return [Tableau(rows) for rows in _fillings(normalize_partition(shape), k)]
 
 
-@lru_cache(maxsize=None)
 def ssyt_count(shape: tuple, n: int) -> int:
     """#SSYT of ``shape`` over {1..n}, by the hook-content formula.
 

@@ -7,6 +7,8 @@ at a pre-registered significance level, never exact-equality claims.
 
 zigzag-law reads its busy periods off a :mod:`~dualq.queue_store` trace;
 noncolliding's reference pair is (D(n, 2), R(n)) from the :mod:`~dualq.tandem` kernels.
+The test resolutions are the constants :data:`MIN_EXPECTED`, :data:`MAX_RISE`
+and :data:`MIN_ACCEPTANCE`.
 """
 
 from __future__ import annotations
@@ -59,6 +61,11 @@ __all__ = [
     "shape_law_experiment",
     "laguerre_check",
 ]
+
+
+MIN_EXPECTED = 5.0  # expected count below which a chi-square cell is pooled
+MAX_RISE = 4  # zigzag-law's catalog: every trajectory up to this rise (Catalan growth)
+MIN_ACCEPTANCE = 1e-4  # noncolliding gives up when bound to accept fewer walks
 
 
 class DegenerateTestError(ValueError):
@@ -133,13 +140,13 @@ def ks_test(sample, cdf, *, name: str = "ks", alpha: float = 0.01) -> GofResult:
     return GofResult(name, float(res.statistic), float(res.pvalue), sample.size, alpha)
 
 
-def _pool_bins(observed, expected, min_expected):
+def _pool_bins(observed, expected):
     obs_out, exp_out = [], []
     o_acc = e_acc = 0.0
     for o, e in zip(observed, expected):
         o_acc += o
         e_acc += e
-        if e_acc >= min_expected:
+        if e_acc >= MIN_EXPECTED:
             obs_out.append(o_acc)
             exp_out.append(e_acc)
             o_acc = e_acc = 0.0
@@ -152,12 +159,11 @@ def _pool_bins(observed, expected, min_expected):
     return np.asarray(obs_out, dtype=float), np.asarray(exp_out, dtype=float)
 
 
-def chi2_test(observed, expected, *, name: str = "chi2", alpha: float = 0.01,
-              min_expected: float = 5.0) -> GofResult:
+def chi2_test(observed, expected, *, name: str = "chi2", alpha: float = 0.01) -> GofResult:
     """Pearson chi-square with adjacent pooling of thin bins.
 
     Totals must agree to 1e-9 (relative); anything thinner than
-    ``min_expected`` is merged with its neighbour before testing.
+    :data:`MIN_EXPECTED` is merged with its neighbour before testing.
     """
     from scipy import stats
 
@@ -168,7 +174,7 @@ def chi2_test(observed, expected, *, name: str = "chi2", alpha: float = 0.01,
     so, se = observed.sum(), expected.sum()
     if abs(so - se) > 1e-9 * max(1.0, abs(se)):
         raise ValueError(f"totals differ: observed {so}, expected {se}")
-    obs, exp = _pool_bins(observed, expected, min_expected)
+    obs, exp = _pool_bins(observed, expected)
     if len(obs) < 2:
         raise DegenerateTestError("fewer than two bins after pooling")
     stat, p = stats.chisquare(obs, exp)
@@ -176,11 +182,11 @@ def chi2_test(observed, expected, *, name: str = "chi2", alpha: float = 0.01,
 
 
 def chi2_two_sample(keys_x, keys_y, *, name: str = "chi2-2samp",
-                    alpha: float = 0.01, min_expected: float = 5.0) -> GofResult:
+                    alpha: float = 0.01) -> GofResult:
     """Homogeneity chi-square of two samples of hashable categories.
 
-    Rare categories (combined expected below the threshold in either
-    group) are lumped into one rest cell; categories are ordered by
+    Rare categories (combined expected below :data:`MIN_EXPECTED` in
+    either group) are lumped into one rest cell; categories are ordered by
     combined count so the binning is deterministic.
     """
     from scipy import stats
@@ -191,7 +197,7 @@ def chi2_two_sample(keys_x, keys_y, *, name: str = "chi2-2samp",
     total = nx + ny
     order = sorted((cx + cy).items(), key=lambda kv: (-kv[1], repr(kv[0])))
     frac = min(nx, ny) / total
-    keep = [k for k, c in order if c * frac >= min_expected]
+    keep = [k for k, c in order if c * frac >= MIN_EXPECTED]
     kept = set(keep)
     rest = [k for k, _ in order if k not in kept]
     row_x = [cx.get(k, 0) for k in keep]
@@ -226,16 +232,15 @@ def _margin_bins(values, n_bins):
     return np.searchsorted(edges, values, side="right")
 
 
-def independence_test(x, y, *, name: str = "independence", alpha: float = 0.01,
-                      n_bins: int = 8) -> GofResult:
-    """Contingency chi-square of the binned joint against the product of
-    the empirical marginals."""
+def independence_test(x, y, *, name: str = "independence", alpha: float = 0.01) -> GofResult:
+    """Contingency chi-square of the joint, each margin binned into 8
+    groups, against the product of the empirical marginals."""
     from scipy import stats
 
     x = np.asarray(x)
     y = np.asarray(y)
-    bx = _margin_bins(x, n_bins)
-    by = _margin_bins(y, n_bins)
+    bx = _margin_bins(x, 8)
+    by = _margin_bins(y, 8)
     table = np.zeros((bx.max() + 1, by.max() + 1))
     np.add.at(table, (bx, by), 1)
     table = table[table.sum(axis=1) > 0][:, table.sum(axis=0) > 0]
@@ -360,18 +365,18 @@ def trajectory_pmf(runs, p: float, q: float) -> float:
 def _sample_busy_trajectories(p, q, n_periods, seed):
     """Runs of the first ``n_periods`` busy periods of one Geom/Geom/1 queue
     trace: each period's (mark, gap) pairs, its last gap replaced by the last
-    customer's D - A.  Marks (substream 0) and gaps (substream 1) are drawn
-    ``n_periods`` at a time until the last period kept is closed."""
-    gen_s = seed.substream(0).generator()
-    gen_a = seed.substream(1).generator()
-    s = a = np.empty(0, dtype=np.int64)
+    customer's D - A.  The trace takes the first k marks (substream 0) and
+    gaps (substream 1), k doubling from ``n_periods`` until the last period
+    kept is closed; a stream's first k draws do not depend on k."""
+    k = n_periods
     while True:
-        s = np.append(s, draw_geometric(gen_s, q, n_periods))
-        a = np.append(a, draw_geometric(gen_a, p, n_periods))
+        s = draw_geometric(seed.substream(0).generator(), q, k)
+        a = draw_geometric(seed.substream(1).generator(), p, k)
         tr = trace_from_arrays(np.concatenate(([0], np.cumsum(a[:-1]))), s)
         firsts, stops = _period_bounds(tr.A, tr.D)
         if firsts.size > n_periods:
             break
+        k *= 2
     firsts, stops = firsts[:n_periods], stops[:n_periods]
     runs = np.stack([s, a], axis=1)[:stops[-1]]
     runs[stops - 1, 1] = (tr.D - tr.A)[stops - 1]
@@ -380,14 +385,13 @@ def _sample_busy_trajectories(p, q, n_periods, seed):
 
 
 def zigzag_law_experiment(p: float, q: float, seed: Seed,
-                          n_periods: int = 100_000, max_rise: int = 4,
-                          alpha: float = 0.01) -> ExperimentReport:
+                          n_periods: int = 100_000, alpha: float = 0.01) -> ExperimentReport:
     """Distribution of busy-period zigzag trajectories.
 
-    Checks the absolute trajectory frequencies against
-    :func:`trajectory_pmf`, equiprobability inside each (length, peaks)
-    class, and invariance under time reversal.  The busy periods are those
-    of one queue trace that starts empty, split by the queue's own rule.
+    Checks the frequencies of the trajectories of rise up to :data:`MAX_RISE`
+    against :func:`trajectory_pmf`, equiprobability inside each (length,
+    peaks) class, and invariance under time reversal.  The busy periods are
+    those of one queue trace that starts empty, split by the queue's own rule.
     """
     from scipy import stats
 
@@ -398,7 +402,7 @@ def zigzag_law_experiment(p: float, q: float, seed: Seed,
     trajs = _sample_busy_trajectories(p, q, n_periods, seed)
     counts = Counter(trajs)
     catalog = []
-    for L in range(1, max_rise + 1):
+    for L in range(1, MAX_RISE + 1):
         catalog.extend(enumerate_trajectories(L))
     results = []
 
@@ -407,7 +411,7 @@ def zigzag_law_experiment(p: float, q: float, seed: Seed,
     observed.append(n_periods - sum(observed))
     expected.append(n_periods - sum(expected))
     results.append(chi2_test(observed, expected,
-                             name=f"trajectory-frequencies-rise<={max_rise}", alpha=alpha))
+                             name=f"trajectory-frequencies-rise<={MAX_RISE}", alpha=alpha))
 
     by_class: dict[tuple, list] = {}
     for t in catalog:
@@ -420,7 +424,7 @@ def zigzag_law_experiment(p: float, q: float, seed: Seed,
             continue
         exp = np.full(len(members), obs.sum() / len(members))
         results.append(chi2_test(obs, exp, name=f"uniform-within-class-L{L}-k{k}",
-                                 alpha=alpha, min_expected=5.0))
+                                 alpha=alpha))
 
     stat = 0.0
     dof = 0
@@ -441,7 +445,7 @@ def zigzag_law_experiment(p: float, q: float, seed: Seed,
 
     return ExperimentReport(
         name="zigzag-law",
-        params={"p": p, "q": q, "n_periods": n_periods, "max_rise": max_rise},
+        params={"p": p, "q": q, "n_periods": n_periods, "max_rise": MAX_RISE},
         seed=seed,
         results=results,
         diagnostics={"distinct_trajectories": len(counts)},
@@ -459,8 +463,7 @@ def _minmax_functionals(a, s):
 
 
 def noncolliding_experiment(params: RateParams, n: int, horizon_trunc: int,
-                            reps: int, seed: Seed, alpha: float = 0.01,
-                            min_acceptance: float = 1e-4) -> ExperimentReport:
+                            reps: int, seed: Seed, alpha: float = 0.01) -> ExperimentReport:
     """Conditioned random-walk pair against the unconditional max/min pair.
 
     Conditions the gap walk to stay strictly above the running mark sums
@@ -469,8 +472,8 @@ def noncolliding_experiment(params: RateParams, n: int, horizon_trunc: int,
     unconditional law of (D(n, 2), R(n)) of the two-stage tandem whose
     columns are fresh gaps and marks, computed by the tandem kernels.
     """
-    if n < 1 or horizon_trunc < n:
-        raise ValueError("need 1 <= n <= horizon_trunc")
+    if n < 1 or horizon_trunc < n or reps < 1:
+        raise ValueError("need 1 <= n <= horizon_trunc and reps >= 1")
     geometric = params.model == "geomgeom1"
     draw = draw_geometric if geometric else draw_exponential
     gen_a = seed.substream(0).generator()
@@ -481,23 +484,22 @@ def noncolliding_experiment(params: RateParams, n: int, horizon_trunc: int,
     acc_x, acc_y = [], []
     accepted = attempts = 0
     while accepted < reps:
-        a = draw(gen_a, params.arrival, (batch, horizon_trunc))
-        s = draw(gen_s, params.service, (batch, horizon_trunc))  # s_2..s_{T+1}
-        ok = (np.cumsum(a, axis=1) > np.cumsum(s, axis=1)).all(axis=1)
+        A = np.cumsum(draw(gen_a, params.arrival, (batch, horizon_trunc)), axis=1)
+        S = np.cumsum(draw(gen_s, params.service, (batch, horizon_trunc)), axis=1)  # s_2..s_{T+1}
+        ok = (A > S).all(axis=1)
         attempts += batch
         accepted += int(ok.sum())
-        acc_x.append(np.cumsum(a[ok, :n], axis=1)[:, -1])
-        ys = np.cumsum(s[ok, :max(n - 1, 1)], axis=1)[:, -1] if n >= 2 else np.zeros(int(ok.sum()), dtype=a.dtype)
-        acc_y.append(ys)
+        acc_x.append(A[ok, n - 1])
+        acc_y.append(S[ok, n - 2] if n >= 2 else np.zeros(int(ok.sum()), dtype=A.dtype))
         # The rate is judged after `checked_at` batches and every batch after.
         # Raise as soon as the run is bound to fail that: it cannot reach reps
         # first, and even accepting every walk up to the check keeps it low.
         done = attempts // batch
         best = accepted + max(checked_at - done, 0) * batch
         if ((done >= checked_at or accepted + (checked_at - 1 - done) * batch < reps)
-                and best / max(attempts, checked_at * batch) < min_acceptance):
+                and best / max(attempts, checked_at * batch) < MIN_ACCEPTANCE):
             raise InfeasibleError(
-                f"acceptance rate {accepted / attempts:.2e} below {min_acceptance:.0e} "
+                f"acceptance rate {accepted / attempts:.2e} below {MIN_ACCEPTANCE:.0e} "
                 f"after {attempts} attempts"
             )
     cond_x = np.concatenate(acc_x)[:reps]
@@ -538,6 +540,8 @@ def interchange_experiment(q, sigma, N: int, reps: int, seed: Seed,
     """
     from scipy import stats
 
+    if N < 1 or reps < 1:
+        raise ValueError("need N >= 1 and reps >= 1")
     q = _weights(q)
     K = len(q)
     sigma = tuple(sigma)
@@ -592,17 +596,16 @@ def _shape_keys(shapes: np.ndarray) -> list[tuple]:
 
 
 def _pmf_chi2(counter: Counter, pmf: dict, total: int, *, name: str,
-              alpha: float, min_expected: float = 5.0) -> GofResult:
+              alpha: float) -> GofResult:
     """Chi-square of observed categories against a (possibly truncated) pmf;
     everything outside the well-supported cells pools into a rest cell."""
-    cells = sorted((k for k, p in pmf.items() if total * p >= min_expected),
+    cells = sorted((k for k, p in pmf.items() if total * p >= MIN_EXPECTED),
                    key=lambda k: (-pmf[k], repr(k)))
     observed = [counter.get(k, 0) for k in cells]
     expected = [total * pmf[k] for k in cells]
     observed.append(total - sum(observed))
     expected.append(total - sum(expected))
-    return chi2_test(observed, expected, name=name, alpha=alpha,
-                     min_expected=min_expected)
+    return chi2_test(observed, expected, name=name, alpha=alpha)
 
 
 def shape_law_experiment(q, N: int, reps: int, seed: Seed,
@@ -614,6 +617,8 @@ def shape_law_experiment(q, N: int, reps: int, seed: Seed,
     (shape at N, shape at N+1) pairs against pmf times transition kernel,
     and the invariance of the shape law under permuting the weights.
     """
+    if N < 1 or reps < 1:
+        raise ValueError("need N >= 1 and reps >= 1")
     q = _weights(q)
     K = len(q)
     u = _geometric0_matrices(q, reps, N + 1, seed, 0)

@@ -356,6 +356,30 @@ def test_invalid_weights_exit_two(capsys, argv):
     assert "strictly in (0, 1)" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("interchange", "--n", "0"),      # died with IndexError
+    ("interchange", "--reps", "0"),   # died with ZeroDivisionError
+    ("shape-law", "--n", "0"),        # "fewer than two bins after pooling"
+    ("shape-law", "--reps", "0"),
+    ("noncolliding", "--reps", "0"),  # numpy's "need at least one array to concatenate"
+])
+def test_empty_sizes_exit_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert ">= 1" in err  # rejected where the size enters, not deep in a kernel
+
+
+def test_zigzag_law_has_no_max_rise(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["zigzag-law", "--max-rise", "5"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max_rise": 4}))
+    code, _, err = run(capsys, "zigzag-law", "--config", str(cfg))
+    assert code == 2 and "unknown config keys" in err
+
+
 # Only the goodness-of-fit tests need scipy; the exact subcommands start without it.
 _SCIPY_PROBE = """
 import sys

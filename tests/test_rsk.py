@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dualq import rsk
 from dualq.rsk import (
     growth_shapes,
     BRUTE_FORCE_LIMIT,
@@ -200,11 +201,12 @@ def test_path_min_empty_set():
     assert path_min(ServiceMatrix(np.array([[1, 2]]))) == 0
 
 
-def test_path_guard():
+def test_path_guard(monkeypatch):
     big = ServiceMatrix(np.ones((10, 6), dtype=int))
     with pytest.raises(SizeLimitError):
         path_max(big)
-    assert path_max(big, limit=16) == 15
+    monkeypatch.setattr(rsk, "BRUTE_FORCE_LIMIT", 16)
+    assert path_max(big) == 15
     assert 10 + 6 > BRUTE_FORCE_LIMIT
 
 
@@ -239,6 +241,12 @@ def test_growth_shapes_match_insertion_on_every_prefix(U):
     for n in range(1, U.N + 1):
         sh = shape(tableau_of(word_of(ServiceMatrix(U.u[:n]))))
         assert tuple(x for x in grown[n].tolist() if x) == sh
+
+
+def test_growth_shapes_rejects_non_integer_entries():
+    # the entries were cast to int64, giving shapes [[0, 0], [1, 0]]
+    with pytest.raises(ValueError, match="integer"):
+        growth_shapes([[[0.5, 1.7]]])
 
 
 # --- batched witnesses against per-case loops ----------------------------------
@@ -353,10 +361,11 @@ def test_six_way_batch_names_the_failing_witness(monkeypatch):
 
 
 @pytest.mark.parametrize("fn", [path_max_batch, path_min_batch, verify_row_queue_batch])
-def test_batches_keep_the_brute_force_limit(fn):
+def test_batches_keep_the_brute_force_limit(fn, monkeypatch):
     u = np.ones((2, 10, 6), dtype=np.int64)
     assert 10 + 6 > BRUTE_FORCE_LIMIT
     with pytest.raises(SizeLimitError):
         fn(u)
-    assert fn(u, limit=16) is not None
+    monkeypatch.setattr(rsk, "BRUTE_FORCE_LIMIT", 16)
+    assert fn(u) is not None
 

@@ -54,21 +54,19 @@ def test_substream_refuses_colliding_paths():
 def _key(master, path):
     s = Seed(master)
     for i in path:
-        try:
-            s = s.substream(i)
-        except ValueError:
-            return None
+        s = s.substream(i)
     return s
 
 
-paths = st.lists(st.one_of(st.integers(0, 8), st.integers(0, 2**32)), max_size=3)
+# the accepted domain only: depth at most two, indices 0..2**32 - 2; the
+# refusals outside it are test_substream_refuses_colliding_paths
+paths = st.lists(st.one_of(st.integers(0, 8), st.integers(0, 2**32 - 2)), max_size=2)
 
 
 @given(st.integers(0, 2**64 - 1), paths, paths)
 def test_distinct_accepted_paths_give_distinct_keys(master, p1, p2):
-    k1, k2 = _key(master, p1), _key(master, p2)
-    assume(k1 is not None and k2 is not None and p1 != p2)
-    assert k1 != k2
+    assume(p1 != p2)
+    assert _key(master, p1) != _key(master, p2)
 
 
 def test_geometric_degenerate_p_one():

@@ -68,8 +68,9 @@ def test_chi2_exact_match_is_zero():
     assert r.statistic == 0.0 and r.p_value == 1.0
 
 
-def test_chi2_disjoint_supports_rejects():
-    r = chi2_test([0.0, 100.0], [99.99, 0.01], min_expected=0.0)
+def test_chi2_disjoint_supports_rejects(monkeypatch):
+    monkeypatch.setattr(stattest, "MIN_EXPECTED", 0.0)
+    r = chi2_test([0.0, 100.0], [99.99, 0.01])
     assert r.p_value < 1e-12
 
 
@@ -395,17 +396,19 @@ def test_noncolliding_truncation_stability():
     assert a.passed and b.passed
 
 
-def test_noncolliding_infeasibility_guard():
+def test_noncolliding_infeasibility_guard(monkeypatch):
+    monkeypatch.setattr(stattest, "MIN_ACCEPTANCE", 0.9999)
     with pytest.raises(InfeasibleError):
         noncolliding_experiment(RateParams("geomgeom1", 0.3, 0.7), 2, 30,
-                                10**7, Seed(304), min_acceptance=0.9999)
+                                10**7, Seed(304))
 
 
-def test_noncolliding_guard_spares_runs_that_finish_early():
-    # the rate stays far below min_acceptance, but reps is reached within a few
+def test_noncolliding_guard_spares_runs_that_finish_early(monkeypatch):
+    # the rate stays far below MIN_ACCEPTANCE, but reps is reached within a few
     # batches, long before the 50-batch check, so the run returns
+    monkeypatch.setattr(stattest, "MIN_ACCEPTANCE", 0.9999)
     rep = noncolliding_experiment(RateParams("geomgeom1", 0.3, 0.7), 2, 30,
-                                  4096, Seed(304), min_acceptance=0.9999)
+                                  4096, Seed(304))
     assert rep.diagnostics["acceptance_rate"] < 0.9
     assert rep.diagnostics["attempts"] < 50 * 4096
 
