@@ -93,6 +93,9 @@ def _random_cases(cfg, n_key: str, k_key: str, test: str, check) -> tuple[dict, 
     returns per case None on a pass or a dict describing the failure.  The
     diagnostics name the first failing case, and appear only if one fails.
     """
+    for key, low in ((n_key, 1), (k_key, 1), ("max_entry", 0), ("cases", 1)):
+        if getattr(cfg, key) < low:
+            raise ValueError(f"need {key} >= {low}, got {getattr(cfg, key)}")
     seed = Seed(cfg.seed)
     failures, first = 0, None
     for lo in range(0, cfg.cases, CASE_BLOCK):

@@ -10,12 +10,16 @@ queue; ``(D, r)`` is the output marked sequence.
 Everything here is deterministic: integer inputs stay in exact integer
 arithmetic, real inputs in double precision.
 
-The trace (:func:`_fifo_series`), the busy-period bounds and the knots of
+The trace (:func:`_fifo_series`, shared with the tandem kernels: customers
+first, replications innermost), the busy-period bounds and the knots of
 :func:`workload_pair` are array closed forms.  :func:`lindley_forward` and
 :func:`backward_check` stay element-by-element loops on Python scalars:
 they are the independent witnesses the closed forms are checked against,
 so they must not share code with them.  :func:`zigzag_from_trace`
 validates each excursion in one pass over the period's marks and epochs.
+Scans over customers use :func:`_accumulate`: a loop over rows when the
+rows are wider than the customer axis is long, ``ufunc.accumulate``
+otherwise, with the same values either way.
 """
 
 from __future__ import annotations
@@ -102,21 +106,42 @@ def lindley_forward(w1, a, s) -> np.ndarray:
     return np.array(w, dtype=dtype)
 
 
-def _fifo_series(A, s):
+def _accumulate(ufunc, x, out=None):
+    """``ufunc.accumulate(x, axis=0, out=out)``: the same values, dtype and order.
+
+    numpy's accumulate walks the axis one element at a time for each position
+    of the other axes, which is slow when the axis is short and its rows are
+    wide.  When a row holds more elements than the axis is long, the rows are
+    combined one ufunc call at a time instead; otherwise accumulate runs.
+    The choice rests on the shape alone.  ``out`` may be ``x``.
+    """
+    if len(x) and x[0].size > len(x):
+        if out is None:  # accumulate's own dtype: small integers widen as in cumsum
+            out = np.empty(x.shape, ufunc.accumulate(x[:1], axis=0).dtype)
+        out[0] = x[0]
+        for n in range(1, len(x)):
+            ufunc(out[n - 1], x[n], out=out[n])
+        return out
+    return ufunc.accumulate(x, axis=0, out=out)
+
+
+def _fifo_series(A, s, out=None):
     """Departure epochs of K FIFO queues in series, in closed form.
 
-    Customer n reaches queue 1 at ``A[..., n]`` and queue k when it leaves
-    queue k-1; ``s[..., n, k]`` is its service at queue k.  Each queue
-    solves D_n = max(D_{n-1}, A_n) + s_n by one scan over the customers,
-    D = S + cummax(A - (S - s)) with S the partial sums of its services.
-    Returns the departures, shaped like ``s``.
+    ``s[n, k, b]`` is customer n's service at queue k in replication b: the
+    replications are the innermost axis, so every step runs over a
+    contiguous row of them.  Customer n reaches queue 1 at ``A[n]`` (an
+    (N, B) array or a scalar) and queue k when it leaves queue k-1.  Each
+    queue solves D_n = max(D_{n-1}, A_n) + s_n by one scan over the
+    customers, D = S + cummax(A - (S - s)) with S the partial sums of its
+    services; the scans go through :func:`_accumulate`.  Returns the
+    departures, shaped like ``s``, written into ``out`` if given.
     """
-    S = s.cumsum(axis=-2)
-    before = S - s                 # sum_{i<n} s_i
-    D = np.empty_like(S)
-    for k in range(s.shape[-1]):
-        A = np.add(S[..., k], np.maximum.accumulate(A - before[..., k], axis=-1),
-                   out=D[..., k])
+    D = S = _accumulate(np.add, s, out)  # each queue's D overwrites its S
+    gap = S - s  # sum_{i<n} s_i, then A - that
+    for k in range(s.shape[1]):
+        g = np.subtract(A, gap[:, k], out=gap[:, k])
+        A = np.add(S[:, k], _accumulate(np.maximum, g, g), out=D[:, k])
     return D
 
 
@@ -141,7 +166,7 @@ def trace_from_arrays(A, s, w1=0) -> QueueTrace:
     s = s.astype(dtype)
     arrivals = A.copy()
     arrivals[0] += dtype(w1)       # the first customer finds w1 of work ahead
-    D = _fifo_series(arrivals, s[:, None])[:, 0]
+    D = _fifo_series(arrivals[:, None], s[:, None, None])[:, 0, 0]
     # w via w_{n+1} = (D_n - A_{n+1})^+ rather than D - s - A: the clamp
     # makes idle arrivals exactly zero, with no float residue
     w = np.empty_like(D)

@@ -12,7 +12,9 @@ the two tandem kernels run once per stack, row insertion once per case.
 The scalar witnesses are the batched ones on a batch of one.
 :func:`growth_shapes` gives the same shapes from Fomin's local rule, batched
 over replications, for the Monte Carlo shape law; its first coordinate is
-the queue recursion, so it is not one of the six witnesses.
+the queue recursion, so it is not one of the six witnesses.  It fills each
+cell for all replications at once on (K, reps) arrays, the replications
+innermost, as the tandem kernels do.
 The path oracles refuse matrices with N + K above :data:`BRUTE_FORCE_LIMIT`.
 """
 
@@ -150,24 +152,28 @@ def growth_shapes(u) -> np.ndarray:
     mu, nu, rho the shapes at cells (i-1, j-1), (i-1, j), (i, j-1),
     lambda_1 = max(nu_1, rho_1) + u(i, j) and, for k >= 2,
     lambda_k = max(nu_k, rho_k) + min(nu_{k-1}, rho_{k-1}) - mu_{k-1}.
+    The cells are filled on (K, reps) arrays, the replications innermost,
+    and the result is a (reps, N+1, K) view of an (N+1, K, reps) array.
     """
     if np.asarray(u).dtype.kind not in "iu":
         raise ValueError("growth shapes need integer entries")
-    u = np.asarray(u, dtype=np.int64)
-    reps, N, K = u.shape
-    out = np.zeros((reps, N + 1, K), dtype=np.int64)
-    prev = np.zeros((reps, K + 1, K), dtype=np.int64)  # lambda(i-1, 0..K)
+    u = tandem._rows_last(np.asarray(u, dtype=np.int64))  # (N, K, reps)
+    N, K, reps = u.shape
+    out = np.zeros((N + 1, K, reps), dtype=np.int64)
+    # lambda(i-1, 0..K) and lambda(i, 0..K); column 0 stays empty
+    prev, cur = np.zeros((2, K + 1, K, reps), dtype=np.int64)
+    carry = np.empty((K - 1, reps), dtype=np.int64)
     for i in range(N):
-        cur = np.zeros_like(prev)
         for j in range(1, K + 1):
-            mu, nu, rho = prev[:, j - 1], prev[:, j], cur[:, j - 1]
-            lam = cur[:, j]
+            mu, nu, rho, lam = prev[j - 1], prev[j], cur[j - 1], cur[j]
             np.maximum(nu, rho, out=lam)
-            lam[:, 0] += u[:, i, j - 1]
-            lam[:, 1:] += np.minimum(nu[:, :-1], rho[:, :-1]) - mu[:, :-1]
-        out[:, i + 1] = cur[:, K]
-        prev = cur
-    return out
+            lam[0] += u[i, j - 1]
+            np.minimum(nu[:-1], rho[:-1], out=carry)
+            carry -= mu[:-1]
+            lam[1:] += carry
+        out[i + 1] = cur[K]
+        prev, cur = cur, prev
+    return out.transpose(2, 0, 1)
 
 
 def insert(T: Tableau, letter: int) -> Tableau:

@@ -4,6 +4,13 @@ All randomness flows through counter-based Philox streams keyed by
 ``(master, stream)``; identical keys reproduce identical draws regardless
 of execution order, and distinct keys give independent streams, so
 replications can be farmed out in any schedule.
+
+Every law is drawn by inverse CDF, one uniform per value.  The transforms
+(``_to_geometric``, ``_to_geometric0``, ``_to_exponential``) work in place
+on an array of uniforms on [0, 1), the geometric ones leaving integer
+values in it.  The ``draw_*`` functions apply them to fresh uniforms, and
+noncolliding's rejection loop to the walk buffers it refills, so both do
+the same arithmetic.
 """
 
 from __future__ import annotations
@@ -117,22 +124,40 @@ class RateParams:
         return self.arrival / self.service
 
 
+def _to_geometric(u: np.ndarray, p: float) -> np.ndarray:
+    """floor(log1p(-u) / log1p(-p)) + 1, in place."""
+    with np.errstate(divide="ignore"):
+        scale = np.log1p(-p)
+    np.log1p(np.negative(u, out=u), out=u)
+    np.floor(np.divide(u, scale, out=u), out=u)
+    return np.add(u, 1, out=u)
+
+
+def _to_geometric0(u: np.ndarray, q: float) -> np.ndarray:
+    """floor(log1p(-u) / log(q)), in place."""
+    np.log1p(np.negative(u, out=u), out=u)
+    return np.floor(np.divide(u, np.log(q), out=u), out=u)
+
+
+def _to_exponential(u: np.ndarray, rate: float) -> np.ndarray:
+    """-log1p(-u) / rate, in place."""
+    np.log1p(np.negative(u, out=u), out=u)
+    return np.divide(np.negative(u, out=u), rate, out=u)
+
+
 def draw_geometric(gen: np.random.Generator, p: float, shape) -> np.ndarray:
     """Inverse CDF of P{X=k} = (1-p)^(k-1) p on {1, 2, ...}: one uniform per draw."""
-    u = gen.random(shape)
-    with np.errstate(divide="ignore"):
-        return (np.floor(np.log1p(-u) / np.log1p(-p)) + 1).astype(np.int64)
+    return _to_geometric(gen.random(shape), p).astype(np.int64)
 
 
 def draw_geometric0(gen: np.random.Generator, q: float, shape) -> np.ndarray:
     """Inverse CDF of P{X=k} = (1-q) q^k on {0, 1, 2, ...}: one uniform per draw."""
-    u = gen.random(shape)
-    return np.floor(np.log1p(-u) / np.log(q)).astype(np.int64)
+    return _to_geometric0(gen.random(shape), q).astype(np.int64)
 
 
 def draw_exponential(gen: np.random.Generator, rate: float, shape) -> np.ndarray:
     """Inverse CDF of Exp(rate) (mean 1/rate): one uniform per draw."""
-    return -np.log1p(-gen.random(shape)) / rate
+    return _to_exponential(gen.random(shape), rate)
 
 
 def sample_geometric(p: float, n: int, seed: Seed) -> np.ndarray:

@@ -9,6 +9,15 @@ zigzag-law reads its busy periods off a :mod:`~dualq.queue_store` trace;
 noncolliding's reference pair is (D(n, 2), R(n)) from the :mod:`~dualq.tandem` kernels.
 The test resolutions are the constants :data:`MIN_EXPECTED`, :data:`MAX_RISE`
 and :data:`MIN_ACCEPTANCE`.
+
+Replications stay in numpy arrays from the draw to the contingency table.
+The tandem matrices are drawn straight into the (N, K, reps) layout the
+kernels scan, replications innermost.  noncolliding's rejection loop
+refills two walk buffers in place.  The categorical experiments
+(interchange, shape-law, noncolliding) count each distinct row of their
+outcome array once with :func:`_row_counts`, pool rows into categories
+with :func:`_pool`, and hand the counts to the chi-square tests, instead
+of building one Python key per replication.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tandem
-from .rsk import growth_shapes
+from .rsk import growth_shapes, normalize_partition
 from .queue_store import (
     ZigzagTrajectory,
     _period_bounds,
@@ -31,9 +40,11 @@ from .queue_store import (
 from .sampling import (
     RateParams,
     Seed,
+    _to_exponential,
+    _to_geometric,
+    _to_geometric0,
     draw_exponential,
     draw_geometric,
-    draw_geometric0,
     sample_input,
 )
 from .schur import (
@@ -183,7 +194,8 @@ def chi2_test(observed, expected, *, name: str = "chi2", alpha: float = 0.01) ->
 
 def chi2_two_sample(keys_x, keys_y, *, name: str = "chi2-2samp",
                     alpha: float = 0.01) -> GofResult:
-    """Homogeneity chi-square of two samples of hashable categories.
+    """Homogeneity chi-square of two samples of hashable categories, each
+    given as a sequence of keys or as a mapping of key to count.
 
     Rare categories (combined expected below :data:`MIN_EXPECTED` in
     either group) are lumped into one rest cell; categories are ordered by
@@ -280,9 +292,33 @@ def geometric_fit_test(sample, p, *, name: str = "geometric-fit",
 
 def _geometric0_matrices(weights, reps: int, N: int, seed: Seed, base: int) -> np.ndarray:
     """(reps, N, K) tandem entries; column j is zero-inclusive geometric with
-    parameter weights[j], drawn from substream base + j."""
-    return np.stack([draw_geometric0(seed.substream(base + j).generator(), w, (reps, N))
-                     for j, w in enumerate(weights)], axis=2)
+    parameter weights[j], drawn from substream base + j.  The result is a
+    view of an (N, K, reps) array, the layout the tandem kernels scan."""
+    u = np.empty((N, len(weights), reps), dtype=np.int64)
+    for j, w in enumerate(weights):
+        draws = _to_geometric0(seed.substream(base + j).generator().random((reps, N)), w)
+        np.copyto(u[:, j], draws.T, casting="unsafe")
+    return u.transpose(2, 0, 1)
+
+
+def _row_counts(rows: np.ndarray) -> Counter:
+    """Counter of the rows of a 2-d integer array, as tuples of ints.  The
+    distinct rows are found by one sort of the rows as opaque byte strings,
+    so a tuple is built only per distinct row."""
+    rows = np.ascontiguousarray(rows)
+    raw = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+    distinct, counts = np.unique(raw, return_counts=True)
+    keys = map(tuple, distinct.view(rows.dtype).reshape(-1, rows.shape[1]).tolist())
+    return Counter(dict(zip(keys, counts.tolist())))
+
+
+def _pool(counts: Counter, key) -> Counter:
+    """Counts of ``key(category)``: categories with one key add up, and
+    ``key`` runs once per category."""
+    out = Counter()
+    for category, c in counts.items():
+        out[key(category)] += c
+    return out
 
 
 def _relaxation_customers(params: RateParams) -> int:
@@ -458,7 +494,9 @@ def _minmax_functionals(a, s):
 
     ``a`` has n columns (a_1..a_n); ``s`` has n columns holding s_2..s_{n+1}.
     """
-    u = np.stack([a, s], axis=2)  # D(n, 2) and R(n) of the two-stage tandem
+    # D(n, 2) and R(n) of the two-stage tandem, on a (reps, n, 2) view of
+    # the (n, 2, reps) layout the kernels scan
+    u = np.stack([a.T, s.T], axis=1).transpose(2, 0, 1)
     return tandem.queue_departures_batch(u)[:, -1, -1], tandem.store_departures_batch(u)[:, -1]
 
 
@@ -471,26 +509,33 @@ def noncolliding_experiment(params: RateParams, n: int, horizon_trunc: int,
     joint law of (sum of the first n gaps, sum of the marks 2..n) with the
     unconditional law of (D(n, 2), R(n)) of the two-stage tandem whose
     columns are fresh gaps and marks, computed by the tandem kernels.
+
+    The walks of a batch are drawn into two buffers allocated once: each
+    batch refills them with uniforms, maps them through the inverse CDF and
+    sums them in place.  The geometric walks hold integers in float64, exact
+    while the sums stay below 2^53.
     """
     if n < 1 or horizon_trunc < n or reps < 1:
         raise ValueError("need 1 <= n <= horizon_trunc and reps >= 1")
     geometric = params.model == "geomgeom1"
-    draw = draw_geometric if geometric else draw_exponential
-    gen_a = seed.substream(0).generator()
-    gen_s = seed.substream(1).generator()
+    to_step = _to_geometric if geometric else _to_exponential
+    walks = ((seed.substream(0).generator(), params.arrival),
+             (seed.substream(1).generator(), params.service))
 
     batch = max(4096, min(reps, 1 << 16))
     checked_at = 50  # batches drawn before the acceptance rate is judged
+    A, S = np.empty((2, batch, horizon_trunc))  # S holds s_2..s_{T+1}
+    above = np.empty(A.shape, dtype=bool)
     acc_x, acc_y = [], []
     accepted = attempts = 0
     while accepted < reps:
-        A = np.cumsum(draw(gen_a, params.arrival, (batch, horizon_trunc)), axis=1)
-        S = np.cumsum(draw(gen_s, params.service, (batch, horizon_trunc)), axis=1)  # s_2..s_{T+1}
-        ok = (A > S).all(axis=1)
+        for buf, (gen, rate) in zip((A, S), walks):
+            np.cumsum(to_step(gen.random(out=buf), rate), axis=1, out=buf)
+        ok = np.greater(A, S, out=above).all(axis=1)
         attempts += batch
         accepted += int(ok.sum())
         acc_x.append(A[ok, n - 1])
-        acc_y.append(S[ok, n - 2] if n >= 2 else np.zeros(int(ok.sum()), dtype=A.dtype))
+        acc_y.append(S[ok, n - 2] if n >= 2 else np.zeros(int(ok.sum())))
         # The rate is judged after `checked_at` batches and every batch after.
         # Raise as soon as the run is bound to fail that: it cannot reach reps
         # first, and even accepting every walk up to the check keeps it low.
@@ -505,19 +550,19 @@ def noncolliding_experiment(params: RateParams, n: int, horizon_trunc: int,
     cond_x = np.concatenate(acc_x)[:reps]
     cond_y = np.concatenate(acc_y)[:reps]
 
+    draw = draw_geometric if geometric else draw_exponential
     a2 = draw(seed.substream(2).generator(), params.arrival, (reps, n))
     s2 = draw(seed.substream(3).generator(), params.service, (reps, n))
     hi, lo = _minmax_functionals(a2, s2)
 
     if geometric:
-        keys_c = list(zip(cond_x.tolist(), cond_y.tolist()))
-        keys_u = list(zip(hi.tolist(), lo.tolist()))
+        counts_c = _row_counts(np.stack([cond_x, cond_y], axis=1).astype(np.int64))
+        counts_u = _row_counts(np.stack([hi, lo], axis=1))
     else:
-        bx = _margin_bins(np.concatenate([cond_x, hi]), 6)
-        by = _margin_bins(np.concatenate([cond_y, lo]), 6)
-        keys = list(zip(bx.tolist(), by.tolist()))
-        keys_c, keys_u = keys[:reps], keys[reps:]
-    res = chi2_two_sample(keys_c, keys_u, name="conditioned-vs-maxmin-joint", alpha=alpha)
+        bins = np.stack([_margin_bins(np.concatenate([cond_x, hi]), 6),
+                         _margin_bins(np.concatenate([cond_y, lo]), 6)], axis=1)
+        counts_c, counts_u = _row_counts(bins[:reps]), _row_counts(bins[reps:])
+    res = chi2_two_sample(counts_c, counts_u, name="conditioned-vs-maxmin-joint", alpha=alpha)
 
     return ExperimentReport(
         name="noncolliding",
@@ -558,12 +603,12 @@ def interchange_experiment(q, sigma, N: int, reps: int, seed: Seed,
     D1, R1 = sample_outputs(q, 0)
     D2, R2 = sample_outputs(q_perm, K)
 
-    joint1 = list(zip(D1[:, -1].tolist(), R1.tolist()))
-    joint2 = list(zip(D2[:, -1].tolist(), R2.tolist()))
-    prefix1, prefix2 = _row_keys(D1), _row_keys(D2)
+    joint1 = _row_counts(np.stack([D1[:, -1], R1], axis=1))
+    joint2 = _row_counts(np.stack([D2[:, -1], R2], axis=1))
     results = [
         chi2_two_sample(joint1, joint2, name="joint-D-R-two-sample", alpha=alpha),
-        chi2_two_sample(prefix1, prefix2, name="departure-prefix-two-sample", alpha=alpha),
+        chi2_two_sample(_row_counts(D1), _row_counts(D2),
+                        name="departure-prefix-two-sample", alpha=alpha),
     ]
     m1, m2 = D1[:, -1].mean(), D2[:, -1].mean()
     se = np.sqrt(D1[:, -1].var(ddof=1) / reps + D2[:, -1].var(ddof=1) / reps)
@@ -579,20 +624,6 @@ def interchange_experiment(q, sigma, N: int, reps: int, seed: Seed,
         diagnostics={"mean_D": [float(m1), float(m2)],
                      "mean_R": [float(R1.mean()), float(R2.mean())]},
     )
-
-
-def _row_keys(rows: np.ndarray, key=tuple) -> list:
-    """``key`` of each row (as a list of ints), computed once per distinct row."""
-    rows = np.ascontiguousarray(rows)
-    raw = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
-    _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
-    keys = [key(row) for row in rows[first].tolist()]
-    return [keys[i] for i in inverse.tolist()]
-
-
-def _shape_keys(shapes: np.ndarray) -> list[tuple]:
-    """Rows of a zero-padded shape array as tuples of ints, zeros dropped."""
-    return _row_keys(shapes, lambda row: tuple(x for x in row if x))
 
 
 def _pmf_chi2(counter: Counter, pmf: dict, total: int, *, name: str,
@@ -621,13 +652,14 @@ def shape_law_experiment(q, N: int, reps: int, seed: Seed,
         raise ValueError("need N >= 1 and reps >= 1")
     q = _weights(q)
     K = len(q)
-    u = _geometric0_matrices(q, reps, N + 1, seed, 0)
-    grown = growth_shapes(u)
-    shapes_n, shapes_n1 = _shape_keys(grown[:, N]), _shape_keys(grown[:, N + 1])
-    count_n = Counter(shapes_n)
-
+    grown = growth_shapes(_geometric0_matrices(q, reps, N + 1, seed, 0))
+    # one count of the distinct (shape at N, shape at N+1) rows serves both laws
+    pair_rows = _row_counts(grown[:, N:].reshape(reps, 2 * K))
+    count_n = _pool(pair_rows, lambda row: normalize_partition(row[:K]))
+    pair_counts = _pool(pair_rows, lambda row: (normalize_partition(row[:K]),
+                                                normalize_partition(row[K:])))
     u2 = _geometric0_matrices(q[::-1], reps, N, seed, K)
-    shapes_rev = _shape_keys(growth_shapes(u2)[:, N])
+    count_rev = _pool(_row_counts(growth_shapes(u2)[:, N]), normalize_partition)
 
     dist = {k: float(v) for k, v in shape_distribution(q, N, residual=1e-12).items()}
     results = [_pmf_chi2(count_n, dist, reps, name="shape-frequencies", alpha=alpha)]
@@ -638,11 +670,10 @@ def shape_law_experiment(q, N: int, reps: int, seed: Seed,
             continue
         for l, pt in transition_distribution(m, q, residual=1e-9).items():
             pair_pmf[(m, l)] = pm * float(pt)
-    pair_counts = Counter(zip(shapes_n, shapes_n1))
     results.append(_pmf_chi2(pair_counts, pair_pmf, reps,
                              name="growth-transitions", alpha=alpha))
 
-    results.append(chi2_two_sample(shapes_n, shapes_rev,
+    results.append(chi2_two_sample(count_n, count_rev,
                                    name="weight-permutation-two-sample", alpha=alpha))
 
     return ExperimentReport(

@@ -10,8 +10,14 @@ The two observables are D(N, K), the departure instant of customer N from
 the last queue, and R(N), the cumulative amount shipped by the last store
 over slots 1..N.
 
-Each tandem has one kernel over a leading batch axis, which the scalar
-entry points call with a batch of one.
+Each tandem has one kernel, shared by the batched entry points and the
+scalar ones (a batch of one).  The kernels work on (N, K, reps) arrays,
+the replications innermost, so each numpy call runs over a contiguous row
+of replications; the batched outputs are views with the replication axis
+back in front.  Scans over customers go through
+:func:`queue_store._accumulate`: a loop over rows when a row holds more
+entries than there are customers, ``ufunc.accumulate`` otherwise, chosen
+from the shape alone and adding in the same order either way.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .queue_store import _fifo_series
+from .queue_store import _accumulate, _fifo_series
 
 __all__ = [
     "ServiceMatrix",
@@ -92,40 +98,46 @@ class TandemTrace:
     D_seq: np.ndarray
 
 
+def _rows_last(u) -> np.ndarray:
+    """A (B, N, K) batch as the contiguous (N, K, B) array the kernels scan;
+    free when ``u`` is already a view of one."""
+    return np.ascontiguousarray(np.moveaxis(np.asarray(u), 0, -1))
+
+
 def _queue_scan(u: np.ndarray) -> np.ndarray:
-    """Zero-padded departure epochs D (B, N+1, K+1) of each (N, K) slice of
-    ``u``: every customer waits at queue 1 from time 0."""
-    B, N, K = u.shape
-    D = np.zeros((B, N + 1, K + 1), dtype=u.dtype)
-    D[:, 1:, 1:] = _fifo_series(0, u)
+    """Zero-padded departure epochs D (N+1, K+1, B) of each (N, K) slice
+    u[:, :, b]: every customer waits at queue 1 from time 0."""
+    N, K, B = u.shape
+    D = np.zeros((N + 1, K + 1, B), dtype=u.dtype)
+    _fifo_series(0, u, out=D[1:, 1:])
     return D
 
 
 def _store_scan(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-slot shipments r (B, N, K) and stocks w (B, N+1, K) of the store tandem.
+    """Per-slot shipments r (N, K, B) and stocks w (N+1, K, B) of the store
+    tandem of each (N, K) slice u[:, :, b].
 
     One step per slot updates every store at once: stores 2..K receive
     what their predecessors shipped the slot before, then ship
-    min(stock + inflow, request) and keep the rest.  Slot-major buffers
-    keep each step's rows contiguous.
+    min(stock + inflow, request) and keep the rest.
     """
-    B, N, K = u.shape
-    req = u.transpose(1, 0, 2)[:, :, ::-1]  # store j requests u(., K+1-j)
-    r = np.empty((N, B, K), dtype=u.dtype)
-    w = np.zeros((N + 1, B, K), dtype=u.dtype)
-    r[:, :, 0] = req[:, :, 0]  # store 1 always meets its request
-    inflow = 0
+    N, K, B = u.shape
+    req = u[:, ::-1]  # store j requests u(., K+1-j)
+    r = np.empty_like(u)
+    w = np.zeros((N + 1, K, B), dtype=u.dtype)
+    r[:, 0] = req[:, 0]  # store 1 always meets its request
     for n in range(N if K > 1 else 0):
-        avail = w[n, :, 1:] + inflow
-        np.minimum(avail, req[n, :, 1:], out=r[n, :, 1:])
-        np.subtract(avail, r[n, :, 1:], out=w[n + 1, :, 1:])
-        inflow = r[n, :, :-1]
-    return r.transpose(1, 0, 2), w.transpose(1, 0, 2)
+        avail = w[n + 1, 1:]  # stock + inflow, then what is kept
+        if n:
+            np.add(w[n, 1:], r[n - 1, :-1], out=avail)
+        np.minimum(avail, req[n, 1:], out=r[n, 1:])
+        avail -= r[n, 1:]
+    return r, w
 
 
 def queue_departures(U) -> np.ndarray:
     """Departure epochs of the queue tandem, zero-padded boundary included."""
-    return _queue_scan(_as_matrix(U).u[None])[0]
+    return _queue_scan(_as_matrix(U).u[:, :, None])[:, :, 0]
 
 
 def store_flow(U) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -136,8 +148,8 @@ def store_flow(U) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Returns (rmat, wmat, R_seq) with R_seq the running total shipped by
     store K.
     """
-    r, w = _store_scan(_as_matrix(U).u[None])
-    return r[0], w[0], np.cumsum(r[0, :, -1])
+    r, w = _store_scan(_as_matrix(U).u[:, :, None])
+    return r[:, :, 0], w[:, :, 0], np.cumsum(r[:, -1, 0])
 
 
 def tandem_trace(U) -> TandemTrace:
@@ -161,13 +173,14 @@ def tandem_outputs(U, upto_N: int | None = None) -> tuple[np.ndarray, np.ndarray
 def queue_departures_batch(u: np.ndarray) -> np.ndarray:
     """:func:`queue_departures` of each (N, K) slice,
     (reps, N, K) -> (reps, N+1, K+1)."""
-    return _queue_scan(np.asarray(u))
+    return _queue_scan(_rows_last(u)).transpose(2, 0, 1)
 
 
 def store_departures_batch(u: np.ndarray) -> np.ndarray:
     """R_seq (cumulative output of store K) of each (N, K) slice,
     (reps, N, K) -> (reps, N)."""
-    return np.cumsum(_store_scan(np.asarray(u))[0][:, :, -1], axis=1)
+    last = _store_scan(_rows_last(u))[0][:, -1]
+    return _accumulate(np.add, last).T
 
 
 def matrix_to_csv(U, fh) -> None:

@@ -195,6 +195,22 @@ SCIPY_DIGESTS = {
         "5362c372af643bc47acb155d9fc400aa1a532f7d093e2aadeb1be1b61b32de65",
     ("noncolliding", "--model", "exp", "--reps", "20000", "--seed", "0"):
         "e6e989b265569a5aaeca3fe98379439b96a74dd2149887cb1bca303fdb29610c",
+    # recorded before the experiments moved to replication-innermost kernels,
+    # buffered rejection walks and per-row category counts: three stages, a
+    # single row, one-step and six-step walks, K = 1 and K = 5
+    ("interchange", "--q", "0.2,0.3,0.4", "--sigma", "2,0,1", "--n", "6", "--reps", "3000",
+     "--seed", "0"):
+        "ec611db7b2ec9f3471827802f5221870b18eb1a3e1437b73e387a637f806958f",
+    ("shape-law", "--q", "0.2,0.4,0.6", "--n", "1", "--reps", "3000", "--seed", "0"):
+        "715c4f842aa5b7f12b1b5f9a7781aa596940261f7d70f3cedc85a63057e1333e",
+    ("noncolliding", "--n", "1", "--reps", "20000", "--seed", "0"):
+        "a0429b7d8658059d3a7e7c2cc5eeb4b8543705aee88dbb498b89bcb1e8723065",
+    ("noncolliding", "--n", "6", "--model", "exp", "--reps", "20000", "--seed", "0"):
+        "1ed8a14bf4899cf33ddee181bd8d472630172760b3f9201fd928c0fd8b43de67",
+    ("laguerre", "--k", "1", "--reps", "20000", "--seed", "0"):
+        "d1948b6632b4c5c815f4bffe21b8168a7b632764cac8613a7c34ad24e504cb52",
+    ("laguerre", "--k", "5", "--reps", "20000", "--seed", "0"):
+        "4c8e3304471cffc8299f7fdb447910e75b2db383fa10b1ba0c720a95bf2f18cf",
 }
 
 
@@ -362,12 +378,23 @@ def test_invalid_weights_exit_two(capsys, argv):
     ("shape-law", "--n", "0"),        # "fewer than two bins after pooling"
     ("shape-law", "--reps", "0"),
     ("noncolliding", "--reps", "0"),  # numpy's "need at least one array to concatenate"
+    ("verify-identities", "--cases", "0"),  # printed a passing report of zero cases
+    ("particles", "--cases", "0"),
+    ("verify-identities", "--n", "0"),
+    ("verify-identities", "--k", "0"),
+    ("particles", "--max-n", "0"),          # numpy's bare "low >= high"
+    ("particles", "--max-k", "0"),
+    ("verify-identities", "--max-entry", "-1"),
+    ("particles", "--max-entry", "-1"),
 ])
 def test_empty_sizes_exit_two(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
-    assert ">= 1" in err  # rejected where the size enters, not deep in a kernel
+    # rejected where the size enters, not deep in a kernel
+    assert (">= 0" if argv[1] == "--max-entry" else ">= 1") in err
+    if argv[0] in ("verify-identities", "particles"):
+        assert f"need {argv[1][2:].replace('-', '_')} >=" in err
 
 
 def test_zigzag_law_has_no_max_rise(tmp_path, capsys):

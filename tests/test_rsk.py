@@ -243,6 +243,29 @@ def test_growth_shapes_match_insertion_on_every_prefix(U):
         assert tuple(x for x in grown[n].tolist() if x) == sh
 
 
+@pytest.mark.parametrize("B, N, K", [(3000, 2, 3), (2000, 4, 4), (2500, 3, 1)])
+def test_growth_shapes_wide_batches_match_insertion(B, N, K):
+    u = np.random.default_rng(30).integers(0, 4, size=(B, N, K))
+    grown = growth_shapes(u)
+    assert grown.shape == (B, N + 1, K) and grown.dtype == np.int64
+    for b in range(B):
+        for n in (N - 1, N):
+            sh = shape(tableau_of(word_of(ServiceMatrix(u[b, :n]))))
+            assert tuple(x for x in grown[b, n].tolist() if x) == sh
+
+
+def test_growth_shapes_long_matrix():
+    # one matrix of 1500 rows: insertion at a few prefixes, and on every prefix
+    # lambda_1 = D(n, K) and lambda_K = R(n) of the tandem kernels
+    u = np.random.default_rng(31).integers(0, 3, size=(1, 1500, 3))
+    grown = growth_shapes(u)[0]
+    for n in (1, 2, 700, 1500):
+        sh = shape(tableau_of(word_of(ServiceMatrix(u[0, :n]))))
+        assert tuple(x for x in grown[n].tolist() if x) == sh
+    assert np.array_equal(grown[1:, 0], queue_departures(u[0])[1:, -1])
+    assert np.array_equal(grown[1:, -1], store_flow(u[0])[2])
+
+
 def test_growth_shapes_rejects_non_integer_entries():
     # the entries were cast to int64, giving shapes [[0, 0], [1, 0]]
     with pytest.raises(ValueError, match="integer"):

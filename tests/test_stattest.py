@@ -2,7 +2,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from dualq import stattest
@@ -26,10 +26,12 @@ from dualq.stattest import (
     zigzag_law_experiment,
     _margin_bins,
     _minmax_functionals,
+    _pool,
+    _row_counts,
     _sample_busy_trajectories,
-    _shape_keys,
 )
 from dualq.queue_store import enumerate_trajectories
+from dualq.rsk import normalize_partition
 
 GEOM = RateParams("geomgeom1", 0.3, 0.6)
 EXPO = RateParams("mm1", 0.3, 0.7)
@@ -144,6 +146,16 @@ def test_two_sample_many_categories_matches_reference():
     assert chi2_two_sample(x, y, name="many") == chi2_two_sample_reference(x, y, "many")
 
 
+def test_two_sample_counts_match_reference_on_keys():
+    # the experiments hand over per-category counts; the table is the same
+    gen = Seed(10).generator()
+    x = list(zip(gen.integers(0, 6, 3000).tolist(), gen.geometric(0.2, 3000).tolist()))
+    y = list(zip(gen.integers(0, 6, 2500).tolist(), gen.geometric(0.2, 2500).tolist()))
+    assert (chi2_two_sample(Counter(x), Counter(y), name="counts")
+            == chi2_two_sample(x, Counter(y), name="counts")
+            == chi2_two_sample_reference(x, y, "counts"))
+
+
 @pytest.mark.parametrize("shapes", [
     np.zeros((4, 3), dtype=np.int64),
     np.array([[0], [3], [0], [3], [1]]),
@@ -151,9 +163,33 @@ def test_two_sample_many_categories_matches_reference():
     np.array([[3, 1, 0], [0, 0, 0], [3, 1, 0], [2, 2, 1], [0, 0, 0]])[:, :2],
 ])
 def test_shape_keys_match_rowwise_tuples(shapes):
-    keys = _shape_keys(shapes)
-    assert keys == [tuple(x for x in row if x) for row in shapes.tolist()]
-    assert all(type(x) is int for key in keys for x in key)
+    # shape-law's categories: zero-padded shape rows, counted with zeros dropped
+    counts = _pool(_row_counts(shapes), normalize_partition)
+    assert counts == Counter(tuple(x for x in row if x) for row in shapes.tolist())
+    assert all(type(x) is int for key in counts for x in key)
+
+
+def _first_and_last(row):
+    return row[0], row[-1]  # maps distinct rows to one key
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(1, 4).flatmap(lambda k: st.lists(
+           st.lists(st.integers(-3, 3), min_size=k, max_size=k), min_size=1, max_size=40)),
+       st.sampled_from([None, _first_and_last, sum]),
+       st.sampled_from([np.int64, np.int32]))
+@example([[5, -1, 2]], None, np.int64)             # one row
+@example([[2, 2]] * 7, None, np.int64)             # all rows equal
+@example([[1, 0, 2], [1, 5, 2], [1, 0, 2]], _first_and_last, np.int64)
+def test_row_counts_match_counter_of_rows(rows, key, dtype):
+    rows = np.array(rows, dtype=dtype)
+    want = Counter((key or tuple)(tuple(r)) for r in rows.tolist())
+    got = _row_counts(rows[::-1])  # a view with negative strides counts the same
+    if key is not None:
+        got = _pool(got, key)
+    assert got == want
+    # python ints, not numpy scalars: chi2_two_sample orders ties by repr
+    assert all(type(x) is int for k in got for x in (k if isinstance(k, tuple) else (k,)))
 
 
 def test_independence_detects_coupling():

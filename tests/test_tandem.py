@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dualq.queue_store import _accumulate
 from dualq.rsk import shape, tableau_of, word_of
 from dualq.sampling import Seed
 from dualq.tandem import (
@@ -254,6 +255,54 @@ def test_float_kernels_against_cell_recursion(u):
         r1, w1, R1 = store_flow(u[i])
         for got, want in ((R2[i], R), (r1, r), (w1, w), (R1, R)):
             assert np.array_equal(got, want)
+
+
+# --- layouts: wide batches of short matrices, one long matrix ---------------------
+#
+# The kernels scan (N, K, B) arrays and accumulate over customers through
+# queue_store._accumulate: a loop over rows when a row (K * B entries) is wider
+# than N is long, ufunc.accumulate otherwise.  The wide-short batches take the
+# loop and the long-thin inputs take accumulate.
+
+@pytest.mark.parametrize("shape", [(3, 5000), (4, 1), (2000, 2), (1, 7)])
+@pytest.mark.parametrize("ufunc", [np.add, np.maximum])
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.float64])
+def test_accumulate_matches_ufunc_accumulate(shape, ufunc, dtype):
+    x = Seed(20).generator().exponential(5.0, shape).astype(dtype)
+    want = ufunc.accumulate(x, axis=0)
+    got = _accumulate(ufunc, x)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(_accumulate(ufunc, x.copy(), x), want.astype(dtype))  # in place
+
+
+WIDE_SHORT = [(3000, 1, 4), (2500, 3, 2), (2000, 4, 4)]  # (B, N, K)
+LONG_THIN = [(1, 1500, 1), (1, 1200, 3)]
+
+
+@pytest.mark.parametrize("B, N, K", WIDE_SHORT + LONG_THIN)
+def test_integer_layouts_match_cell_recursion(B, N, K):
+    u = Seed(21).generator().integers(0, 7, size=(B, N, K))
+    D3, R2 = queue_departures_batch(u), store_departures_batch(u)
+    assert D3.shape == (B, N + 1, K + 1) and R2.shape == (B, N)
+    assert D3.dtype == R2.dtype == np.int64
+    for i in range(B):
+        assert np.array_equal(D3[i], queue_cells(u[i]))
+        assert np.array_equal(R2[i], store_cells(u[i])[2])
+
+
+@pytest.mark.parametrize("B, N, K", WIDE_SHORT + LONG_THIN)
+def test_float_layouts_equal_scalar_entry_points(B, N, K):
+    # batch and scalar entry points add in the same sequential order, so they
+    # agree bit for bit; the cell recursion stays within 1e-12 relative
+    u = Seed(22).generator().exponential(1.0, size=(B, N, K))
+    D3, R2 = queue_departures_batch(u), store_departures_batch(u)
+    for i in range(B):
+        D = queue_departures(u[i])
+        r, w, R = store_flow(u[i])
+        assert np.array_equal(D3[i], D) and np.array_equal(R2[i], R)
+    D = queue_cells(u[-1])
+    assert np.max(np.abs(D3[-1] - D)) <= 1e-12 * max(1.0, float(D.max()))
+    assert np.array_equal(R2[-1], store_cells(u[-1])[2])
 
 
 # --- io -------------------------------------------------------------------------
