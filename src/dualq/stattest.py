@@ -14,10 +14,11 @@ Replications stay in numpy arrays from the draw to the contingency table.
 The tandem matrices are drawn straight into the (N, K, reps) layout the
 kernels scan, replications innermost.  noncolliding's rejection loop
 refills two walk buffers in place.  The categorical experiments
-(interchange, shape-law, noncolliding) count each distinct row of their
-outcome array once with :func:`_row_counts`, pool rows into categories
-with :func:`_pool`, and hand the counts to the chi-square tests, instead
-of building one Python key per replication.
+(interchange, shape-law, noncolliding) count the distinct rows of their
+outcome array with :func:`_row_counts`, which sorts one int64 key per row
+and builds a Python tuple only per distinct row; :func:`_pool` merges rows
+into categories, and the counts go to the chi-square tests.  A test that
+cannot be formed raises :class:`DegenerateTestError` naming the test.
 """
 
 from __future__ import annotations
@@ -141,13 +142,20 @@ class ExperimentReport:
 
 
 def ks_test(sample, cdf, *, name: str = "ks", alpha: float = 0.01) -> GofResult:
-    """One-sample Kolmogorov-Smirnov against a callable CDF."""
+    """One-sample Kolmogorov-Smirnov against a callable CDF.
+
+    scipy orders the sample with a stable sort, which is slow on unordered
+    floats and linear on ordered ones; it gets a copy sorted by numpy's
+    default sort.  Both sorts give the same array, so the statistic and the
+    p-value are those of the unsorted sample, and the caller's array keeps
+    its order.
+    """
     from scipy import stats
 
     sample = np.asarray(sample)
     if sample.size == 0:
         raise ValueError("sample must be non-empty")
-    res = stats.kstest(sample, cdf)
+    res = stats.kstest(np.sort(sample), cdf)
     return GofResult(name, float(res.statistic), float(res.pvalue), sample.size, alpha)
 
 
@@ -187,7 +195,7 @@ def chi2_test(observed, expected, *, name: str = "chi2", alpha: float = 0.01) ->
         raise ValueError(f"totals differ: observed {so}, expected {se}")
     obs, exp = _pool_bins(observed, expected)
     if len(obs) < 2:
-        raise DegenerateTestError("fewer than two bins after pooling")
+        raise DegenerateTestError(f"{name}: fewer than two bins after pooling")
     stat, p = stats.chisquare(obs, exp)
     return GofResult(name, float(stat), float(p), int(round(so)), alpha)
 
@@ -220,7 +228,7 @@ def chi2_two_sample(keys_x, keys_y, *, name: str = "chi2-2samp",
     table = np.array([row_x, row_y], dtype=float)
     table = table[:, table.sum(axis=0) > 0]
     if table.shape[1] < 2:
-        raise DegenerateTestError("fewer than two categories after pooling")
+        raise DegenerateTestError(f"{name}: fewer than two categories after pooling")
     res = stats.chi2_contingency(table, correction=False)
     return GofResult(name, float(res.statistic), float(res.pvalue), total, alpha)
 
@@ -257,7 +265,7 @@ def independence_test(x, y, *, name: str = "independence", alpha: float = 0.01) 
     np.add.at(table, (bx, by), 1)
     table = table[table.sum(axis=1) > 0][:, table.sum(axis=0) > 0]
     if table.shape[0] < 2 or table.shape[1] < 2:
-        raise DegenerateTestError("need at least a 2x2 table")
+        raise DegenerateTestError(f"{name}: need at least a 2x2 table")
     res = stats.chi2_contingency(table, correction=False)
     return GofResult(name, float(res.statistic), float(res.pvalue), x.size, alpha)
 
@@ -301,14 +309,46 @@ def _geometric0_matrices(weights, reps: int, N: int, seed: Seed, base: int) -> n
     return u.transpose(2, 0, 1)
 
 
+_KEY_LIMIT = 2**63  # row keys are int64: every key stays below this
+
+
 def _row_counts(rows: np.ndarray) -> Counter:
-    """Counter of the rows of a 2-d integer array, as tuples of ints.  The
-    distinct rows are found by one sort of the rows as opaque byte strings,
-    so a tuple is built only per distinct row."""
-    rows = np.ascontiguousarray(rows)
-    raw = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
-    distinct, counts = np.unique(raw, return_counts=True)
-    keys = map(tuple, distinct.view(rows.dtype).reshape(-1, rows.shape[1]).tolist())
+    """Counter of the rows of a 2-d integer array, as tuples of ints.
+
+    Each row is folded into one int64 mixed-radix key: column j, shifted by
+    its minimum, is a digit of radix span_j = max_j - min_j + 1.  One
+    numeric sort of the keys counts the rows, and only the distinct keys are
+    decoded back into tuples.  When the next column would carry a key past
+    int64, the partial keys are first replaced by their dense ranks, and a
+    table keeps the prefix of columns each rank stands for.
+    """
+    rows = np.asarray(rows)
+    # column by column: a reduction over axis 0 of a C-ordered array walks its short rows
+    lows = [int(col.min()) for col in rows.T]
+    spans = [int(col.max()) - low + 1 for col, low in zip(rows.T, lows)]
+    first, table = 0, np.zeros((1, 0), dtype=np.int64)  # columns before `first`, by key rank
+
+    def decode(keys, stop):
+        # the rows of columns 0..stop-1 that keys over columns first..stop-1 stand for
+        digits = []
+        for c in range(stop - 1, first - 1, -1):
+            keys, d = np.divmod(keys, spans[c])
+            digits.append(d + lows[c])
+        return np.column_stack([table[keys], *digits[::-1]])
+
+    key, size = np.zeros(len(rows), dtype=np.int64), 1  # every key is below size
+    for j, (low, span) in enumerate(zip(lows, spans)):
+        if size * span >= _KEY_LIMIT:
+            distinct, key = np.unique(key, return_inverse=True)
+            first, table = j, decode(distinct, j)
+            size = distinct.size
+            if size * span >= _KEY_LIMIT:
+                raise ValueError(f"column {j} spans too many values to key {len(rows)} rows")
+        key *= span
+        key += np.subtract(rows[:, j], low, dtype=np.int64)
+        size *= span
+    distinct, counts = np.unique(key, return_counts=True)
+    keys = map(tuple, decode(distinct, len(spans)).tolist())
     return Counter(dict(zip(keys, counts.tolist())))
 
 
@@ -702,14 +742,10 @@ def laguerre_check(K: int, reps: int, seed: Seed, reference_mean: float | None =
     if K < 1 or reps < 1:
         raise ValueError("need K >= 1 and reps >= 1")
     gen = seed.substream(0).generator()
-    values = []
-    remaining = reps
-    while remaining > 0:
-        b = min(LAGUERRE_BLOCK, remaining)
-        u = draw_exponential(gen, 1.0, (b, K, K))
-        values.append(tandem.store_departures_batch(u)[:, -1])
-        remaining -= b
-    R = np.concatenate(values)
+    R = np.empty(reps)
+    for start in range(0, reps, LAGUERRE_BLOCK):
+        u = draw_exponential(gen, 1.0, (min(LAGUERRE_BLOCK, reps - start), K, K))
+        R[start:start + len(u)] = tandem.store_departures_batch(u)[:, -1]
     ref = (1.0 / K) if reference_mean is None else float(reference_mean)
     res = ks_test(R, stats.expon(scale=ref).cdf,
                   name=f"R-exponential-mean-{ref:g}", alpha=alpha)

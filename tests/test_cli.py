@@ -211,6 +211,11 @@ SCIPY_DIGESTS = {
         "d1948b6632b4c5c815f4bffe21b8168a7b632764cac8613a7c34ad24e504cb52",
     ("laguerre", "--k", "5", "--reps", "20000", "--seed", "0"):
         "4c8e3304471cffc8299f7fdb447910e75b2db383fa10b1ba0c720a95bf2f18cf",
+    # recorded before the category counts moved to int64 row keys: the 30-long
+    # departure prefixes overflow int64 keys, so the partial keys are re-ranked
+    ("interchange", "--q", "0.02,0.03,0.05", "--sigma", "2,0,1", "--n", "30",
+     "--reps", "20000", "--seed", "7"):
+        "ec3ed41bb8087c1375d43af5bb835d63a4bbb82a0a27abde28290b21295475fb",
 }
 
 
@@ -395,6 +400,15 @@ def test_empty_sizes_exit_two(capsys, argv):
     assert (">= 0" if argv[1] == "--max-entry" else ">= 1") in err
     if argv[0] in ("verify-identities", "particles"):
         assert f"need {argv[1][2:].replace('-', '_')} >=" in err
+
+
+def test_degenerate_test_names_itself(capsys):
+    # almost every 6-long departure prefix is distinct, so the prefix test
+    # pools every category into its rest cell
+    code, out, err = run(capsys, "interchange", "--q", "0.2,0.5,0.7", "--sigma", "2,0,1",
+                         "--n", "6", "--reps", "3000")
+    assert code == 2 and out == ""
+    assert err.startswith("error: departure-prefix-two-sample: fewer than two categories")
 
 
 def test_zigzag_law_has_no_max_rise(tmp_path, capsys):

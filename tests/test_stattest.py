@@ -65,6 +65,27 @@ def test_ks_against_own_ecdf():
     assert r.statistic <= 1.0 / x.size + 1e-12
 
 
+def _ks_samples():
+    x = sample_exponential(1.0, 2000, Seed(7))
+    return {
+        "shuffled": np.random.default_rng(1).permutation(x),
+        "ties": draw_geometric(Seed(8).generator(), 0.4, 2000).astype(float),
+        "reversed": np.sort(x)[::-1],
+        "constant": np.full(1000, 0.5),
+    }
+
+
+@pytest.mark.parametrize("kind", ["shuffled", "ties", "reversed", "constant"])
+def test_ks_matches_scipy_on_unsorted_sample(kind):
+    x = _ks_samples()[kind]
+    before = x.copy()
+    cdf = stats.expon().cdf
+    got = ks_test(x, cdf)
+    want = stats.kstest(x, cdf)
+    assert got.statistic == want.statistic and got.p_value == want.pvalue
+    assert np.array_equal(x, before)  # the caller's array keeps its order
+
+
 def test_chi2_exact_match_is_zero():
     r = chi2_test([10, 20, 30], [10.0, 20.0, 30.0])
     assert r.statistic == 0.0 and r.p_value == 1.0
@@ -181,6 +202,12 @@ def _first_and_last(row):
 @example([[5, -1, 2]], None, np.int64)             # one row
 @example([[2, 2]] * 7, None, np.int64)             # all rows equal
 @example([[1, 0, 2], [1, 5, 2], [1, 0, 2]], _first_and_last, np.int64)
+# 30 columns spanning about 1000 values each: the keys are re-ranked several times
+@example([[(389 * (i % 9) + 97 * j) % 1001 for j in range(30)] for i in range(14)],
+         None, np.int64)
+@example([[3], [-2], [3], [0]], None, np.int64)    # a single column
+# negative int32 entries whose column spans pass int32
+@example([[-5, 7], [-5, 7], [2**31 - 1, -2**31], [-2**31, 0]], None, np.int32)
 def test_row_counts_match_counter_of_rows(rows, key, dtype):
     rows = np.array(rows, dtype=dtype)
     want = Counter((key or tuple)(tuple(r)) for r in rows.tolist())
@@ -190,6 +217,12 @@ def test_row_counts_match_counter_of_rows(rows, key, dtype):
     assert got == want
     # python ints, not numpy scalars: chi2_two_sample orders ties by repr
     assert all(type(x) is int for k in got for x in (k if isinstance(k, tuple) else (k,)))
+
+
+def test_row_counts_refuse_columns_too_wide_to_key():
+    # after re-ranking, 2 distinct prefixes times a span of 2**62 + 1 pass int64
+    with pytest.raises(ValueError, match="column 1"):
+        _row_counts(np.array([[0, 0], [2**62, 2**62]]))
 
 
 def test_independence_detects_coupling():
