@@ -148,12 +148,12 @@ def _verify_identities(cfg):
          model=(str, "geom", "geom or exp"),
          p=(float, 0.3, "arrival parameter (p or lambda)"),
          q=(float, 0.6, "mark parameter (q or mu)"),
-         horizon=(int, 100000, ""), burn_in=(int, 10000, ""),
+         horizon=(int, 100000, "customers, in equilibrium from the first"),
          seed=(int, 0, ""), alpha=(float, 0.01, ""),
          dump_samples=(str, "", "write raw (d, r) pairs to this CSV path"))
 def _burke(cfg):
     return _verdict(stattest.burke_experiment(
-        _rate_params(cfg), cfg.horizon, cfg.burn_in, Seed(cfg.seed), alpha=cfg.alpha,
+        _rate_params(cfg), cfg.horizon, Seed(cfg.seed), alpha=cfg.alpha,
         samples_path=cfg.dump_samples or None))
 
 

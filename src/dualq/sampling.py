@@ -212,6 +212,19 @@ def sample_input(params: RateParams, horizon: int, seed: Seed) -> MarkedSequence
     return MarkedSequence(epochs, marks, window_end=epochs[-1])
 
 
+def _stationary_wait(params: RateParams, gen: np.random.Generator):
+    """Equilibrium wait of the model's queue.  Zero with probability 1 - rho
+    (M/M/1) or 1 - rho*eta (Geom/Geom/1, eta = (1-q)/(1-p)); otherwise
+    Exp(mu - lambda) or geometric on {1, 2, ...} with ratio eta.  The positive
+    part is drawn first, then the uniform that decides whether the server is busy."""
+    if params.model == "mm1":
+        busy, draw, rate = params.utilization, draw_exponential, params.service - params.arrival
+    else:
+        eta = (1 - params.service) / (1 - params.arrival)
+        busy, draw, rate = params.utilization * eta, draw_geometric, 1 - eta
+    return draw(gen, rate, ()).item() * bool(gen.random() < busy)  # 0 or 0.0 when idle
+
+
 def reverse(ms: MarkedSequence) -> MarkedSequence:
     """Time-reversal about the window ``[0, window_end]``.
 

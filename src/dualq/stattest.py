@@ -5,7 +5,8 @@ Each experiment is a pure function of its parameters and a
 the identical report, byte for byte.  Verdicts are goodness-of-fit tests
 at a pre-registered significance level, never exact-equality claims.
 
-zigzag-law reads its busy periods off a :mod:`~dualq.queue_store` trace;
+burke's queue is in equilibrium from customer 1, whose wait is a stationary
+draw; zigzag-law reads its busy periods off a :mod:`~dualq.queue_store` trace;
 noncolliding's reference pair is (D(n, 2), R(n)) from the :mod:`~dualq.tandem` kernels.
 The test resolutions are the constants :data:`MIN_EXPECTED`, :data:`MAX_RISE`
 and :data:`MIN_ACCEPTANCE`.
@@ -41,6 +42,7 @@ from .queue_store import (
 from .sampling import (
     RateParams,
     Seed,
+    _stationary_wait,
     _to_exponential,
     _to_geometric,
     _to_geometric0,
@@ -275,6 +277,8 @@ def lag1_test(x, *, name: str = "lag1", alpha: float = 0.01) -> GofResult:
     from scipy import stats
 
     x = np.asarray(x, dtype=float)
+    if x.size < 3:
+        raise DegenerateTestError(f"{name}: need at least 3 values, got {x.size}")
     r, p = stats.pearsonr(x[:-1], x[1:])
     return GofResult(name, float(r), float(p), x.size, alpha)
 
@@ -361,68 +365,46 @@ def _pool(counts: Counter, key) -> Counter:
     return out
 
 
-def _relaxation_customers(params: RateParams) -> int:
-    # geometric mixing scale of the waiting-time chain near saturation
-    rho = params.utilization
-    return int(np.ceil(10.0 / (1.0 - rho) ** 2))
-
-
-def burke_experiment(params: RateParams, horizon: int, burn_in: int,
-                     seed: Seed, alpha: float = 0.01,
+def burke_experiment(params: RateParams, horizon: int, seed: Seed, alpha: float = 0.01,
                      samples_path: str | None = None) -> ExperimentReport:
     """Joint output test: departure gaps against the arrival law, dual marks
     against the mark law, independence across the pair, and vanishing lag-1
     correlation within each sequence.
 
-    The system starts empty and the first ``burn_in`` customers are
-    discarded in place of the two-sided stationary construction; the
-    report flags a burn-in that looks short for the drift.  When
+    Customer 1's wait is drawn from the queue's stationary law (substream
+    2; the input keeps substreams 0 and 1), so the queue is in equilibrium
+    from customer 1 and all ``horizon`` gaps and marks are tested.  When
     ``samples_path`` is given, the raw (d, r) pairs are dumped there as CSV.
     """
     from scipy import stats
 
-    if horizon < 1 or burn_in < 0:
-        raise ValueError("need horizon >= 1 and burn_in >= 0")
-    ms = sample_input(params, burn_in + horizon + 1, seed)
-    tr = transform(ms, w1=0)
-    d = tr.d[burn_in:burn_in + horizon]
-    r = tr.r[burn_in:burn_in + horizon]
+    if horizon < 1:
+        raise ValueError("need horizon >= 1")
+    w1 = _stationary_wait(params, seed.substream(2).generator())
+    tr = transform(sample_input(params, horizon + 1, seed), w1=w1)
+    d, r = tr.d, tr.r
     if samples_path is not None:
         with open(samples_path, "w") as fh:
             fh.write("n,d,r\n")
             for i in range(horizon):
                 fh.write(f"{i + 1},{d[i]},{r[i]}\n")
-    results = []
-    if params.model == "geomgeom1":
-        results.append(geometric_fit_test(d, params.arrival, name="gaps-fit-arrival-law", alpha=alpha))
-        results.append(geometric_fit_test(r, params.service, name="marks-fit-mark-law", alpha=alpha))
-    else:
-        results.append(ks_test(d, stats.expon(scale=1 / params.arrival).cdf,
-                               name="gaps-fit-arrival-law", alpha=alpha))
-        results.append(ks_test(r, stats.expon(scale=1 / params.service).cdf,
-                               name="marks-fit-mark-law", alpha=alpha))
-    results.append(independence_test(d, r, name="gap-mark-independence", alpha=alpha))
-    results.append(lag1_test(d, name="gap-lag1", alpha=alpha))
-    results.append(lag1_test(r, name="mark-lag1", alpha=alpha))
-    relax = _relaxation_customers(params)
-    diagnostics = {
-        "utilization": params.utilization,
-        "relaxation_customers": relax,
-        "burn_in": burn_in,
-        "burn_in_ok": burn_in >= relax,
-    }
-    if burn_in < relax:
-        diagnostics["note"] = (
-            f"burn-in {burn_in} is below the relaxation scale {relax}; "
-            "equilibrium tests may be biased"
-        )
+    def fit(x, rate, name):  # against the input law of the same parameter
+        if params.model == "geomgeom1":
+            return geometric_fit_test(x, rate, name=name, alpha=alpha)
+        return ks_test(x, stats.expon(scale=1 / rate).cdf, name=name, alpha=alpha)
+
+    results = [fit(d, params.arrival, "gaps-fit-arrival-law"),
+               fit(r, params.service, "marks-fit-mark-law"),
+               independence_test(d, r, name="gap-mark-independence", alpha=alpha),
+               lag1_test(d, name="gap-lag1", alpha=alpha),
+               lag1_test(r, name="mark-lag1", alpha=alpha)]
     return ExperimentReport(
         name="burke",
         params={"model": params.model, "arrival": params.arrival,
-                "service": params.service, "horizon": horizon, "burn_in": burn_in},
+                "service": params.service, "horizon": horizon},
         seed=seed,
         results=results,
-        diagnostics=diagnostics,
+        diagnostics={"utilization": params.utilization, "initial_wait": w1},
     )
 
 
@@ -701,14 +683,18 @@ def shape_law_experiment(q, N: int, reps: int, seed: Seed,
     u2 = _geometric0_matrices(q[::-1], reps, N, seed, K)
     count_rev = _pool(_row_counts(growth_shapes(u2)[:, N]), normalize_partition)
 
-    dist = {k: float(v) for k, v in shape_distribution(q, N, residual=1e-12).items()}
+    # Cut each pmf where _pmf_chi2 stops seeing it: a shape left out has p < cut, a
+    # pair left out of row m has pm * pt < cut, so reps times either is below
+    # MIN_EXPECTED / 2 and it pools into the rest cell, a complement, anyway.
+    cut = MIN_EXPECTED / reps / 2
+    dist = {k: float(v) for k, v in shape_distribution(q, N, residual=cut).items()}
     results = [_pmf_chi2(count_n, dist, reps, name="shape-frequencies", alpha=alpha)]
 
     pair_pmf: dict[tuple, float] = {}
     for m, pm in dist.items():
         if reps * pm < 25:
             continue
-        for l, pt in transition_distribution(m, q, residual=1e-9).items():
+        for l, pt in transition_distribution(m, q, residual=cut / pm).items():
             pair_pmf[(m, l)] = pm * float(pt)
     results.append(_pmf_chi2(pair_counts, pair_pmf, reps,
                              name="growth-transitions", alpha=alpha))

@@ -163,7 +163,7 @@ def _burke_criterion(num, params, label, budget):
     t0 = time.time()
     passes = 0
     for master in range(10):
-        rep = burke_experiment(params, 100_000, 10_000, Seed(master), alpha=ALPHA)
+        rep = burke_experiment(params, 100_000, Seed(master), alpha=ALPHA)
         by_name = {r.name: r.passed for r in rep.results}
         passes += all(by_name[n] for n in _BURKE_NAMED)
     elapsed = time.time() - t0

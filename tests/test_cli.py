@@ -50,8 +50,8 @@ def test_trace_to_file(tmp_path, capsys):
 def test_burke_small_run(capsys, tmp_path):
     target = tmp_path / "report.json"
     code, _, _ = run(capsys, "burke", "--model", "geom", "--p", "0.3",
-                     "--q", "0.6", "--horizon", "5000", "--burn-in", "500",
-                     "--seed", "1", "--output", str(target))
+                     "--q", "0.6", "--horizon", "5000", "--seed", "1",
+                     "--output", str(target))
     assert code == 0
     payload = json.loads(target.read_text())
     assert payload["verdict"] == "pass"
@@ -60,8 +60,7 @@ def test_burke_small_run(capsys, tmp_path):
 
 def test_burke_dump_samples(tmp_path, capsys):
     dump = tmp_path / "samples.csv"
-    code, _, _ = run(capsys, "burke", "--model", "geom", "--horizon", "2000",
-                     "--burn-in", "200", "--seed", "1",
+    code, _, _ = run(capsys, "burke", "--model", "geom", "--horizon", "2000", "--seed", "1",
                      "--dump-samples", str(dump))
     assert code == 0
     lines = dump.read_text().strip().splitlines()
@@ -71,14 +70,14 @@ def test_burke_dump_samples(tmp_path, capsys):
 
 def test_burke_csv_format(capsys):
     code, out, _ = run(capsys, "burke", "--model", "geom", "--horizon", "5000",
-                       "--burn-in", "500", "--seed", "1", "--format", "csv")
+                       "--seed", "1", "--format", "csv")
     assert code == 0
     assert out.splitlines()[0] == "test,statistic,p_value,n_samples,alpha,passed"
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"horizon": 4000, "burn_in": 400, "seed": 9}))
+    cfg.write_text(json.dumps({"horizon": 4000, "seed": 9}))
     code, out, _ = run(capsys, "burke", "--config", str(cfg), "--seed", "11")
     assert code == 0
     payload = json.loads(out)
@@ -181,12 +180,15 @@ SCIPY_DIGESTS = {
         "f90c3a1fc7b4bbbf166e58631710cf0f1423b2af5c3f006fe2e5c8a1bb001bfc",
     ("laguerre", "--reps", "20000", "--seed", "1"):
         "8100cded8dcbaf2c483a4dbcc6c49c99df0087ac98059a74312e68e245573ad5",
+    # re-recorded when burke stopped discarding a 10^4-customer burn-in and
+    # started customer 1 from the stationary wait: the trace, the tests and
+    # the params/diagnostics keys all changed
+    ("burke", "--horizon", "20000", "--seed", "0"):
+        "c45667963432c6ce7d4f5a830a54c690cf44dc4abc092ad242b72b68fffe4daa",
+    ("burke", "--model", "exp", "--horizon", "20000", "--seed", "0"):
+        "5d7c911f941f3fa1bb08cfe541e34c843d1d40e97290bb624cab1491f4addd9f",
     # recorded before zigzag-law and noncolliding moved onto the queue_store
     # and tandem kernels; the 3000-period run at p = 0.55 draws several blocks
-    ("burke", "--horizon", "20000", "--seed", "0"):
-        "87222d0f8585e2ad48b65483900efd5ee18e2c47fc0a94cd67b19c3d007aca79",
-    ("burke", "--model", "exp", "--horizon", "20000", "--seed", "0"):
-        "2dea3a41a702e6a20a139b5795bd7109baacb0908a04b3a42b8bf4005caf0962",
     ("zigzag-law", "--periods", "20000", "--seed", "0"):
         "da34e6508d5ea671e6b23dfaa1eb926cca1fd7972580c8219db0d58e411db491",
     ("zigzag-law", "--p", "0.55", "--q", "0.6", "--periods", "3000", "--seed", "0"):
@@ -216,6 +218,10 @@ SCIPY_DIGESTS = {
     ("interchange", "--q", "0.02,0.03,0.05", "--sigma", "2,0,1", "--n", "30",
      "--reps", "20000", "--seed", "7"):
         "ec3ed41bb8087c1375d43af5bb835d63a4bbb82a0a27abde28290b21295475fb",
+    # recorded before shape-law cut its pmfs at half the chi-square's cell
+    # bound instead of 1e-12 and 1e-9; the run went from about 40 s to 3 s
+    ("shape-law", "--q", "0.2,0.4,0.6", "--n", "6", "--reps", "20000", "--seed", "1"):
+        "41374128772c40bc4232f87fd31f905b3e7b93252514138e168466db15f139f7",
 }
 
 
@@ -321,10 +327,9 @@ def test_config_file_must_hold_an_object(tmp_path, capsys):
 
 def test_config_int_valued_float_matches_flag(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"alpha": 1, "horizon": 3000, "burn_in": 300}))
+    cfg.write_text(json.dumps({"alpha": 1, "horizon": 3000}))
     from_config = run(capsys, "burke", "--config", str(cfg))
-    from_flags = run(capsys, "burke", "--alpha", "1", "--horizon", "3000",
-                     "--burn-in", "300")
+    from_flags = run(capsys, "burke", "--alpha", "1", "--horizon", "3000")
     assert from_config == from_flags
     assert json.loads(from_config[1])["tests"][0]["alpha"] == 1.0
 
@@ -402,13 +407,18 @@ def test_empty_sizes_exit_two(capsys, argv):
         assert f"need {argv[1][2:].replace('-', '_')} >=" in err
 
 
-def test_degenerate_test_names_itself(capsys):
+@pytest.mark.parametrize("argv, message", [
     # almost every 6-long departure prefix is distinct, so the prefix test
     # pools every category into its rest cell
-    code, out, err = run(capsys, "interchange", "--q", "0.2,0.5,0.7", "--sigma", "2,0,1",
-                         "--n", "6", "--reps", "3000")
+    (("interchange", "--q", "0.2,0.5,0.7", "--sigma", "2,0,1", "--n", "6", "--reps", "3000"),
+     "departure-prefix-two-sample: fewer than two categories"),
+    # two gaps are one lag-1 pair; died with scipy's bare length error
+    (("burke", "--model", "exp", "--horizon", "2"), "gap-lag1: need at least 3 values"),
+], ids=["interchange", "burke"])
+def test_degenerate_test_names_itself(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
-    assert err.startswith("error: departure-prefix-two-sample: fewer than two categories")
+    assert err.startswith(f"error: {message}")
 
 
 def test_zigzag_law_has_no_max_rise(tmp_path, capsys):
@@ -418,6 +428,16 @@ def test_zigzag_law_has_no_max_rise(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"max_rise": 4}))
     code, _, err = run(capsys, "zigzag-law", "--config", str(cfg))
+    assert code == 2 and "unknown config keys" in err
+
+
+def test_burke_has_no_burn_in(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["burke", "--burn-in", "5"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"burn_in": 5}))
+    code, _, err = run(capsys, "burke", "--config", str(cfg))
     assert code == 2 and "unknown config keys" in err
 
 

@@ -6,13 +6,15 @@ from dualq.sampling import (
     MarkedSequence,
     RateParams,
     Seed,
+    _stationary_wait,
     reverse,
     sample_exponential,
     sample_geometric,
     sample_geometric0,
     sample_input,
 )
-from dualq.stattest import geometric_fit_test, ks_test
+from dualq.queue_store import transform
+from dualq.stattest import chi2_test, geometric_fit_test, ks_test
 from scipy import stats
 
 
@@ -184,6 +186,52 @@ def test_sample_input_dtypes():
     assert geo.epochs.dtype == np.int64 and geo.marks.dtype == np.int64
     exp = sample_input(RateParams("mm1", 0.3, 0.7), 10, Seed(1))
     assert exp.epochs.dtype == np.float64
+
+
+# the second pair of each model is near saturation (rho 0.91 and 0.99)
+STATIONARY = [RateParams("geomgeom1", 0.3, 0.6), RateParams("geomgeom1", 0.5, 0.55),
+              RateParams("mm1", 0.3, 0.7), RateParams("mm1", 0.69, 0.7)]
+
+
+def _case_id(params):
+    return f"{params.model}-{params.arrival}-{params.service}"
+
+
+def _assert_stationary_wait_law(w, params):
+    """Geom/Geom/1: chi-square of the pmf, tail folded into the last cell.
+    M/M/1: a binomial test of the atom at zero and KS of the positive part."""
+    w = np.asarray(w)
+    if params.model == "geomgeom1":
+        eta = (1 - params.service) / (1 - params.arrival)
+        busy = params.utilization * eta
+        k = np.arange(int(w.max()) + 1)
+        expected = w.size * np.where(k == 0, 1 - busy, busy * (1 - eta) * eta ** (k - 1.0))
+        expected[-1] = w.size * busy * eta ** (k[-1] - 1.0)
+        assert chi2_test(np.bincount(w), expected).passed
+    else:
+        idle = int((w == 0).sum())
+        assert stats.binomtest(idle, w.size, 1 - params.utilization).pvalue >= 0.01
+        rate = params.service - params.arrival
+        assert ks_test(w[w > 0], stats.expon(scale=1 / rate).cdf).passed
+
+
+@pytest.mark.parametrize("params", STATIONARY, ids=_case_id)
+def test_stationary_wait_draws_follow_the_law(params):
+    w = [_stationary_wait(params, Seed(5).substream(i).generator()) for i in range(20_000)]
+    assert {type(x) for x in w} == {int if params.model == "geomgeom1" else float}
+    _assert_stationary_wait_law(w, params)
+
+
+@pytest.mark.parametrize("params", STATIONARY, ids=_case_id)
+def test_stationary_start_stays_stationary(params):
+    # customer 50 of a queue started from the stationary draw, one seed per
+    # trace, the way burke_experiment starts it
+    w50 = []
+    for master in range(3000):
+        seed = Seed(master)
+        w1 = _stationary_wait(params, seed.substream(2).generator())
+        w50.append(transform(sample_input(params, 50, seed), w1=w1).w[-1])
+    _assert_stationary_wait_law(w50, params)
 
 
 def test_marked_sequence_validation():

@@ -6,7 +6,14 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from dualq import stattest
-from dualq.sampling import RateParams, Seed, draw_geometric, sample_exponential
+from dualq.sampling import (
+    RateParams,
+    Seed,
+    _stationary_wait,
+    draw_geometric,
+    sample_exponential,
+    sample_input,
+)
 from dualq.stattest import (
     DegenerateTestError,
     GofResult,
@@ -26,12 +33,14 @@ from dualq.stattest import (
     zigzag_law_experiment,
     _margin_bins,
     _minmax_functionals,
+    _pmf_chi2,
     _pool,
     _row_counts,
     _sample_busy_trajectories,
 )
-from dualq.queue_store import enumerate_trajectories
+from dualq.queue_store import enumerate_trajectories, transform
 from dualq.rsk import normalize_partition
+from dualq.schur import shape_distribution
 
 GEOM = RateParams("geomgeom1", 0.3, 0.6)
 EXPO = RateParams("mm1", 0.3, 0.7)
@@ -271,7 +280,7 @@ def test_lag1_detects_autocorrelation():
 # --- burke ----------------------------------------------------------------------
 
 def test_burke_geometric_smoke():
-    rep = burke_experiment(GEOM, 20_000, 2_000, Seed(100))
+    rep = burke_experiment(GEOM, 20_000, Seed(100))
     assert rep.passed
     names = [r.name for r in rep.results]
     assert "gaps-fit-arrival-law" in names
@@ -280,24 +289,30 @@ def test_burke_geometric_smoke():
 
 
 def test_burke_exponential_smoke():
-    assert burke_experiment(EXPO, 20_000, 2_000, Seed(101)).passed
+    assert burke_experiment(EXPO, 20_000, Seed(101)).passed
 
 
 def test_burke_reports_are_reproducible():
-    a = burke_experiment(GEOM, 5_000, 500, Seed(102))
-    b = burke_experiment(GEOM, 5_000, 500, Seed(102))
+    a = burke_experiment(GEOM, 5_000, Seed(102))
+    b = burke_experiment(GEOM, 5_000, Seed(102))
     assert a.to_json() == b.to_json()
 
 
-def test_burke_flags_short_burn_in_near_criticality():
-    rep = burke_experiment(RateParams("mm1", 0.69, 0.7), 2_000, 100, Seed(103))
-    assert rep.diagnostics["burn_in_ok"] is False
-    assert "note" in rep.diagnostics
+@pytest.mark.parametrize("params", [RateParams("geomgeom1", 0.5, 0.55),
+                                    RateParams("mm1", 0.69, 0.7)])
+def test_burke_tests_the_trace_started_at_the_stationary_draw(params, tmp_path):
+    seed = Seed(100)
+    rep = burke_experiment(params, 1_000, seed, samples_path=str(tmp_path / "dr.csv"))
+    w1 = rep.diagnostics["initial_wait"]
+    assert w1 > 0 and w1 == _stationary_wait(params, seed.substream(2).generator())
+    tr = transform(sample_input(params, 1_001, seed), w1=w1)
+    dumped = np.loadtxt(tmp_path / "dr.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(dumped[:, 1], tr.d) and np.array_equal(dumped[:, 2], tr.r)
 
 
 def test_burke_rejects_bad_sizes():
     with pytest.raises(ValueError):
-        burke_experiment(GEOM, 0, 10, Seed(0))
+        burke_experiment(GEOM, 0, Seed(0))
 
 
 # --- zigzag law -------------------------------------------------------------------
@@ -513,6 +528,27 @@ def test_shape_law_single_stage_matches_convolution():
     # K=1 reduces to the negative-binomial total of the entries
     rep = shape_law_experiment((0.4,), 4, 20_000, Seed(501))
     assert rep.passed
+
+
+def test_pmf_chi2_needs_the_pmf_only_down_to_half_its_cell_bound():
+    # reps puts one shape's expected count just under MIN_EXPECTED; cutting
+    # the pmf at residual MIN_EXPECTED / reps / 2, as shape-law does, gives
+    # the same test as the pmf cut at 1e-12
+    q, N = (0.3, 0.5), 4
+    full = {k: float(v) for k, v in shape_distribution(q, N, residual=1e-12).items()}
+    edge = min(full, key=lambda k: abs(full[k] - 1e-3))
+    reps = int(np.ceil(stattest.MIN_EXPECTED / full[edge])) - 1
+    assert stattest.MIN_EXPECTED - full[edge] <= reps * full[edge] < stattest.MIN_EXPECTED
+    cut = {k: float(v) for k, v in
+           shape_distribution(q, N, residual=stattest.MIN_EXPECTED / reps / 2).items()}
+    assert edge in cut and len(cut) < len(full)
+    shapes = list(full)
+    p = np.array([full[k] for k in shapes])
+    drawn = Seed(502).generator().choice(len(shapes), size=reps, p=p / p.sum())
+    counts = Counter(shapes[i] for i in drawn.tolist())
+    results = [_pmf_chi2(counts, pmf, reps, name="shape-frequencies", alpha=0.01)
+               for pmf in (full, cut)]
+    assert results[0] == results[1]
 
 
 # --- laguerre ---------------------------------------------------------------------
