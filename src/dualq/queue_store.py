@@ -196,8 +196,9 @@ class PiecewiseLinear:
     """Right-continuous piecewise-linear path.
 
     Knots carry the value at the knot and the left limit there; the path is
-    linear between knots (toward the next knot's left limit) and constant
-    zero outside the knot range.
+    linear between knots (toward the next knot's left limit), zero before
+    the first knot and held at the last knot's value after it.  A path
+    without knots is zero everywhere.
     """
 
     times: np.ndarray
@@ -211,28 +212,19 @@ class PiecewiseLinear:
         return self._eval(np.asarray(t, dtype=float), from_left=True)
 
     def _eval(self, t, from_left):
-        scalar = t.ndim == 0
-        tt = np.atleast_1d(t)
-        times, vals, lefts = self.times, self.values, self.left_values
-        n = len(times)
-        out = np.zeros(tt.shape)
-        if n:
-            side = "left" if from_left else "right"
-            i = np.searchsorted(times, tt, side=side) - 1
-            inside = i >= 0
-            ic = np.clip(i, 0, n - 1)
-            last = ic == n - 1
-            nxt = np.minimum(ic + 1, n - 1)
-            span = np.where(last, 1.0, times[nxt] - times[ic])
-            slope = np.where(last, 0.0, (lefts[nxt] - vals[ic]) / span)
-            lin = vals[ic] + slope * (tt - times[ic])
+        times = self.times
+        if not len(times):
+            out = np.zeros(t.shape)
+        else:
+            # each knot twice, (time, left limit) then (time, value): at a
+            # repeated abscissa np.interp reads the later point
+            out = np.interp(t, np.repeat(times, 2),
+                            np.column_stack((self.left_values, self.values)).ravel(),
+                            left=0.0, right=self.values[-1])
             if from_left:
-                # an exact knot hit from the left returns the declared limit
-                lin = np.where(inside & ~last & (tt == times[nxt]), lefts[nxt], lin)
-                out = np.where(tt == times[0], lefts[0], np.where(inside, lin, 0.0))
-            else:
-                out = np.where(inside, lin, 0.0)
-        return float(out[0]) if scalar else out
+                i = np.minimum(np.searchsorted(times, t), len(times) - 1)
+                out = np.where(times[i] == t, self.left_values[i], out)
+        return float(out) if t.ndim == 0 else out
 
 
 def _period_bounds(A, D):

@@ -8,8 +8,10 @@ of the insertion tableau of an N x K matrix is distributed as
 
 and the shape sequence in N is a Markov chain whose transitions multiply
 a(q) s_l(q) / s_m(q) on interlacing pairs.  #SSYT is the hook-content
-formula; s_l sums over interlacing chains.  Everything is exact when the
-q_j are ``fractions.Fraction``; floats work too.
+formula; s_l sums over interlacing chains.  Both truncated pmfs, of the
+shape and of one transition row, come from one loop that widens the leading
+part.  Everything is exact when the q_j are ``fractions.Fraction``; floats
+work too.
 """
 
 from __future__ import annotations
@@ -176,6 +178,21 @@ def shape_pmf(l, q, N: int):
     return empty_row_prob(q) ** N * schur_eval(l, q) * ssyt_count(l, N)
 
 
+def _truncated_pmf(c, tails, prob, residual) -> dict:
+    """``prob`` of the partition (c, *tail) for every tail in ``tails(c)``,
+    then ``tails(c + 1)``, ... until less than ``residual`` of the mass is left."""
+    out: dict[tuple, object] = {}
+    total = 0
+    for c in range(c, c + 10001):
+        for tail in tails(c):
+            l = normalize_partition((c,) + tail)
+            out[l] = p = prob(l)
+            total = total + p
+        if 1 - total < residual:
+            return out
+    raise RuntimeError("truncated pmf failed to converge")
+
+
 def shape_distribution(q, N: int, residual: float = 1e-10) -> dict:
     """Truncated pmf over partitions with at most K parts.
 
@@ -183,21 +200,11 @@ def shape_distribution(q, N: int, residual: float = 1e-10) -> dict:
     1 - residual (the full sum telescopes to one by the Cauchy identity).
     """
     q = _weights(q)
-    K = len(q)
-    out: dict[tuple, object] = {}
-    total = 0
-    c = 0
-    while True:
-        for tail in combinations_with_replacement(range(c, -1, -1), K - 1):
-            l = normalize_partition((c,) + tail)
-            p = shape_pmf(l, q, N)
-            out[l] = p
-            total = total + p
-        if 1 - total < residual:
-            return out
-        c += 1
-        if c > 10000:
-            raise RuntimeError("shape_distribution failed to converge")
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    aN, kinds = empty_row_prob(q) ** N, tuple(map(type, q))
+    return _truncated_pmf(0, lambda c: combinations_with_replacement(range(c, -1, -1), len(q) - 1),
+                          lambda l: aN * _schur_rec(l, q, kinds) * ssyt_count(l, N), residual)
 
 
 def interlaces(l, m) -> bool:
@@ -237,22 +244,9 @@ def transition_distribution(m, q, residual: float = 1e-10) -> dict:
     K = len(q)
     if len(m) > K:
         raise ValueError(f"{m!r} has more parts than the {K} weights")
-    out: dict[tuple, object] = {}
-    total = 0
     a, sm, kinds = empty_row_prob(q), schur_eval(m, q), tuple(map(type, q))
-    m1 = m[0] if m else 0
     pad = list(m) + [0] * (K - len(m))
     # interlacing forces l_i in [m_i, m_{i-1}] for i >= 2; only l_1 is free
     inner_ranges = [range(pad[i], pad[i - 1] + 1) for i in range(1, K)]
-    c = m1
-    while True:
-        for rest in product(*inner_ranges):
-            l = normalize_partition((c,) + rest)
-            out[l] = a * _schur_rec(l, q, kinds) / sm
-            total = total + out[l]
-        if 1 - total < residual:
-            return out
-        c += 1
-        if c > m1 + 10000:
-            raise RuntimeError("transition_distribution failed to converge")
-
+    return _truncated_pmf(pad[0], lambda c: product(*inner_ranges),
+                          lambda l: a * _schur_rec(l, q, kinds) / sm, residual)

@@ -424,9 +424,10 @@ def _sample_busy_trajectories(p, q, n_periods, seed):
     """Runs of the first ``n_periods`` busy periods of one Geom/Geom/1 queue
     trace: each period's (mark, gap) pairs, its last gap replaced by the last
     customer's D - A.  The trace takes the first k marks (substream 0) and
-    gaps (substream 1), k doubling from ``n_periods`` until the last period
-    kept is closed; a stream's first k draws do not depend on k."""
-    k = n_periods
+    gaps (substream 1), k doubling until the last period kept is closed; a
+    stream's first k draws do not depend on k.  k starts at 2 * n_periods:
+    k customers start at most k periods, and n_periods + 1 must start."""
+    k = 2 * n_periods
     while True:
         s = draw_geometric(seed.substream(0).generator(), q, k)
         a = draw_geometric(seed.substream(1).generator(), p, k)
@@ -725,8 +726,9 @@ def laguerre_check(K: int, reps: int, seed: Seed, reference_mean: float | None =
     """
     from scipy import stats
 
-    if K < 1 or reps < 1:
-        raise ValueError("need K >= 1 and reps >= 1")
+    if K < 1 or reps < 2:
+        # the sample standard deviation needs two values
+        raise ValueError("need K >= 1 and reps >= 2")
     gen = seed.substream(0).generator()
     R = np.empty(reps)
     for start in range(0, reps, LAGUERRE_BLOCK):

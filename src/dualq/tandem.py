@@ -160,14 +160,10 @@ def tandem_trace(U) -> TandemTrace:
                        D_seq=Dmat[1:, U.K])
 
 
-def tandem_outputs(U, upto_N: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Prefixes (D(1..n, K), R(1..n)) of the two departure sequences."""
-    U = _as_matrix(U)
-    n = U.N if upto_N is None else upto_N
-    if not 1 <= n <= U.N:
-        raise ValueError("upto_N must lie in 1..N")
+def tandem_outputs(U) -> tuple[np.ndarray, np.ndarray]:
+    """The two departure sequences (D(1..N, K), R(1..N)); a prefix is a slice."""
     trace = tandem_trace(U)
-    return trace.D_seq[:n].copy(), trace.R_seq[:n].copy()
+    return trace.D_seq.copy(), trace.R_seq.copy()
 
 
 def queue_departures_batch(u: np.ndarray) -> np.ndarray:

@@ -407,6 +407,13 @@ def test_empty_sizes_exit_two(capsys, argv):
         assert f"need {argv[1][2:].replace('-', '_')} >=" in err
 
 
+
+def test_laguerre_single_rep_exits_two(capsys):
+    # a sample standard deviation needs two values; one printed "sample_std": NaN
+    code, out, err = run(capsys, "laguerre", "--reps", "1")
+    assert code == 2 and out == ""
+    assert "reps >= 2" in err
+
 @pytest.mark.parametrize("argv, message", [
     # almost every 6-long departure prefix is distinct, so the prefix test
     # pools every category into its rest cell

@@ -259,6 +259,24 @@ def test_workload_hand_example():
     assert Wbar(5.2) == pytest.approx(2.2)
 
 
+
+def test_piecewise_linear_contract():
+    # zero before the first knot, linear toward the next left limit, and held
+    # at the last value after the last knot (workload paths end at 0)
+    p = PiecewiseLinear(np.array([0.0, 2.0]), np.array([1.0, 3.0]), np.array([0.5, 2.0]))
+    assert p([-1, 0, 1, 2, 5]).tolist() == [0.0, 1.0, 1.5, 3.0, 3.0]
+    assert p.left_limit([-1, 0, 1, 2, 5]).tolist() == [0.0, 0.5, 1.5, 2.0, 3.0]
+    assert p(5) == 3.0 and type(p(5)) is float
+    assert p.left_limit(2) == 2.0 and type(p.left_limit(2)) is float
+
+
+def test_piecewise_linear_without_knots_is_zero():
+    empty = np.array([])
+    p = PiecewiseLinear(empty, empty, empty)
+    assert p([-1.0, 0.0, 3.0]).tolist() == [0.0, 0.0, 0.0]
+    assert p.left_limit([2.0]).tolist() == [0.0]
+    assert p(1) == 0.0 and type(p(1)) is float
+
 def test_workload_idle_stretch_vanishes():
     tr = trace_from_arrays([0, 100], [1, 1])
     W, Wbar = workload_pair(tr)
@@ -376,6 +394,21 @@ def test_workload_pair_matches_loop(pairs, w1):
     assert_paths_equal(W, W_loop)
     assert_paths_equal(Wbar, Wbar_loop)
 
+
+
+@settings(deadline=None, max_examples=150)
+@given(customers, st.sampled_from([0, 3]), st.lists(st.floats(0, 1), min_size=1, max_size=5))
+@example([(0.5, 0.25), (0.25, 0.1), (0.1, 0.3)], 0, [0.5, 0.3])
+def test_workload_left_limit_is_value_off_knots(pairs, w1, fractions):
+    # only a knot has a left limit that differs from the value, and at every
+    # other time both read the same interpolation, to the last bit
+    tr = trace_of(pairs, w1)
+    for path in workload_pair(tr):
+        times = path.times
+        inner = times[:-1, None] + np.array(fractions) * np.diff(times)[:, None]
+        t = np.concatenate((inner.ravel(), [times[0] - 1, times[-1] + 1]))
+        t = t[~np.isin(t, times)]
+        assert np.array_equal(path.left_limit(t), path(t))
 
 @settings(deadline=None, max_examples=150)
 @given(customers, st.sampled_from([0, 2, 2.0, 0.5]), st.booleans())

@@ -38,7 +38,7 @@ from dualq.stattest import (
     _row_counts,
     _sample_busy_trajectories,
 )
-from dualq.queue_store import enumerate_trajectories, transform
+from dualq.queue_store import enumerate_trajectories, trace_from_arrays, transform
 from dualq.rsk import normalize_partition
 from dualq.schur import shape_distribution
 
@@ -412,6 +412,20 @@ def test_busy_trajectories_span_several_blocks():
     assert sum(len(runs) for runs in got) // 2 > 3 * 3000
     assert got == busy_trajectories_loop(p, q, 3000, seed)
 
+
+
+def test_busy_trajectories_first_trace_can_close_the_periods(monkeypatch):
+    # k customers start at most k periods, and n_periods + 1 must start, so a
+    # first trace of n_periods customers could never be enough
+    lengths = []
+
+    def spy(A, s, *args, **kwargs):
+        lengths.append(len(s))
+        return trace_from_arrays(A, s, *args, **kwargs)
+
+    monkeypatch.setattr(stattest, "trace_from_arrays", spy)
+    _sample_busy_trajectories(0.3, 0.6, 50, Seed(7))
+    assert lengths[0] > 50
 
 # --- noncolliding ----------------------------------------------------------------
 

@@ -137,19 +137,14 @@ def test_monotone_in_entries(U, di, dj):
 # --- joint outputs -------------------------------------------------------------
 
 def test_tandem_outputs_prefix_short_horizon():
-    D_seq, R_seq = tandem_outputs(U22, 1)
-    assert R_seq.tolist() == [0]
-    assert D_seq.tolist() == [int(U22.u[0, 0] + U22.u[0, 1])]
+    D_seq, R_seq = tandem_outputs(U22)
+    assert R_seq[:1].tolist() == [0]
+    assert D_seq[:1].tolist() == [int(U22.u[0, 0] + U22.u[0, 1])]
 
 
 def test_tandem_outputs_two_by_two():
     D_seq, R_seq = tandem_outputs(U22)
     assert (D_seq[-1], R_seq[-1]) == (8, 2)
-
-
-def test_tandem_outputs_bad_prefix():
-    with pytest.raises(ValueError):
-        tandem_outputs(U22, 3)
 
 
 @settings(deadline=None, max_examples=30)
