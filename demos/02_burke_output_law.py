@@ -18,7 +18,7 @@ def show(params, horizon):
           f"initial wait={report.diagnostics['initial_wait']:.4g}")
     for res in report.results:
         print(f"  {res.name:<26} stat={res.statistic:>9.4f}  "
-              f"p={res.p_value:.4f}  {'pass' if res.passed else 'FAIL'}")
+              f"p={res.p_value:.4f}  {'pass' if res.p_value >= report.alpha else 'FAIL'}")
     print(f"  verdict: {'pass' if report.passed else 'FAIL'}")
 
 

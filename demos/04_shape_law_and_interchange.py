@@ -8,6 +8,8 @@ the joint output law unchanged.
 
 from collections import Counter
 
+import numpy as np
+
 from dualq import (
     Seed,
     interchange_experiment,
@@ -15,8 +17,8 @@ from dualq import (
     shape_pmf,
     transition_prob,
 )
-from dualq.rsk import tableau_of, shape
-import numpy as np
+from dualq.rsk import shape, tableau_of, word_of
+from dualq.sampling import draw_geometric0
 
 q = (0.3, 0.5)
 N = 4
@@ -24,14 +26,8 @@ reps = 30_000
 
 # simulate shapes directly to eyeball the law
 gen = Seed(12).generator()
-cols = [np.floor(np.log1p(-gen.random((reps, N))) / np.log(qj)).astype(int) for qj in q]
-counts = Counter()
-for r in range(reps):
-    word = []
-    for i in range(N):
-        for j, c in enumerate(cols):
-            word.extend([j + 1] * c[r, i])
-    counts[shape(tableau_of(word))] += 1
+U = np.stack([draw_geometric0(gen, qj, (reps, N)) for qj in q], axis=2)
+counts = Counter(shape(tableau_of(word_of(m))) for m in U)
 
 print(f"shape law at q={q}, N={N} ({reps} samples)")
 print(f"{'shape':<12}{'observed':>10}{'predicted':>11}")

@@ -25,6 +25,7 @@ otherwise, with the same values either way.
 from __future__ import annotations
 
 import csv
+import math
 import operator
 from dataclasses import dataclass
 
@@ -96,6 +97,8 @@ def lindley_forward(w1, a, s) -> np.ndarray:
     s = np.asarray(s)
     if s.size < a.size:
         raise ValueError("need at least one mark per gap")
+    if not math.isfinite(w1):
+        raise ValueError("w1 must be finite")
     if w1 < 0 or (a.size and a.min() < 0) or (s.size and s.min() < 0):
         raise ValueError("w1, gaps and marks must be nonnegative")
     dtype = _common_dtype(a, s, extra_scalar=w1)
@@ -150,8 +153,10 @@ def trace_from_arrays(A, s, w1=0) -> QueueTrace:
 
     D is the running max-plus form seeded with D_1 = A_1 + w1 + s_1, which
     is the closed form of the recursion D_{n+1} = max(D_n, A_{n+1}) + s_{n+1}.
-    Marks may be zero here (the saturated-tandem sections need that); use
-    :func:`transform` when starting from a validated MarkedSequence.
+    A, s and w1 must be finite, w1 and s nonnegative and A nondecreasing.
+    Marks may be zero and arrivals simultaneous here (the saturated-tandem
+    sections need that); use :func:`transform` when starting from a
+    validated MarkedSequence.
     """
     A = np.asarray(A)
     s = np.asarray(s)
@@ -159,11 +164,15 @@ def trace_from_arrays(A, s, w1=0) -> QueueTrace:
         raise ValueError("need at least one customer")
     if A.shape != s.shape or A.ndim != 1:
         raise ValueError("A and s must be 1-d of equal length")
-    if w1 < 0:
-        raise ValueError("w1 must be nonnegative")
+    if not math.isfinite(w1) or w1 < 0:
+        raise ValueError("w1 must be finite and nonnegative")
     dtype = _common_dtype(A, s, extra_scalar=w1)
     A = A.astype(dtype)
     s = s.astype(dtype)
+    if not (np.isfinite(A).all() and np.isfinite(s).all()) or s.min() < 0:
+        raise ValueError("A and s must be finite and the marks nonnegative")
+    if (A[1:] < A[:-1]).any():
+        raise ValueError("arrival epochs must be nondecreasing")
     arrivals = A.copy()
     arrivals[0] += dtype(w1)       # the first customer finds w1 of work ahead
     D = _fifo_series(arrivals[:, None], s[:, None, None])[:, 0, 0]

@@ -2,8 +2,11 @@
 
 Each experiment is a pure function of its parameters and a
 :class:`~dualq.sampling.Seed`: rerunning with the same arguments rebuilds
-the identical report, byte for byte.  Verdicts are goodness-of-fit tests
-at a pre-registered significance level, never exact-equality claims.
+the identical report, byte for byte.  Verdicts are goodness-of-fit tests,
+never exact-equality claims.  The test primitives return what scipy
+returns, a statistic, a p-value and the sample size, as a :class:`GofResult`;
+the :class:`ExperimentReport` holds the one pre-registered significance
+level ``alpha`` and decides every test's verdict and its own.
 
 burke's queue is in equilibrium from customer 1, whose wait is a stationary
 draw; zigzag-law reads its busy periods off a :mod:`~dualq.queue_store` trace;
@@ -92,45 +95,42 @@ class InfeasibleError(RuntimeError):
 
 @dataclass(frozen=True)
 class GofResult:
+    """One test's outcome as scipy gives it; the verdict is the report's."""
+
     name: str
     statistic: float
     p_value: float
     n_samples: int
-    alpha: float = 0.01
-
-    @property
-    def passed(self) -> bool:
-        return self.p_value >= self.alpha
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "statistic": float(self.statistic),
-            "p_value": float(self.p_value),
-            "n_samples": int(self.n_samples),
-            "alpha": self.alpha,
-            "passed": self.passed,
-        }
 
 
 @dataclass
 class ExperimentReport:
+    """An experiment's tests, judged at one significance level: a test
+    passes when its p-value is at least ``alpha``."""
+
     name: str
     params: dict
     seed: Seed
+    alpha: float
     results: list = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
 
+    def _passes(self, r: GofResult) -> bool:
+        return r.p_value >= self.alpha
+
     @property
     def passed(self) -> bool:
-        return all(r.passed for r in self.results)
+        return all(map(self._passes, self.results))
 
     def to_dict(self) -> dict:
+        tests = [{"name": r.name, "statistic": float(r.statistic),
+                  "p_value": float(r.p_value), "n_samples": int(r.n_samples),
+                  "alpha": self.alpha, "passed": self._passes(r)} for r in self.results]
         return {
             "name": self.name,
             "params": self.params,
             "seed": {"master": self.seed.master, "stream": self.seed.stream},
-            "tests": [r.to_dict() for r in self.results],
+            "tests": tests,
             "diagnostics": self.diagnostics,
             "verdict": "pass" if self.passed else "fail",
         }
@@ -143,7 +143,7 @@ class ExperimentReport:
 # test primitives
 
 
-def ks_test(sample, cdf, *, name: str = "ks", alpha: float = 0.01) -> GofResult:
+def ks_test(sample, cdf, *, name: str = "ks") -> GofResult:
     """One-sample Kolmogorov-Smirnov against a callable CDF.
 
     scipy orders the sample with a stable sort, which is slow on unordered
@@ -158,7 +158,7 @@ def ks_test(sample, cdf, *, name: str = "ks", alpha: float = 0.01) -> GofResult:
     if sample.size == 0:
         raise ValueError("sample must be non-empty")
     res = stats.kstest(np.sort(sample), cdf)
-    return GofResult(name, float(res.statistic), float(res.pvalue), sample.size, alpha)
+    return GofResult(name, float(res.statistic), float(res.pvalue), sample.size)
 
 
 def _pool_bins(observed, expected):
@@ -180,7 +180,7 @@ def _pool_bins(observed, expected):
     return np.asarray(obs_out, dtype=float), np.asarray(exp_out, dtype=float)
 
 
-def chi2_test(observed, expected, *, name: str = "chi2", alpha: float = 0.01) -> GofResult:
+def chi2_test(observed, expected, *, name: str = "chi2") -> GofResult:
     """Pearson chi-square with adjacent pooling of thin bins.
 
     Totals must agree to 1e-9 (relative); anything thinner than
@@ -199,11 +199,10 @@ def chi2_test(observed, expected, *, name: str = "chi2", alpha: float = 0.01) ->
     if len(obs) < 2:
         raise DegenerateTestError(f"{name}: fewer than two bins after pooling")
     stat, p = stats.chisquare(obs, exp)
-    return GofResult(name, float(stat), float(p), int(round(so)), alpha)
+    return GofResult(name, float(stat), float(p), int(round(so)))
 
 
-def chi2_two_sample(keys_x, keys_y, *, name: str = "chi2-2samp",
-                    alpha: float = 0.01) -> GofResult:
+def chi2_two_sample(keys_x, keys_y, *, name: str = "chi2-2samp") -> GofResult:
     """Homogeneity chi-square of two samples of hashable categories, each
     given as a sequence of keys or as a mapping of key to count.
 
@@ -232,7 +231,7 @@ def chi2_two_sample(keys_x, keys_y, *, name: str = "chi2-2samp",
     if table.shape[1] < 2:
         raise DegenerateTestError(f"{name}: fewer than two categories after pooling")
     res = stats.chi2_contingency(table, correction=False)
-    return GofResult(name, float(res.statistic), float(res.pvalue), total, alpha)
+    return GofResult(name, float(res.statistic), float(res.pvalue), total)
 
 
 def _margin_bins(values, n_bins):
@@ -254,7 +253,7 @@ def _margin_bins(values, n_bins):
     return np.searchsorted(edges, values, side="right")
 
 
-def independence_test(x, y, *, name: str = "independence", alpha: float = 0.01) -> GofResult:
+def independence_test(x, y, *, name: str = "independence") -> GofResult:
     """Contingency chi-square of the joint, each margin binned into 8
     groups, against the product of the empirical marginals."""
     from scipy import stats
@@ -269,10 +268,10 @@ def independence_test(x, y, *, name: str = "independence", alpha: float = 0.01) 
     if table.shape[0] < 2 or table.shape[1] < 2:
         raise DegenerateTestError(f"{name}: need at least a 2x2 table")
     res = stats.chi2_contingency(table, correction=False)
-    return GofResult(name, float(res.statistic), float(res.pvalue), x.size, alpha)
+    return GofResult(name, float(res.statistic), float(res.pvalue), x.size)
 
 
-def lag1_test(x, *, name: str = "lag1", alpha: float = 0.01) -> GofResult:
+def lag1_test(x, *, name: str = "lag1") -> GofResult:
     """Pearson correlation between consecutive terms; i.i.d. data pass."""
     from scipy import stats
 
@@ -280,11 +279,10 @@ def lag1_test(x, *, name: str = "lag1", alpha: float = 0.01) -> GofResult:
     if x.size < 3:
         raise DegenerateTestError(f"{name}: need at least 3 values, got {x.size}")
     r, p = stats.pearsonr(x[:-1], x[1:])
-    return GofResult(name, float(r), float(p), x.size, alpha)
+    return GofResult(name, float(r), float(p), x.size)
 
 
-def geometric_fit_test(sample, p, *, name: str = "geometric-fit",
-                       alpha: float = 0.01) -> GofResult:
+def geometric_fit_test(sample, p, *, name: str = "geometric-fit") -> GofResult:
     """Chi-square of integer draws against P{X=k} = (1-p)^(k-1) p."""
     sample = np.asarray(sample)
     if sample.min() < 1:
@@ -295,7 +293,7 @@ def geometric_fit_test(sample, p, *, name: str = "geometric-fit",
     k = np.arange(1, vmax + 1)
     expected = n * (1 - p) ** (k - 1) * p
     expected[-1] = n * (1 - p) ** (vmax - 1)  # fold the whole tail into the last cell
-    return chi2_test(observed, expected, name=name, alpha=alpha)
+    return chi2_test(observed, expected, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -390,19 +388,20 @@ def burke_experiment(params: RateParams, horizon: int, seed: Seed, alpha: float 
                 fh.write(f"{i + 1},{d[i]},{r[i]}\n")
     def fit(x, rate, name):  # against the input law of the same parameter
         if params.model == "geomgeom1":
-            return geometric_fit_test(x, rate, name=name, alpha=alpha)
-        return ks_test(x, stats.expon(scale=1 / rate).cdf, name=name, alpha=alpha)
+            return geometric_fit_test(x, rate, name=name)
+        return ks_test(x, stats.expon(scale=1 / rate).cdf, name=name)
 
     results = [fit(d, params.arrival, "gaps-fit-arrival-law"),
                fit(r, params.service, "marks-fit-mark-law"),
-               independence_test(d, r, name="gap-mark-independence", alpha=alpha),
-               lag1_test(d, name="gap-lag1", alpha=alpha),
-               lag1_test(r, name="mark-lag1", alpha=alpha)]
+               independence_test(d, r, name="gap-mark-independence"),
+               lag1_test(d, name="gap-lag1"),
+               lag1_test(r, name="mark-lag1")]
     return ExperimentReport(
         name="burke",
         params={"model": params.model, "arrival": params.arrival,
                 "service": params.service, "horizon": horizon},
         seed=seed,
+        alpha=alpha,
         results=results,
         diagnostics={"utilization": params.utilization, "initial_wait": w1},
     )
@@ -469,8 +468,7 @@ def zigzag_law_experiment(p: float, q: float, seed: Seed,
     expected = [n_periods * trajectory_pmf(t, p, q) for t in catalog]
     observed.append(n_periods - sum(observed))
     expected.append(n_periods - sum(expected))
-    results.append(chi2_test(observed, expected,
-                             name=f"trajectory-frequencies-rise<={MAX_RISE}", alpha=alpha))
+    results.append(chi2_test(observed, expected, name=f"trajectory-frequencies-rise<={MAX_RISE}"))
 
     by_class: dict[tuple, list] = {}
     for t in catalog:
@@ -482,8 +480,7 @@ def zigzag_law_experiment(p: float, q: float, seed: Seed,
         if obs.sum() < 5 * len(members):
             continue
         exp = np.full(len(members), obs.sum() / len(members))
-        results.append(chi2_test(obs, exp, name=f"uniform-within-class-L{L}-k{k}",
-                                 alpha=alpha))
+        results.append(chi2_test(obs, exp, name=f"uniform-within-class-L{L}-k{k}"))
 
     stat = 0.0
     dof = 0
@@ -500,12 +497,13 @@ def zigzag_law_experiment(p: float, q: float, seed: Seed,
         n_pairs_total += n1 + n2
     if dof:
         results.append(GofResult("time-reversal-symmetry", stat,
-                                 float(stats.chi2.sf(stat, dof)), n_pairs_total, alpha))
+                                 float(stats.chi2.sf(stat, dof)), n_pairs_total))
 
     return ExperimentReport(
         name="zigzag-law",
         params={"p": p, "q": q, "n_periods": n_periods, "max_rise": MAX_RISE},
         seed=seed,
+        alpha=alpha,
         results=results,
         diagnostics={"distinct_trajectories": len(counts)},
     )
@@ -585,7 +583,7 @@ def noncolliding_experiment(params: RateParams, n: int, horizon_trunc: int,
         bins = np.stack([_margin_bins(np.concatenate([cond_x, hi]), 6),
                          _margin_bins(np.concatenate([cond_y, lo]), 6)], axis=1)
         counts_c, counts_u = _row_counts(bins[:reps]), _row_counts(bins[reps:])
-    res = chi2_two_sample(counts_c, counts_u, name="conditioned-vs-maxmin-joint", alpha=alpha)
+    res = chi2_two_sample(counts_c, counts_u, name="conditioned-vs-maxmin-joint")
 
     return ExperimentReport(
         name="noncolliding",
@@ -593,6 +591,7 @@ def noncolliding_experiment(params: RateParams, n: int, horizon_trunc: int,
                 "service": params.service, "n": n,
                 "horizon_trunc": horizon_trunc, "reps": reps},
         seed=seed,
+        alpha=alpha,
         results=[res],
         diagnostics={"acceptance_rate": accepted / attempts, "attempts": attempts},
     )
@@ -629,28 +628,27 @@ def interchange_experiment(q, sigma, N: int, reps: int, seed: Seed,
     joint1 = _row_counts(np.stack([D1[:, -1], R1], axis=1))
     joint2 = _row_counts(np.stack([D2[:, -1], R2], axis=1))
     results = [
-        chi2_two_sample(joint1, joint2, name="joint-D-R-two-sample", alpha=alpha),
-        chi2_two_sample(_row_counts(D1), _row_counts(D2),
-                        name="departure-prefix-two-sample", alpha=alpha),
+        chi2_two_sample(joint1, joint2, name="joint-D-R-two-sample"),
+        chi2_two_sample(_row_counts(D1), _row_counts(D2), name="departure-prefix-two-sample"),
     ]
     m1, m2 = D1[:, -1].mean(), D2[:, -1].mean()
     se = np.sqrt(D1[:, -1].var(ddof=1) / reps + D2[:, -1].var(ddof=1) / reps)
     z = (m1 - m2) / se
     results.append(GofResult("mean-D-equal", float(z),
-                             float(2 * stats.norm.sf(abs(z))), 2 * reps, alpha))
+                             float(2 * stats.norm.sf(abs(z))), 2 * reps))
 
     return ExperimentReport(
         name="interchange",
         params={"q": list(map(float, q)), "sigma": list(sigma), "N": N, "reps": reps},
         seed=seed,
+        alpha=alpha,
         results=results,
         diagnostics={"mean_D": [float(m1), float(m2)],
                      "mean_R": [float(R1.mean()), float(R2.mean())]},
     )
 
 
-def _pmf_chi2(counter: Counter, pmf: dict, total: int, *, name: str,
-              alpha: float) -> GofResult:
+def _pmf_chi2(counter: Counter, pmf: dict, total: int, *, name: str) -> GofResult:
     """Chi-square of observed categories against a (possibly truncated) pmf;
     everything outside the well-supported cells pools into a rest cell."""
     cells = sorted((k for k, p in pmf.items() if total * p >= MIN_EXPECTED),
@@ -659,7 +657,7 @@ def _pmf_chi2(counter: Counter, pmf: dict, total: int, *, name: str,
     expected = [total * pmf[k] for k in cells]
     observed.append(total - sum(observed))
     expected.append(total - sum(expected))
-    return chi2_test(observed, expected, name=name, alpha=alpha)
+    return chi2_test(observed, expected, name=name)
 
 
 def shape_law_experiment(q, N: int, reps: int, seed: Seed,
@@ -689,7 +687,7 @@ def shape_law_experiment(q, N: int, reps: int, seed: Seed,
     # MIN_EXPECTED / 2 and it pools into the rest cell, a complement, anyway.
     cut = MIN_EXPECTED / reps / 2
     dist = {k: float(v) for k, v in shape_distribution(q, N, residual=cut).items()}
-    results = [_pmf_chi2(count_n, dist, reps, name="shape-frequencies", alpha=alpha)]
+    results = [_pmf_chi2(count_n, dist, reps, name="shape-frequencies")]
 
     pair_pmf: dict[tuple, float] = {}
     for m, pm in dist.items():
@@ -697,16 +695,15 @@ def shape_law_experiment(q, N: int, reps: int, seed: Seed,
             continue
         for l, pt in transition_distribution(m, q, residual=cut / pm).items():
             pair_pmf[(m, l)] = pm * float(pt)
-    results.append(_pmf_chi2(pair_counts, pair_pmf, reps,
-                             name="growth-transitions", alpha=alpha))
+    results.append(_pmf_chi2(pair_counts, pair_pmf, reps, name="growth-transitions"))
 
-    results.append(chi2_two_sample(count_n, count_rev,
-                                   name="weight-permutation-two-sample", alpha=alpha))
+    results.append(chi2_two_sample(count_n, count_rev, name="weight-permutation-two-sample"))
 
     return ExperimentReport(
         name="shape-law",
         params={"q": [float(x) for x in q], "N": N, "reps": reps},
         seed=seed,
+        alpha=alpha,
         results=results,
         diagnostics={"distinct_shapes": len(count_n)},
     )
@@ -735,12 +732,12 @@ def laguerre_check(K: int, reps: int, seed: Seed, reference_mean: float | None =
         u = draw_exponential(gen, 1.0, (min(LAGUERRE_BLOCK, reps - start), K, K))
         R[start:start + len(u)] = tandem.store_departures_batch(u)[:, -1]
     ref = (1.0 / K) if reference_mean is None else float(reference_mean)
-    res = ks_test(R, stats.expon(scale=ref).cdf,
-                  name=f"R-exponential-mean-{ref:g}", alpha=alpha)
+    res = ks_test(R, stats.expon(scale=ref).cdf, name=f"R-exponential-mean-{ref:g}")
     return ExperimentReport(
         name="laguerre",
         params={"K": K, "reps": reps, "reference_mean": ref},
         seed=seed,
+        alpha=alpha,
         results=[res],
         diagnostics={"sample_mean": float(R.mean()),
                      "sample_std": float(R.std(ddof=1))},

@@ -370,6 +370,18 @@ def test_trace_integer_outside_int64_exits_two(capsys):
     assert code == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("flags", [
+    ("--a", "1,0", "--s", "1,1"),      # printed r = -1
+    ("--a", "0,1", "--s=-3,2"),        # printed D = -3
+    ("--a", "0,nan", "--s", "1,2"),    # printed a NaN trace
+    ("--w1", "inf"),                   # OverflowError traceback, exit 1
+])
+def test_trace_without_meaning_exits_two(capsys, flags):
+    code, out, err = run(capsys, "trace", *flags)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
 @pytest.mark.parametrize("argv", [
     ("shape-law", "--q", "1.5,0.3"),        # died with OverflowError
     ("shape-law", "--q", "0.5,1.0"),

@@ -153,6 +153,13 @@ def test_lindley_rejects_negative():
         lindley_forward(-1, [1], [1])
 
 
+@pytest.mark.parametrize("w1", [float("inf"), float("nan")])
+def test_lindley_rejects_non_finite_start(w1):
+    # inf died in the dtype choice with OverflowError
+    with pytest.raises(ValueError, match="w1 must be finite"):
+        lindley_forward(w1, [1], [1])
+
+
 # --- transform ---------------------------------------------------------------
 
 def test_transform_single_customer():
@@ -211,6 +218,27 @@ def test_transform_with_initial_backlog():
     tr = trace_from_arrays([0, 3], [5, 1], w1=4)
     assert tr.D.tolist() == [9, 10]
     assert tr.w.tolist() == [4, 6]
+
+
+@pytest.mark.parametrize("A, s, w1, message", [
+    ([1, 0], [1, 1], 0, "nondecreasing"),          # gave r = -1
+    ([0, 1], [-3, 2], 0, "nonnegative"),           # gave D = -3 for an arrival at 0
+    ([0, 3], [5, 1], -1, "nonnegative"),
+    ([0, float("nan")], [1, 2], 0, "finite"),      # gave a NaN trace
+    ([0, 3], [5.0, float("inf")], 0, "finite"),
+    ([0, 3], [5, 1], float("inf"), "finite"),      # died with OverflowError
+    ([0, 3], [5, 1], float("nan"), "finite"),
+])
+def test_trace_rejects_inputs_without_meaning(A, s, w1, message):
+    with pytest.raises(ValueError, match=message):
+        trace_from_arrays(A, s, w1=w1)
+
+
+def test_trace_keeps_simultaneous_arrivals_and_zero_marks():
+    tr = trace_from_arrays([0, 0, 2], [0, 3, 0])
+    assert tr.D.tolist() == [0, 3, 3]
+    assert tr.w.tolist() == [0, 0, 1]
+    assert tr.r.tolist() == [0, 2]
 
 
 # --- queue length ------------------------------------------------------------

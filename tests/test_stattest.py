@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from dualq.sampling import (
 )
 from dualq.stattest import (
     DegenerateTestError,
+    ExperimentReport,
     GofResult,
     InfeasibleError,
     burke_experiment,
@@ -54,7 +56,7 @@ def test_ks_self_consistency_over_seeds():
     cdf = stats.expon(scale=1.0).cdf
     for i in range(100):
         x = sample_exponential(1.0, 10_000, Seed(1000, i))
-        if not ks_test(x, cdf).passed:
+        if not ks_test(x, cdf).p_value >= 0.01:
             rejections += 1
     assert rejections <= 4
 
@@ -127,8 +129,8 @@ def test_geometric_fit_detects_wrong_parameter():
     from dualq.sampling import sample_geometric
 
     x = sample_geometric(0.5, 100_000, Seed(3))
-    assert geometric_fit_test(x, 0.5).passed
-    assert not geometric_fit_test(x, 0.47).passed
+    assert geometric_fit_test(x, 0.5).p_value >= 0.01
+    assert not geometric_fit_test(x, 0.47).p_value >= 0.01
 
 
 def test_two_sample_same_law_passes():
@@ -136,7 +138,7 @@ def test_two_sample_same_law_passes():
     gen2 = Seed(4, 1).generator()
     x = gen1.poisson(3.0, 20_000).tolist()
     y = gen2.poisson(3.0, 20_000).tolist()
-    assert chi2_two_sample(x, y).passed
+    assert chi2_two_sample(x, y).p_value >= 0.01
 
 
 def test_two_sample_shifted_law_fails():
@@ -144,10 +146,10 @@ def test_two_sample_shifted_law_fails():
     gen2 = Seed(5, 1).generator()
     x = gen1.poisson(3.0, 20_000).tolist()
     y = gen2.poisson(3.2, 20_000).tolist()
-    assert not chi2_two_sample(x, y).passed
+    assert not chi2_two_sample(x, y).p_value >= 0.01
 
 
-def chi2_two_sample_reference(x, y, name, alpha=0.01, min_expected=5.0):
+def chi2_two_sample_reference(x, y, name, min_expected=5.0):
     """Homogeneity chi-square built cell by cell: categories by combined
     count (ties by repr), thin ones pooled into one rest cell."""
     cx, cy = Counter(x), Counter(y)
@@ -163,7 +165,7 @@ def chi2_two_sample_reference(x, y, name, alpha=0.01, min_expected=5.0):
     if any(rest):
         table.append(rest)
     res = stats.chi2_contingency(np.array(table, dtype=float).T, correction=False)
-    return GofResult(name, float(res.statistic), float(res.pvalue), len(x) + len(y), alpha)
+    return GofResult(name, float(res.statistic), float(res.pvalue), len(x) + len(y))
 
 
 def test_two_sample_many_categories_matches_reference():
@@ -238,8 +240,8 @@ def test_independence_detects_coupling():
     gen = Seed(6).generator()
     x = gen.integers(1, 20, 20_000)
     y_indep = gen.integers(1, 20, 20_000)
-    assert independence_test(x, y_indep).passed
-    assert not independence_test(x, x + gen.integers(0, 2, 20_000)).passed
+    assert independence_test(x, y_indep).p_value >= 0.01
+    assert not independence_test(x, x + gen.integers(0, 2, 20_000)).p_value >= 0.01
 
 
 def margin_bins_reference(values, n_bins):
@@ -272,9 +274,9 @@ def test_margin_bins_match_per_value_reference(values, n_bins):
 def test_lag1_detects_autocorrelation():
     gen = Seed(7).generator()
     x = gen.normal(size=20_000)
-    assert lag1_test(x).passed
+    assert lag1_test(x).p_value >= 0.01
     walk = np.cumsum(x)
-    assert not lag1_test(walk).passed
+    assert not lag1_test(walk).p_value >= 0.01
 
 
 # --- burke ----------------------------------------------------------------------
@@ -560,7 +562,7 @@ def test_pmf_chi2_needs_the_pmf_only_down_to_half_its_cell_bound():
     p = np.array([full[k] for k in shapes])
     drawn = Seed(502).generator().choice(len(shapes), size=reps, p=p / p.sum())
     counts = Counter(shapes[i] for i in drawn.tolist())
-    results = [_pmf_chi2(counts, pmf, reps, name="shape-frequencies", alpha=0.01)
+    results = [_pmf_chi2(counts, pmf, reps, name="shape-frequencies")
                for pmf in (full, cut)]
     assert results[0] == results[1]
 
@@ -597,3 +599,27 @@ def test_report_schema():
     assert set(d) == {"name", "params", "seed", "tests", "diagnostics", "verdict"}
     assert set(d["tests"][0]) == {"name", "statistic", "p_value", "n_samples",
                                   "alpha", "passed"}
+
+
+def test_report_applies_its_alpha_to_every_test():
+    # a test result carries no level; the report's alpha decides each verdict
+    assert [f.name for f in fields(GofResult)] == ["name", "statistic", "p_value", "n_samples"]
+    results = [GofResult("wide", 1.0, 0.5, 100), GofResult("narrow", 2.0, 0.02, 100)]
+    for alpha, verdict in ((0.01, "pass"), (0.05, "fail")):
+        rep = ExperimentReport("levels", {}, Seed(0), alpha, results)
+        assert rep.passed is (verdict == "pass")
+        d = rep.to_dict()
+        assert d["verdict"] == verdict
+        assert "alpha" not in d
+        assert d["tests"][0]["passed"] is True
+        assert d["tests"][1]["alpha"] == alpha
+        assert d["tests"][1]["passed"] is (verdict == "pass")
+
+
+def test_experiment_alpha_reaches_every_test():
+    rep = burke_experiment(GEOM, 2000, Seed(104), alpha=0.3)
+    tests = rep.to_dict()["tests"]
+    assert all(t["alpha"] == 0.3 for t in tests)
+    passed = [t["passed"] for t in tests]
+    assert passed == [r.p_value >= 0.3 for r in rep.results]
+    assert set(passed) == {True, False}  # this seed has tests on both sides of 0.3
