@@ -83,13 +83,15 @@ def _verdict(report: stattest.ExperimentReport) -> tuple[dict, bool]:
 CASE_BLOCK = 4096
 
 
-def _random_cases(cfg, n_key: str, k_key: str, test: str, check) -> tuple[dict, bool]:
+def _random_cases(cfg, n_key: str, k_key: str, test: str, check,
+                  extra=lambda u, gen: None) -> tuple[dict, bool]:
     """Count the random matrices that fail ``check``.
 
     Case i draws from substream i: n in 1..cfg.<n_key>, k in 1..cfg.<k_key>,
-    then an n x k matrix u with entries in 0..max_entry.  Cases are drawn
-    :data:`CASE_BLOCK` at a time; ``check`` takes a block as a list of
-    ``(u, gen)`` pairs, where ``gen`` may go on drawing for its case, and
+    then an n x k matrix u with entries in 0..max_entry, then any further
+    inputs ``extra(u, gen)``: one generator, rewound per case, serves every
+    case, so all draws happen here.  Cases are drawn :data:`CASE_BLOCK` at a
+    time; ``check`` takes a block as a list of ``(u, extra)`` pairs and
     returns per case None on a pass or a dict describing the failure.  The
     diagnostics name the first failing case, and appear only if one fails.
     """
@@ -97,14 +99,16 @@ def _random_cases(cfg, n_key: str, k_key: str, test: str, check) -> tuple[dict, 
         if getattr(cfg, key) < low:
             raise ValueError(f"need {key} >= {low}, got {getattr(cfg, key)}")
     seed = Seed(cfg.seed)
+    gen = seed.generator()
     failures, first = 0, None
     for lo in range(0, cfg.cases, CASE_BLOCK):
         block = []
         for i in range(lo, min(lo + CASE_BLOCK, cfg.cases)):
-            gen = seed.substream(i).generator()
+            seed.substream(i).rewind(gen)
             n = int(gen.integers(1, getattr(cfg, n_key) + 1))
             k = int(gen.integers(1, getattr(cfg, k_key) + 1))
-            block.append((gen.integers(0, cfg.max_entry + 1, size=(n, k)), gen))
+            u = gen.integers(0, cfg.max_entry + 1, size=(n, k))
+            block.append((u, extra(u, gen)))
         for i, ((u, _), failure) in enumerate(zip(block, check(block)), lo):
             if failure is not None:
                 failures += 1
@@ -207,20 +211,24 @@ def _laguerre(cfg):
                                             reference_mean=ref, alpha=cfg.alpha))
 
 
-def _particles_agree(u, gen) -> bool:
-    """Zero-range jumps = queue departures, bus-stop loads = store flow, and the
-    exclusion encoding inverts and commutes with a bus-stop slot on counts and
-    buses drawn from ``gen``."""
+def _particle_inputs(u, gen) -> tuple[list, list]:
+    """Site counts, with an ample reservoir at site 1, and bus arrivals."""
     k = u.shape[1]
     counts = gen.integers(0, 6, size=k).tolist()
-    counts[0] += int(np.sum(u))  # ample reservoir
-    buses = gen.integers(0, 6, size=k).tolist()
+    counts[0] += int(np.sum(u))
+    return counts, gen.integers(0, 6, size=k).tolist()
+
+
+def _particles_agree(u, counts, buses) -> bool:
+    """Zero-range jumps = queue departures, bus-stop loads = store flow, and the
+    exclusion encoding inverts and commutes with a bus-stop slot on ``counts``
+    and ``buses``."""
     U = tandem.ServiceMatrix(u)
     D = tandem.queue_departures(U)
     jumps = {(e.particle, e.site): e.slot for e in particles.zero_range_run(U)}
     config = particles.to_exclusion(counts)
     return (all(jumps.get((p, j)) == D[p, j]
-                for p in range(1, U.N + 1) for j in range(1, k + 1))
+                for p in range(1, U.N + 1) for j in range(1, U.K + 1))
             and np.array_equal(particles.bus_stop_run(U), tandem.store_flow(U)[0])
             and particles.from_exclusion(config) == counts
             and np.array_equal(
@@ -233,8 +241,9 @@ def _particles_agree(u, gen) -> bool:
          max_entry=(int, 5, ""), seed=(int, 0, ""))
 def _particles(cfg):
     return _random_cases(cfg, "max_n", "max_k", "particle-equivalences",
-                         lambda block: [None if _particles_agree(u, gen) else {}
-                                        for u, gen in block])
+                         lambda block: [None if _particles_agree(u, *inputs) else {}
+                                        for u, inputs in block],
+                         _particle_inputs)
 
 
 @_command("trace", "per-customer trace table as CSV", io_flags=_IO_FLAGS,

@@ -90,8 +90,8 @@ def lindley_forward(w1, a, s) -> np.ndarray:
     """Waiting times by the forward recursion w_{n+1} = (w_n + s_n - a_n)^+.
 
     ``a`` holds the gaps between consecutive arrivals (length N-1 for N
-    customers), ``s`` the marks; only the first len(a) marks are consumed.
-    Returns len(a)+1 values starting at ``w1``.
+    customers), ``s`` the marks, all finite and nonnegative; only the first
+    len(a) marks are consumed.  Returns len(a)+1 values starting at ``w1``.
     """
     a = np.asarray(a)
     s = np.asarray(s)
@@ -102,9 +102,12 @@ def lindley_forward(w1, a, s) -> np.ndarray:
     if w1 < 0 or (a.size and a.min() < 0) or (s.size and s.min() < 0):
         raise ValueError("w1, gaps and marks must be nonnegative")
     dtype = _common_dtype(a, s, extra_scalar=w1)
+    a, s = a.astype(dtype), s.astype(dtype)
+    if not (np.isfinite(a).all() and np.isfinite(s).all()):
+        raise ValueError("gaps and marks must be finite")
     # one step per customer, on python scalars of the output dtype
     w = [dtype(w1).item()]
-    for ai, si in zip(a.astype(dtype).tolist(), s[:a.size].astype(dtype).tolist()):
+    for ai, si in zip(a.tolist(), s[:a.size].tolist()):
         w.append(max(w[-1] + si - ai, 0))
     return np.array(w, dtype=dtype)
 

@@ -115,6 +115,10 @@ class ExperimentReport:
     results: list = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if not 0 < self.alpha < 1:  # NaN fails too
+            raise ValueError(f"alpha must lie strictly in (0, 1), got {self.alpha}")
+
     def _passes(self, r: GofResult) -> bool:
         return r.p_value >= self.alpha
 

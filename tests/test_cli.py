@@ -271,6 +271,40 @@ def _case_matrix(seed, i, max_n, max_k, max_entry=5):
     return gen.integers(0, max_entry + 1, size=(n, k)).tolist()
 
 
+def _fresh_particle_inputs(seed, i, max_n, max_k, max_entry=5):
+    """A particles case drawn from its own fresh generator: the matrix, then
+    the site counts (reservoir added) and the buses."""
+    gen = Seed(seed).substream(i).generator()
+    n, k = int(gen.integers(1, max_n + 1)), int(gen.integers(1, max_k + 1))
+    u = gen.integers(0, max_entry + 1, size=(n, k))
+    counts = gen.integers(0, 6, size=k).tolist()
+    counts[0] += int(u.sum())
+    return u.tolist(), counts, gen.integers(0, 6, size=k).tolist()
+
+
+@pytest.mark.parametrize("block_size", [3, 4096])
+def test_rewound_generator_draws_every_case_of_its_fresh_substream(
+        capsys, monkeypatch, block_size):
+    # the reports cannot see a changed stream while every case passes
+    blocks = []
+    real = cli._random_cases
+
+    def recording(cfg, n_key, k_key, test, check, *extra):
+        return real(cfg, n_key, k_key, test,
+                    lambda block: blocks.append(block) or check(block), *extra)
+
+    monkeypatch.setattr(cli, "_random_cases", recording)
+    monkeypatch.setattr(cli, "CASE_BLOCK", block_size)
+    assert run(capsys, "verify-identities", "--cases", "10", "--seed", "11")[0] == 0
+    cases = [case for block in blocks for case in block]
+    assert [len(b) for b in blocks] == ([3, 3, 3, 1] if block_size == 3 else [10])
+    assert [u.tolist() for u, _ in cases] == [_case_matrix(11, i, 6, 4) for i in range(10)]
+    blocks.clear()
+    assert run(capsys, "particles", "--cases", "10", "--seed", "12")[0] == 0
+    drawn = [(u.tolist(), *inputs) for block in blocks for u, inputs in block]
+    assert drawn == [_fresh_particle_inputs(12, i, 5, 5) for i in range(10)]
+
+
 def test_verify_identities_names_first_failure(capsys, monkeypatch):
     real = tandem.queue_departures_batch
     monkeypatch.setattr(tandem, "queue_departures_batch", lambda u: real(u) + 1)
@@ -327,11 +361,22 @@ def test_config_file_must_hold_an_object(tmp_path, capsys):
 
 def test_config_int_valued_float_matches_flag(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"alpha": 1, "horizon": 3000}))
+    cfg.write_text(json.dumps({"model": "exp", "p": 1, "q": 2, "horizon": 3000}))
     from_config = run(capsys, "burke", "--config", str(cfg))
-    from_flags = run(capsys, "burke", "--alpha", "1", "--horizon", "3000")
+    from_flags = run(capsys, "burke", "--model", "exp", "--p", "1", "--q", "2",
+                     "--horizon", "3000")
     assert from_config == from_flags
-    assert json.loads(from_config[1])["tests"][0]["alpha"] == 1.0
+    assert json.loads(from_config[1])["params"]["arrival"] == 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ("--alpha", "nan"),                                  # wrote "alpha": NaN, exit 1
+    ("--alpha=-1", "--reference-mean", "100"),           # passed a KS test at p = 4.8e-184
+])
+def test_alpha_outside_the_open_unit_interval_exits_two(capsys, argv):
+    code, out, err = run(capsys, "laguerre", "--reps", "100", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "alpha must lie strictly in (0, 1)" in err
 
 
 def test_trace_has_no_format_flag(tmp_path, capsys):

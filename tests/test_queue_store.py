@@ -160,6 +160,15 @@ def test_lindley_rejects_non_finite_start(w1):
         lindley_forward(w1, [1], [1])
 
 
+@pytest.mark.parametrize("a, s", [([float("nan")], [1]), ([1.0], [float("inf")]),
+                                  ([float("inf")], [1]), ([1, 2], [1, float("nan")]),
+                                  ([1], [1, float("inf")])])
+def test_lindley_rejects_non_finite_gaps_and_marks(a, s):
+    # a NaN gap passed the sign check and max(nan, 0) kept it
+    with pytest.raises(ValueError, match="gaps and marks must be finite"):
+        lindley_forward(0, a, s)
+
+
 # --- transform ---------------------------------------------------------------
 
 def test_transform_single_customer():

@@ -1,10 +1,11 @@
+import json
 from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dualq import rsk
+from dualq import cli, rsk
 from dualq.rsk import (
     growth_shapes,
     BRUTE_FORCE_LIMIT,
@@ -28,6 +29,7 @@ from dualq.rsk import (
     verify_row_queue_batch,
     word_of,
 )
+from dualq.sampling import Seed
 from dualq.tandem import ServiceMatrix, queue_departures, store_flow
 
 U22 = ServiceMatrix(np.array([[1, 2], [3, 4]]))
@@ -46,6 +48,26 @@ def lwis(word):
             if word[j] <= word[i]:
                 best[i] = max(best[i], best[j] + 1)
     return max(best)
+
+
+# --- independent oracle: row insertion by its definition ----------------------
+
+def bump_rows(word):
+    """Rows of the insertion tableau of ``word``: each letter takes the place
+    of the leftmost entry greater than it, found by scanning the row, and
+    the displaced entry goes on to the next row; past the last row it
+    starts a new one."""
+    rows = []
+    for x in word:
+        for row in rows:
+            j = next((j for j, y in enumerate(row) if y > x), len(row))
+            if j == len(row):
+                row.append(x)
+                break
+            row[j], x = x, row[j]
+        else:
+            rows.append([x])
+    return rows
 
 
 def words(max_len=30, k=4):
@@ -124,6 +146,39 @@ def test_insert_valid_and_adds_one_box(word, letter):
     assert T2.size() == T.size() + 1
     # the original is untouched
     assert T.size() == len(word)
+
+
+def insertion_words():
+    """Words with the shapes that stress row insertion: empty, one letter
+    repeated, decreasing, long runs, and any word."""
+    runs = st.lists(st.tuples(st.integers(1, 6), st.integers(1, 15)), max_size=8)
+    return st.one_of(
+        st.just([]),
+        st.tuples(st.integers(1, 6), st.integers(1, 30)).map(lambda t: [t[0]] * t[1]),
+        st.lists(st.integers(1, 9), max_size=15).map(lambda w: sorted(w, reverse=True)),
+        st.lists(st.integers(1, 9), unique=True, max_size=9).map(
+            lambda w: sorted(w, reverse=True)),
+        runs.map(lambda rs: [y for y, n in rs for _ in range(n)]),
+        words(max_len=40, k=7),
+    )
+
+
+@settings(max_examples=300)
+@given(insertion_words(), st.integers(1, 9))
+def test_insertion_matches_the_scan_oracle(word, letter):
+    T = tableau_of(word)
+    assert T.rows == bump_rows(word)
+    assert insert(T, letter).rows == bump_rows(word + [letter])
+
+
+def test_insertion_cost_follows_the_letters_present():
+    # a decreasing permutation bumps every letter down a column of n rows
+    n = 2000
+    assert tableau_of(range(n, 0, -1)).rows == [[y] for y in range(1, n + 1)]
+    big = 10**9
+    assert tableau_of([big]).rows == [[big]]
+    assert insert(Tableau([[1, 2], [3]]), big).rows == [[1, 2, big], [3]]
+    assert insert(Tableau([[big]]), 1).rows == [[1], [big]]
 
 
 def test_tableau_of_empty_word():
@@ -363,14 +418,56 @@ def test_six_way_batch_matches_per_case_loops(u):
     assert ok.all()
     N, K = u.shape[1:]
     for b in range(u.shape[0]):
-        sh = shape(tableau_of(word_of(u[b])))
+        sh = [len(row) for row in bump_rows(word_of(u[b]).tolist())] + [0] * K
         rep = verify_row_queue(u[b])
         assert tuple(lam1[b].tolist()) == rep.lambda1
         assert tuple(lamK[b].tolist()) == rep.lambdaK
-        assert rep.lambda1[0] == (sh[0] if sh else 0)
-        assert rep.lambdaK[0] == (sh[K - 1] if len(sh) >= K else 0)
+        assert rep.lambda1[0] == sh[0]
+        assert rep.lambdaK[0] == sh[K - 1]
         assert rep.lambda1[3] == queue_departures(u[b])[N, K]
         assert rep.lambdaK[3] == store_flow(u[b])[2][-1]
+
+
+@settings(deadline=None, max_examples=150)
+@_example_all
+@example(np.array([[[1, 2, 0], [0, 0, 0], [3, 0, 1]],   # an all-zero row between others
+                   [[0, 0, 0], [0, 0, 0], [0, 4, 0]]]))  # all-zero rows first
+@given(stacks())
+def test_matrix_words_insert_as_the_scan_oracle_inserts_them(u):
+    for case in u:
+        word = word_of(case).tolist()
+        assert tableau_of(word).rows == bump_rows(word)
+
+
+def seed_case(seed, i):
+    """Case i of verify-identities at its default sizes, from a fresh generator."""
+    gen = Seed(seed).substream(i).generator()
+    n, k = int(gen.integers(1, 7)), int(gen.integers(1, 5))
+    return gen.integers(0, 6, size=(n, k))
+
+
+def test_broken_insertion_kernel_is_named_by_the_six_way_check(monkeypatch, capsys):
+    def no_bumps(rows, x):  # every letter stays in the first row
+        if not rows:
+            rows.append([])
+        rows[0].append(x)
+
+    monkeypatch.setattr(rsk, "_bump", no_bumps)
+    lam1, lamK, ok = verify_row_queue_batch(np.array([[[1, 2], [3, 4]], [[1, 2], [0, 0]]]))
+    assert ok.tolist() == [False, True]
+    assert lam1.tolist() == [[10, 8, 8, 8], [3, 3, 3, 3]]
+    assert lamK.tolist() == [[0, 2, 2, 2], [0, 0, 0, 0]]
+    code = cli.main(["verify-identities", "--cases", "50", "--seed", "28"])
+    payload = json.loads(capsys.readouterr().out)
+    first = payload["diagnostics"]["first_failure"]
+    assert code == 1
+    # a case fails exactly when its word bumps a letter out of the first row
+    cases = [seed_case(28, i) for i in range(50)]
+    bumps = [len(bump_rows(word_of(u).tolist())) > 1 for u in cases]
+    assert payload["tests"][0]["statistic"] == sum(bumps)
+    assert first["case"] == bumps.index(True) == 3
+    assert first["matrix"] == cases[3].tolist()
+    assert first["lambda1"][0] != first["lambda1"][1] or first["lambdaK"][0] != first["lambdaK"][1]
 
 
 def test_six_way_batch_names_the_failing_witness(monkeypatch):

@@ -616,6 +616,13 @@ def test_report_applies_its_alpha_to_every_test():
         assert d["tests"][1]["passed"] is (verdict == "pass")
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -1.0, 2.0, float("nan"), float("inf")])
+def test_report_rejects_alpha_outside_the_open_unit_interval(alpha):
+    # NaN made the JSON report invalid; a negative level passed every test
+    with pytest.raises(ValueError, match="alpha must lie strictly in"):
+        ExperimentReport("levels", {}, Seed(0), alpha, [GofResult("t", 1.0, 1e-9, 10)])
+
+
 def test_experiment_alpha_reaches_every_test():
     rep = burke_experiment(GEOM, 2000, Seed(104), alpha=0.3)
     tests = rep.to_dict()["tests"]
