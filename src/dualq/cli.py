@@ -68,10 +68,8 @@ def _number_array(text: str) -> np.ndarray:
 
 
 def _rate_params(cfg) -> RateParams:
-    model = {"geom": "geomgeom1", "geomgeom1": "geomgeom1",
-             "exp": "mm1", "mm1": "mm1"}.get(cfg.model)
-    if model is None:
-        raise ValueError(f"unknown model {cfg.model!r}")
+    """The --model aliases geom and exp name RateParams' geomgeom1 and mm1."""
+    model = {"geom": "geomgeom1", "exp": "mm1"}.get(cfg.model, cfg.model)
     return RateParams(model=model, arrival=cfg.p, service=cfg.q)
 
 
@@ -149,20 +147,20 @@ def _verify_identities(cfg):
 
 
 @_command("burke", "joint output law of the equilibrium queue",
-         model=(str, "geom", "geom or exp"),
+         model=(str, "geom", "geom (geomgeom1) or exp (mm1)"),
          p=(float, 0.3, "arrival parameter (p or lambda)"),
          q=(float, 0.6, "mark parameter (q or mu)"),
          horizon=(int, 100000, "customers, in equilibrium from the first"),
          seed=(int, 0, ""), alpha=(float, 0.01, ""),
-         dump_samples=(str, "", "write raw (d, r) pairs to this CSV path"))
+         dump_samples=(str, None, "write raw (d, r) pairs to this CSV path"))
 def _burke(cfg):
     return _verdict(stattest.burke_experiment(
         _rate_params(cfg), cfg.horizon, Seed(cfg.seed), alpha=cfg.alpha,
-        samples_path=cfg.dump_samples or None))
+        samples_path=cfg.dump_samples))
 
 
 @_command("zigzag-law", "busy-period trajectory law",
-         p=(float, 0.3, ""), q=(float, 0.7, ""),
+         p=(float, 0.3, "gap parameter"), q=(float, 0.7, "mark parameter, 0 < p < q < 1"),
          periods=(int, 100000, "busy periods"),
          seed=(int, 0, ""), alpha=(float, 0.01, ""))
 def _zigzag_law(cfg):
@@ -171,7 +169,7 @@ def _zigzag_law(cfg):
 
 
 @_command("noncolliding", "conditioned walks vs max/min functionals",
-         model=(str, "geom", "geom or exp"),
+         model=(str, "geom", "geom (geomgeom1) or exp (mm1)"),
          p=(float, 0.3, ""), q=(float, 0.7, ""),
          n=(int, 3, "prefix length"), trunc=(int, 50, "conditioning horizon"),
          reps=(int, 100000, "accepted samples"),
@@ -203,12 +201,11 @@ def _shape_law(cfg):
 
 @_command("laguerre", "exponentiality of R in the square exponential case",
          k=(int, 3, "stages (square case)"), reps=(int, 1000000, ""),
-         reference_mean=(float, 0.0, "0 means the exact 1/K"),
+         reference_mean=(float, None, "positive and finite; default the exact 1/K"),
          seed=(int, 0, ""), alpha=(float, 0.01, ""))
 def _laguerre(cfg):
-    ref = cfg.reference_mean if cfg.reference_mean > 0 else None
     return _verdict(stattest.laguerre_check(cfg.k, cfg.reps, Seed(cfg.seed),
-                                            reference_mean=ref, alpha=cfg.alpha))
+                                            reference_mean=cfg.reference_mean, alpha=cfg.alpha))
 
 
 def _particle_inputs(u, gen) -> tuple[list, list]:

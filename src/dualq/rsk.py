@@ -21,6 +21,7 @@ The path oracles refuse matrices with N + K above :data:`BRUTE_FORCE_LIMIT`.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -71,9 +72,18 @@ def normalize_partition(parts) -> tuple:
 
 def is_partition(parts) -> bool:
     parts = tuple(parts)
-    return all(int(p) == p and p >= 0 for p in parts) and all(
+    # the range test first: int() raises on NaN and inf
+    return all(0 <= p < math.inf and int(p) == p for p in parts) and all(
         parts[i] >= parts[i + 1] for i in range(len(parts) - 1)
     )
+
+
+def _partition(parts) -> tuple:
+    """``parts`` as a normalized partition; ValueError unless it is one."""
+    parts = tuple(parts)
+    if not is_partition(parts):
+        raise ValueError(f"{parts!r} is not a partition")
+    return normalize_partition(parts)
 
 
 class Tableau:
@@ -176,12 +186,25 @@ def growth_shapes(u) -> np.ndarray:
     return out.transpose(2, 0, 1)
 
 
+def _letters(word) -> list:
+    """The word as a list of ints; ValueError unless every letter is a
+    positive integer (integral floats count)."""
+    word = np.asarray(word)
+    letters = word.tolist()
+    if word.dtype.kind not in "iu":
+        # the range test first: int() raises on NaN and inf
+        if not all(1 <= x < math.inf and int(x) == x for x in letters):
+            raise ValueError("letters are positive integers")
+        return [int(x) for x in letters]
+    if letters and min(letters) < 1:
+        raise ValueError("letters are positive integers")
+    return letters
+
+
 def insert(T: Tableau, letter: int) -> Tableau:
     """Row-insert one letter, returning a new tableau with one more box."""
-    if letter < 1 or int(letter) != letter:
-        raise ValueError("letters are positive integers")
     rows = [list(r) for r in T.rows]
-    _bump(rows, int(letter))
+    _bump(rows, *_letters([letter]))
     out = Tableau.__new__(Tableau)
     out.rows = rows
     return out
@@ -190,7 +213,7 @@ def insert(T: Tableau, letter: int) -> Tableau:
 def tableau_of(word) -> Tableau:
     """Left fold of row insertion over the word, starting from empty."""
     rows: list[list[int]] = []
-    for x in np.asarray(word, dtype=np.int64).tolist():
+    for x in _letters(word):
         _bump(rows, x)
     out = Tableau.__new__(Tableau)
     out.rows = rows

@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import factorial, perm, prod
 
-from .rsk import Tableau, is_partition, normalize_partition
+from .rsk import Tableau, _partition, normalize_partition
 
 __all__ = [
     "WeightVector",
@@ -70,8 +70,7 @@ def empty_row_prob(q):
 
 
 def _fillings(shape: tuple, k: int):
-    """Yield all SSYT fillings of ``shape`` over {1..k} as row tuples."""
-    shape = normalize_partition(shape)
+    """Yield all SSYT fillings of the normalized ``shape`` over {1..k} as row tuples."""
     if len(shape) > k:
         return
     if not shape:
@@ -100,9 +99,7 @@ def _fillings(shape: tuple, k: int):
 
 def ssyt_enumerate(shape, k: int) -> list[Tableau]:
     """All semistandard tableaux of the given shape over {1..k}."""
-    if not is_partition(shape):
-        raise ValueError(f"{shape!r} is not a partition")
-    return [Tableau(rows) for rows in _fillings(normalize_partition(shape), k)]
+    return [Tableau(rows) for rows in _fillings(_partition(shape), k)]
 
 
 def ssyt_count(shape: tuple, n: int) -> int:
@@ -113,7 +110,7 @@ def ssyt_count(shape: tuple, n: int) -> int:
     n-i+l_i-1; with b_i = l_i + k-1-i over k parts, the hooks multiply to
     prod b_i! / prod_{i<j} (b_i - b_j).
     """
-    shape = normalize_partition(shape)
+    shape = _partition(shape)
     if len(shape) > n:
         return 0
     if not shape:
@@ -129,12 +126,11 @@ def ssyt_count(shape: tuple, n: int) -> int:
 def _schur_rec(shape: tuple, x: tuple, kinds: tuple):
     # peel the largest letter: its boxes form a horizontal strip, so
     # s_l(x_1..x_k) = sum over interlacing m of x_k^{|l|-|m|} s_m(x_1..x_{k-1}).
-    # l has at most k parts; an m with more than k-1 has s_m = 0 and is not
-    # generated.  kinds = the types of x, since 0.5 and Fraction(1, 2) hash alike
+    # a non-empty l has at most k >= 1 parts; an m with more than k-1 has
+    # s_m = 0 and is not generated.  kinds = the types of x, since 0.5 and
+    # Fraction(1, 2) hash alike
     if not shape:
         return 1
-    if not x:
-        return 0
     xk = x[-1]
     boxes = sum(shape)
     total = 0
@@ -158,10 +154,7 @@ def schur_eval(shape, x):
     variables are walked.  Exact whenever the inputs are exact (ints,
     Fractions); returns 0 for a shape with more parts than variables.
     """
-    if not is_partition(shape):
-        raise ValueError(f"{shape!r} is not a partition")
-    x = tuple(x)
-    shape = normalize_partition(shape)
+    shape, x = _partition(shape), tuple(x)
     if len(shape) > len(x):
         return 0
     return _schur_rec(shape, x, tuple(map(type, x)))
@@ -172,9 +165,7 @@ def shape_pmf(l, q, N: int):
     q = _weights(q)
     if N < 0:
         raise ValueError("N must be >= 0")
-    l = normalize_partition(l)
-    if not is_partition(l):
-        raise ValueError(f"{l!r} is not a partition")
+    l = _partition(l)
     return empty_row_prob(q) ** N * schur_eval(l, q) * ssyt_count(l, N)
 
 
@@ -209,12 +200,7 @@ def shape_distribution(q, N: int, residual: float = 1e-10) -> dict:
 
 def interlaces(l, m) -> bool:
     """l_1 >= m_1 >= l_2 >= m_2 >= ... (l grows from m by a horizontal strip)."""
-    if not is_partition(l):
-        raise ValueError(f"{l!r} is not a partition")
-    if not is_partition(m):
-        raise ValueError(f"{m!r} is not a partition")
-    l = normalize_partition(l)
-    m = normalize_partition(m)
+    l, m = _partition(l), _partition(m)
     if len(m) > len(l):
         return False
     for i in range(len(l)):
@@ -239,8 +225,7 @@ def transition_prob(m, l, q):
 
 def transition_distribution(m, q, residual: float = 1e-10) -> dict:
     """Truncated transition row from ``m``; sums to one by the Pieri rule."""
-    q = _weights(q)
-    m = normalize_partition(m)
+    q, m = _weights(q), _partition(m)
     K = len(q)
     if len(m) > K:
         raise ValueError(f"{m!r} has more parts than the {K} weights")

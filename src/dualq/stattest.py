@@ -106,7 +106,9 @@ class GofResult:
 @dataclass
 class ExperimentReport:
     """An experiment's tests, judged at one significance level: a test
-    passes when its p-value is at least ``alpha``."""
+    passes when its p-value is at least ``alpha``.  Each experiment checks
+    its inputs and builds its report before it imports scipy or draws, so
+    bad input, a bad ``alpha`` included, costs no run."""
 
     name: str
     params: dict
@@ -378,10 +380,12 @@ def burke_experiment(params: RateParams, horizon: int, seed: Seed, alpha: float 
     from customer 1 and all ``horizon`` gaps and marks are tested.  When
     ``samples_path`` is given, the raw (d, r) pairs are dumped there as CSV.
     """
-    from scipy import stats
-
     if horizon < 1:
         raise ValueError("need horizon >= 1")
+    report = ExperimentReport(
+        "burke", {"model": params.model, "arrival": params.arrival,
+                  "service": params.service, "horizon": horizon}, seed, alpha)
+    from scipy import stats
     w1 = _stationary_wait(params, seed.substream(2).generator())
     tr = transform(sample_input(params, horizon + 1, seed), w1=w1)
     d, r = tr.d, tr.r
@@ -395,20 +399,13 @@ def burke_experiment(params: RateParams, horizon: int, seed: Seed, alpha: float 
             return geometric_fit_test(x, rate, name=name)
         return ks_test(x, stats.expon(scale=1 / rate).cdf, name=name)
 
-    results = [fit(d, params.arrival, "gaps-fit-arrival-law"),
-               fit(r, params.service, "marks-fit-mark-law"),
-               independence_test(d, r, name="gap-mark-independence"),
-               lag1_test(d, name="gap-lag1"),
-               lag1_test(r, name="mark-lag1")]
-    return ExperimentReport(
-        name="burke",
-        params={"model": params.model, "arrival": params.arrival,
-                "service": params.service, "horizon": horizon},
-        seed=seed,
-        alpha=alpha,
-        results=results,
-        diagnostics={"utilization": params.utilization, "initial_wait": w1},
-    )
+    report.results = [fit(d, params.arrival, "gaps-fit-arrival-law"),
+                      fit(r, params.service, "marks-fit-mark-law"),
+                      independence_test(d, r, name="gap-mark-independence"),
+                      lag1_test(d, name="gap-lag1"),
+                      lag1_test(r, name="mark-lag1")]
+    report.diagnostics = {"utilization": params.utilization, "initial_wait": w1}
+    return report
 
 
 def trajectory_pmf(runs, p: float, q: float) -> float:
@@ -455,18 +452,19 @@ def zigzag_law_experiment(p: float, q: float, seed: Seed,
     peaks) class, and invariance under time reversal.  The busy periods are
     those of one queue trace that starts empty, split by the queue's own rule.
     """
-    from scipy import stats
-
-    if not 0 < p < q < 1:
-        raise ValueError("need 0 < p < q < 1")
+    RateParams("geomgeom1", p, q)  # the stability condition
     if n_periods < 1:
         raise ValueError("need n_periods >= 1")
+    report = ExperimentReport(
+        "zigzag-law", {"p": p, "q": q, "n_periods": n_periods, "max_rise": MAX_RISE},
+        seed, alpha)
+    from scipy import stats
     trajs = _sample_busy_trajectories(p, q, n_periods, seed)
     counts = Counter(trajs)
     catalog = []
     for L in range(1, MAX_RISE + 1):
         catalog.extend(enumerate_trajectories(L))
-    results = []
+    results = report.results
 
     observed = [counts.get(t.run_lengths, 0) for t in catalog]
     expected = [n_periods * trajectory_pmf(t, p, q) for t in catalog]
@@ -503,14 +501,8 @@ def zigzag_law_experiment(p: float, q: float, seed: Seed,
         results.append(GofResult("time-reversal-symmetry", stat,
                                  float(stats.chi2.sf(stat, dof)), n_pairs_total))
 
-    return ExperimentReport(
-        name="zigzag-law",
-        params={"p": p, "q": q, "n_periods": n_periods, "max_rise": MAX_RISE},
-        seed=seed,
-        alpha=alpha,
-        results=results,
-        diagnostics={"distinct_trajectories": len(counts)},
-    )
+    report.diagnostics = {"distinct_trajectories": len(counts)}
+    return report
 
 
 def _minmax_functionals(a, s):
@@ -542,6 +534,10 @@ def noncolliding_experiment(params: RateParams, n: int, horizon_trunc: int,
     """
     if n < 1 or horizon_trunc < n or reps < 1:
         raise ValueError("need 1 <= n <= horizon_trunc and reps >= 1")
+    report = ExperimentReport(
+        "noncolliding", {"model": params.model, "arrival": params.arrival,
+                         "service": params.service, "n": n,
+                         "horizon_trunc": horizon_trunc, "reps": reps}, seed, alpha)
     geometric = params.model == "geomgeom1"
     to_step = _to_geometric if geometric else _to_exponential
     walks = ((seed.substream(0).generator(), params.arrival),
@@ -587,18 +583,9 @@ def noncolliding_experiment(params: RateParams, n: int, horizon_trunc: int,
         bins = np.stack([_margin_bins(np.concatenate([cond_x, hi]), 6),
                          _margin_bins(np.concatenate([cond_y, lo]), 6)], axis=1)
         counts_c, counts_u = _row_counts(bins[:reps]), _row_counts(bins[reps:])
-    res = chi2_two_sample(counts_c, counts_u, name="conditioned-vs-maxmin-joint")
-
-    return ExperimentReport(
-        name="noncolliding",
-        params={"model": params.model, "arrival": params.arrival,
-                "service": params.service, "n": n,
-                "horizon_trunc": horizon_trunc, "reps": reps},
-        seed=seed,
-        alpha=alpha,
-        results=[res],
-        diagnostics={"acceptance_rate": accepted / attempts, "attempts": attempts},
-    )
+    report.results = [chi2_two_sample(counts_c, counts_u, name="conditioned-vs-maxmin-joint")]
+    report.diagnostics = {"acceptance_rate": accepted / attempts, "attempts": attempts}
+    return report
 
 
 def interchange_experiment(q, sigma, N: int, reps: int, seed: Seed,
@@ -609,8 +596,6 @@ def interchange_experiment(q, sigma, N: int, reps: int, seed: Seed,
     weights, then runs two-sample tests on the joint (D, R), on the full
     departure prefix vector, and on the mean of D.
     """
-    from scipy import stats
-
     if N < 1 or reps < 1:
         raise ValueError("need N >= 1 and reps >= 1")
     q = _weights(q)
@@ -619,6 +604,10 @@ def interchange_experiment(q, sigma, N: int, reps: int, seed: Seed,
     if sorted(sigma) != list(range(K)):
         raise ValueError("sigma must be a 0-based permutation of the stages")
     q_perm = tuple(q[sigma[j]] for j in range(K))
+    report = ExperimentReport(
+        "interchange", {"q": list(map(float, q)), "sigma": list(sigma), "N": N, "reps": reps},
+        seed, alpha)
+    from scipy import stats
 
     def sample_outputs(weights, base):
         u = _geometric0_matrices(weights, reps, N, seed, base)
@@ -631,25 +620,18 @@ def interchange_experiment(q, sigma, N: int, reps: int, seed: Seed,
 
     joint1 = _row_counts(np.stack([D1[:, -1], R1], axis=1))
     joint2 = _row_counts(np.stack([D2[:, -1], R2], axis=1))
-    results = [
-        chi2_two_sample(joint1, joint2, name="joint-D-R-two-sample"),
-        chi2_two_sample(_row_counts(D1), _row_counts(D2), name="departure-prefix-two-sample"),
-    ]
+    results = report.results
+    results.append(chi2_two_sample(joint1, joint2, name="joint-D-R-two-sample"))
+    results.append(chi2_two_sample(_row_counts(D1), _row_counts(D2),
+                                   name="departure-prefix-two-sample"))
     m1, m2 = D1[:, -1].mean(), D2[:, -1].mean()
     se = np.sqrt(D1[:, -1].var(ddof=1) / reps + D2[:, -1].var(ddof=1) / reps)
     z = (m1 - m2) / se
     results.append(GofResult("mean-D-equal", float(z),
                              float(2 * stats.norm.sf(abs(z))), 2 * reps))
-
-    return ExperimentReport(
-        name="interchange",
-        params={"q": list(map(float, q)), "sigma": list(sigma), "N": N, "reps": reps},
-        seed=seed,
-        alpha=alpha,
-        results=results,
-        diagnostics={"mean_D": [float(m1), float(m2)],
-                     "mean_R": [float(R1.mean()), float(R2.mean())]},
-    )
+    report.diagnostics = {"mean_D": [float(m1), float(m2)],
+                          "mean_R": [float(R1.mean()), float(R2.mean())]}
+    return report
 
 
 def _pmf_chi2(counter: Counter, pmf: dict, total: int, *, name: str) -> GofResult:
@@ -677,6 +659,8 @@ def shape_law_experiment(q, N: int, reps: int, seed: Seed,
         raise ValueError("need N >= 1 and reps >= 1")
     q = _weights(q)
     K = len(q)
+    report = ExperimentReport(
+        "shape-law", {"q": [float(x) for x in q], "N": N, "reps": reps}, seed, alpha)
     grown = growth_shapes(_geometric0_matrices(q, reps, N + 1, seed, 0))
     # one count of the distinct (shape at N, shape at N+1) rows serves both laws
     pair_rows = _row_counts(grown[:, N:].reshape(reps, 2 * K))
@@ -691,7 +675,8 @@ def shape_law_experiment(q, N: int, reps: int, seed: Seed,
     # MIN_EXPECTED / 2 and it pools into the rest cell, a complement, anyway.
     cut = MIN_EXPECTED / reps / 2
     dist = {k: float(v) for k, v in shape_distribution(q, N, residual=cut).items()}
-    results = [_pmf_chi2(count_n, dist, reps, name="shape-frequencies")]
+    results = report.results
+    results.append(_pmf_chi2(count_n, dist, reps, name="shape-frequencies"))
 
     pair_pmf: dict[tuple, float] = {}
     for m, pm in dist.items():
@@ -702,15 +687,8 @@ def shape_law_experiment(q, N: int, reps: int, seed: Seed,
     results.append(_pmf_chi2(pair_counts, pair_pmf, reps, name="growth-transitions"))
 
     results.append(chi2_two_sample(count_n, count_rev, name="weight-permutation-two-sample"))
-
-    return ExperimentReport(
-        name="shape-law",
-        params={"q": [float(x) for x in q], "N": N, "reps": reps},
-        seed=seed,
-        alpha=alpha,
-        results=results,
-        diagnostics={"distinct_shapes": len(count_n)},
-    )
+    report.diagnostics = {"distinct_shapes": len(count_n)}
+    return report
 
 
 LAGUERRE_BLOCK = 200_000  # matrices per draw: bounds the memory of one laguerre run
@@ -722,27 +700,23 @@ def laguerre_check(K: int, reps: int, seed: Seed, reference_mean: float | None =
 
     With K x K mean-one exponential entries, R is the minimum over the K
     single-node dual paths, i.e. exponential with mean 1/K; that is the
-    default reference.  A different ``reference_mean`` can be supplied to
-    test against an externally quoted value.
+    default reference.  A different ``reference_mean``, positive and
+    finite, can be supplied to test against an externally quoted value.
     """
-    from scipy import stats
-
     if K < 1 or reps < 2:
         # the sample standard deviation needs two values
         raise ValueError("need K >= 1 and reps >= 2")
+    ref = (1.0 / K) if reference_mean is None else float(reference_mean)
+    if not 0 < ref < np.inf:  # NaN fails too
+        raise ValueError(f"reference_mean must be positive and finite, got {reference_mean}")
+    report = ExperimentReport("laguerre", {"K": K, "reps": reps, "reference_mean": ref},
+                              seed, alpha)
+    from scipy import stats
     gen = seed.substream(0).generator()
     R = np.empty(reps)
     for start in range(0, reps, LAGUERRE_BLOCK):
         u = draw_exponential(gen, 1.0, (min(LAGUERRE_BLOCK, reps - start), K, K))
         R[start:start + len(u)] = tandem.store_departures_batch(u)[:, -1]
-    ref = (1.0 / K) if reference_mean is None else float(reference_mean)
-    res = ks_test(R, stats.expon(scale=ref).cdf, name=f"R-exponential-mean-{ref:g}")
-    return ExperimentReport(
-        name="laguerre",
-        params={"K": K, "reps": reps, "reference_mean": ref},
-        seed=seed,
-        alpha=alpha,
-        results=[res],
-        diagnostics={"sample_mean": float(R.mean()),
-                     "sample_std": float(R.std(ddof=1))},
-    )
+    report.results = [ks_test(R, stats.expon(scale=ref).cdf, name=f"R-exponential-mean-{ref:g}")]
+    report.diagnostics = {"sample_mean": float(R.mean()), "sample_std": float(R.std(ddof=1))}
+    return report

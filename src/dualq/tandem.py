@@ -23,6 +23,7 @@ from the shape alone and adding in the same order either way.
 from __future__ import annotations
 
 import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,5 +202,7 @@ def matrix_from_csv(fh) -> ServiceMatrix:
     """
     text = fh.read()
     dtype = np.int64 if _INTEGER_TEXT.fullmatch(text) else np.float64
-    u = np.loadtxt(text.splitlines(), delimiter=",", ndmin=2, dtype=dtype)
+    with warnings.catch_warnings():  # ServiceMatrix rejects an empty matrix
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        u = np.loadtxt(text.splitlines(), delimiter=",", ndmin=2, dtype=dtype)
     return ServiceMatrix(u)

@@ -379,6 +379,41 @@ def test_alpha_outside_the_open_unit_interval_exits_two(capsys, argv):
     assert err.startswith("error:") and "alpha must lie strictly in (0, 1)" in err
 
 
+def _no_draws(self):
+    raise AssertionError("drew before the inputs were checked")
+
+
+@pytest.mark.parametrize("alpha", ["nan", "0"])
+@pytest.mark.parametrize("subcommand", ["burke", "zigzag-law", "noncolliding",
+                                        "interchange", "shape-law", "laguerre"])
+def test_alpha_is_checked_before_the_first_draw(monkeypatch, capsys, subcommand, alpha):
+    # laguerre --alpha nan ran its 10^6 reps (about 1 s) before it exited 2
+    monkeypatch.setattr(Seed, "generator", _no_draws)
+    code, out, err = run(capsys, subcommand, "--alpha", alpha)
+    assert code == 2 and out == ""
+    assert "alpha must lie strictly in (0, 1)" in err
+
+
+@pytest.mark.parametrize("mean", ["0", "-5", "nan", "inf"])
+def test_reference_mean_must_be_positive_and_finite(monkeypatch, capsys, mean):
+    # 0, -5 and nan quietly tested against the exact 1/K and exited 0
+    monkeypatch.setattr(Seed, "generator", _no_draws)
+    code, out, err = run(capsys, "laguerre", "--reps", "100", f"--reference-mean={mean}")
+    assert code == 2 and out == ""
+    assert "reference_mean must be positive and finite" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("zigzag-law", "--p", "0.7", "--q", "0.3"), "0 < p < q < 1"),
+    (("burke", "--model", "foo"), "unknown model 'foo'"),
+], ids=["unstable", "unknown-model"])
+def test_rate_params_rules_still_exit_two(capsys, argv, message):
+    # guard: RateParams is now the one home of both rules
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and message in err
+
+
 def test_trace_has_no_format_flag(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["trace", "--format", "json"])

@@ -130,6 +130,24 @@ def test_insert_rejects_bad_letter():
         insert(Tableau(), 0)
 
 
+@pytest.mark.parametrize("bad", [1.7, 0, -3, float("nan"), float("inf")])
+def test_tableau_of_rejects_what_insert_rejects(bad):
+    # tableau_of cast to int64: [1.7, 1] gave [[1, 1]], [0, 2] gave [[0, 2]]
+    for call in (lambda: tableau_of([bad, 2]), lambda: tableau_of([2, bad]),
+                 lambda: insert(Tableau(), bad)):
+        with pytest.raises(ValueError, match="letters are positive integers"):
+            call()
+
+
+def test_integral_float_letters_still_insert():
+    # guard: insert took 2.0 before, and tableau_of takes what insert takes
+    assert insert(Tableau(), 2.0).rows == [[2]]
+    assert insert(Tableau(), 2**70).rows == [[2**70]]
+    assert tableau_of([2.0, 1.0, 3.0]).rows == tableau_of([2, 1, 3]).rows == [[1, 3], [2]]
+    assert tableau_of(np.array([2, 1], dtype=np.uint8)).rows == [[1], [2]]
+    assert tableau_of([]).rows == []
+
+
 @given(words())
 def test_insert_maximal_letter_appends(word):
     T = tableau_of(word)

@@ -2,7 +2,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 from math import comb
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -320,3 +322,58 @@ def test_weights_checked_where_they_enter(q):
                  lambda: transition_distribution((), q)):
         with pytest.raises(ValueError, match="strictly in"):
             call()
+
+
+# --- the partition rule, checked once for every entry point ---------------------
+
+Q2 = (0.3, 0.5)
+PARTITION_ENTRIES = {
+    "ssyt_enumerate": lambda l: ssyt_enumerate(l, 3),
+    "ssyt_count": lambda l: ssyt_count(l, 3),
+    "schur_eval": lambda l: schur_eval(l, Q2),
+    "shape_pmf": lambda l: shape_pmf(l, Q2, 3),
+    "interlaces-l": lambda l: interlaces(l, ()),
+    "interlaces-m": lambda l: interlaces((3, 3), l),
+    "transition_distribution": lambda l: transition_distribution(l, Q2),
+}
+BAD_SHAPES = [(1.5,), (1, 2), (-1,), (2, 0.5)]
+NOT_FINITE = [(float("nan"),), (float("inf"),)]  # int() raised on these, inf an OverflowError
+# pairs that already raised this error: the entry checked before it normalized,
+# or normalizing left a shape that its Schur evaluation rejected
+GUARDED = ({(e, l) for e in ("ssyt_enumerate", "schur_eval", "interlaces-l", "interlaces-m")
+            for l in BAD_SHAPES}
+           | {(e, l) for e in ("shape_pmf", "transition_distribution") for l in [(1, 2), (-1,)]})
+
+
+@pytest.mark.parametrize("entry, l", [
+    pytest.param(e, l, id=("guard-" if (e, l) in GUARDED else "") + f"{e}-{l}")
+    for e in PARTITION_ENTRIES for l in BAD_SHAPES + NOT_FINITE])
+def test_every_entry_point_rejects_a_non_partition(entry, l):
+    # ssyt_count((1, 2), 3) returned 0, shape_pmf((1.5,), q, N) the mass of (1,),
+    # transition_distribution((1.7,), q) the row of (1,)
+    with pytest.raises(ValueError, match=re.escape(f"{l!r} is not a partition")):
+        PARTITION_ENTRIES[entry](l)
+
+
+@pytest.mark.parametrize("q", [(0.3, 0.5), (F(3, 10), F(1, 2))], ids=["float", "Fraction"])
+def test_trailing_zeros_and_numpy_parts_keep_their_values(q):
+    # guard: (2, 1, 0) and numpy integers are the partition (2, 1), value for value
+    plain = (2, 1)
+    for l in [(2, 1, 0), (2, 1, 0, 0), tuple(np.array([2, 1, 0], dtype=np.int64)),
+              [np.int32(2), np.uint8(1)]]:
+        assert repr(ssyt_count(l, 3)) == repr(ssyt_count(plain, 3))
+        assert ssyt_enumerate(l, 3) == ssyt_enumerate(plain, 3)
+        assert repr(schur_eval(l, q)) == repr(schur_eval(plain, q))
+        assert repr(shape_pmf(l, q, 3)) == repr(shape_pmf(plain, q, 3))
+        assert interlaces(l, (1, 0)) and interlaces((3, 1, 0), l)
+        assert repr(transition_prob(l, (3, 1, 0), q)) == repr(transition_prob(plain, (3, 1), q))
+        assert ({k: repr(v) for k, v in transition_distribution(l, q).items()}
+                == {k: repr(v) for k, v in transition_distribution(plain, q).items()})
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(st.integers(0, 4), max_size=4), st.integers(1, 4))
+def test_ssyt_count_matches_enumeration_on_random_shapes(parts, k):
+    # guard: any valid shape, trailing zeros included, in either entry point
+    l = tuple(sorted(parts, reverse=True))
+    assert ssyt_count(l, k) == len(ssyt_enumerate(l, k))

@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -317,6 +318,16 @@ def test_matrix_csv_roundtrip():
         U2 = matrix_from_csv(buf)
         assert U2.u.dtype == np.float64
         assert np.array_equal(U2.u, np.array(u))
+
+
+@pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank-lines"])
+def test_empty_csv_raises_value_error_not_warning(text):
+    # numpy's "loadtxt: input contained no data" escaped first, so under an
+    # error filter the caller got a UserWarning instead of the ValueError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-empty"):
+            matrix_from_csv(io.StringIO(text))
 
 
 def test_matrix_validation():
