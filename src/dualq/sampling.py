@@ -8,9 +8,7 @@ replications can be farmed out in any schedule.
 Every law is drawn by inverse CDF, one uniform per value.  The transforms
 (``_to_geometric``, ``_to_geometric0``, ``_to_exponential``) work in place
 on an array of uniforms on [0, 1), the geometric ones leaving integer
-values in it.  The ``draw_*`` functions apply them to fresh uniforms, and
-noncolliding's rejection loop to the walk buffers it refills, so both do
-the same arithmetic.
+values in it; the ``draw_*`` functions apply them to fresh uniforms.
 """
 
 from __future__ import annotations
@@ -152,9 +150,10 @@ def _to_geometric0(u: np.ndarray, q: float) -> np.ndarray:
 
 
 def _to_exponential(u: np.ndarray, rate: float) -> np.ndarray:
-    """-log1p(-u) / rate, in place."""
+    """-log1p(-u) / rate, in place, as log1p(-u) / -rate: IEEE division is
+    symmetric in sign, so the bits are the same and a pass is saved."""
     np.log1p(np.negative(u, out=u), out=u)
-    return np.divide(np.negative(u, out=u), rate, out=u)
+    return np.divide(u, -rate, out=u)
 
 
 def draw_geometric(gen: np.random.Generator, p: float, shape) -> np.ndarray:
@@ -224,16 +223,39 @@ def sample_input(params: RateParams, horizon: int, seed: Seed) -> MarkedSequence
     return MarkedSequence(epochs, marks, window_end=epochs[-1])
 
 
-def _stationary_wait(params: RateParams, gen: np.random.Generator):
-    """Equilibrium wait of the model's queue.  Zero with probability 1 - rho
-    (M/M/1) or 1 - rho*eta (Geom/Geom/1, eta = (1-q)/(1-p)); otherwise
-    Exp(mu - lambda) or geometric on {1, 2, ...} with ratio eta.  The positive
-    part is drawn first, then the uniform that decides whether the server is busy."""
+def _wait_law(params: RateParams) -> tuple[float, float]:
+    """``(busy, decay)`` of the queue's equilibrium wait W: P(W > 0) = busy,
+    and given W > 0, W is Exp(decay) (M/M/1: busy = rho, decay = mu - lambda)
+    or geometric on {1, 2, ...} with ratio decay (Geom/Geom/1: busy = rho*eta,
+    decay = eta = (1-q)/(1-p))."""
     if params.model == "mm1":
-        busy, draw, rate = params.utilization, draw_exponential, params.service - params.arrival
+        return params.utilization, params.service - params.arrival
+    eta = (1 - params.service) / (1 - params.arrival)
+    return params.utilization * eta, eta
+
+
+def _wait_below(params: RateParams, x: np.ndarray) -> np.ndarray:
+    """P(W < x) elementwise, W the equilibrium wait of :func:`_wait_law`:
+    1 - busy * decay**(x-1) for integer x >= 1 (Geom/Geom/1), 1 - busy *
+    exp(-decay * x) for x > 0 (M/M/1), and 0 for x <= 0."""
+    busy, decay = _wait_law(params)
+    positive = x > 0
+    if params.model == "mm1":
+        tail = np.exp(np.where(positive, x, 0) * -decay)
     else:
-        eta = (1 - params.service) / (1 - params.arrival)
-        busy, draw, rate = params.utilization * eta, draw_geometric, 1 - eta
+        tail = decay ** np.where(positive, x - 1, 0)
+    return np.where(positive, 1 - busy * tail, 0.0)
+
+
+def _stationary_wait(params: RateParams, gen: np.random.Generator):
+    """Equilibrium wait of the model's queue, by :func:`_wait_law`.  The
+    positive part is drawn first, then the uniform that decides whether the
+    server is busy."""
+    busy, decay = _wait_law(params)
+    if params.model == "mm1":
+        draw, rate = draw_exponential, decay
+    else:
+        draw, rate = draw_geometric, 1 - decay
     return draw(gen, rate, ()).item() * bool(gen.random() < busy)  # 0 or 0.0 when idle
 
 

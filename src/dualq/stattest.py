@@ -10,14 +10,15 @@ level ``alpha`` and decides every test's verdict and its own.
 
 burke's queue is in equilibrium from customer 1, whose wait is a stationary
 draw; zigzag-law reads its busy periods off a :mod:`~dualq.queue_store` trace;
-noncolliding's reference pair is (D(n, 2), R(n)) from the :mod:`~dualq.tandem` kernels.
-The test resolutions are the constants :data:`MIN_EXPECTED`, :data:`MAX_RISE`
-and :data:`MIN_ACCEPTANCE`.
+noncolliding's walks are conditioned step by step by an h-transform, and its
+reference pair is (D(n, 2), R(n)) from the :mod:`~dualq.tandem` kernels.
+The test resolutions are the constants :data:`MIN_EXPECTED` and :data:`MAX_RISE`.
 
 Replications stay in numpy arrays from the draw to the contingency table.
 The tandem matrices are drawn straight into the (N, K, reps) layout the
-kernels scan, replications innermost.  noncolliding's rejection loop
-refills two walk buffers in place.  The categorical experiments
+kernels scan, replications innermost; laguerre draws and scans them
+:data:`_LAGUERRE_BLOCK` entries at a time, and :func:`ks_test` evaluates
+the CDF :data:`_KS_BLOCK` values at a time.  The categorical experiments
 (interchange, shape-law, noncolliding) count the distinct rows of their
 outcome array with :func:`_row_counts`, which sorts one int64 key per row
 and builds a Python tuple only per distinct row; :func:`_pool` merges rows
@@ -46,9 +47,8 @@ from .sampling import (
     RateParams,
     Seed,
     _stationary_wait,
-    _to_exponential,
-    _to_geometric,
     _to_geometric0,
+    _wait_below,
     draw_exponential,
     draw_geometric,
     sample_input,
@@ -63,7 +63,6 @@ __all__ = [
     "GofResult",
     "ExperimentReport",
     "DegenerateTestError",
-    "InfeasibleError",
     "ks_test",
     "chi2_test",
     "chi2_two_sample",
@@ -82,15 +81,10 @@ __all__ = [
 
 MIN_EXPECTED = 5.0  # expected count below which a chi-square cell is pooled
 MAX_RISE = 4  # zigzag-law's catalog: every trajectory up to this rise (Catalan growth)
-MIN_ACCEPTANCE = 1e-4  # noncolliding gives up when bound to accept fewer walks
 
 
 class DegenerateTestError(ValueError):
     """Too few usable bins to form a test statistic."""
-
-
-class InfeasibleError(RuntimeError):
-    """Rejection sampling cannot reach the requested sample size."""
 
 
 @dataclass(frozen=True)
@@ -149,8 +143,17 @@ class ExperimentReport:
 # test primitives
 
 
+_KS_BLOCK = 1 << 16  # values per CDF call in ks_test: bounds the CDF's temporaries
+
+
 def ks_test(sample, cdf, *, name: str = "ks") -> GofResult:
     """One-sample Kolmogorov-Smirnov against a callable CDF.
+
+    ``cdf`` must be elementwise: its value at a point may not depend on the
+    other points of the array it is given.  It is evaluated on
+    :data:`_KS_BLOCK` values at a time, into one output array, so its
+    temporaries stay small; scipy then gets those values, which are the
+    ones it would compute on the whole sample, bit for bit.
 
     scipy orders the sample with a stable sort, which is slow on unordered
     floats and linear on ordered ones; it gets a copy sorted by numpy's
@@ -163,7 +166,14 @@ def ks_test(sample, cdf, *, name: str = "ks") -> GofResult:
     sample = np.asarray(sample)
     if sample.size == 0:
         raise ValueError("sample must be non-empty")
-    res = stats.kstest(np.sort(sample), cdf)
+    x = np.sort(sample)
+    if x.dtype.kind != "f":  # scipy calls the CDF on floats
+        x = x.astype(np.float64)
+    values = np.empty(x.shape)
+    for lo in range(0, x.size, _KS_BLOCK):
+        values[lo:lo + _KS_BLOCK] = cdf(x[lo:lo + _KS_BLOCK])
+    # scipy calls its CDF once, on its own sorted copy of x, which equals x
+    res = stats.kstest(x, lambda _: values)
     return GofResult(name, float(res.statistic), float(res.pvalue), sample.size)
 
 
@@ -517,74 +527,77 @@ def _minmax_functionals(a, s):
     return tandem.queue_departures_batch(u)[:, -1, -1], tandem.store_departures_batch(u)[:, -1]
 
 
-def noncolliding_experiment(params: RateParams, n: int, horizon_trunc: int,
-                            reps: int, seed: Seed, alpha: float = 0.01) -> ExperimentReport:
+def _conditioned_walks(params: RateParams, n: int, reps: int, seed: Seed):
+    """``reps`` walks of ``n`` steps conditioned never to collide, by a Doob
+    h-transform: the heights A_n, S_n and S_{n-1}, and the proposals drawn.
+
+    Step j adds a gap a_j to the height A_j and a mark s_{j+1} to S_j; the
+    walks are conditioned on A_j > S_j for every j >= 1.  From height
+    x = A_j - S_j (0 at the start), a step proposes (a, s) from the input law
+    and is accepted with probability h(x + a - s), where h(y) = P(W < y) is
+    the probability that a walk at height y never collides, W being the
+    queue's equilibrium wait (:func:`~dualq.sampling._wait_below`).  h is
+    harmonic above 0, so the accepted step has the law P(a, s) h(x + a - s) /
+    h(x) of the conditioned walk: the conditioning is exact, with no horizon.
+    Rows whose proposal is refused draw again.  Gaps, marks and acceptance
+    uniforms come from substreams 0, 1 and 4, drawn step by step, so the
+    walks of n steps are the first n steps of the walks of n + 1 steps.
+    Memory is a few arrays of ``reps`` values, whatever n is.
+    """
+    geometric = params.model == "geomgeom1"
+    draw = draw_geometric if geometric else draw_exponential
+    gaps, marks, coins = (seed.substream(i).generator() for i in (0, 1, 4))
+    A, S = np.zeros((2, reps), dtype=np.int64 if geometric else np.float64)
+    proposals = 0
+    for j in range(n):
+        if j == n - 1:
+            before = S.copy()  # S_{n-1}
+        todo = np.arange(reps)
+        while todo.size:
+            a = A[todo] + draw(gaps, params.arrival, todo.size)
+            s = S[todo] + draw(marks, params.service, todo.size)
+            ok = coins.random(todo.size) < _wait_below(params, a - s)
+            proposals += todo.size
+            A[todo[ok]] = a[ok]
+            S[todo[ok]] = s[ok]
+            todo = todo[~ok]
+    return A, S, before, proposals
+
+
+def noncolliding_experiment(params: RateParams, n: int, reps: int, seed: Seed,
+                            alpha: float = 0.01) -> ExperimentReport:
     """Conditioned random-walk pair against the unconditional max/min pair.
 
-    Conditions the gap walk to stay strictly above the running mark sums
-    (truncated at ``horizon_trunc`` steps) by rejection, then compares the
-    joint law of (sum of the first n gaps, sum of the marks 2..n) with the
-    unconditional law of (D(n, 2), R(n)) of the two-stage tandem whose
-    columns are fresh gaps and marks, computed by the tandem kernels.
-
-    The walks of a batch are drawn into two buffers allocated once: each
-    batch refills them with uniforms, maps them through the inverse CDF and
-    sums them in place.  The geometric walks hold integers in float64, exact
-    while the sums stay below 2^53.
+    Draws the gap walk conditioned to stay strictly above the running mark
+    sums forever (:func:`_conditioned_walks`), then compares the joint law of
+    (sum of the first n gaps, sum of the marks 2..n) with the unconditional
+    law of (D(n, 2), R(n)) of the two-stage tandem whose columns are fresh
+    gaps and marks (substreams 2 and 3), computed by the tandem kernels.
+    ``diagnostics.acceptance_rate`` is the accepted steps, n * reps, over
+    the proposals, ``diagnostics.proposals``.
     """
-    if n < 1 or horizon_trunc < n or reps < 1:
-        raise ValueError("need 1 <= n <= horizon_trunc and reps >= 1")
+    if n < 1 or reps < 1:
+        raise ValueError("need n >= 1 and reps >= 1")
     report = ExperimentReport(
         "noncolliding", {"model": params.model, "arrival": params.arrival,
-                         "service": params.service, "n": n,
-                         "horizon_trunc": horizon_trunc, "reps": reps}, seed, alpha)
+                         "service": params.service, "n": n, "reps": reps}, seed, alpha)
+    cond_x, _, cond_y, proposals = _conditioned_walks(params, n, reps, seed)
+
     geometric = params.model == "geomgeom1"
-    to_step = _to_geometric if geometric else _to_exponential
-    walks = ((seed.substream(0).generator(), params.arrival),
-             (seed.substream(1).generator(), params.service))
-
-    batch = max(4096, min(reps, 1 << 16))
-    checked_at = 50  # batches drawn before the acceptance rate is judged
-    A, S = np.empty((2, batch, horizon_trunc))  # S holds s_2..s_{T+1}
-    above = np.empty(A.shape, dtype=bool)
-    acc_x, acc_y = [], []
-    accepted = attempts = 0
-    while accepted < reps:
-        for buf, (gen, rate) in zip((A, S), walks):
-            np.cumsum(to_step(gen.random(out=buf), rate), axis=1, out=buf)
-        ok = np.greater(A, S, out=above).all(axis=1)
-        attempts += batch
-        accepted += int(ok.sum())
-        acc_x.append(A[ok, n - 1])
-        acc_y.append(S[ok, n - 2] if n >= 2 else np.zeros(int(ok.sum())))
-        # The rate is judged after `checked_at` batches and every batch after.
-        # Raise as soon as the run is bound to fail that: it cannot reach reps
-        # first, and even accepting every walk up to the check keeps it low.
-        done = attempts // batch
-        best = accepted + max(checked_at - done, 0) * batch
-        if ((done >= checked_at or accepted + (checked_at - 1 - done) * batch < reps)
-                and best / max(attempts, checked_at * batch) < MIN_ACCEPTANCE):
-            raise InfeasibleError(
-                f"acceptance rate {accepted / attempts:.2e} below {MIN_ACCEPTANCE:.0e} "
-                f"after {attempts} attempts"
-            )
-    cond_x = np.concatenate(acc_x)[:reps]
-    cond_y = np.concatenate(acc_y)[:reps]
-
     draw = draw_geometric if geometric else draw_exponential
     a2 = draw(seed.substream(2).generator(), params.arrival, (reps, n))
     s2 = draw(seed.substream(3).generator(), params.service, (reps, n))
     hi, lo = _minmax_functionals(a2, s2)
 
     if geometric:
-        counts_c = _row_counts(np.stack([cond_x, cond_y], axis=1).astype(np.int64))
+        counts_c = _row_counts(np.stack([cond_x, cond_y], axis=1))
         counts_u = _row_counts(np.stack([hi, lo], axis=1))
     else:
         bins = np.stack([_margin_bins(np.concatenate([cond_x, hi]), 6),
                          _margin_bins(np.concatenate([cond_y, lo]), 6)], axis=1)
         counts_c, counts_u = _row_counts(bins[:reps]), _row_counts(bins[reps:])
     report.results = [chi2_two_sample(counts_c, counts_u, name="conditioned-vs-maxmin-joint")]
-    report.diagnostics = {"acceptance_rate": accepted / attempts, "attempts": attempts}
+    report.diagnostics = {"acceptance_rate": n * reps / proposals, "proposals": proposals}
     return report
 
 
@@ -691,7 +704,7 @@ def shape_law_experiment(q, N: int, reps: int, seed: Seed,
     return report
 
 
-LAGUERRE_BLOCK = 200_000  # matrices per draw: bounds the memory of one laguerre run
+_LAGUERRE_BLOCK = 147_456  # entries per draw, 16384 3 x 3 matrices: bounds laguerre's memory
 
 
 def laguerre_check(K: int, reps: int, seed: Seed, reference_mean: float | None = None,
@@ -714,8 +727,9 @@ def laguerre_check(K: int, reps: int, seed: Seed, reference_mean: float | None =
     from scipy import stats
     gen = seed.substream(0).generator()
     R = np.empty(reps)
-    for start in range(0, reps, LAGUERRE_BLOCK):
-        u = draw_exponential(gen, 1.0, (min(LAGUERRE_BLOCK, reps - start), K, K))
+    block = max(1, _LAGUERRE_BLOCK // (K * K))  # matrices; one stream, so any block gives one R
+    for start in range(0, reps, block):
+        u = draw_exponential(gen, 1.0, (min(block, reps - start), K, K))
         R[start:start + len(u)] = tandem.store_departures_batch(u)[:, -1]
     report.results = [ks_test(R, stats.expon(scale=ref).cdf, name=f"R-exponential-mean-{ref:g}")]
     report.diagnostics = {"sample_mean": float(R.mean()), "sample_std": float(R.std(ddof=1))}

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -134,12 +136,13 @@ def test_interchange_subcommand(capsys):
 
 def test_noncolliding_subcommand(capsys):
     code, out, _ = run(capsys, "noncolliding", "--model", "geom", "--p", "0.3",
-                       "--q", "0.7", "--n", "2", "--trunc", "30",
-                       "--reps", "8000", "--seed", "1")
+                       "--q", "0.7", "--n", "2", "--reps", "8000", "--seed", "1")
     assert code == 0
     payload = json.loads(out)
     assert payload["verdict"] == "pass"
     assert payload["diagnostics"]["acceptance_rate"] > 0.2
+    assert payload["diagnostics"]["proposals"] * payload["diagnostics"]["acceptance_rate"] \
+        == pytest.approx(2 * 8000)
 
 
 def test_reports_byte_identical_across_runs(capsys):
@@ -193,22 +196,26 @@ SCIPY_DIGESTS = {
         "da34e6508d5ea671e6b23dfaa1eb926cca1fd7972580c8219db0d58e411db491",
     ("zigzag-law", "--p", "0.55", "--q", "0.6", "--periods", "3000", "--seed", "0"):
         "8eac6656f189ad6c2d43ef570081a1fbf74b9a6af460b969d06813ac7d4bf2fe",
+    # re-recorded when noncolliding replaced its 50-step rejection of whole
+    # walks by the exact h-transform sampler: the draws, the diagnostics and
+    # the params (no horizon_trunc) all changed
     ("noncolliding", "--reps", "20000", "--seed", "0"):
-        "5362c372af643bc47acb155d9fc400aa1a532f7d093e2aadeb1be1b61b32de65",
+        "6f340ade60cda4cb77dc90a0d8520afc7928a3f03739eba7b648244604d05348",
     ("noncolliding", "--model", "exp", "--reps", "20000", "--seed", "0"):
-        "e6e989b265569a5aaeca3fe98379439b96a74dd2149887cb1bca303fdb29610c",
+        "cb5d98b2155b83c924a6b6326366fa2afb2f2f8e42c0e699d653f5841e141b8a",
     # recorded before the experiments moved to replication-innermost kernels,
     # buffered rejection walks and per-row category counts: three stages, a
-    # single row, one-step and six-step walks, K = 1 and K = 5
+    # single row, one-step and six-step walks, K = 1 and K = 5; the two
+    # noncolliding walks re-recorded with the h-transform sampler, as above
     ("interchange", "--q", "0.2,0.3,0.4", "--sigma", "2,0,1", "--n", "6", "--reps", "3000",
      "--seed", "0"):
         "ec611db7b2ec9f3471827802f5221870b18eb1a3e1437b73e387a637f806958f",
     ("shape-law", "--q", "0.2,0.4,0.6", "--n", "1", "--reps", "3000", "--seed", "0"):
         "715c4f842aa5b7f12b1b5f9a7781aa596940261f7d70f3cedc85a63057e1333e",
     ("noncolliding", "--n", "1", "--reps", "20000", "--seed", "0"):
-        "a0429b7d8658059d3a7e7c2cc5eeb4b8543705aee88dbb498b89bcb1e8723065",
+        "62920613309c0cb08494e9d21899c450b08955993e1f80c4a8c8a605ed579889",
     ("noncolliding", "--n", "6", "--model", "exp", "--reps", "20000", "--seed", "0"):
-        "1ed8a14bf4899cf33ddee181bd8d472630172760b3f9201fd928c0fd8b43de67",
+        "45df722197d97b9174220b5ee69d77a1e3ccacb8379e236502c7d8dea51aab6c",
     ("laguerre", "--k", "1", "--reps", "20000", "--seed", "0"):
         "d1948b6632b4c5c815f4bffe21b8168a7b632764cac8613a7c34ad24e504cb52",
     ("laguerre", "--k", "5", "--reps", "20000", "--seed", "0"):
@@ -538,6 +545,45 @@ def test_burke_has_no_burn_in(tmp_path, capsys):
     cfg.write_text(json.dumps({"burn_in": 5}))
     code, _, err = run(capsys, "burke", "--config", str(cfg))
     assert code == 2 and "unknown config keys" in err
+
+
+def test_noncolliding_has_no_trunc(tmp_path, capsys):
+    # the h-transform conditions on the whole future: there is no horizon to set
+    with pytest.raises(SystemExit) as exc:
+        main(["noncolliding", "--trunc", "50"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trunc": 50}))
+    code, out, err = run(capsys, "noncolliding", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "unknown config keys: ['trunc']" in err
+
+
+def _readme_command_lines() -> list[list[str]]:
+    """The ``dualq ...`` command lines of README's shell blocks, each as the
+    argument list after ``dualq``: continuations joined, comments dropped."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", text, flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["dualq"]:
+                commands.append(words[1:])
+    return commands
+
+
+def test_readme_command_lines_parse(capsys):
+    # a flag deleted from the CLI must not linger in the documented commands
+    commands = _readme_command_lines()
+    assert len(commands) >= len(cli.COMMANDS)
+    assert {argv[0] for argv in commands} == set(cli.COMMANDS)
+    failures = []
+    for argv in commands:
+        try:
+            cli._build_parser().parse_args(argv)
+        except SystemExit:
+            failures.append((" ".join(argv), capsys.readouterr().err.strip()))
+    assert failures == []
 
 
 # Only the goodness-of-fit tests need scipy; the exact subcommands start without it.

@@ -7,6 +7,8 @@ from dualq.sampling import (
     RateParams,
     Seed,
     _stationary_wait,
+    _to_exponential,
+    _wait_below,
     reverse,
     sample_exponential,
     sample_geometric,
@@ -266,6 +268,65 @@ def test_stationary_start_stays_stationary(params):
         w1 = _stationary_wait(params, seed.substream(2).generator())
         w50.append(transform(sample_input(params, 50, seed), w1=w1).w[-1])
     _assert_stationary_wait_law(w50, params)
+
+
+HARMONIC = [(0.3, 0.7), (0.3, 0.6), (0.5, 0.55)]
+
+
+@pytest.mark.parametrize("p, q", HARMONIC)
+def test_wait_below_is_harmonic_geometric(p, q):
+    # h(x) = P(W < x) is the chance a walk at height x never collides:
+    # E h(x + a - s) = h(x) for x >= 1, by exact summation over a, s < 300
+    # (the mass left out is below 0.7**299, about 1e-46)
+    params = RateParams("geomgeom1", p, q)
+    k = np.arange(1, 300)
+    pa, ps = (1 - p) ** (k - 1) * p, (1 - q) ** (k - 1) * q
+    weights = pa[:, None] * ps[None, :]
+    for x in range(1, 30):
+        mean = (weights * _wait_below(params, x + k[:, None] - k[None, :])).sum()
+        assert abs(mean - _wait_below(params, np.int64(x))) <= 1e-12
+    assert _wait_below(params, np.arange(-3, 1)).tolist() == [0.0] * 4
+
+
+@pytest.mark.parametrize("lam, mu", HARMONIC)
+def test_wait_below_is_harmonic_exponential(lam, mu):
+    # a - s has density c e^{-lam t} above 0 and c e^{mu t} below, c = lam mu / (lam + mu)
+    from scipy import integrate
+
+    params = RateParams("mm1", lam, mu)
+    c = lam * mu / (lam + mu)
+
+    def h(y):
+        return float(_wait_below(params, np.float64(y)))
+
+    for x in range(1, 30):
+        below = integrate.quad(lambda t: c * np.exp(mu * t) * h(x + t), -x, 0,
+                               epsabs=1e-14, epsrel=1e-13)[0]
+        above = integrate.quad(lambda t: c * np.exp(-lam * t) * h(x + t), 0, np.inf,
+                               epsabs=1e-14, epsrel=1e-13)[0]
+        assert abs(below + above - h(x)) <= 1e-12
+    assert _wait_below(params, np.array([-1.0, -0.0, 0.0])).tolist() == [0.0] * 3
+
+
+@pytest.mark.parametrize("params", STATIONARY, ids=_case_id)
+def test_wait_below_is_the_law_of_the_stationary_wait(params):
+    # the h of noncolliding and the first wait of burke share one law
+    w = np.array([_stationary_wait(params, Seed(6).substream(i).generator())
+                  for i in range(20_000)])
+    for x in (1, 2, 3, 5):  # integers: the geometric formula holds there
+        below = int((w < x).sum())
+        assert stats.binomtest(below, w.size, float(_wait_below(params, np.float64(x)))
+                               ).pvalue >= 0.01
+
+
+@pytest.mark.parametrize("rate", [0.3, 0.7, 1.0, 1.7, 3.0, 1e-3, 1e3])
+def test_to_exponential_keeps_the_bits_of_negating_first(rate):
+    # log1p(-u) / -rate against the two-step -(log1p(-u)) / rate
+    u = np.concatenate([[0.0, 5e-324, 1 - 2**-53], Seed(9).generator().random(10**5)])
+    two_step = np.log1p(-u)
+    two_step = np.negative(two_step) / rate
+    got = _to_exponential(u.copy(), rate)
+    assert got.tobytes() == two_step.tobytes()
 
 
 def test_marked_sequence_validation():

@@ -1,8 +1,10 @@
+import tracemalloc
 from collections import Counter
 from dataclasses import fields
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
@@ -11,6 +13,8 @@ from dualq.sampling import (
     RateParams,
     Seed,
     _stationary_wait,
+    _wait_below,
+    draw_exponential,
     draw_geometric,
     sample_exponential,
     sample_input,
@@ -19,7 +23,6 @@ from dualq.stattest import (
     DegenerateTestError,
     ExperimentReport,
     GofResult,
-    InfeasibleError,
     burke_experiment,
     chi2_test,
     chi2_two_sample,
@@ -33,6 +36,7 @@ from dualq.stattest import (
     shape_law_experiment,
     trajectory_pmf,
     zigzag_law_experiment,
+    _conditioned_walks,
     _margin_bins,
     _minmax_functionals,
     _pmf_chi2,
@@ -43,6 +47,7 @@ from dualq.stattest import (
 from dualq.queue_store import enumerate_trajectories, trace_from_arrays, transform
 from dualq.rsk import normalize_partition
 from dualq.schur import shape_distribution
+from test_cli import RECORDED_WITH
 
 GEOM = RateParams("geomgeom1", 0.3, 0.6)
 EXPO = RateParams("mm1", 0.3, 0.7)
@@ -95,6 +100,36 @@ def test_ks_matches_scipy_on_unsorted_sample(kind):
     want = stats.kstest(x, cdf)
     assert got.statistic == want.statistic and got.p_value == want.pvalue
     assert np.array_equal(x, before)  # the caller's array keeps its order
+
+
+_ECDF_POINTS = np.sort(sample_exponential(1.0, 500, Seed(3)))
+# the two kinds of CDF the code and its tests pass: scipy's frozen expon and an ECDF
+_BLOCK_CDFS = {
+    "expon": stats.expon(scale=0.8).cdf,
+    "ecdf": lambda t: np.searchsorted(_ECDF_POINTS, t, side="right") / _ECDF_POINTS.size,
+}
+
+
+@pytest.mark.parametrize("cdf_name", ["expon", "ecdf"])
+@pytest.mark.parametrize("size", [1, 2**16 - 1, 2**16, 2**16 + 1, 10**6])
+def test_ks_blocks_keep_the_bits_of_one_call(size, cdf_name):
+    # guard: the CDF evaluated block by block gives scipy's whole-array values
+    x = sample_exponential(1.2, size, Seed(size))
+    cdf = _BLOCK_CDFS[cdf_name]
+    got = ks_test(x, cdf)
+    want = stats.kstest(x, cdf)
+    assert got.statistic == want.statistic and got.p_value == want.pvalue
+
+
+def test_ks_calls_the_cdf_in_blocks():
+    sizes = []
+
+    def cdf(t):
+        sizes.append(t.size)
+        return stats.expon.cdf(t)
+
+    ks_test(sample_exponential(1.0, 3 * stattest._KS_BLOCK + 5, Seed(4)), cdf)
+    assert sizes == [stattest._KS_BLOCK] * 3 + [5]
 
 
 def test_chi2_exact_match_is_zero():
@@ -476,41 +511,93 @@ def test_minmax_functionals_match_loop(n, reps, master, floats):
 
 
 def test_noncolliding_geometric_smoke():
-    rep = noncolliding_experiment(RateParams("geomgeom1", 0.3, 0.7), 3, 40,
-                                  20_000, Seed(300))
+    rep = noncolliding_experiment(RateParams("geomgeom1", 0.3, 0.7), 3, 20_000, Seed(300))
     assert rep.passed
     assert rep.diagnostics["acceptance_rate"] > 0.3
 
 
 def test_noncolliding_exponential_smoke():
-    rep = noncolliding_experiment(RateParams("mm1", 0.3, 0.8), 2, 40,
-                                  20_000, Seed(301))
+    rep = noncolliding_experiment(RateParams("mm1", 0.3, 0.8), 2, 20_000, Seed(301))
     assert rep.passed
 
 
-def test_noncolliding_truncation_stability():
-    a = noncolliding_experiment(RateParams("geomgeom1", 0.3, 0.7), 3, 25,
-                                15_000, Seed(302))
-    b = noncolliding_experiment(RateParams("geomgeom1", 0.3, 0.7), 3, 50,
-                                15_000, Seed(303))
-    assert a.passed and b.passed
+@pytest.mark.parametrize("model", ["geomgeom1", "mm1"])
+def test_noncolliding_single_step(model):
+    # n = 1: the pair is (a_1, 0), and every walk is one accepted step
+    params = RateParams(model, 0.3, 0.7)
+    rep = noncolliding_experiment(params, 1, 20_000, Seed(305))
+    assert rep.passed
+    assert rep.params == {"model": model, "arrival": 0.3, "service": 0.7, "n": 1,
+                          "reps": 20_000}
+    d = rep.diagnostics
+    assert set(d) == {"acceptance_rate", "proposals"}
+    assert d["acceptance_rate"] == 20_000 / d["proposals"]
+    A, S, before, proposals = _conditioned_walks(params, 1, 20_000, Seed(305))
+    assert A.shape == S.shape == before.shape == (20_000,) and proposals == d["proposals"]
+    assert not before.any()
+    assert np.all(A > S)
 
 
-def test_noncolliding_infeasibility_guard(monkeypatch):
-    monkeypatch.setattr(stattest, "MIN_ACCEPTANCE", 0.9999)
-    with pytest.raises(InfeasibleError):
-        noncolliding_experiment(RateParams("geomgeom1", 0.3, 0.7), 2, 30,
-                                10**7, Seed(304))
+@pytest.mark.parametrize("model", ["geomgeom1", "mm1"])
+def test_conditioned_walks_never_collide(model):
+    # the walks of n steps are the first n steps of the walks of n + 1 steps,
+    # so the heights of n = 1..8 are one set of walks, step by step
+    params = RateParams(model, 0.3, 0.6)
+    prev_A = prev_S = np.zeros(5000)
+    prev_proposals = 0
+    for n in range(1, 9):
+        A, S, before, proposals = _conditioned_walks(params, n, 5000, Seed(306))
+        assert A.dtype == S.dtype == (np.int64 if model == "geomgeom1" else np.float64)
+        assert np.array_equal(before, prev_S)
+        assert np.all(A > S) and np.all(A > prev_A) and np.all(S > prev_S)
+        assert proposals >= prev_proposals + 5000
+        prev_A, prev_S, prev_proposals = A, S, proposals
 
 
-def test_noncolliding_guard_spares_runs_that_finish_early(monkeypatch):
-    # the rate stays far below MIN_ACCEPTANCE, but reps is reached within a few
-    # batches, long before the 50-batch check, so the run returns
-    monkeypatch.setattr(stattest, "MIN_ACCEPTANCE", 0.9999)
-    rep = noncolliding_experiment(RateParams("geomgeom1", 0.3, 0.7), 2, 30,
-                                  4096, Seed(304))
-    assert rep.diagnostics["acceptance_rate"] < 0.9
-    assert rep.diagnostics["attempts"] < 50 * 4096
+def test_conditioned_first_step_law():
+    # the first step (a, s) has the law P(a) P(s) h(a - s) / E h(a - s)
+    p, q, reps = 0.3, 0.6, 50_000
+    params = RateParams("geomgeom1", p, q)
+    A, S, _, _ = _conditioned_walks(params, 1, reps, Seed(307))
+    k = np.arange(1, 200)
+    a, s = np.meshgrid(k, k, indexing="ij")
+    joint = (1 - p) ** (a - 1) * p * (1 - q) ** (s - 1) * q * _wait_below(params, a - s)
+    joint /= joint.sum()
+    counts = Counter(zip(A.tolist(), S.tolist()))
+    pmf = {(int(x), int(y)): float(w) for x, y, w in zip(a.ravel(), s.ravel(), joint.ravel())}
+    assert set(counts) <= set(pmf)
+    assert _pmf_chi2(counts, pmf, reps, name="first-step").p_value >= 0.01
+
+
+def _rejection_walks(params, n, reps, seed, horizon=100):
+    """Test oracle: whole walks of ``horizon`` steps, kept when A_j > S_j at
+    every step; (A_n, s_2 + ... + s_n) of the first ``reps`` kept.  The
+    horizon truncates the conditioning, which changes this law by less than
+    the chance of a first collision after ``horizon`` steps."""
+    draw = draw_geometric if params.model == "geomgeom1" else draw_exponential
+    gaps, marks = seed.substream(0).generator(), seed.substream(1).generator()
+    xs, ys, kept = [], [], 0
+    while kept < reps:
+        A = np.cumsum(draw(gaps, params.arrival, (reps, horizon)), axis=1)
+        S = np.cumsum(draw(marks, params.service, (reps, horizon)), axis=1)
+        ok = (A > S).all(axis=1)
+        xs.append(A[ok, n - 1])
+        ys.append(S[ok, n - 2] if n >= 2 else np.zeros(int(ok.sum()), dtype=S.dtype))
+        kept += int(ok.sum())
+    return np.concatenate(xs)[:reps], np.concatenate(ys)[:reps]
+
+
+@pytest.mark.parametrize("model, n", [("geomgeom1", 3), ("geomgeom1", 1), ("mm1", 2)])
+def test_conditioned_walks_match_the_rejection_oracle(model, n):
+    params, reps = RateParams(model, 0.3, 0.7), 10_000
+    A, _, before, _ = _conditioned_walks(params, n, reps, Seed(308))
+    oracle_x, oracle_y = _rejection_walks(params, n, reps, Seed(309))
+    x = np.concatenate([A, oracle_x])
+    y = np.concatenate([before, oracle_y])
+    if model == "mm1":
+        x, y = _margin_bins(x, 6), _margin_bins(y, 6)
+    pairs = np.stack([x, y], axis=1)
+    assert chi2_two_sample(_row_counts(pairs[:reps]), _row_counts(pairs[reps:])).p_value >= 0.01
 
 
 # --- interchange -------------------------------------------------------------------
@@ -583,8 +670,24 @@ def test_laguerre_two_stages():
 
 def test_laguerre_blocks_do_not_change_the_report(monkeypatch):
     whole = laguerre_check(3, 50, Seed(604)).to_json()
-    monkeypatch.setattr(stattest, "LAGUERRE_BLOCK", 7)  # 50 matrices in 8 blocks, the last short
+    monkeypatch.setattr(stattest, "_LAGUERRE_BLOCK", 7 * 9)  # 50 matrices in 8 blocks, the last short
     assert laguerre_check(3, 50, Seed(604)).to_json() == whole
+
+
+def test_laguerre_blocks_count_entries(monkeypatch):
+    # at K = 8 a block of 200 000 matrices held 100 MB; blocks now hold at
+    # most _LAGUERRE_BLOCK entries whatever K is
+    blocks = []
+    kernel = stattest.tandem.store_departures_batch
+
+    def spy(u):
+        blocks.append(u.shape)
+        return kernel(u)
+
+    monkeypatch.setattr(stattest.tandem, "store_departures_batch", spy)
+    laguerre_check(8, 5000, Seed(605))
+    per_block = stattest._LAGUERRE_BLOCK // 64
+    assert blocks == [(per_block, 8, 8)] * (5000 // per_block) + [(5000 % per_block, 8, 8)]
 
 
 def test_laguerre_quoted_reference_fails():
@@ -630,3 +733,33 @@ def test_experiment_alpha_reaches_every_test():
     passed = [t["passed"] for t in tests]
     assert passed == [r.p_value >= 0.3 for r in rep.results]
     assert set(passed) == {True, False}  # this seed has tests on both sides of 0.3
+
+
+# --- memory -----------------------------------------------------------------------
+
+def _peak_mb(run) -> float:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+_AT_DEFAULTS = {
+    "laguerre": lambda: laguerre_check(3, 10**6, Seed(0)),
+    "ks": lambda: ks_test(sample_exponential(2.0, 10**6, Seed(1)), stats.expon(scale=0.5).cdf),
+    "noncolliding": lambda: noncolliding_experiment(RateParams("geomgeom1", 0.3, 0.7), 3,
+                                                    100_000, Seed(0)),
+}
+
+
+# scipy's temporaries count toward the peak, so the bounds hold on the pinned versions
+@pytest.mark.skipif((np.__version__, scipy.__version__) != RECORDED_WITH,
+                    reason="peaks measured with numpy %s, scipy %s" % RECORDED_WITH)
+@pytest.mark.parametrize("name", sorted(_AT_DEFAULTS))
+def test_memory_peak_at_default_sizes(name):
+    # peaks before the fixed-size blocks and the h-transform sampler: laguerre
+    # 91 MB, ks 70 MB on this sample, noncolliding 90-98 MB
+    _AT_DEFAULTS[name]()  # first call: imports and caches stay out of the peak
+    assert _peak_mb(_AT_DEFAULTS[name]) < 64
