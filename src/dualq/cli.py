@@ -40,8 +40,8 @@ COMMANDS: dict[str, Command] = {}
 
 _IO_FLAGS = {"config": (str, None, "JSON file supplying the same keys; flags override"),
              "output": (str, None, None)}
-_REPORT_FLAGS = {**_IO_FLAGS, "format": (str, "json", None)}
-_FORMATS = ("json", "csv")
+_REPORT_FLAGS = {**_IO_FLAGS, "format": (str, "json", "json or csv")}
+_ALPHA = (float, stattest.DEFAULT_ALPHA, "")
 
 
 def _command(name: str, help: str, io_flags: dict = _REPORT_FLAGS, **flags):
@@ -143,6 +143,9 @@ def _six_way_failures(block) -> list:
          max_entry=(int, 5, "entries drawn from {0..max}"),
          cases=(int, 10000, "random matrices"), seed=(int, 0, ""))
 def _verify_identities(cfg):
+    if cfg.n + cfg.k > rsk.BRUTE_FORCE_LIMIT:  # the path oracles' limit, before any draw
+        raise ValueError(f"n + k = {cfg.n + cfg.k} exceeds the brute-force limit "
+                         f"{rsk.BRUTE_FORCE_LIMIT}")
     return _random_cases(cfg, "n", "k", "six-way-identity", _six_way_failures)
 
 
@@ -151,7 +154,7 @@ def _verify_identities(cfg):
          p=(float, 0.3, "arrival parameter (p or lambda)"),
          q=(float, 0.6, "mark parameter (q or mu)"),
          horizon=(int, 100000, "customers, in equilibrium from the first"),
-         seed=(int, 0, ""), alpha=(float, 0.01, ""),
+         seed=(int, 0, ""), alpha=_ALPHA,
          dump_samples=(str, None, "write raw (d, r) pairs to this CSV path"))
 def _burke(cfg):
     return _verdict(stattest.burke_experiment(
@@ -162,7 +165,7 @@ def _burke(cfg):
 @_command("zigzag-law", "busy-period trajectory law",
          p=(float, 0.3, "gap parameter"), q=(float, 0.7, "mark parameter, 0 < p < q < 1"),
          periods=(int, 100000, "busy periods"),
-         seed=(int, 0, ""), alpha=(float, 0.01, ""))
+         seed=(int, 0, ""), alpha=_ALPHA)
 def _zigzag_law(cfg):
     return _verdict(stattest.zigzag_law_experiment(
         cfg.p, cfg.q, Seed(cfg.seed), n_periods=cfg.periods, alpha=cfg.alpha))
@@ -174,7 +177,7 @@ def _zigzag_law(cfg):
          p=(float, 0.3, "gap parameter"), q=(float, 0.7, "mark parameter"),
          n=(int, 3, "steps per conditioned walk"),
          reps=(int, 100000, "conditioned walks"),
-         seed=(int, 0, ""), alpha=(float, 0.01, ""))
+         seed=(int, 0, ""), alpha=_ALPHA)
 def _noncolliding(cfg):
     return _verdict(stattest.noncolliding_experiment(
         _rate_params(cfg), cfg.n, cfg.reps, Seed(cfg.seed), alpha=cfg.alpha))
@@ -184,7 +187,7 @@ def _noncolliding(cfg):
          q=(str, "0.3,0.6", "comma-separated stage weights"),
          sigma=(str, "1,0", "0-based permutation"),
          n=(int, 4, "customers"), reps=(int, 100000, ""),
-         seed=(int, 0, ""), alpha=(float, 0.01, ""))
+         seed=(int, 0, ""), alpha=_ALPHA)
 def _interchange(cfg):
     return _verdict(stattest.interchange_experiment(
         _split(cfg.q, float), _split(cfg.sigma, int), cfg.n, cfg.reps, Seed(cfg.seed),
@@ -194,7 +197,7 @@ def _interchange(cfg):
 @_command("shape-law", "insertion-shape law and growth transitions",
          q=(str, "0.3,0.5", "comma-separated stage weights"),
          n=(int, 4, "rows"), reps=(int, 100000, ""),
-         seed=(int, 0, ""), alpha=(float, 0.01, ""))
+         seed=(int, 0, ""), alpha=_ALPHA)
 def _shape_law(cfg):
     return _verdict(stattest.shape_law_experiment(
         _split(cfg.q, float), cfg.n, cfg.reps, Seed(cfg.seed), alpha=cfg.alpha))
@@ -203,7 +206,7 @@ def _shape_law(cfg):
 @_command("laguerre", "exponentiality of R in the square exponential case",
          k=(int, 3, "stages (square case)"), reps=(int, 1000000, ""),
          reference_mean=(float, None, "positive and finite; default the exact 1/K"),
-         seed=(int, 0, ""), alpha=(float, 0.01, ""))
+         seed=(int, 0, ""), alpha=_ALPHA)
 def _laguerre(cfg):
     return _verdict(stattest.laguerre_check(cfg.k, cfg.reps, Seed(cfg.seed),
                                             reference_mean=cfg.reference_mean, alpha=cfg.alpha))
@@ -261,15 +264,13 @@ def _render(payload, fmt) -> str:
         return payload
     if fmt == "json":
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["test", "statistic", "p_value", "n_samples", "alpha", "passed"])
-        for t in payload.get("tests", []):
-            writer.writerow([t["name"], t["statistic"], t["p_value"],
-                             t["n_samples"], t["alpha"], t["passed"]])
-        return buf.getvalue()
-    raise ValueError(f"unknown format {fmt!r}")
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["test", "statistic", "p_value", "n_samples", "alpha", "passed"])
+    for t in payload.get("tests", []):
+        writer.writerow([t["name"], t["statistic"], t["p_value"],
+                         t["n_samples"], t["alpha"], t["passed"]])
+    return buf.getvalue()
 
 
 # JSON types a config value may have, by the type of its flag
@@ -293,7 +294,10 @@ def _settings(cmd: Command, flags: dict) -> argparse.Namespace:
             raise ValueError(f"config key {key!r} must be {typ.__name__}, got {value!r}")
         config[key] = typ(value)
     defaults = {key: default for key, (_, default, _) in cmd.flags.items()}
-    return argparse.Namespace(**{**defaults, **config, **flags})
+    cfg = argparse.Namespace(**{**defaults, **config, **flags})
+    if getattr(cfg, "format", "json") not in ("json", "csv"):
+        raise ValueError(f"unknown format {cfg.format!r}; use json or csv")
+    return cfg
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -304,7 +308,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=cmd.help)
         for key, (typ, _, hlp) in cmd.flags.items():
             p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=typ, help=hlp,
-                           choices=_FORMATS if key == "format" else None,
                            default=argparse.SUPPRESS)
     return parser
 

@@ -8,7 +8,8 @@ replications can be farmed out in any schedule.
 Every law is drawn by inverse CDF, one uniform per value.  The transforms
 (``_to_geometric``, ``_to_geometric0``, ``_to_exponential``) work in place
 on an array of uniforms on [0, 1), the geometric ones leaving integer
-values in it; the ``draw_*`` functions apply them to fresh uniforms.
+values in it; the ``draw_*`` functions apply them to fresh uniforms, and
+:func:`model_draw` picks the one that draws a model's gaps and marks.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ __all__ = [
     "draw_geometric",
     "draw_geometric0",
     "draw_exponential",
+    "model_draw",
     "sample_geometric",
     "sample_geometric0",
     "sample_exponential",
@@ -171,6 +173,12 @@ def draw_exponential(gen: np.random.Generator, rate: float, shape) -> np.ndarray
     return _to_exponential(gen.random(shape), rate)
 
 
+def model_draw(params: RateParams):
+    """The sampler of the model's gaps and marks: :func:`draw_geometric`
+    (int64) for geomgeom1, :func:`draw_exponential` (float64) for mm1."""
+    return draw_exponential if params.model == "mm1" else draw_geometric
+
+
 def sample_geometric(p: float, n: int, seed: Seed) -> np.ndarray:
     """``n`` i.i.d. draws with P{X=k} = (1-p)^(k-1) p on {1, 2, ...}.
 
@@ -250,13 +258,10 @@ def _wait_below(params: RateParams, x: np.ndarray) -> np.ndarray:
 def _stationary_wait(params: RateParams, gen: np.random.Generator):
     """Equilibrium wait of the model's queue, by :func:`_wait_law`.  The
     positive part is drawn first, then the uniform that decides whether the
-    server is busy."""
+    server is busy; an idle one gives 0 or 0.0."""
     busy, decay = _wait_law(params)
-    if params.model == "mm1":
-        draw, rate = draw_exponential, decay
-    else:
-        draw, rate = draw_geometric, 1 - decay
-    return draw(gen, rate, ()).item() * bool(gen.random() < busy)  # 0 or 0.0 when idle
+    rate = decay if params.model == "mm1" else 1 - decay
+    return model_draw(params)(gen, rate, ()).item() * bool(gen.random() < busy)
 
 
 def reverse(ms: MarkedSequence) -> MarkedSequence:

@@ -28,7 +28,6 @@ cannot be formed raises :class:`DegenerateTestError` naming the test.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -40,17 +39,16 @@ from .queue_store import (
     ZigzagTrajectory,
     _period_bounds,
     enumerate_trajectories,
-    trace_from_arrays,
     transform,
 )
 from .sampling import (
     RateParams,
     Seed,
     _stationary_wait,
-    _to_geometric0,
     _wait_below,
     draw_exponential,
-    draw_geometric,
+    draw_geometric0,
+    model_draw,
     sample_input,
 )
 from .schur import (
@@ -80,6 +78,7 @@ __all__ = [
 
 
 MIN_EXPECTED = 5.0  # expected count below which a chi-square cell is pooled
+DEFAULT_ALPHA = 0.01  # significance level of every experiment and its --alpha flag
 MAX_RISE = 4  # zigzag-law's catalog: every trajectory up to this rise (Catalan growth)
 
 
@@ -134,9 +133,6 @@ class ExperimentReport:
             "diagnostics": self.diagnostics,
             "verdict": "pass" if self.passed else "fail",
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +318,7 @@ def _geometric0_matrices(weights, reps: int, N: int, seed: Seed, base: int) -> n
     view of an (N, K, reps) array, the layout the tandem kernels scan."""
     u = np.empty((N, len(weights), reps), dtype=np.int64)
     for j, w in enumerate(weights):
-        draws = _to_geometric0(seed.substream(base + j).generator().random((reps, N)), w)
-        np.copyto(u[:, j], draws.T, casting="unsafe")
+        u[:, j] = draw_geometric0(seed.substream(base + j).generator(), w, (reps, N)).T
     return u.transpose(2, 0, 1)
 
 
@@ -379,7 +374,7 @@ def _pool(counts: Counter, key) -> Counter:
     return out
 
 
-def burke_experiment(params: RateParams, horizon: int, seed: Seed, alpha: float = 0.01,
+def burke_experiment(params: RateParams, horizon: int, seed: Seed, alpha: float = DEFAULT_ALPHA,
                      samples_path: str | None = None) -> ExperimentReport:
     """Joint output test: departure gaps against the arrival law, dual marks
     against the mark law, independence across the pair, and vanishing lag-1
@@ -430,31 +425,29 @@ def trajectory_pmf(runs, p: float, q: float) -> float:
     return q**k * (1 - q) ** (L - k) * p ** (k - 1) * (1 - p) ** (L - k + 1)
 
 
-def _sample_busy_trajectories(p, q, n_periods, seed):
-    """Runs of the first ``n_periods`` busy periods of one Geom/Geom/1 queue
-    trace: each period's (mark, gap) pairs, its last gap replaced by the last
-    customer's D - A.  The trace takes the first k marks (substream 0) and
-    gaps (substream 1), k doubling until the last period kept is closed; a
-    stream's first k draws do not depend on k.  k starts at 2 * n_periods:
+def _sample_busy_trajectories(params: RateParams, n_periods: int, seed: Seed):
+    """Runs of the first ``n_periods`` busy periods of one queue trace that
+    starts empty: each period's (mark, gap) pairs, its last gap replaced by
+    the last customer's D - A.  The trace is that of the first k customers
+    of ``sample_input``, k doubling until the last period kept is closed (a
+    stream's first k draws do not depend on k).  k starts at 2 * n_periods:
     k customers start at most k periods, and n_periods + 1 must start."""
     k = 2 * n_periods
     while True:
-        s = draw_geometric(seed.substream(0).generator(), q, k)
-        a = draw_geometric(seed.substream(1).generator(), p, k)
-        tr = trace_from_arrays(np.concatenate(([0], np.cumsum(a[:-1]))), s)
+        tr = transform(sample_input(params, k, seed))
         firsts, stops = _period_bounds(tr.A, tr.D)
         if firsts.size > n_periods:
             break
         k *= 2
     firsts, stops = firsts[:n_periods], stops[:n_periods]
-    runs = np.stack([s, a], axis=1)[:stops[-1]]
+    runs = np.stack([tr.s[:-1], tr.a], axis=1)[:stops[-1]]
     runs[stops - 1, 1] = (tr.D - tr.A)[stops - 1]
     flat = runs.ravel().tolist()
     return [tuple(flat[2 * f:2 * e]) for f, e in zip(firsts.tolist(), stops.tolist())]
 
 
-def zigzag_law_experiment(p: float, q: float, seed: Seed,
-                          n_periods: int = 100_000, alpha: float = 0.01) -> ExperimentReport:
+def zigzag_law_experiment(p: float, q: float, seed: Seed, n_periods: int = 100_000,
+                          alpha: float = DEFAULT_ALPHA) -> ExperimentReport:
     """Distribution of busy-period zigzag trajectories.
 
     Checks the frequencies of the trajectories of rise up to :data:`MAX_RISE`
@@ -462,14 +455,14 @@ def zigzag_law_experiment(p: float, q: float, seed: Seed,
     peaks) class, and invariance under time reversal.  The busy periods are
     those of one queue trace that starts empty, split by the queue's own rule.
     """
-    RateParams("geomgeom1", p, q)  # the stability condition
+    params = RateParams("geomgeom1", p, q)
     if n_periods < 1:
         raise ValueError("need n_periods >= 1")
     report = ExperimentReport(
         "zigzag-law", {"p": p, "q": q, "n_periods": n_periods, "max_rise": MAX_RISE},
         seed, alpha)
     from scipy import stats
-    trajs = _sample_busy_trajectories(p, q, n_periods, seed)
+    trajs = _sample_busy_trajectories(params, n_periods, seed)
     counts = Counter(trajs)
     catalog = []
     for L in range(1, MAX_RISE + 1):
@@ -489,7 +482,7 @@ def zigzag_law_experiment(p: float, q: float, seed: Seed,
         if len(members) < 2:
             continue
         obs = np.array([counts.get(t.run_lengths, 0) for t in members], dtype=float)
-        if obs.sum() < 5 * len(members):
+        if obs.sum() < MIN_EXPECTED * len(members):
             continue
         exp = np.full(len(members), obs.sum() / len(members))
         results.append(chi2_test(obs, exp, name=f"uniform-within-class-L{L}-k{k}"))
@@ -502,7 +495,7 @@ def zigzag_law_experiment(p: float, q: float, seed: Seed,
         if rev <= t.run_lengths:
             continue  # count each unordered pair once; skip palindromes
         n1, n2 = counts.get(t.run_lengths, 0), counts.get(rev, 0)
-        if n1 + n2 < 10:
+        if n1 + n2 < 2 * MIN_EXPECTED:  # each of the two cells expects (n1 + n2) / 2
             continue
         stat += (n1 - n2) ** 2 / (n1 + n2)
         dof += 1
@@ -544,10 +537,9 @@ def _conditioned_walks(params: RateParams, n: int, reps: int, seed: Seed):
     walks of n steps are the first n steps of the walks of n + 1 steps.
     Memory is a few arrays of ``reps`` values, whatever n is.
     """
-    geometric = params.model == "geomgeom1"
-    draw = draw_geometric if geometric else draw_exponential
+    draw = model_draw(params)
     gaps, marks, coins = (seed.substream(i).generator() for i in (0, 1, 4))
-    A, S = np.zeros((2, reps), dtype=np.int64 if geometric else np.float64)
+    A, S = np.zeros((2, reps), dtype=np.int64 if params.model == "geomgeom1" else np.float64)
     proposals = 0
     for j in range(n):
         if j == n - 1:
@@ -565,7 +557,7 @@ def _conditioned_walks(params: RateParams, n: int, reps: int, seed: Seed):
 
 
 def noncolliding_experiment(params: RateParams, n: int, reps: int, seed: Seed,
-                            alpha: float = 0.01) -> ExperimentReport:
+                            alpha: float = DEFAULT_ALPHA) -> ExperimentReport:
     """Conditioned random-walk pair against the unconditional max/min pair.
 
     Draws the gap walk conditioned to stay strictly above the running mark
@@ -583,13 +575,12 @@ def noncolliding_experiment(params: RateParams, n: int, reps: int, seed: Seed,
                          "service": params.service, "n": n, "reps": reps}, seed, alpha)
     cond_x, _, cond_y, proposals = _conditioned_walks(params, n, reps, seed)
 
-    geometric = params.model == "geomgeom1"
-    draw = draw_geometric if geometric else draw_exponential
+    draw = model_draw(params)
     a2 = draw(seed.substream(2).generator(), params.arrival, (reps, n))
     s2 = draw(seed.substream(3).generator(), params.service, (reps, n))
     hi, lo = _minmax_functionals(a2, s2)
 
-    if geometric:
+    if params.model == "geomgeom1":
         counts_c = _row_counts(np.stack([cond_x, cond_y], axis=1))
         counts_u = _row_counts(np.stack([hi, lo], axis=1))
     else:
@@ -602,7 +593,7 @@ def noncolliding_experiment(params: RateParams, n: int, reps: int, seed: Seed,
 
 
 def interchange_experiment(q, sigma, N: int, reps: int, seed: Seed,
-                           alpha: float = 0.01) -> ExperimentReport:
+                           alpha: float = DEFAULT_ALPHA) -> ExperimentReport:
     """Reordering the stages leaves the joint output law unchanged.
 
     Samples the tandem observables under weights q and under the permuted
@@ -660,7 +651,7 @@ def _pmf_chi2(counter: Counter, pmf: dict, total: int, *, name: str) -> GofResul
 
 
 def shape_law_experiment(q, N: int, reps: int, seed: Seed,
-                         alpha: float = 0.01) -> ExperimentReport:
+                         alpha: float = DEFAULT_ALPHA) -> ExperimentReport:
     """Insertion-shape law and its one-row growth transitions.
 
     Samples matrices with zero-inclusive geometric entries, checks the
@@ -708,7 +699,7 @@ _LAGUERRE_BLOCK = 147_456  # entries per draw, 16384 3 x 3 matrices: bounds lagu
 
 
 def laguerre_check(K: int, reps: int, seed: Seed, reference_mean: float | None = None,
-                   alpha: float = 0.01) -> ExperimentReport:
+                   alpha: float = DEFAULT_ALPHA) -> ExperimentReport:
     """Exponentiality of the square-case cumulative store output.
 
     With K x K mean-one exponential entries, R is the minimum over the K

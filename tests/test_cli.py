@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy
 
-from dualq import cli, particles, tandem
+from dualq import cli, particles, rsk, tandem
 from dualq.cli import main
 from dualq.sampling import Seed
 
@@ -190,12 +190,14 @@ SCIPY_DIGESTS = {
         "c45667963432c6ce7d4f5a830a54c690cf44dc4abc092ad242b72b68fffe4daa",
     ("burke", "--model", "exp", "--horizon", "20000", "--seed", "0"):
         "5d7c911f941f3fa1bb08cfe541e34c843d1d40e97290bb624cab1491f4addd9f",
-    # recorded before zigzag-law and noncolliding moved onto the queue_store
-    # and tandem kernels; the 3000-period run at p = 0.55 draws several blocks
+    # re-recorded when zigzag-law started to draw its queue input through
+    # sample_input: gaps now come from substream 0 and marks from substream
+    # 1 (they were swapped), so the periods differ; the tests and keys do not.
+    # The 3000-period run at p = 0.55 draws several blocks
     ("zigzag-law", "--periods", "20000", "--seed", "0"):
-        "da34e6508d5ea671e6b23dfaa1eb926cca1fd7972580c8219db0d58e411db491",
+        "a1e91049ac5516cb43b77fd75eb4e828d084a00d6f6cfe48adcd7723d2b0d481",
     ("zigzag-law", "--p", "0.55", "--q", "0.6", "--periods", "3000", "--seed", "0"):
-        "8eac6656f189ad6c2d43ef570081a1fbf74b9a6af460b969d06813ac7d4bf2fe",
+        "60e2fd8be8409701b35e2283606cad3a6e4eb9183d59131c5dd6d994bb2b5ed7",
     # re-recorded when noncolliding replaced its 50-step rejection of whole
     # walks by the exact h-transform sampler: the draws, the diagnostics and
     # the params (no horizon_trunc) all changed
@@ -408,6 +410,40 @@ def test_reference_mean_must_be_positive_and_finite(monkeypatch, capsys, mean):
     code, out, err = run(capsys, "laguerre", "--reps", "100", f"--reference-mean={mean}")
     assert code == 2 and out == ""
     assert "reference_mean must be positive and finite" in err
+
+
+@pytest.mark.parametrize("subcommand", ["burke", "laguerre", "verify-identities"])
+def test_format_is_checked_before_the_first_draw(monkeypatch, capsys, tmp_path, subcommand):
+    # a bad "format" in a config file ran the whole experiment before it exited 2
+    monkeypatch.setattr(Seed, "generator", _no_draws)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format": "xml"}))
+    for argv in (("--config", str(cfg)), ("--format", "xml")):
+        code, out, err = run(capsys, subcommand, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "unknown format 'xml'; use json or csv" in err
+
+
+def test_help_names_the_formats(capsys):
+    with pytest.raises(SystemExit):
+        main(["burke", "--help"])
+    assert "json or csv" in capsys.readouterr().out
+
+
+def test_verify_identities_checks_the_path_limit_before_the_first_draw(monkeypatch, capsys):
+    # --cases 2000 drew and checked cases until one drew n + k = 15, then exited 2;
+    # --cases 3 passed, because no case happened to draw that size
+    monkeypatch.setattr(Seed, "generator", _no_draws)
+    for cases in ("3", "2000"):
+        code, out, err = run(capsys, "verify-identities", "--n", "8", "--k", "7",
+                             "--cases", cases)
+        assert code == 2 and out == ""
+        assert f"n + k = 15 exceeds the brute-force limit {rsk.BRUTE_FORCE_LIMIT}" in err
+
+
+def test_verify_identities_runs_at_the_path_limit(capsys):
+    code, out, _ = run(capsys, "verify-identities", "--n", "7", "--k", "7", "--cases", "20")
+    assert code == 0 and json.loads(out)["verdict"] == "pass"
 
 
 @pytest.mark.parametrize("argv, message", [

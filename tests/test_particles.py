@@ -150,3 +150,19 @@ def test_exclusion_step_commutes_with_bus_stop(counts, master):
     assert np.array_equal(lhs, rhs)
     # departures show up as holes at the left edge
     assert stepped.size - lhs.size == bus_stop_step(counts, buses)[1][-1]
+
+
+# --- input checks --------------------------------------------------------------
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: bus_stop_step([1, 2], [1]), "one bus size per site"),
+    (lambda: bus_stop_step([1], [1, 2]), "one bus size per site"),
+    (lambda: exclusion_step([1, 0, 1, 0], [1]), "one bus size per marker"),
+    (lambda: exclusion_step([1, 0], [1, 1]), "one bus size per marker"),
+    (lambda: to_exclusion([2, -1]), "nonnegative integers"),
+    (lambda: to_exclusion([1.5, 2]), "nonnegative integers"),
+], ids=["too-few-buses", "too-many-buses", "too-few-exclusion-buses",
+        "too-many-exclusion-buses", "negative-count", "fractional-count"])
+def test_particle_inputs_are_checked(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

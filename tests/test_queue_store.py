@@ -595,3 +595,31 @@ def test_trace_csv():
     assert lines[0] == "n,A,s,D,r,w"
     assert lines[1] == "1,0,5,5,3,0"
     assert lines[2] == "2,3,1,6,,2"
+
+
+# --- input checks --------------------------------------------------------------
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: lindley_forward(0, [1, 2], [3]), "at least one mark per gap"),
+    (lambda: trace_from_arrays([], []), "at least one customer"),
+    (lambda: trace_from_arrays([0, 1], [1]), "1-d of equal length"),
+    (lambda: transform(MarkedSequence(np.array([]), np.array([]), 0.0)), "non-empty"),
+    (lambda: workload_pair(trace_from_arrays([0, 1], [2, 0])), "strictly positive marks"),
+    (lambda: zigzag([3, 2], [1, 1]), "k marks and k-1 internal gaps"),
+    (lambda: zigzag([], []), "k marks and k-1 internal gaps"),
+], ids=["lindley-marks", "no-customer", "unequal-shapes", "empty-input", "zero-mark",
+        "zigzag-gaps", "zigzag-empty"])
+def test_queue_inputs_are_checked(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_backward_check_names_a_backward_lindley_violation():
+    # hand-built: the sojourn identity holds at every customer, but the first
+    # departure gap d_1 = 0 breaks w_2 = (w_3 + r_2 - d_1)^+
+    one = np.ones(3, dtype=np.int64)
+    tr = QueueTrace(A=np.arange(3), s=one, D=np.array([1, 1, 2]),
+                    w=np.zeros(3, dtype=np.int64), r=one[:2])
+    got = backward_check(tr)
+    assert got == backward_check_loop(tr)
+    assert got.first_violation == ("backward-lindley", 2, 1.0)

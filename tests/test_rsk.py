@@ -507,3 +507,16 @@ def test_batches_keep_the_brute_force_limit(fn, monkeypatch):
     monkeypatch.setattr(rsk, "BRUTE_FORCE_LIMIT", 16)
     assert fn(u) is not None
 
+
+
+# --- Tableau.is_valid ------------------------------------------------------------
+
+@pytest.mark.parametrize("rows, alphabet", [
+    ([[1], [2, 2]], None),   # a lower row longer than the one above it
+    ([[0, 1]], None),        # a letter below 1
+    ([[1, 3]], 2),           # a letter above the alphabet
+    ([[2, 1]], None),        # a row that decreases
+    ([[1, 2], [1]], None),   # a column that does not strictly increase
+], ids=["shape", "letter-zero", "letter-past-alphabet", "row", "column"])
+def test_tableau_is_valid_rejects(rows, alphabet):
+    assert Tableau(rows).is_valid(alphabet) is False

@@ -9,6 +9,9 @@ from dualq.sampling import (
     _stationary_wait,
     _to_exponential,
     _wait_below,
+    draw_exponential,
+    draw_geometric,
+    model_draw,
     reverse,
     sample_exponential,
     sample_geometric,
@@ -359,3 +362,25 @@ def test_reverse_involution(master, n):
     assert np.array_equal(rev2.epochs, ms.epochs)
     assert np.array_equal(rev2.marks, ms.marks)
     assert rev2.window_end == ms.window_end
+
+
+# --- input checks --------------------------------------------------------------
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: MarkedSequence(np.array([1, 2]), np.array([1]), 2), "1-d and of equal length"),
+    (lambda: sample_geometric0(1.0, 3, Seed(0)), r"q must lie in \[0, 1\)"),
+    (lambda: sample_geometric0(-0.1, 3, Seed(0)), r"q must lie in \[0, 1\)"),
+    (lambda: sample_geometric0(0.5, -1, Seed(0)), "n must be >= 0"),
+    (lambda: sample_exponential(1.0, -1, Seed(0)), "n must be >= 0"),
+    (lambda: sample_input(RateParams("mm1", 1, 2), 0, Seed(0)), "horizon must be >= 1"),
+], ids=["unequal-shapes", "q-one", "q-negative", "geometric0-n", "exponential-n",
+        "horizon-zero"])
+def test_sampling_inputs_are_checked(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("model, draw", [("geomgeom1", draw_geometric),
+                                         ("mm1", draw_exponential)])
+def test_model_draw_picks_the_models_sampler(model, draw):
+    assert model_draw(RateParams(model, 0.3, 0.6)) is draw

@@ -377,3 +377,20 @@ def test_ssyt_count_matches_enumeration_on_random_shapes(parts, k):
     # guard: any valid shape, trailing zeros included, in either entry point
     l = tuple(sorted(parts, reverse=True))
     assert ssyt_count(l, k) == len(ssyt_enumerate(l, k))
+
+
+# --- input checks --------------------------------------------------------------
+
+# one weight: without the check, the pmf at N < 0 finds no mass and gives up fast
+@pytest.mark.parametrize("call", [lambda: shape_pmf((1,), (0.3, 0.5), -1),
+                                  lambda: shape_distribution((0.5,), -1)],
+                         ids=["shape_pmf", "shape_distribution"])
+def test_negative_row_counts_are_refused(call):
+    with pytest.raises(ValueError, match="N must be >= 0"):
+        call()
+
+
+def test_more_parts_never_interlace():
+    # every part of m that l has is interlaced; the extra part is not
+    assert not interlaces((2,), (1, 1))
+    assert interlaces((2, 1), (1, 1))

@@ -44,7 +44,7 @@ from dualq.stattest import (
     _row_counts,
     _sample_busy_trajectories,
 )
-from dualq.queue_store import enumerate_trajectories, trace_from_arrays, transform
+from dualq.queue_store import enumerate_trajectories, transform
 from dualq.rsk import normalize_partition
 from dualq.schur import shape_distribution
 from test_cli import RECORDED_WITH
@@ -332,7 +332,7 @@ def test_burke_exponential_smoke():
 def test_burke_reports_are_reproducible():
     a = burke_experiment(GEOM, 5_000, Seed(102))
     b = burke_experiment(GEOM, 5_000, Seed(102))
-    assert a.to_json() == b.to_json()
+    assert a.to_dict() == b.to_dict()
 
 
 @pytest.mark.parametrize("params", [RateParams("geomgeom1", 0.5, 0.55),
@@ -399,11 +399,13 @@ def test_zigzag_law_validates_params():
 def busy_trajectories_loop(p, q, n_periods, seed, chunk=1 << 15):
     """Independent busy-period sampler: one customer at a time, marks and gaps
     read from chunk-buffered streams, a period ending when the next gap
-    exceeds the height left."""
-    gen_s = seed.substream(0).generator()
-    gen_a = seed.substream(1).generator()
+    exceeds the height left.  The streams are sample_input's: gaps from
+    substream 0, marks from substream 1; the first gap only places the
+    first arrival, so it is skipped."""
+    gen_s = seed.substream(1).generator()
+    gen_a = seed.substream(0).generator()
     buf_s, buf_a = draw_geometric(gen_s, q, chunk), draw_geometric(gen_a, p, chunk)
-    is_, ia = 0, 0
+    is_, ia = 0, 1
     out = []
     for _ in range(n_periods):
         runs = []
@@ -437,7 +439,7 @@ def busy_trajectories_loop(p, q, n_periods, seed, chunk=1 << 15):
 def test_busy_trajectories_match_loop(pq, master, n_periods, chunk):
     p, q = pq
     seed = Seed(master)
-    got = _sample_busy_trajectories(p, q, n_periods, seed)
+    got = _sample_busy_trajectories(RateParams("geomgeom1", p, q), n_periods, seed)
     assert got == busy_trajectories_loop(p, q, n_periods, seed, chunk)
     assert all(type(x) is int for runs in got for x in runs)
 
@@ -445,7 +447,7 @@ def test_busy_trajectories_match_loop(pq, master, n_periods, chunk):
 def test_busy_trajectories_span_several_blocks():
     # near saturation 3000 periods need many blocks of 3000 customers
     p, q, seed = 0.55, 0.6, Seed(5)
-    got = _sample_busy_trajectories(p, q, 3000, seed)
+    got = _sample_busy_trajectories(RateParams("geomgeom1", p, q), 3000, seed)
     assert sum(len(runs) for runs in got) // 2 > 3 * 3000
     assert got == busy_trajectories_loop(p, q, 3000, seed)
 
@@ -456,12 +458,12 @@ def test_busy_trajectories_first_trace_can_close_the_periods(monkeypatch):
     # first trace of n_periods customers could never be enough
     lengths = []
 
-    def spy(A, s, *args, **kwargs):
-        lengths.append(len(s))
-        return trace_from_arrays(A, s, *args, **kwargs)
+    def spy(ms, *args, **kwargs):
+        lengths.append(len(ms))
+        return transform(ms, *args, **kwargs)
 
-    monkeypatch.setattr(stattest, "trace_from_arrays", spy)
-    _sample_busy_trajectories(0.3, 0.6, 50, Seed(7))
+    monkeypatch.setattr(stattest, "transform", spy)
+    _sample_busy_trajectories(GEOM, 50, Seed(7))
     assert lengths[0] > 50
 
 # --- noncolliding ----------------------------------------------------------------
@@ -669,9 +671,9 @@ def test_laguerre_two_stages():
 
 
 def test_laguerre_blocks_do_not_change_the_report(monkeypatch):
-    whole = laguerre_check(3, 50, Seed(604)).to_json()
+    whole = laguerre_check(3, 50, Seed(604)).to_dict()
     monkeypatch.setattr(stattest, "_LAGUERRE_BLOCK", 7 * 9)  # 50 matrices in 8 blocks, the last short
-    assert laguerre_check(3, 50, Seed(604)).to_json() == whole
+    assert laguerre_check(3, 50, Seed(604)).to_dict() == whole
 
 
 def test_laguerre_blocks_count_entries(monkeypatch):
@@ -763,3 +765,29 @@ def test_memory_peak_at_default_sizes(name):
     # 91 MB, ks 70 MB on this sample, noncolliding 90-98 MB
     _AT_DEFAULTS[name]()  # first call: imports and caches stay out of the peak
     assert _peak_mb(_AT_DEFAULTS[name]) < 64
+
+
+# --- input checks --------------------------------------------------------------
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ks_test([], stats.expon().cdf), ValueError, "non-empty"),
+    (lambda: chi2_test([1, 2, 3], [3, 3]), ValueError, "1-d of equal length"),
+    (lambda: independence_test(np.ones(50, dtype=np.int64), np.arange(50)),
+     DegenerateTestError, "at least a 2x2 table"),
+    (lambda: geometric_fit_test(np.array([0, 1, 2, 3]), 0.5), ValueError, "live on {1, 2"),
+], ids=["ks-empty", "chi2-shapes", "constant-margin", "geometric-zero"])
+def test_primitive_inputs_are_checked(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_ks_calls_the_cdf_on_floats():
+    seen = []
+
+    def cdf(x):
+        seen.append(x.dtype)
+        return stats.geom(0.5).cdf(x)
+
+    got = ks_test(np.array([3, 1, 2, 1]), cdf)
+    assert seen == [np.float64]
+    assert got == ks_test(np.array([3.0, 1.0, 2.0, 1.0]), stats.geom(0.5).cdf)
