@@ -77,41 +77,63 @@ def _verdict(report: stattest.ExperimentReport) -> tuple[dict, bool]:
     return report.to_dict(), report.passed
 
 
-# cases drawn, then checked, together; bounds the memory of any --cases
-CASE_BLOCK = 4096
+CASE_ENTRIES = 147_456  # matrix entries drawn per block of cases: bounds the memory of any run
+
+
+def _case_blocks(seed: int, cases: int, n_max: int, k_max: int, max_entry: int,
+                 site_draws: bool = False):
+    """The random cases in blocks ``(lo, n, k, E, sites)`` of cases lo, lo+1, ...
+
+    One generator per quantity serves the whole run, one draw per case:
+    substream 0 of ``Seed(seed)`` draws n in 1..n_max, substream 1 k in
+    1..k_max, substream 2 an n_max x k_max matrix E with entries in
+    0..max_entry, whose top-left n x k corner is the case's matrix.  With
+    ``site_draws``, substreams 3 and 4 draw a row of k_max values in 0..5,
+    the site counts and the buses, listed in ``sites``.  A stream draws the
+    same values however it is cut, so the blocks, of :data:`CASE_ENTRIES`
+    entries of E (or one matrix), do not change the cases.
+    """
+    gens = [Seed(seed).substream(j).generator() for j in range(5 if site_draws else 3)]
+    block = max(1, CASE_ENTRIES // (n_max * k_max))
+    for lo in range(0, cases, block):
+        m = min(block, cases - lo)
+        n = gens[0].integers(1, n_max + 1, size=m)
+        k = gens[1].integers(1, k_max + 1, size=m)
+        E = gens[2].integers(0, max_entry + 1, size=(m, n_max, k_max))
+        yield lo, n, k, E, [g.integers(0, 6, size=(m, k_max)) for g in gens[3:]]
+
+
+def _shape_groups(n: np.ndarray, k: np.ndarray):
+    """(n, k, members) for each shape of a block, members the indices of its
+    cases in increasing order."""
+    key = n * (int(k.max()) + 1) + k
+    order = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(np.diff(key[order])) + 1
+    for members in np.split(order, starts):
+        yield int(n[members[0]]), int(k[members[0]]), members
 
 
 def _random_cases(cfg, n_key: str, k_key: str, test: str, check,
-                  extra=lambda u, gen: None) -> tuple[dict, bool]:
+                  site_draws: bool = False) -> tuple[dict, bool]:
     """Count the random matrices that fail ``check``.
 
-    Case i draws from substream i: n in 1..cfg.<n_key>, k in 1..cfg.<k_key>,
-    then an n x k matrix u with entries in 0..max_entry, then any further
-    inputs ``extra(u, gen)``: one generator, rewound per case, serves every
-    case, so all draws happen here.  Cases are drawn :data:`CASE_BLOCK` at a
-    time; ``check`` takes a block as a list of ``(u, extra)`` pairs and
-    returns per case None on a pass or a dict describing the failure.  The
-    diagnostics name the first failing case, and appear only if one fails.
+    The cases come from :func:`_case_blocks`, with n and k at most
+    cfg.<n_key> and cfg.<k_key>.  ``check(n, k, E, sites)`` takes a block
+    and returns {index in the block: dict describing the failure} for its
+    failing cases.  The diagnostics name the first failing case, and
+    appear only if one fails.
     """
     for key, low in ((n_key, 1), (k_key, 1), ("max_entry", 0), ("cases", 1)):
         if getattr(cfg, key) < low:
             raise ValueError(f"need {key} >= {low}, got {getattr(cfg, key)}")
-    seed = Seed(cfg.seed)
-    gen = seed.generator()
     failures, first = 0, None
-    for lo in range(0, cfg.cases, CASE_BLOCK):
-        block = []
-        for i in range(lo, min(lo + CASE_BLOCK, cfg.cases)):
-            seed.substream(i).rewind(gen)
-            n = int(gen.integers(1, getattr(cfg, n_key) + 1))
-            k = int(gen.integers(1, getattr(cfg, k_key) + 1))
-            u = gen.integers(0, cfg.max_entry + 1, size=(n, k))
-            block.append((u, extra(u, gen)))
-        for i, ((u, _), failure) in enumerate(zip(block, check(block)), lo):
-            if failure is not None:
-                failures += 1
-                if first is None:
-                    first = {"case": i, "matrix": u.tolist(), **failure}
+    for lo, n, k, E, sites in _case_blocks(cfg.seed, cfg.cases, getattr(cfg, n_key),
+                                           getattr(cfg, k_key), cfg.max_entry, site_draws):
+        failed = check(n, k, E, sites)
+        failures += len(failed)
+        if failed and first is None:
+            j = min(failed)
+            first = {"case": lo + j, "matrix": E[j, :n[j], :k[j]].tolist(), **failed[j]}
     ok = failures == 0
     params = {key: getattr(cfg, key) for key in (n_key, k_key, "max_entry", "cases")}
     payload = {"name": cfg.subcommand, "params": params,
@@ -124,17 +146,15 @@ def _random_cases(cfg, n_key: str, k_key: str, test: str, check,
     return payload, ok
 
 
-def _six_way_failures(block) -> list:
+def _six_way_failures(n, k, E, _) -> dict:
     """Check the six-way identity once per shape group of the block; each
     failure carries both quadruples."""
-    failures = [None] * len(block)
-    groups: dict[tuple, list[int]] = {}
-    for j, (u, _) in enumerate(block):
-        groups.setdefault(u.shape, []).append(j)
-    for members in groups.values():
-        lam1, lamK, ok = rsk.verify_row_queue_batch(np.stack([block[j][0] for j in members]))
+    failures = {}
+    for N, K, members in _shape_groups(n, k):
+        lam1, lamK, ok = rsk.verify_row_queue_batch(E[members, :N, :K])
         for m in np.flatnonzero(~ok):
-            failures[members[m]] = {"lambda1": lam1[m].tolist(), "lambdaK": lamK[m].tolist()}
+            failures[int(members[m])] = {"lambda1": lam1[m].tolist(),
+                                         "lambdaK": lamK[m].tolist()}
     return failures
 
 
@@ -212,29 +232,32 @@ def _laguerre(cfg):
                                             reference_mean=cfg.reference_mean, alpha=cfg.alpha))
 
 
-def _particle_inputs(u, gen) -> tuple[list, list]:
-    """Site counts, with an ample reservoir at site 1, and bus arrivals."""
-    k = u.shape[1]
-    counts = gen.integers(0, 6, size=k).tolist()
-    counts[0] += int(np.sum(u))
-    return counts, gen.integers(0, 6, size=k).tolist()
-
-
-def _particles_agree(u, counts, buses) -> bool:
-    """Zero-range jumps = queue departures, bus-stop loads = store flow, and the
-    exclusion encoding inverts and commutes with a bus-stop slot on ``counts``
-    and ``buses``."""
-    U = tandem.ServiceMatrix(u)
-    D = tandem.queue_departures(U)
-    jumps = {(e.particle, e.site): e.slot for e in particles.zero_range_run(U)}
-    config = particles.to_exclusion(counts)
-    return (all(jumps.get((p, j)) == D[p, j]
-                for p in range(1, U.N + 1) for j in range(1, U.K + 1))
-            and np.array_equal(particles.bus_stop_run(U), tandem.store_flow(U)[0])
-            and particles.from_exclusion(config) == counts
-            and np.array_equal(
-                np.trim_zeros(particles.exclusion_step(config, buses), "f"),
-                particles.to_exclusion(particles.bus_stop_step(counts, buses)[0])))
+def _particle_failures(n, k, E, sites) -> dict:
+    """Per case: zero-range jumps = queue departures, bus-stop loads = store
+    flow, and the exclusion encoding inverts and commutes with a bus-stop
+    slot on the case's site counts (an ample reservoir added at site 1) and
+    buses.  The two tandem scans run once per shape group, the particle
+    simulations once per case."""
+    failures = {}
+    for N, K, members in _shape_groups(n, k):
+        u = E[members, :N, :K]
+        D = tandem.queue_departures_batch(u).tolist()
+        r = tandem._store_scan(tandem._rows_last(u))[0]
+        for m, i in enumerate(members.tolist()):
+            U = tandem.ServiceMatrix(u[m])
+            jumps = {(e.particle, e.site): e.slot for e in particles.zero_range_run(U)}
+            counts, buses = (s[i, :K].tolist() for s in sites)
+            counts[0] += int(u[m].sum())
+            config = particles.to_exclusion(counts)
+            if not (all(jumps.get((p, j)) == D[m][p][j]
+                        for p in range(1, N + 1) for j in range(1, K + 1))
+                    and np.array_equal(particles.bus_stop_run(U), r[:, :, m])
+                    and particles.from_exclusion(config) == counts
+                    and np.array_equal(
+                        np.trim_zeros(particles.exclusion_step(config, buses), "f"),
+                        particles.to_exclusion(particles.bus_stop_step(counts, buses)[0]))):
+                failures[i] = {}
+    return failures
 
 
 @_command("particles", "particle-system equivalences on random instances",
@@ -242,9 +265,7 @@ def _particles_agree(u, counts, buses) -> bool:
          max_entry=(int, 5, ""), seed=(int, 0, ""))
 def _particles(cfg):
     return _random_cases(cfg, "max_n", "max_k", "particle-equivalences",
-                         lambda block: [None if _particles_agree(u, *inputs) else {}
-                                        for u, inputs in block],
-                         _particle_inputs)
+                         _particle_failures, site_draws=True)
 
 
 @_command("trace", "per-customer trace table as CSV", io_flags=_IO_FLAGS,

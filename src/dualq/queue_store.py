@@ -25,9 +25,10 @@ otherwise, with the same values either way.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
-import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -281,8 +282,7 @@ def workload_pair(trace: QueueTrace) -> tuple[PiecewiseLinear, PiecewiseLinear]:
     return W, Wbar
 
 
-@dataclass(frozen=True)
-class BusyPeriod:
+class BusyPeriod(NamedTuple):
     """Maximal stretch with work in the system: [start, end) plus the
     contiguous (0-based) customer indices served in it."""
 
@@ -304,8 +304,9 @@ def busy_periods(trace: QueueTrace) -> list[BusyPeriod]:
     """
     A, D = trace.A, trace.D
     firsts, stops = _period_bounds(A, D)
-    return [BusyPeriod(float(a), float(d), range(f, e)) for a, d, f, e in
-            zip(A[firsts].tolist(), D[stops - 1].tolist(), firsts.tolist(), stops.tolist())]
+    return list(map(BusyPeriod._make, zip(
+        A[firsts].astype(float).tolist(), D[stops - 1].astype(float).tolist(),
+        map(range, firsts.tolist(), stops.tolist()))))
 
 
 @dataclass(frozen=True)
@@ -364,28 +365,30 @@ def zigzag(s, a) -> ZigzagTrajectory:
     a = list(np.asarray(a).tolist())
     if len(s) == 0 or len(a) != len(s) - 1:
         raise ValueError("need k marks and k-1 internal gaps")
-    return _zigzag_runs(s, a)
+    return _zigzag_runs(s, a, itertools.repeat(0))
 
 
 def zigzag_from_trace(trace: QueueTrace, period: BusyPeriod) -> ZigzagTrajectory:
     """:func:`zigzag` of one busy period of ``trace``."""
     c = period.customers
     A = trace.A[c.start:c.stop].tolist()
-    return _zigzag_runs(trace.s[c.start:c.stop].tolist(), map(operator.sub, A[1:], A))
+    return _zigzag_runs(trace.s[c.start:c.stop].tolist(), A[1:], A)
 
 
-def _zigzag_runs(s: list, gaps) -> ZigzagTrajectory:
-    """Validate k marks and the k-1 gaps between them in one pass.
+def _zigzag_runs(s: list, later, earlier) -> ZigzagTrajectory:
+    """Validate k marks and the k-1 gaps between them in one pass, gap i
+    taken as later[i] - earlier[i] (subtracting 0 leaves a gap exact).
 
     The running height takes the same steps as the check in
     :class:`ZigzagTrajectory`, which therefore cannot fail and is skipped.
     """
     runs = []
     h = 0
-    for si, ai in zip(s, gaps):
+    for si, t, t0 in zip(s, later, earlier):
         if si <= 0:
             raise ValueError("marks must be positive within a busy period")
         h += si
+        ai = t - t0
         if ai <= 0:
             raise ValueError("gaps must be positive")
         if ai > h:

@@ -9,6 +9,9 @@ cumulative store output R(N).  :func:`verify_row_queue_batch` checks all
 six numbers against each other on a stack of same-shape matrices, each
 computed independently: the operator chains, both path enumerations and
 the two tandem kernels run once per stack, row insertion once per case.
+Row insertion takes a word one tableau row at a time (:func:`_insert_word`),
+letter by letter within a row, with no shortcut through the letter counts,
+so the tableau stays a witness independent of the chains and the kernels.
 The scalar witnesses are the batched ones on a batch of one.
 :func:`growth_shapes` gives the same shapes from Fomin's local rule, batched
 over replications, for the Monte Carlo shape law; its first coordinate is
@@ -137,20 +140,31 @@ def pretty(T: Tableau) -> str:
     return "\n".join("|" + "|".join(str(x) for x in row) + "|" for row in T.rows)
 
 
-def _bump(rows: list[list[int]], x: int) -> None:
-    # in-place row insertion; an empty row behaves as all-zero, so the
-    # cascade always terminates by appending
-    i = 0
-    while True:
-        if i == len(rows):
-            rows.append([x])
-            return
-        row = rows[i]
-        j = bisect.bisect_right(row, x)
-        if j == len(row):
+def _row_pass(row: list[int], word: list[int]) -> list[int]:
+    """Row-insert the letters of ``word`` into ``row``, in order and in
+    place, and return the letters bumped out of it, in the order bumped."""
+    bumped = []
+    for x in word:
+        if row and x < row[-1]:  # else x goes at the end, with no search
+            j = bisect.bisect_right(row, x)
+            bumped.append(row[j])
+            row[j] = x
+        else:
             row.append(x)
-            return
-        x, row[j] = row[j], x
+    return bumped
+
+
+def _insert_word(rows: list[list[int]], word: list[int]) -> None:
+    """Row-insert ``word`` letter by letter, in place, one tableau row at a
+    time: row i sees only the ordered stream of letters bumped out of row
+    i-1, so passing the whole stream through row i before row i+1 gives
+    the tableau of the letter-by-letter fold.  A stream past the last row
+    starts a new one."""
+    i = 0
+    while word:
+        if i == len(rows):
+            rows.append([])
+        word = _row_pass(rows[i], word)
         i += 1
 
 
@@ -204,17 +218,17 @@ def _letters(word) -> list:
 def insert(T: Tableau, letter: int) -> Tableau:
     """Row-insert one letter, returning a new tableau with one more box."""
     rows = [list(r) for r in T.rows]
-    _bump(rows, *_letters([letter]))
+    _insert_word(rows, _letters([letter]))
     out = Tableau.__new__(Tableau)
     out.rows = rows
     return out
 
 
 def tableau_of(word) -> Tableau:
-    """Left fold of row insertion over the word, starting from empty."""
+    """Left fold of row insertion over the word, starting from empty,
+    computed one tableau row at a time (:func:`_insert_word`)."""
     rows: list[list[int]] = []
-    for x in _letters(word):
-        _bump(rows, x)
+    _insert_word(rows, _letters(word))
     out = Tableau.__new__(Tableau)
     out.rows = rows
     return out

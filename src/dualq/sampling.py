@@ -50,16 +50,6 @@ class Seed:
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(key=self._key()))
 
-    def rewind(self, gen: np.random.Generator) -> np.random.Generator:
-        """Reset ``gen``, a Philox-backed generator, to the start of this seed's
-        stream and return it: the draws that follow equal those of
-        ``self.generator()``, without the OS entropy Philox's constructor draws."""
-        gen.bit_generator.state = {
-            "bit_generator": "Philox", "buffer": np.zeros(4, dtype=np.uint64),
-            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": self._key()},
-            "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}  # nothing buffered
-        return gen
-
     def substream(self, index: int) -> "Seed":
         """Child seed ``index``; children occupy a disjoint block of the stream space.
 

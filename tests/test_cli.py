@@ -254,64 +254,105 @@ def test_experiment_reports_pinned(capsys, argv):
 
 # --- blocks and reproducers of the random-case checks ---------------------------
 
+def _stream_rows(seed, j, rows, low, high, size=()):
+    """The first ``rows`` draws of substream j of a random-case run, one
+    array of shape ``size`` with values in low..high per case."""
+    return Seed(seed).substream(j).generator().integers(low, high + 1, size=(rows, *size))
+
+
+def _case_matrix(seed, i, max_n, max_k, max_entry=5):
+    """Case i's matrix from fresh generators of streams 0-2: the top-left
+    n_i x k_i corner of the i-th max_n x max_k entry draw."""
+    n = _stream_rows(seed, 0, i + 1, 1, max_n)[i]
+    k = _stream_rows(seed, 1, i + 1, 1, max_k)[i]
+    return _stream_rows(seed, 2, i + 1, 0, max_entry, (max_n, max_k))[i, :n, :k].tolist()
+
+
+def _fresh_particle_inputs(seed, i, max_n, max_k, max_entry=5):
+    """Case i of particles from fresh generators of streams 0-4: the matrix,
+    then its first k_i site counts (before the reservoir is added) and buses."""
+    u = _case_matrix(seed, i, max_n, max_k, max_entry)
+    return (u, *(_stream_rows(seed, j, i + 1, 0, 5, (max_k,))[i, :len(u[0])].tolist()
+                 for j in (3, 4)))
+
+
+_CHECKS = {"verify-identities": "_six_way_failures", "particles": "_particle_failures"}
+
+
+def _recording_run(capsys, monkeypatch, argv):
+    """Run argv; return its (code, out, err), every case its check saw as
+    (matrix, *site rows), and the number of cases of each block."""
+    name = _CHECKS[argv[0]]
+    real = getattr(cli, name)
+    cases, blocks = [], []
+
+    def recording(n, k, E, sites):
+        blocks.append(len(n))
+        cases.extend((E[j, :n[j], :k[j]].tolist(), *(s[j, :k[j]].tolist() for s in sites))
+                     for j in range(len(n)))
+        return real(n, k, E, sites)
+
+    monkeypatch.setattr(cli, name, recording)
+    try:
+        return run(capsys, *argv), cases, blocks
+    finally:
+        monkeypatch.setattr(cli, name, real)
+
+
+_RUNS = {"verify-identities": ("verify-identities", "--cases", "50", "--n", "5", "--k", "5",
+                               "--seed", "3"),
+         "particles": ("particles", "--cases", "50", "--seed", "3")}  # 5 x 5 at most
+
+
 @pytest.mark.parametrize("some_fail", [False, True])
-def test_blocks_do_not_change_the_report(capsys, monkeypatch, some_fail):
+@pytest.mark.parametrize("subcommand", sorted(_RUNS))
+def test_blocks_do_not_change_the_cases_or_the_report(capsys, monkeypatch, subcommand,
+                                                      some_fail):
     if some_fail:  # cases whose entries sum to a multiple of 7 fail
         real = tandem.queue_departures_batch
         monkeypatch.setattr(tandem, "queue_departures_batch", lambda u: real(u) + (
             u.sum(axis=(1, 2)) % 7 == 0)[:, None, None])
-    argv = ("verify-identities", "--cases", "50", "--n", "5", "--k", "5", "--seed", "3")
-    whole = run(capsys, *argv)
-    monkeypatch.setattr(cli, "CASE_BLOCK", 3)  # 50 cases in 17 blocks, the last short
-    assert run(capsys, *argv) == whole
+    budget = cli.CASE_ENTRIES
+    runs = []
+    for per_block in (1, 3, None):  # None: as many as the budget holds, here all 50
+        monkeypatch.setattr(cli, "CASE_ENTRIES", 25 * per_block if per_block else budget)
+        runs.append(_recording_run(capsys, monkeypatch, _RUNS[subcommand]))
+    assert [blocks for _, _, blocks in runs] == [[1] * 50, [3] * 16 + [2], [50]]
+    report, cases, _ = runs[0]
+    assert all(r == report and c == cases for r, c, _ in runs)
+    if subcommand == "particles":
+        assert cases == [_fresh_particle_inputs(3, i, 5, 5) for i in range(50)]
+    else:
+        assert cases == [(_case_matrix(3, i, 5, 5),) for i in range(50)]
+    payload = json.loads(report[1])
+    failing = [i for i, (u, *_) in enumerate(cases) if np.sum(u) % 7 == 0]
+    assert report[0] == (1 if some_fail else 0)
+    assert payload["tests"][0]["statistic"] == (len(failing) if some_fail else 0)
     if some_fail:
-        payload = json.loads(whole[1])
-        assert 0 < payload["tests"][0]["statistic"] < 50
-        assert payload["diagnostics"]["first_failure"]["case"] >= 3  # not in block 0
-        return
-    particles_whole = run(capsys, "particles", "--cases", "30", "--seed", "3")
-    monkeypatch.setattr(cli, "CASE_BLOCK", 4)
-    assert run(capsys, "particles", "--cases", "30", "--seed", "3") == particles_whole
+        assert 0 < len(failing) < 50
+        first = payload["diagnostics"]["first_failure"]
+        assert first["case"] == failing[0] and first["matrix"] == cases[failing[0]][0]
+    else:
+        assert "diagnostics" not in payload
 
 
-def _case_matrix(seed, i, max_n, max_k, max_entry=5):
-    gen = Seed(seed).substream(i).generator()
-    n, k = int(gen.integers(1, max_n + 1)), int(gen.integers(1, max_k + 1))
-    return gen.integers(0, max_entry + 1, size=(n, k)).tolist()
-
-
-def _fresh_particle_inputs(seed, i, max_n, max_k, max_entry=5):
-    """A particles case drawn from its own fresh generator: the matrix, then
-    the site counts (reservoir added) and the buses."""
-    gen = Seed(seed).substream(i).generator()
-    n, k = int(gen.integers(1, max_n + 1)), int(gen.integers(1, max_k + 1))
-    u = gen.integers(0, max_entry + 1, size=(n, k))
-    counts = gen.integers(0, 6, size=k).tolist()
-    counts[0] += int(u.sum())
-    return u.tolist(), counts, gen.integers(0, 6, size=k).tolist()
-
-
-@pytest.mark.parametrize("block_size", [3, 4096])
-def test_rewound_generator_draws_every_case_of_its_fresh_substream(
-        capsys, monkeypatch, block_size):
-    # the reports cannot see a changed stream while every case passes
-    blocks = []
-    real = cli._random_cases
-
-    def recording(cfg, n_key, k_key, test, check, *extra):
-        return real(cfg, n_key, k_key, test,
-                    lambda block: blocks.append(block) or check(block), *extra)
-
-    monkeypatch.setattr(cli, "_random_cases", recording)
-    monkeypatch.setattr(cli, "CASE_BLOCK", block_size)
-    assert run(capsys, "verify-identities", "--cases", "10", "--seed", "11")[0] == 0
-    cases = [case for block in blocks for case in block]
-    assert [len(b) for b in blocks] == ([3, 3, 3, 1] if block_size == 3 else [10])
-    assert [u.tolist() for u, _ in cases] == [_case_matrix(11, i, 6, 4) for i in range(10)]
-    blocks.clear()
-    assert run(capsys, "particles", "--cases", "10", "--seed", "12")[0] == 0
-    drawn = [(u.tolist(), *inputs) for block in blocks for u, inputs in block]
-    assert drawn == [_fresh_particle_inputs(12, i, 5, 5) for i in range(10)]
+@pytest.mark.parametrize("budget, n_max, k_max, cases", [
+    (cli.CASE_ENTRIES, 6, 6, 10000),   # the benchmark's size: 4096 cases a block
+    (cli.CASE_ENTRIES, 40, 30, 500),
+    (100, 7, 7, 10),                  # a matrix over the budget: one a block
+    (100, 3, 4, 30),
+])
+def test_no_block_draws_more_entries_than_the_budget(monkeypatch, budget, n_max, k_max,
+                                                     cases):
+    monkeypatch.setattr(cli, "CASE_ENTRIES", budget)
+    blocks = list(cli._case_blocks(5, cases, n_max, k_max, 5, site_draws=True))
+    sizes = [len(n) for _, n, *_ in blocks]
+    assert [lo for lo, *_ in blocks] == [sum(sizes[:b]) for b in range(len(sizes))]
+    assert sum(sizes) == cases and max(sizes) == max(1, budget // (n_max * k_max))
+    for _, n, k, E, sites in blocks:
+        assert E.size <= max(budget, n_max * k_max)
+        assert E.shape == (len(n), n_max, k_max)
+        assert [s.shape for s in sites] == [(len(n), k_max)] * 2
 
 
 def test_verify_identities_names_first_failure(capsys, monkeypatch):

@@ -52,19 +52,29 @@ def lwis(word):
 
 # --- independent oracle: row insertion by its definition ----------------------
 
+def scan_insert(row, x):
+    """Put ``x`` in place of the leftmost entry of ``row`` greater than it,
+    found by scanning, and return that entry; append ``x`` and return None
+    when there is none."""
+    j = next((j for j, y in enumerate(row) if y > x), len(row))
+    if j == len(row):
+        row.append(x)
+        return None
+    row[j], x = x, row[j]
+    return x
+
+
 def bump_rows(word):
-    """Rows of the insertion tableau of ``word``: each letter takes the place
-    of the leftmost entry greater than it, found by scanning the row, and
-    the displaced entry goes on to the next row; past the last row it
-    starts a new one."""
+    """Rows of the insertion tableau of ``word``, letter by letter: each
+    letter goes into the first row by :func:`scan_insert`, the displaced
+    entry into the next row, and so on; past the last row it starts a new
+    one."""
     rows = []
     for x in word:
         for row in rows:
-            j = next((j for j, y in enumerate(row) if y > x), len(row))
-            if j == len(row):
-                row.append(x)
+            x = scan_insert(row, x)
+            if x is None:
                 break
-            row[j], x = x, row[j]
         else:
             rows.append([x])
     return rows
@@ -181,22 +191,43 @@ def insertion_words():
     )
 
 
+_BIG = 10**9
+big_letter_words = st.lists(st.sampled_from([1, 2, _BIG - 1, _BIG]), max_size=20)
+
+
 @settings(max_examples=300)
-@given(insertion_words(), st.integers(1, 9))
-def test_insertion_matches_the_scan_oracle(word, letter):
+@given(st.one_of(insertion_words(), big_letter_words), st.integers(1, 9),
+       st.one_of(insertion_words(), big_letter_words))
+def test_insertion_matches_the_scan_oracle(word, letter, more):
     T = tableau_of(word)
     assert T.rows == bump_rows(word)
     assert insert(T, letter).rows == bump_rows(word + [letter])
+    rsk._insert_word(T.rows, list(more))  # a whole word onto a filled tableau
+    assert T.rows == bump_rows(word + more)
+
+
+@settings(max_examples=300)
+@example(start=[], word=[])
+@example(start=[], word=list(range(2000, 0, -1)))
+@example(start=[3, 1, 2], word=list(range(2000, 0, -1)))
+@example(start=[1, _BIG], word=[_BIG, 1, _BIG, _BIG - 1])
+@given(st.one_of(insertion_words(), big_letter_words),
+       st.one_of(insertion_words(), big_letter_words))
+def test_row_pass_is_the_scan_oracle_letter_by_letter(start, word):
+    row = bump_rows(start)[0] if start else []
+    expect_row = list(row)
+    expect = [y for y in (scan_insert(expect_row, x) for x in word) if y is not None]
+    assert rsk._row_pass(row, list(word)) == expect
+    assert row == expect_row
 
 
 def test_insertion_cost_follows_the_letters_present():
     # a decreasing permutation bumps every letter down a column of n rows
     n = 2000
     assert tableau_of(range(n, 0, -1)).rows == [[y] for y in range(1, n + 1)]
-    big = 10**9
-    assert tableau_of([big]).rows == [[big]]
-    assert insert(Tableau([[1, 2], [3]]), big).rows == [[1, 2, big], [3]]
-    assert insert(Tableau([[big]]), 1).rows == [[1], [big]]
+    assert tableau_of([_BIG]).rows == [[_BIG]]
+    assert insert(Tableau([[1, 2], [3]]), _BIG).rows == [[1, 2, _BIG], [3]]
+    assert insert(Tableau([[_BIG]]), 1).rows == [[1], [_BIG]]
 
 
 def test_tableau_of_empty_word():
@@ -458,19 +489,19 @@ def test_matrix_words_insert_as_the_scan_oracle_inserts_them(u):
 
 
 def seed_case(seed, i):
-    """Case i of verify-identities at its default sizes, from a fresh generator."""
-    gen = Seed(seed).substream(i).generator()
-    n, k = int(gen.integers(1, 7)), int(gen.integers(1, 5))
-    return gen.integers(0, 6, size=(n, k))
+    """Case i of verify-identities at its default sizes, from fresh generators
+    of streams 0-2: n in 1..6, k in 1..4, then a 6 x 4 entry draw per case."""
+    n, k = (Seed(seed).substream(j).generator().integers(1, top + 1, size=i + 1)[i]
+            for j, top in ((0, 6), (1, 4)))
+    return Seed(seed).substream(2).generator().integers(0, 6, size=(i + 1, 6, 4))[i, :n, :k]
 
 
 def test_broken_insertion_kernel_is_named_by_the_six_way_check(monkeypatch, capsys):
-    def no_bumps(rows, x):  # every letter stays in the first row
-        if not rows:
-            rows.append([])
-        rows[0].append(x)
+    def no_bumps(row, word):  # every letter stays in the first row
+        row.extend(word)
+        return []
 
-    monkeypatch.setattr(rsk, "_bump", no_bumps)
+    monkeypatch.setattr(rsk, "_row_pass", no_bumps)
     lam1, lamK, ok = verify_row_queue_batch(np.array([[[1, 2], [3, 4]], [[1, 2], [0, 0]]]))
     assert ok.tolist() == [False, True]
     assert lam1.tolist() == [[10, 8, 8, 8], [3, 3, 3, 3]]
@@ -483,8 +514,8 @@ def test_broken_insertion_kernel_is_named_by_the_six_way_check(monkeypatch, caps
     cases = [seed_case(28, i) for i in range(50)]
     bumps = [len(bump_rows(word_of(u).tolist())) > 1 for u in cases]
     assert payload["tests"][0]["statistic"] == sum(bumps)
-    assert first["case"] == bumps.index(True) == 3
-    assert first["matrix"] == cases[3].tolist()
+    assert first["case"] == bumps.index(True) == 1  # case 0 keeps one row
+    assert first["matrix"] == cases[1].tolist()
     assert first["lambda1"][0] != first["lambda1"][1] or first["lambdaK"][0] != first["lambdaK"][1]
 
 

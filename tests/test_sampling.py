@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from dualq.sampling import (
     MarkedSequence,
@@ -56,40 +56,6 @@ def test_substream_refuses_colliding_paths():
     with pytest.raises(ValueError):
         Seed(0).substream(-1)
     assert Seed(0).substream(2**32 - 2).substream(2**32 - 2).stream == 2**64 - 1
-
-
-# earlier draws that leave a generator's state part used: floats take whole
-# 64-bit words, 32-bit integers take half words
-_EARLIER = {
-    "random": lambda g: g.random(),
-    "u32": lambda g: g.integers(0, 2**32, dtype=np.uint32),
-    "u32s": lambda g: g.integers(0, 9, size=3, dtype=np.uint32),
-    "int": lambda g: g.integers(1, 7),
-    "ints": lambda g: g.integers(0, 6, size=(2, 3)),
-}
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1),
-       st.lists(st.sampled_from(sorted(_EARLIER)), max_size=12))
-def test_rewind_draws_what_a_fresh_generator_draws(master, stream, earlier):
-    gen = Seed(3, 5).generator()
-    for name in earlier:
-        _EARLIER[name](gen)
-    if not gen.bit_generator.state["has_uint32"]:  # an odd number of 32-bit draws
-        gen.integers(0, 2**32, dtype=np.uint32)
-    if gen.bit_generator.state["buffer_pos"] == 4:  # Philox's four-word buffer part used
-        gen.random()
-    state = gen.bit_generator.state
-    assert state["has_uint32"] == 1 and 0 < state["buffer_pos"] < 4
-    seed = Seed(master, stream)
-    assert seed.rewind(gen) is gen
-
-    def draws(g):
-        return (g.integers(1, 7), g.integers(1, 5), g.integers(0, 6, size=(3, 2)).tolist(),
-                g.random(5).tolist(), g.integers(0, 2**32, dtype=np.uint32), g.random())
-
-    assert draws(gen) == draws(seed.generator())
 
 
 def _key(master, path):
