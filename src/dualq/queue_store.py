@@ -12,14 +12,17 @@ arithmetic, real inputs in double precision.
 
 The trace (:func:`_fifo_series`, shared with the tandem kernels: customers
 first, replications innermost), the busy-period bounds and the knots of
-:func:`workload_pair` are array closed forms.  :func:`lindley_forward` and
-:func:`backward_check` stay element-by-element loops on Python scalars:
-they are the independent witnesses the closed forms are checked against,
-so they must not share code with them.  :func:`zigzag_from_trace`
-validates each excursion in one pass over the period's marks and epochs.
-Scans over customers use :func:`_accumulate`: a loop over rows when the
-rows are wider than the customer axis is long, ``ufunc.accumulate``
-otherwise, with the same values either way.
+:func:`workload_pair` are array closed forms.  :func:`backward_check` tests
+the backward identities as pointwise array expressions over neighbouring
+entries, sharing no code with the closed forms; :func:`lindley_forward`
+stays an element-by-element loop on Python scalars, the remaining
+per-customer witness.  The zigzags of a trace's own busy periods come from
+one table per trace (:func:`_zigzag_table`, cached on the trace, whose
+arrays are therefore read-only); the per-period pass :func:`_zigzag_runs`
+serves :func:`zigzag` and any other customer range.  Scans over customers
+use :func:`_accumulate`: a loop over rows when the rows are wider than the
+customer axis is long, ``ufunc.accumulate`` otherwise, with the same values
+either way.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import csv
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -66,7 +70,8 @@ class QueueTrace:
 
     ``A, s, D, w`` have length N; ``r`` has length N-1 because r_n needs
     the next arrival.  Gaps ``a`` and ``d`` are the first differences of
-    ``A`` and ``D``.
+    ``A`` and ``D``.  The arrays are held as read-only views: the trace
+    caches its zigzag table, which must not go stale.
     """
 
     A: np.ndarray
@@ -74,6 +79,18 @@ class QueueTrace:
     D: np.ndarray
     w: np.ndarray
     r: np.ndarray
+
+    def __post_init__(self):
+        for name in ("A", "s", "D", "w", "r"):
+            x = np.asarray(getattr(self, name))
+            if x.flags.writeable:  # an array already read-only is kept, so equal traces stay equal
+                x = x.view()
+                x.flags.writeable = False
+            object.__setattr__(self, name, x)
+
+    @cached_property
+    def _zigzags(self) -> list:
+        return _zigzag_table(self)
 
     @property
     def a(self) -> np.ndarray:
@@ -107,9 +124,14 @@ def lindley_forward(w1, a, s) -> np.ndarray:
     if not (np.isfinite(a).all() and np.isfinite(s).all()):
         raise ValueError("gaps and marks must be finite")
     # one step per customer, on python scalars of the output dtype
-    w = [dtype(w1).item()]
+    x = dtype(w1).item()
+    w = [x]
+    append = w.append
     for ai, si in zip(a.tolist(), s[:a.size].tolist()):
-        w.append(max(w[-1] + si - ai, 0))
+        x = x + si - ai
+        if x < 0:
+            x = 0
+        append(x)
     return np.array(w, dtype=dtype)
 
 
@@ -304,17 +326,20 @@ def busy_periods(trace: QueueTrace) -> list[BusyPeriod]:
     """
     A, D = trace.A, trace.D
     firsts, stops = _period_bounds(A, D)
-    return list(map(BusyPeriod._make, zip(
+    # tuple.__new__ builds each period in C, where _make adds a Python call
+    return list(map(tuple.__new__, itertools.repeat(BusyPeriod), zip(
         A[firsts].astype(float).tolist(), D[stops - 1].astype(float).tolist(),
         map(range, firsts.tolist(), stops.tolist()))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ZigzagTrajectory:
     """Alternating run lengths (up, down, ..., up, down) of one excursion.
 
     Total rise equals total fall and every partial height stays
-    nonnegative; touching zero in the interior is allowed.
+    nonnegative; touching zero in the interior is allowed.  A slot, not an
+    instance dict, holds the runs: a trace's table keeps one trajectory per
+    busy period.
     """
 
     run_lengths: tuple
@@ -369,10 +394,99 @@ def zigzag(s, a) -> ZigzagTrajectory:
 
 
 def zigzag_from_trace(trace: QueueTrace, period: BusyPeriod) -> ZigzagTrajectory:
-    """:func:`zigzag` of one busy period of ``trace``."""
+    """:func:`zigzag` of one busy period of ``trace``.
+
+    The first call builds the zigzags of all the trace's own busy periods at
+    once (:func:`_zigzag_table`); a customer range that is one of them is
+    answered from that table.  Any other range, such as a hand-built period,
+    a part of a period or two periods joined, goes through the per-period
+    pass: its trajectory or error is that of :func:`zigzag` on the same
+    customers.
+    """
     c = period.customers
+    table = trace._zigzags
+    z = table[c.start] if 0 <= c.start < len(table) else None
+    if z is not None and len(z.run_lengths) == 2 * (c.stop - c.start):
+        return z
     A = trace.A[c.start:c.stop].tolist()
     return _zigzag_runs(trace.s[c.start:c.stop].tolist(), A[1:], A)
+
+
+def _magnitude(x) -> int:
+    """Largest absolute entry of a nonempty integer array, as a Python int."""
+    return max(int(x.max()), -int(x.min()))
+
+
+def _running_sums(x, starts, stops):
+    """Running sums of ``x`` over each segment [start, stop), restarted at
+    every segment and taken left to right, so float sums agree bit for bit
+    with a scalar loop.  Entries outside every segment are left undefined.
+
+    Segments are grouped by length rounded up to a power of two, and each
+    group is summed as the columns of one zero-padded block through
+    :func:`_accumulate`: the work stays within twice the segments' total
+    length however long the longest one is.
+    """
+    out = np.empty_like(x)
+    _, octave = np.frexp(stops - starts - 1)  # 2**octave >= length
+    for e in range(int(octave.max(initial=0)) + 1):
+        group = octave == e
+        pos = starts[group] + np.arange(1 << e)[:, None]
+        inside = pos < stops[group]
+        block = np.where(inside, x[np.minimum(pos, x.size - 1)], 0)
+        out[pos[inside]] = _accumulate(np.add, block, block)[inside]
+    return out
+
+
+def _period_runs(A, s, D):
+    """Run lengths of every busy period, back to back in one array (period p
+    in entries 2 f_p to 2 stop_p - 1), and the bounds of the periods
+    :func:`_zigzag_runs` accepts.
+
+    The running height of every period is summed left to right by
+    :func:`_running_sums`, so the checks (positive marks, positive gaps, no
+    gap above the height) and the closing heights are those of the
+    per-period pass, bit for bit.
+    """
+    firsts, stops = _period_bounds(A, D)
+    last = stops - 1
+    g = np.diff(A)
+    runs = np.empty(2 * A.size, s.dtype)
+    runs[::2] = s
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite hand-built entries
+        # the height steps s_0, -g_0, s_1, ..., s_{N-1}: period p sums 2 f_p to 2 last_p
+        np.negative(g, out=runs[1:-1:2])
+        h = _running_sums(runs[:-1], 2 * firsts, 2 * last + 1)
+        inner = np.ones(g.size, dtype=bool)  # gap n lies inside a period
+        inner[last[:-1]] = False
+        bad = s <= 0
+        bad[:-1] |= inner & ((g <= 0) | (g > h[:-1:2]))
+    runs[1:-1:2] = g
+    runs[2 * last + 1] = h[2 * last]
+    keep = ~np.logical_or.reduceat(bad, firsts)
+    return runs, firsts[keep], stops[keep]
+
+
+def _zigzag_table(trace: QueueTrace) -> list:
+    """The zigzag of every busy period of ``trace`` that :func:`_zigzag_runs`
+    accepts, at the index of the period's first customer (None elsewhere).
+
+    A trace whose ``A`` and ``s`` are not both int64 or both float64, or
+    whose integer sums could leave int64, gets an empty table: each of its
+    periods takes the per-period pass.
+    """
+    A, s = trace.A, trace.s
+    if A.dtype != s.dtype or s.dtype not in (np.int64, np.float64):
+        return []
+    # no partial sum of 2N-1 marks and gaps exceeds 3N times the largest entry
+    if s.dtype == np.int64 and 3 * A.size * max(_magnitude(A), _magnitude(s)) >= 2**63:
+        return []
+    runs, firsts, stops = _period_runs(A, s, trace.D)
+    flat = tuple(runs.tolist())  # a slice of a tuple is the period's tuple
+    table = [None] * A.size
+    for f, e in zip(firsts.tolist(), stops.tolist()):
+        table[f] = ZigzagTrajectory._validated(flat[2 * f:2 * e])
+    return table
 
 
 def _zigzag_runs(s: list, later, earlier) -> ZigzagTrajectory:
@@ -431,34 +545,43 @@ class BackwardCheckReport:
     first_violation: tuple | None
 
 
+def _exact_ints(*arrays):
+    """``arrays`` with the integer ones as int64, or as Python ints (object
+    arrays) when an entry reaches 2**60: sums of four entries then never
+    wrap.  Other arrays are returned as they are."""
+    ints = [x.dtype.kind in "iub" for x in arrays]
+    big = any(i and x.size and _magnitude(x) >= 2**60 for i, x in zip(ints, arrays))
+    return [x.astype(object if big else np.int64, copy=False) if i else x
+            for i, x in zip(ints, arrays)]
+
+
 def backward_check(trace: QueueTrace) -> BackwardCheckReport:
     """Verify the backward Lindley recursion and the sojourn identity.
 
     Checks w_n = (w_{n+1} + r_n - d_{n-1})^+ on interior indices and
     v_n = w_n + s_n = w_{n+1} + r_n wherever r is defined.  Exact for
-    integer traces; relative 1e-12 for real ones.
+    integer traces; relative 1e-12 for real ones.  Each identity is one
+    array expression over neighbouring entries; the first violation is
+    the first in customer order, sojourn before backward Lindley.  A NaN
+    error counts as an infinite one, and an infinite error is a violation.
     """
     rel_tol = 0.0 if trace.A.dtype.kind in "iu" else 1e-12
     tol = rel_tol * max(1.0, float(np.abs(trace.D).max()))
-    # element by element on python scalars, independent of the closed forms
-    w, s, r, d = trace.w.tolist(), trace.s.tolist(), trace.r.tolist(), trace.d.tolist()
-    worst = 0.0
+    w, s, r, D = _exact_ints(trace.w, trace.s, trace.r, trace.D)
+    m = len(w) - 1
+    with np.errstate(invalid="ignore", over="ignore"):  # as python floats: no warnings
+        sojourn = (w[:m] + s[:m]) - (w[1:] + r[:m])
+        lindley = w[1:m] - np.maximum((w[2:] + r[1:m]) - np.diff(D[:m]), 0)
+        err = np.abs(np.concatenate((sojourn, lindley)).astype(np.float64))
+    err[np.isnan(err)] = np.inf
+    bad = np.flatnonzero((err > tol) | (err == np.inf))
     first = None
-    for n in range(len(w) - 1):
-        err = abs(float((w[n] + s[n]) - (w[n + 1] + r[n])))
-        if err > worst:
-            worst = err
-        if err > tol and first is None:
-            first = ("sojourn", n + 1, err)
-    for n in range(1, len(w) - 1):
-        lhs = w[n]
-        rhs = max(w[n + 1] + r[n] - d[n - 1], 0)
-        err = abs(float(lhs - rhs))
-        if err > worst:
-            worst = err
-        if err > tol and first is None:
-            first = ("backward-lindley", n + 1, err)
-    return BackwardCheckReport(ok=first is None, max_error=worst, first_violation=first)
+    if bad.size:
+        i = int(bad[0])
+        kind, n = ("sojourn", i + 1) if i < m else ("backward-lindley", i - m + 2)
+        first = (kind, n, float(err[i]))
+    return BackwardCheckReport(ok=first is None, max_error=float(err.max(initial=0.0)),
+                               first_violation=first)
 
 
 def trace_to_csv(trace: QueueTrace, fh) -> None:

@@ -1,9 +1,13 @@
+import dataclasses
 import io
+import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dualq import queue_store
 from dualq.queue_store import (
     BackwardCheckReport,
     BusyPeriod,
@@ -66,22 +70,33 @@ def lindley_forward_loop(w1, a, s):
 
 
 def backward_check_loop(trace, rel_tol=None):
+    """Python scalars, so integers are exact at any size; a NaN error counts
+    as infinite, and an infinite error is a violation."""
     if rel_tol is None:
         rel_tol = 0.0 if trace.A.dtype.kind in "iu" else 1e-12
     tol = rel_tol * max(1.0, float(np.abs(trace.D).max()))
-    w, s, r, d = trace.w, trace.s, trace.r, trace.d
+    w, s, r, D = (x.tolist() for x in (trace.w, trace.s, trace.r, trace.D))
     worst, first = 0.0, None
+
+    def record(kind, n, err):
+        nonlocal worst, first
+        if math.isnan(err):
+            err = math.inf
+        worst = max(worst, err)
+        if (err > tol or err == math.inf) and first is None:
+            first = (kind, n + 1, err)
+
     for n in range(len(trace) - 1):
-        err = abs(float((w[n] + s[n]) - (w[n + 1] + r[n])))
-        worst = max(worst, err)
-        if err > tol and first is None:
-            first = ("sojourn", n + 1, err)
+        record("sojourn", n, abs(float((w[n] + s[n]) - (w[n + 1] + r[n]))))
     for n in range(1, len(trace) - 1):
-        err = abs(float(w[n] - max(w[n + 1] + r[n] - d[n - 1], 0)))
-        worst = max(worst, err)
-        if err > tol and first is None:
-            first = ("backward-lindley", n + 1, err)
+        record("backward-lindley", n,
+               abs(float(w[n] - max(w[n + 1] + r[n] - (D[n] - D[n - 1]), 0))))
     return BackwardCheckReport(ok=first is None, max_error=worst, first_violation=first)
+
+
+def running_sums_loop(x, starts, stops):
+    """Each segment's running sums, left to right on python floats."""
+    return [list(itertools.accumulate(x[a:b])) for a, b in zip(starts, stops)]
 
 
 def workload_pair_loop(trace):
@@ -489,6 +504,32 @@ def test_backward_check_names_first_violation():
     assert got.first_violation == ("sojourn", 2, 1.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_backward_check_counts_a_non_finite_error_as_a_violation(bad):
+    # nan > tol is False, so a NaN error needs its own rule
+    tr = trace_of([(0.0, 3.0), (1.0, 2.0), (3.0, 1.0), (0.5, 2.0)])
+    w = tr.w.copy()
+    w[1] = bad
+    tr = QueueTrace(A=tr.A, s=tr.s, D=tr.D, w=w, r=tr.r)
+    got = backward_check(tr)
+    assert got == backward_check_loop(tr)
+    assert got == BackwardCheckReport(ok=False, max_error=math.inf,
+                                      first_violation=("sojourn", 1, math.inf))
+    assert type(got.max_error) is float and type(got.first_violation[1]) is int
+
+
+@pytest.mark.parametrize("d0, first", [(-2**62, None), (0, ("backward-lindley", 2, 2.0**62))])
+def test_integer_backward_check_is_exact_at_large_magnitudes(d0, first):
+    # w_n + s_n = 2**63 + 2**60 leaves int64; with d_1 = 0 the corrupted
+    # trace's w_3 + r_2 - d_1 does too, and a wrapped sum would clamp to 0
+    W, S = 2**62 + 2**60, 2**62
+    tr = QueueTrace(A=np.arange(3), s=np.full(3, S), D=np.array([d0, 0, S]),
+                    w=np.full(3, W), r=np.full(2, S))
+    got = backward_check(tr)
+    assert got == backward_check_loop(tr)
+    assert got.first_violation == first
+
+
 # --- zigzag validation ---------------------------------------------------------
 
 def raised(f, *args):
@@ -510,6 +551,131 @@ def test_zigzag_from_trace_rejects_like_zigzag(A, s):
     tr = QueueTrace(A=A, s=s, D=A + s, w=np.zeros_like(A), r=np.zeros(1, dtype=A.dtype))
     period = BusyPeriod(0.0, float(A[-1] + s[-1]), range(0, 2))
     assert raised(zigzag_from_trace, tr, period) == raised(zigzag, s, np.diff(A))
+
+
+def outcome(f, *args):
+    """The run lengths f returns, types included, or the error it raises."""
+    try:
+        return repr(f(*args).run_lengths)
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+def zigzag_of_range(tr, c):
+    return outcome(zigzag, tr.s[c.start:c.stop], tr.a[c.start:c.stop - 1])
+
+
+def from_trace(tr, c):
+    return outcome(zigzag_from_trace, tr, BusyPeriod(0.0, 0.0, c))
+
+
+def twin(tr):
+    """An equal trace on the same arrays, without the other's table."""
+    return QueueTrace(A=tr.A, s=tr.s, D=tr.D, w=tr.w, r=tr.r)
+
+
+# (gap, mark) per customer: zero gaps give simultaneous arrivals, zero marks
+# give periods the per-period pass rejects, integer steps give arrivals at a
+# departure instant, and tenths give float sums that round
+zigzag_customers = st.one_of(
+    st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=40),
+    st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)).map(
+        lambda p: (p[0] / 10, p[1] / 10)), min_size=1, max_size=40),
+    st.lists(st.tuples(st.floats(0, 4), st.floats(0, 4)), min_size=1, max_size=40))
+
+
+@settings(deadline=None, max_examples=200)
+@given(zigzag_customers, st.sampled_from([0, 3, 2.5]))
+@example(ONE_PERIOD, 3)
+@example(AT_DEPARTURE, 0)
+@example([(0, 2), (1, 0), (9, 2), (1, 2), (9, 1)], 0)   # a zero mark in the first period
+def test_zigzag_table_is_zigzag_on_every_period(pairs, w1):
+    tr = trace_of(pairs, w1)
+    for p in busy_periods(tr):
+        assert from_trace(tr, p.customers) == zigzag_of_range(tr, p.customers)
+
+
+def test_a_zero_mark_raises_only_for_its_period():
+    tr = trace_from_arrays([0, 1, 10, 11, 20], [2, 0, 2, 2, 1])
+    got = [from_trace(tr, p.customers) for p in busy_periods(tr)]
+    assert got == ["ValueError: marks must be positive within a busy period",
+                   "(2, 1, 2, 3)", "(1, 1)"]
+
+
+@settings(deadline=None, max_examples=100)
+@given(zigzag_customers, st.sampled_from([0, 2.5]), st.data())
+def test_zigzag_table_answers_any_order_of_calls(pairs, w1, data):
+    tr = trace_of(pairs, w1)
+    ranges = [p.customers for p in busy_periods(tr)]
+    want = [zigzag_of_range(tr, c) for c in ranges]
+    first = range(data.draw(st.integers(0, len(tr) - 1)), len(tr))
+    rev, again, foreign = twin(tr), twin(tr), twin(tr)
+    assert [from_trace(rev, c) for c in ranges[::-1]] == want[::-1]
+    assert [from_trace(again, c) for c in ranges + ranges] == want + want
+    assert from_trace(foreign, first) == zigzag_of_range(tr, first)
+    assert [from_trace(foreign, c) for c in ranges] == want
+
+
+@settings(deadline=None, max_examples=200)
+@given(zigzag_customers, st.sampled_from([0, 3, 2.5]), st.data())
+@example(ONE_PERIOD, 0, None)
+def test_zigzag_of_a_foreign_range_is_the_per_period_pass(pairs, w1, data):
+    # a part of a period, periods joined, a start inside a period: whatever
+    # the range, the table answers only its own periods
+    tr = trace_of(pairs, w1)
+    if data is None:
+        ranges = [range(0, 2), range(1, 4), range(0, 4), range(2, 3)]
+    else:
+        i = data.draw(st.integers(0, len(tr) - 1))
+        ranges = [range(i, data.draw(st.integers(i + 1, len(tr))))]
+    for c in ranges:
+        assert from_trace(tr, c) == zigzag_of_range(tr, c)
+
+
+@pytest.mark.parametrize("model", ["geomgeom1", "mm1"])
+def test_zigzag_table_is_built_once_per_trace(monkeypatch, model):
+    calls = []
+    build = queue_store._zigzag_table
+    monkeypatch.setattr(queue_store, "_zigzag_table", lambda tr: calls.append(1) or build(tr))
+    tr = random_trace(23, model=model, n=200)
+    same = twin(tr)
+    periods = busy_periods(tr)
+    zigzags = [zigzag_from_trace(tr, p) for p in periods + periods[::-1]]
+    from_trace(tr, range(1, 7))
+    assert len(calls) == 1
+    assert all(z is y for z, y in zip(zigzags, zigzags[::-1]))  # answered by the table
+    # the table is no field: equality (field by field) and repr do not see it
+    assert [f.name for f in dataclasses.fields(tr)] == ["A", "s", "D", "w", "r"]
+    assert all(getattr(tr, f.name) is getattr(same, f.name) for f in dataclasses.fields(tr))
+    assert repr(tr) == repr(same)
+    with pytest.raises(ValueError, match="read-only"):
+        tr.s[0] = 1.0
+
+
+def test_zigzag_table_sums_a_long_period_like_the_loop():
+    # one period of 3000 customers among short ones: float heights that
+    # round at every step, summed in the per-period pass's order
+    rng = np.random.default_rng(4)
+    s = np.concatenate((rng.exponential(1.0, 3000), rng.exponential(0.2, 500)))
+    A = np.cumsum(np.concatenate(([0.0], rng.exponential(0.9, 2999), rng.exponential(1.0, 500))))
+    tr = trace_from_arrays(A, s)
+    periods = busy_periods(tr)
+    assert len(periods[0].customers) > 1000
+    for p in periods:
+        assert from_trace(tr, p.customers) == zigzag_of_range(tr, p.customers)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.integers(1, 70), min_size=1, max_size=30), st.integers(0, 2**32))
+@example([1], 0)
+@example([1000, 1, 3], 1)
+def test_running_sums_match_a_scalar_loop(lengths, seed):
+    x = np.random.default_rng(seed).standard_normal(sum(lengths) + 3) * 1e3
+    stops = np.cumsum(lengths) + 1
+    starts = stops - np.array(lengths)
+    got = queue_store._running_sums(x, starts, stops)
+    want = running_sums_loop(x.tolist(), starts.tolist(), stops.tolist())
+    assert [got[a:b].tolist() for a, b in zip(starts, stops)] == want
 
 
 @pytest.mark.parametrize("runs, message", [
