@@ -19,10 +19,12 @@ stays an element-by-element loop on Python scalars, the remaining
 per-customer witness.  The zigzags of a trace's own busy periods come from
 one table per trace (:func:`_zigzag_table`, cached on the trace, whose
 arrays are therefore read-only); the per-period pass :func:`_zigzag_runs`
-serves :func:`zigzag` and any other customer range.  Scans over customers
-use :func:`_accumulate`: a loop over rows when the rows are wider than the
-customer axis is long, ``ufunc.accumulate`` otherwise, with the same values
-either way.
+serves :func:`zigzag` and any other customer range.  The table's runs come
+from :func:`_period_runs`, which zigzag-law in :mod:`~dualq.stattest` calls
+too: it counts the same runs, period checks and closing heights.  Scans
+over customers use :func:`_accumulate`: a loop over rows when the rows are
+wider than the customer axis is long, ``ufunc.accumulate`` otherwise, with
+the same values either way.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .sampling import MarkedSequence
+from .sampling import MarkedSequence, _below_int64
 
 __all__ = [
     "QueueTrace",
@@ -182,7 +184,9 @@ def trace_from_arrays(A, s, w1=0) -> QueueTrace:
     A, s and w1 must be finite, w1 and s nonnegative and A nondecreasing.
     Marks may be zero and arrivals simultaneous here (the saturated-tandem
     sections need that); use :func:`transform` when starting from a
-    validated MarkedSequence.
+    validated MarkedSequence.  Every output of an integer trace lies within
+    A_N + w1 + sum(s) (less A_1 if A_1 is negative), so integer inputs whose
+    total reaches 2**63 raise ValueError rather than wrap in int64.
     """
     A = np.asarray(A)
     s = np.asarray(s)
@@ -193,6 +197,12 @@ def trace_from_arrays(A, s, w1=0) -> QueueTrace:
     if not math.isfinite(w1) or w1 < 0:
         raise ValueError("w1 must be finite and nonnegative")
     dtype = _common_dtype(A, s, extra_scalar=w1)
+    # on the inputs as given: the cast to int64 wraps uint64 entries from
+    # 2**63, and max and min bound A before it is known to be nondecreasing
+    if dtype is np.int64 and not _below_int64(
+            s, max(int(A.max()), 0) - min(int(A.min()), 0) + int(w1)):
+        raise ValueError("integer trace does not fit int64: "
+                         "max(A_N, 0) - min(A_1, 0) + w1 + sum(s) reaches 2**63")
     A = A.astype(dtype)
     s = s.astype(dtype)
     if not (np.isfinite(A).all() and np.isfinite(s).all()) or s.min() < 0:

@@ -126,12 +126,22 @@ class RateParams:
         return self.arrival / self.service
 
 
+def _below_int64(x: np.ndarray, head: int = 0) -> bool:
+    """Whether ``head`` plus the sum of the nonnegative integers ``x`` stays
+    below 2**63, decided exactly: a float sum screens, and only a total
+    within a factor of two of 2**63 is summed again as Python ints."""
+    if head + float(x.sum(dtype=np.float64)) < 2**62:
+        return True
+    return head + sum(x.ravel().tolist()) < 2**63
+
+
 def _to_geometric(u: np.ndarray, p: float) -> np.ndarray:
-    """floor(log1p(-u) / log1p(-p)) + 1, in place."""
-    with np.errstate(divide="ignore"):
+    """floor(log1p(-u) / log1p(-p)) + 1, in place; inf where a subnormal p
+    overflows the quotient."""
+    with np.errstate(divide="ignore", over="ignore"):
         scale = np.log1p(-p)
-    np.log1p(np.negative(u, out=u), out=u)
-    np.floor(np.divide(u, scale, out=u), out=u)
+        np.log1p(np.negative(u, out=u), out=u)
+        np.floor(np.divide(u, scale, out=u), out=u)
     return np.add(u, 1, out=u)
 
 
@@ -149,8 +159,15 @@ def _to_exponential(u: np.ndarray, rate: float) -> np.ndarray:
 
 
 def draw_geometric(gen: np.random.Generator, p: float, shape) -> np.ndarray:
-    """Inverse CDF of P{X=k} = (1-p)^(k-1) p on {1, 2, ...}: one uniform per draw."""
-    return _to_geometric(gen.random(shape), p).astype(np.int64)
+    """Inverse CDF of P{X=k} = (1-p)^(k-1) p on {1, 2, ...}: one uniform per draw.
+
+    Raises ValueError when a draw does not fit int64, which takes p below
+    about 4e-18.
+    """
+    x = _to_geometric(gen.random(shape), p)
+    if x.size and x.max() >= 2**63:
+        raise ValueError(f"p = {p!r} is too small: a geometric draw does not fit int64")
+    return x.astype(np.int64)
 
 
 def draw_geometric0(gen: np.random.Generator, q: float, shape) -> np.ndarray:
@@ -211,11 +228,16 @@ def sample_input(params: RateParams, horizon: int, seed: Seed) -> MarkedSequence
     Epochs are cumulative sums of i.i.d. gaps, marks ride the epochs;
     the window ends at the last epoch.  Customer-indexed on purpose:
     truncating by time would censor the mark statistics at the boundary.
+    Raises ValueError when the integer epochs of geomgeom1 would not fit
+    int64.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     sample = sample_exponential if params.model == "mm1" else sample_geometric
     gaps = sample(params.arrival, horizon, seed.substream(0))
+    if gaps.dtype == np.int64 and not _below_int64(gaps):
+        raise ValueError(f"p = {params.arrival!r} is too small: "
+                         f"the epochs of {horizon} customers do not fit int64")
     marks = sample(params.service, horizon, seed.substream(1))
     epochs = np.cumsum(gaps)
     return MarkedSequence(epochs, marks, window_end=epochs[-1])

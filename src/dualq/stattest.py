@@ -9,7 +9,9 @@ the :class:`ExperimentReport` holds the one pre-registered significance
 level ``alpha`` and decides every test's verdict and its own.
 
 burke's queue is in equilibrium from customer 1, whose wait is a stationary
-draw; zigzag-law reads its busy periods off a :mod:`~dualq.queue_store` trace;
+draw; zigzag-law counts the runs :func:`~dualq.queue_store._period_runs`
+builds for the busy periods of one queue trace, the same runs, period checks
+and closing heights as :func:`~dualq.queue_store.zigzag_from_trace`'s table;
 noncolliding's walks are conditioned step by step by an h-transform, and its
 reference pair is (D(n, 2), R(n)) from the :mod:`~dualq.tandem` kernels.
 The test resolutions are the constants :data:`MIN_EXPECTED` and :data:`MAX_RISE`.
@@ -38,6 +40,7 @@ from .rsk import growth_shapes, normalize_partition
 from .queue_store import (
     ZigzagTrajectory,
     _period_bounds,
+    _period_runs,
     enumerate_trajectories,
     transform,
 )
@@ -427,23 +430,26 @@ def trajectory_pmf(runs, p: float, q: float) -> float:
 
 def _sample_busy_trajectories(params: RateParams, n_periods: int, seed: Seed):
     """Runs of the first ``n_periods`` busy periods of one queue trace that
-    starts empty: each period's (mark, gap) pairs, its last gap replaced by
-    the last customer's D - A.  The trace is that of the first k customers
-    of ``sample_input``, k doubling until the last period kept is closed (a
-    stream's first k draws do not depend on k).  k starts at 2 * n_periods:
-    k customers start at most k periods, and n_periods + 1 must start."""
+    starts empty, yielded one tuple per period.  They are built once, by
+    :func:`~dualq.queue_store._period_runs` on the customers of those
+    periods: the same runs, period checks and closing heights (left-to-right
+    running sums) as the table of :func:`~dualq.queue_store.zigzag_from_trace`.
+    The trace is that of the first k customers of ``sample_input``, k
+    doubling until the last period kept is closed (a stream's first k draws
+    do not depend on k).  k starts at 2 * n_periods: k customers start at
+    most k periods, and n_periods + 1 must start."""
     k = 2 * n_periods
     while True:
         tr = transform(sample_input(params, k, seed))
-        firsts, stops = _period_bounds(tr.A, tr.D)
+        firsts = _period_bounds(tr.A, tr.D)[0]
         if firsts.size > n_periods:
             break
         k *= 2
-    firsts, stops = firsts[:n_periods], stops[:n_periods]
-    runs = np.stack([tr.s[:-1], tr.a], axis=1)[:stops[-1]]
-    runs[stops - 1, 1] = (tr.D - tr.A)[stops - 1]
-    flat = runs.ravel().tolist()
-    return [tuple(flat[2 * f:2 * e]) for f, e in zip(firsts.tolist(), stops.tolist())]
+    end = firsts[n_periods]
+    runs, firsts, stops = _period_runs(tr.A[:end], tr.s[:end], tr.D[:end])
+    flat = tuple(runs.tolist())  # a slice of a tuple is the period's tuple
+    for f, e in zip(firsts.tolist(), stops.tolist()):
+        yield flat[2 * f:2 * e]
 
 
 def zigzag_law_experiment(p: float, q: float, seed: Seed, n_periods: int = 100_000,
@@ -462,8 +468,7 @@ def zigzag_law_experiment(p: float, q: float, seed: Seed, n_periods: int = 100_0
         "zigzag-law", {"p": p, "q": q, "n_periods": n_periods, "max_rise": MAX_RISE},
         seed, alpha)
     from scipy import stats
-    trajs = _sample_busy_trajectories(params, n_periods, seed)
-    counts = Counter(trajs)
+    counts = Counter(_sample_busy_trajectories(params, n_periods, seed))
     catalog = []
     for L in range(1, MAX_RISE + 1):
         catalog.extend(enumerate_trajectories(L))

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .queue_store import _accumulate, _fifo_series
+from .sampling import _below_int64
 
 __all__ = [
     "ServiceMatrix",
@@ -50,7 +51,9 @@ class ServiceMatrix:
 
     Integer entries give exact integer dynamics; real entries (used by the
     exponential ensemble checks) run in double precision.  Zeros are
-    allowed everywhere.
+    allowed everywhere.  Every departure epoch and store total lies within
+    the sum of the entries, so integer entries whose sum reaches 2**63
+    raise ValueError rather than wrap in int64.
     """
 
     u: np.ndarray
@@ -59,9 +62,11 @@ class ServiceMatrix:
         u = np.asarray(self.u)
         if u.ndim != 2 or u.size == 0:
             raise ValueError("u must be a non-empty 2-d array")
-        if np.any(u < 0):
+        if u.min() < 0:  # a reduction, not a mask: cheaper on the small matrices
             raise ValueError("entries must be nonnegative")
         if u.dtype.kind in "iub":
+            if not _below_int64(u):
+                raise ValueError("integer entries must sum below 2**63")
             u = u.astype(np.int64)
         else:
             u = u.astype(np.float64)

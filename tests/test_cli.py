@@ -498,6 +498,17 @@ def test_rate_params_rules_still_exit_two(capsys, argv, message):
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize("p, message", [
+    ("1e-30", "a geometric draw does not fit int64"),  # traceback under -W error, exit 1
+    ("1e-16", "epochs of 1001 customers do not fit int64"),  # "must be nondecreasing"
+])
+def test_geometric_input_past_int64_exits_two(capsys, p, message):
+    code, out, err = run(capsys, "burke", "--p", p, "--q", "0.5", "--horizon", "1000")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"p = {float(p)!r} is too small" in err
+    assert message in err
+
+
 def test_trace_has_no_format_flag(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["trace", "--format", "json"])
@@ -539,6 +550,7 @@ def test_trace_integer_outside_int64_exits_two(capsys):
     ("--a", "0,1", "--s=-3,2"),        # printed D = -3
     ("--a", "0,nan", "--s", "1,2"),    # printed a NaN trace
     ("--w1", "inf"),                   # OverflowError traceback, exit 1
+    ("--a", "0,1", "--s", "4611686018427387904,4611686018427387904"),  # printed D = -2^63
 ])
 def test_trace_without_meaning_exits_two(capsys, flags):
     code, out, err = run(capsys, "trace", *flags)

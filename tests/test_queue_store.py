@@ -252,10 +252,26 @@ def test_transform_with_initial_backlog():
     ([0, 3], [5.0, float("inf")], 0, "finite"),
     ([0, 3], [5, 1], float("inf"), "finite"),      # died with OverflowError
     ([0, 3], [5, 1], float("nan"), "finite"),
+    # integer traces whose outputs would leave int64
+    ([0, 1], [2**62, 2**62], 0, "does not fit int64"),  # gave D_2 = -2**63, backward_check ok
+    ([0, 2**62], [1, 1], 2**62, "does not fit int64"),
+    (np.array([0, 2**63], dtype=np.uint64), [1, 1], 0, "does not fit int64"),
+    (np.array([2**63 + 5, 3], dtype=np.uint64), [1, 1], 0,  # the cast looked nondecreasing
+     "does not fit int64"),
+    ([-2**62, 2**62], [1, 1], 0, "does not fit int64"),  # r_1 = A_2 - A_1 reaches 2**63
+    ([0, 1], [1, 1], 2**70, "does not fit int64"),
 ])
 def test_trace_rejects_inputs_without_meaning(A, s, w1, message):
     with pytest.raises(ValueError, match=message):
         trace_from_arrays(A, s, w1=w1)
+
+
+def test_integer_trace_just_below_the_int64_limit_is_exact():
+    tr = trace_from_arrays([0, 0], [2**62, 2**62 - 1])
+    assert tr.D.tolist() == [2**62, 2**63 - 1]
+    assert backward_check(tr).ok
+    tr = trace_from_arrays([-2**62, 2**62 - 3], [1, 1])  # span 2**63 - 1
+    assert tr.r.tolist() == [1] and tr.w.tolist() == [0, 0]
 
 
 def test_trace_keeps_simultaneous_arrivals_and_zero_marks():

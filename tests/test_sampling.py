@@ -107,6 +107,14 @@ def test_geometric_param_errors():
         sample_geometric(1.5, 1, Seed(0))
     with pytest.raises(ValueError):
         sample_geometric(0.5, -1, Seed(0))
+    # draws past int64 gave -2**63 with a RuntimeWarning (a floating-point
+    # error under errstate "raise"); a subnormal p overflows the quotient
+    for p in (1e-30, 1e-320):
+        with np.errstate(all="raise"), pytest.raises(ValueError, match=f"p = {p!r} is too small"):
+            sample_geometric(p, 5, Seed(0))
+    # each draw fits, but the epochs wrapped and fooled MarkedSequence's check
+    with pytest.raises(ValueError, match="epochs of 1000 customers do not fit int64"):
+        sample_input(RateParams("geomgeom1", 1e-16, 0.5), 1000, Seed(0))
 
 
 def test_geometric0_law():

@@ -44,7 +44,7 @@ from dualq.stattest import (
     _row_counts,
     _sample_busy_trajectories,
 )
-from dualq.queue_store import enumerate_trajectories, transform
+from dualq.queue_store import busy_periods, enumerate_trajectories, transform, zigzag_from_trace
 from dualq.rsk import normalize_partition
 from dualq.schur import shape_distribution
 from test_cli import RECORDED_WITH
@@ -439,7 +439,7 @@ def busy_trajectories_loop(p, q, n_periods, seed, chunk=1 << 15):
 def test_busy_trajectories_match_loop(pq, master, n_periods, chunk):
     p, q = pq
     seed = Seed(master)
-    got = _sample_busy_trajectories(RateParams("geomgeom1", p, q), n_periods, seed)
+    got = list(_sample_busy_trajectories(RateParams("geomgeom1", p, q), n_periods, seed))
     assert got == busy_trajectories_loop(p, q, n_periods, seed, chunk)
     assert all(type(x) is int for runs in got for x in runs)
 
@@ -447,7 +447,7 @@ def test_busy_trajectories_match_loop(pq, master, n_periods, chunk):
 def test_busy_trajectories_span_several_blocks():
     # near saturation 3000 periods need many blocks of 3000 customers
     p, q, seed = 0.55, 0.6, Seed(5)
-    got = _sample_busy_trajectories(RateParams("geomgeom1", p, q), 3000, seed)
+    got = list(_sample_busy_trajectories(RateParams("geomgeom1", p, q), 3000, seed))
     assert sum(len(runs) for runs in got) // 2 > 3 * 3000
     assert got == busy_trajectories_loop(p, q, 3000, seed)
 
@@ -463,8 +463,25 @@ def test_busy_trajectories_first_trace_can_close_the_periods(monkeypatch):
         return transform(ms, *args, **kwargs)
 
     monkeypatch.setattr(stattest, "transform", spy)
-    _sample_busy_trajectories(GEOM, 50, Seed(7))
+    list(_sample_busy_trajectories(GEOM, 50, Seed(7)))
     assert lengths[0] > 50
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.floats(0.01, 0.99).flatmap(
+           lambda q: st.tuples(st.floats(0.005, 0.95 * q), st.just(q))),
+       st.integers(0, 2**32), st.integers(1, 2000))
+def test_busy_trajectories_are_the_traces_zigzags(pq, master, n_periods):
+    # zigzag-law counts exactly what zigzag_from_trace gives for the periods
+    # of the same input: a stream's first k draws do not depend on k, and
+    # one customer more than the sampled periods hold starts the next period
+    p, q = pq
+    params, seed = RateParams("geomgeom1", p, q), Seed(master)
+    got = list(_sample_busy_trajectories(params, n_periods, seed))
+    tr = transform(sample_input(params, sum(map(len, got)) // 2 + 1, seed))
+    periods = busy_periods(tr)
+    assert len(periods) == n_periods + 1
+    assert got == [zigzag_from_trace(tr, b).run_lengths for b in periods[:n_periods]]
 
 # --- noncolliding ----------------------------------------------------------------
 

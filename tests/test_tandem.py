@@ -335,3 +335,16 @@ def test_matrix_validation():
         ServiceMatrix(np.array([[-1, 2]]))
     with pytest.raises(ValueError):
         ServiceMatrix(np.array([1, 2]))
+    for u in (np.array([[2**62, 2**62]]),            # D(1, 2) wrapped to -2**63
+              np.array([[2**63]], dtype=np.uint64),  # the cast wrapped it to -2**63
+              np.full((3, 3), 2**60 + 2**59)):
+        with pytest.raises(ValueError, match="sum below 2\\*\\*63"):
+            queue_departures(u)
+
+
+def test_matrix_just_below_the_int64_limit_is_exact():
+    # the entries sum to 2**63 - 1, the largest D(N, K) and R(N) that fit
+    u = np.array([[2**62, 2**62 - 1]])
+    assert queue_departures(u)[1, 2] == 2**63 - 1
+    assert store_flow(u.T)[2].tolist() == [2**62, 2**63 - 1]
+
