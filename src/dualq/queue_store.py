@@ -112,6 +112,8 @@ def lindley_forward(w1, a, s) -> np.ndarray:
     ``a`` holds the gaps between consecutive arrivals (length N-1 for N
     customers), ``s`` the marks, all finite and nonnegative; only the first
     len(a) marks are consumed.  Returns len(a)+1 values starting at ``w1``.
+    Every wait lies within w1 plus the marks consumed, so integer inputs
+    whose total reaches 2**63 raise ValueError rather than leave int64.
     """
     a = np.asarray(a)
     s = np.asarray(s)
@@ -122,6 +124,10 @@ def lindley_forward(w1, a, s) -> np.ndarray:
     if w1 < 0 or (a.size and a.min() < 0) or (s.size and s.min() < 0):
         raise ValueError("w1, gaps and marks must be nonnegative")
     dtype = _common_dtype(a, s, extra_scalar=w1)
+    # on the inputs as given: the cast to int64 wraps uint64 entries from 2**63
+    if dtype is np.int64 and not _below_int64(s[:a.size], int(w1)):
+        raise ValueError("integer waits would not fit int64: "
+                         "w1 + the sum of the consumed marks reaches 2**63")
     a, s = a.astype(dtype), s.astype(dtype)
     if not (np.isfinite(a).all() and np.isfinite(s).all()):
         raise ValueError("gaps and marks must be finite")

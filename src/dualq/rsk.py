@@ -178,10 +178,13 @@ def growth_shapes(u) -> np.ndarray:
     lambda_k = max(nu_k, rho_k) + min(nu_{k-1}, rho_{k-1}) - mu_{k-1}.
     The cells are filled on (K, reps) arrays, the replications innermost,
     and the result is a (reps, N+1, K) view of an (N+1, K, reps) array.
+    Each shape's parts sum to the entries of its corner of u, so a slice
+    whose entries sum to 2**63 or more raises ValueError, as in the tandem
+    batches.
     """
     if np.asarray(u).dtype.kind not in "iu":
         raise ValueError("growth shapes need integer entries")
-    u = tandem._rows_last(np.asarray(u, dtype=np.int64))  # (N, K, reps)
+    u = tandem._rows_last(u).astype(np.int64, copy=False)  # (N, K, reps)
     N, K, reps = u.shape
     out = np.zeros((N + 1, K, reps), dtype=np.int64)
     # lambda(i-1, 0..K) and lambda(i, 0..K); column 0 stays empty

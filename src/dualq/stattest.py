@@ -19,13 +19,17 @@ The test resolutions are the constants :data:`MIN_EXPECTED` and :data:`MAX_RISE`
 Replications stay in numpy arrays from the draw to the contingency table.
 The tandem matrices are drawn straight into the (N, K, reps) layout the
 kernels scan, replications innermost; laguerre draws and scans them
-:data:`_LAGUERRE_BLOCK` entries at a time, and :func:`ks_test` evaluates
-the CDF :data:`_KS_BLOCK` values at a time.  The categorical experiments
-(interchange, shape-law, noncolliding) count the distinct rows of their
-outcome array with :func:`_row_counts`, which sorts one int64 key per row
-and builds a Python tuple only per distinct row; :func:`_pool` merges rows
-into categories, and the counts go to the chi-square tests.  A test that
-cannot be formed raises :class:`DegenerateTestError` naming the test.
+:data:`_LAGUERRE_BLOCK` entries at a time.  An experiment keeps copies of
+the output columns its tests read, never views that would hold a kernel's
+whole output alive.  :func:`ks_test` computes the statistic itself, from
+one sorted copy of the sample walked :data:`_KS_BLOCK` values at a time,
+and takes the p-value from scipy's exact two-sided law.  The categorical
+experiments (interchange, shape-law, noncolliding) count the distinct rows
+of their outcome array with :func:`_row_counts`, which sorts one int64 key
+per row and builds a Python tuple only per distinct row; :func:`_pool`
+merges rows into categories, and the counts go to the chi-square tests.  A
+test that cannot be formed raises :class:`DegenerateTestError` naming the
+test.
 """
 
 from __future__ import annotations
@@ -142,38 +146,42 @@ class ExperimentReport:
 # test primitives
 
 
-_KS_BLOCK = 1 << 16  # values per CDF call in ks_test: bounds the CDF's temporaries
+_KS_BLOCK = 1 << 16  # values per block in ks_test: bounds the CDF's and D's temporaries
 
 
 def ks_test(sample, cdf, *, name: str = "ks") -> GofResult:
-    """One-sample Kolmogorov-Smirnov against a callable CDF.
+    """Two-sided one-sample Kolmogorov-Smirnov against a callable CDF.
 
     ``cdf`` must be elementwise: its value at a point may not depend on the
-    other points of the array it is given.  It is evaluated on
-    :data:`_KS_BLOCK` values at a time, into one output array, so its
-    temporaries stay small; scipy then gets those values, which are the
-    ones it would compute on the whole sample, bit for bit.
-
-    scipy orders the sample with a stable sort, which is slow on unordered
-    floats and linear on ordered ones; it gets a copy sorted by numpy's
-    default sort.  Both sorts give the same array, so the statistic and the
-    p-value are those of the unsorted sample, and the caller's array keeps
-    its order.
+    other points of the array it is given.  The sample is sorted once, into
+    a float64 copy (the caller's array keeps its order), and walked
+    :data:`_KS_BLOCK` values at a time: the CDF of a block, then its
+    D+ = max(i/n - F(x_i)) and D- = max(F(x_i) - (i-1)/n) by the elementwise
+    expressions of scipy's ``kstest``, so memory beyond the copy stays a few
+    blocks.  D is D+ when D+ > D-, else D-, as in scipy; the p-value is the
+    exact two-sided law ``stats.kstwo.sf(D, n)`` clipped to [0, 1], which is
+    the method ``kstest`` picks by default.  Statistic and p-value equal
+    ``stats.kstest``'s bit for bit.  A NaN in the sample makes both NaN,
+    so the test fails at any level.
     """
     from scipy import stats
 
     sample = np.asarray(sample)
     if sample.size == 0:
         raise ValueError("sample must be non-empty")
-    x = np.sort(sample)
-    if x.dtype.kind != "f":  # scipy calls the CDF on floats
-        x = x.astype(np.float64)
-    values = np.empty(x.shape)
-    for lo in range(0, x.size, _KS_BLOCK):
-        values[lo:lo + _KS_BLOCK] = cdf(x[lo:lo + _KS_BLOCK])
-    # scipy calls its CDF once, on its own sorted copy of x, which equals x
-    res = stats.kstest(x, lambda _: values)
-    return GofResult(name, float(res.statistic), float(res.pvalue), sample.size)
+    x = np.sort(sample).astype(np.float64, copy=False)  # the CDF gets floats
+    n = x.size
+    d_plus = d_minus = -np.inf
+    for lo in range(0, n, _KS_BLOCK):
+        hi = min(lo + _KS_BLOCK, n)
+        values = cdf(x[lo:hi])
+        grid = np.arange(float(lo), hi + 1) / n  # (i-1)/n and i/n for the block's i
+        # np.maximum and ndarray.max keep a NaN, where Python's max drops it
+        d_plus = np.maximum(d_plus, (grid[1:] - values).max())
+        d_minus = np.maximum(d_minus, (values - grid[:-1]).max())
+    d = d_plus if d_plus > d_minus else d_minus
+    p = np.clip(stats.kstwo.sf(d, n), 0.0, 1.0)
+    return GofResult(name, float(d), float(p), n)
 
 
 def _pool_bins(observed, expected):
@@ -520,9 +528,11 @@ def _minmax_functionals(a, s):
     ``a`` has n columns (a_1..a_n); ``s`` has n columns holding s_2..s_{n+1}.
     """
     # D(n, 2) and R(n) of the two-stage tandem, on a (reps, n, 2) view of
-    # the (n, 2, reps) layout the kernels scan
+    # the (n, 2, reps) layout the kernels scan; copies, since a view of one
+    # value per replication would keep each kernel's whole output alive
     u = np.stack([a.T, s.T], axis=1).transpose(2, 0, 1)
-    return tandem.queue_departures_batch(u)[:, -1, -1], tandem.store_departures_batch(u)[:, -1]
+    return (tandem.queue_departures_batch(u)[:, -1, -1].copy(),
+            tandem.store_departures_batch(u)[:, -1].copy())
 
 
 def _conditioned_walks(params: RateParams, n: int, reps: int, seed: Seed):
@@ -619,9 +629,12 @@ def interchange_experiment(q, sigma, N: int, reps: int, seed: Seed,
     from scipy import stats
 
     def sample_outputs(weights, base):
+        # copies of the columns the tests read, not views that keep each
+        # kernel's whole padded output alive; order="K" keeps D's layout,
+        # replications innermost, so the means sum the same contiguous rows
         u = _geometric0_matrices(weights, reps, N, seed, base)
-        D = tandem.queue_departures_batch(u)[:, 1:, K]
-        R = tandem.store_departures_batch(u)[:, -1]
+        D = tandem.queue_departures_batch(u)[:, 1:, K].copy(order="K")
+        R = tandem.store_departures_batch(u)[:, -1].copy()
         return D, R
 
     D1, R1 = sample_outputs(q, 0)
@@ -673,6 +686,7 @@ def shape_law_experiment(q, N: int, reps: int, seed: Seed,
     grown = growth_shapes(_geometric0_matrices(q, reps, N + 1, seed, 0))
     # one count of the distinct (shape at N, shape at N+1) rows serves both laws
     pair_rows = _row_counts(grown[:, N:].reshape(reps, 2 * K))
+    del grown  # freed before the reversed-weight pass builds its own
     count_n = _pool(pair_rows, lambda row: normalize_partition(row[:K]))
     pair_counts = _pool(pair_rows, lambda row: (normalize_partition(row[:K]),
                                                 normalize_partition(row[K:])))

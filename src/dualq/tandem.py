@@ -106,8 +106,20 @@ class TandemTrace:
 
 def _rows_last(u) -> np.ndarray:
     """A (B, N, K) batch as the contiguous (N, K, B) array the kernels scan;
-    free when ``u`` is already a view of one."""
-    return np.ascontiguousarray(np.moveaxis(np.asarray(u), 0, -1))
+    free when ``u`` is already a view of one.
+
+    As in :class:`ServiceMatrix`, every output of a slice of nonnegative
+    integers lies within the sum of its entries, so an integer batch raises
+    ValueError when some slice sums to 2**63 or more, rather than wrap in
+    int64.  Each slice is screened by its float sum, and only a slice whose
+    sum comes within a factor of two of 2**63 is summed again exactly.
+    """
+    u = np.ascontiguousarray(np.moveaxis(np.asarray(u), 0, -1))
+    if u.dtype.kind in "iu":
+        sums = u.sum(axis=(0, 1), dtype=np.float64)
+        if not all(_below_int64(u[:, :, b]) for b in np.flatnonzero(sums >= 2**62)):
+            raise ValueError("integer entries of each slice must sum below 2**63")
+    return u
 
 
 def _queue_scan(u: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dualq.queue_store import _accumulate
-from dualq.rsk import shape, tableau_of, word_of
+from dualq.rsk import growth_shapes, shape, tableau_of, word_of
 from dualq.sampling import Seed
 from dualq.tandem import (
     ServiceMatrix,
@@ -348,3 +348,21 @@ def test_matrix_just_below_the_int64_limit_is_exact():
     assert queue_departures(u)[1, 2] == 2**63 - 1
     assert store_flow(u.T)[2].tolist() == [2**62, 2**63 - 1]
 
+
+@pytest.mark.parametrize("batch", [queue_departures_batch, store_departures_batch, growth_shapes])
+@pytest.mark.parametrize("u", [
+    np.array([[[2**62, 2**62]]]),                  # D(1, 2) wrapped to -2**63
+    np.array([[[2**62], [2**62]]]),                # R(2) wrapped to -2**63
+    np.array([[[1, 1]], [[2**62, 2**62]]]),        # one slice of two
+    np.array([[[2**63]]], dtype=np.uint64),
+], ids=["queue", "store", "second-slice", "uint64"])
+def test_batches_reject_a_slice_past_int64(batch, u):
+    with pytest.raises(ValueError, match="sum below 2\\*\\*63"):
+        batch(u)
+
+
+def test_batch_just_below_the_int64_limit_is_exact():
+    # each slice sums to 2**63 - 1 and the batch to 2**64 - 2: the rule is per slice
+    u = np.array([[[2**62, 2**62 - 1]]] * 2)
+    assert queue_departures_batch(u)[:, 1, 2].tolist() == [2**63 - 1] * 2
+    assert store_departures_batch(u.transpose(0, 2, 1)).tolist() == [[2**62, 2**63 - 1]] * 2
