@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -56,10 +57,12 @@ def _split(text: str, typ) -> list:
     return [typ(x) for x in text.split(",") if x.strip() != ""]
 
 
+_INTEGER_TEXT = re.compile(r"[\d\s,+-]*")
+
+
 def _number_array(text: str) -> np.ndarray:
-    """Plain integer fields give int64 via int(), any other format float64,
-    the rule :func:`tandem.matrix_from_csv` follows."""
-    if not tandem._INTEGER_TEXT.fullmatch(text):
+    """Plain integer fields give int64 via int(), any other format float64."""
+    if not _INTEGER_TEXT.fullmatch(text):
         return np.array(_split(text, float), dtype=np.float64)
     try:
         return np.array(_split(text, int), dtype=np.int64)

@@ -16,6 +16,7 @@ to right.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -104,13 +105,16 @@ def bus_stop_step(counts, bus_sizes) -> tuple[list, list]:
 
     ``counts[j]`` is what is available at site j+1 this slot (last slot's
     arrivals included); every bus loads min(size, available) and its cargo
-    joins the next site's availability for the following slot.  Returns
+    joins the next site's availability for the following slot.  Sizes
+    are nonnegative reals, as the entries of a float matrix are.  Returns
     (new counts, transported amounts).
     """
     counts = list(counts)
     bus_sizes = list(bus_sizes)
     if len(counts) != len(bus_sizes):
         raise ValueError("need one bus size per site")
+    if not all(b >= 0 for b in bus_sizes):  # NaN fails too
+        raise ValueError("bus sizes must be nonnegative")
     moved = [min(b, c) for b, c in zip(bus_sizes, counts)]
     nxt = [c - m for c, m in zip(counts, moved)]
     for j in range(1, len(counts)):
@@ -200,13 +204,17 @@ def exclusion_step(config, bus_sizes) -> np.ndarray:
     Markers (read left to right, i.e. downstream store first) jump right by
     their site's bus size, clipped by the gap to the next marker; cells a
     marker walks past turn into holes behind it.  ``bus_sizes`` is given in
-    site order (site 1 drives the rightmost marker).  The configuration
-    keeps its length; holes opening at the left edge are departed material.
+    site order (site 1 drives the rightmost marker), nonnegative integers.
+    The configuration keeps its length; holes opening at the left edge are
+    departed material.
     """
     out = np.asarray(config, dtype=np.int8).copy()
     positions = np.flatnonzero(out == 1)
     if positions.size != len(bus_sizes):
         raise ValueError("need one bus size per marker")
+    # the range test first: int() raises on NaN and inf
+    if not all(0 <= b < math.inf and int(b) == b for b in bus_sizes):
+        raise ValueError("bus sizes must be nonnegative integers")
     n_markers = positions.size
     for i in range(n_markers):
         pos = positions[i]

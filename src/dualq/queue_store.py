@@ -113,7 +113,8 @@ def lindley_forward(w1, a, s) -> np.ndarray:
     customers), ``s`` the marks, all finite and nonnegative; only the first
     len(a) marks are consumed.  Returns len(a)+1 values starting at ``w1``.
     Every wait lies within w1 plus the marks consumed, so integer inputs
-    whose total reaches 2**63 raise ValueError rather than leave int64.
+    whose total reaches 2**63, or an integer gap from 2**63, raise
+    ValueError rather than leave int64.
     """
     a = np.asarray(a)
     s = np.asarray(s)
@@ -128,6 +129,8 @@ def lindley_forward(w1, a, s) -> np.ndarray:
     if dtype is np.int64 and not _below_int64(s[:a.size], int(w1)):
         raise ValueError("integer waits would not fit int64: "
                          "w1 + the sum of the consumed marks reaches 2**63")
+    if dtype is np.int64 and int(a.max(initial=0)) >= 2**63:
+        raise ValueError("integer gaps must lie below 2**63")
     a, s = a.astype(dtype), s.astype(dtype)
     if not (np.isfinite(a).all() and np.isfinite(s).all()):
         raise ValueError("gaps and marks must be finite")

@@ -18,7 +18,9 @@ over replications, for the Monte Carlo shape law; its first coordinate is
 the queue recursion, so it is not one of the six witnesses.  It fills each
 cell for all replications at once on (K, reps) arrays, the replications
 innermost, as the tandem kernels do.
-The path oracles refuse matrices with N + K above :data:`BRUTE_FORCE_LIMIT`.
+Matrices enter by the tandem kernels' rule (``tandem._entries``); the word
+also needs integer entries.  The path oracles refuse matrices with N + K
+above :data:`BRUTE_FORCE_LIMIT`.
 """
 
 from __future__ import annotations
@@ -178,13 +180,12 @@ def growth_shapes(u) -> np.ndarray:
     lambda_k = max(nu_k, rho_k) + min(nu_{k-1}, rho_{k-1}) - mu_{k-1}.
     The cells are filled on (K, reps) arrays, the replications innermost,
     and the result is a (reps, N+1, K) view of an (N+1, K, reps) array.
-    Each shape's parts sum to the entries of its corner of u, so a slice
-    whose entries sum to 2**63 or more raises ValueError, as in the tandem
-    batches.
+    The entries follow the tandem batches' rule (``tandem._entries``), and
+    real entries raise ValueError too.
     """
-    if np.asarray(u).dtype.kind not in "iu":
+    u = tandem._rows_last(u)  # (N, K, reps)
+    if u.dtype.kind != "i":
         raise ValueError("growth shapes need integer entries")
-    u = tandem._rows_last(u).astype(np.int64, copy=False)  # (N, K, reps)
     N, K, reps = u.shape
     out = np.zeros((N + 1, K, reps), dtype=np.int64)
     # lambda(i-1, 0..K) and lambda(i, 0..K); column 0 stays empty
@@ -244,7 +245,8 @@ def shape(T: Tableau) -> tuple:
 def _words(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Words of each (N, K) slice of ``u``, zero-padded to the longest:
     (B, max M) letters and the word lengths M (B,)."""
-    if u.dtype.kind not in "iu":
+    u = tandem._entries(u)
+    if u.dtype.kind != "i":
         raise ValueError("the word construction needs integer entries")
     B, N, K = u.shape
     runs = np.empty((B, N * K + 1), dtype=np.int64)  # one per entry, then the padding
@@ -355,7 +357,7 @@ def _skew_paths(N: int, K: int) -> np.ndarray:
 
 def _path_sums(u, paths_of) -> np.ndarray:
     """Node sums (B, P) of the P paths ``paths_of(N, K)`` over each (N, K) slice."""
-    u = np.asarray(u)
+    u = tandem._entries(u)
     B, N, K = u.shape
     if N + K > BRUTE_FORCE_LIMIT:
         raise SizeLimitError(

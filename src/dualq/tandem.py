@@ -10,6 +10,10 @@ The two observables are D(N, K), the departure instant of customer N from
 the last queue, and R(N), the cumulative amount shipped by the last store
 over slots 1..N.
 
+Every matrix and batch enters by one rule, :func:`_entries`: integer and
+boolean entries run exactly in int64, real ones in float64, and anything
+else raises ValueError.
+
 Each tandem has one kernel, shared by the batched entry points and the
 scalar ones (a batch of one).  The kernels work on (N, K, reps) arrays,
 the replications innermost, so each numpy call runs over a contiguous row
@@ -22,8 +26,7 @@ from the shape alone and adding in the same order either way.
 
 from __future__ import annotations
 
-import re
-import warnings
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,20 +43,45 @@ __all__ = [
     "tandem_trace",
     "queue_departures_batch",
     "store_departures_batch",
-    "matrix_to_csv",
-    "matrix_from_csv",
 ]
+
+
+def _entries(u) -> np.ndarray:
+    """A (B, N, K) batch with its entries as the kernels take them: boolean
+    and integer entries as int64, real ones as float64.
+
+    Every departure epoch and store total of a slice of nonnegative entries
+    lies within the sum of its entries, so a non-real dtype, a negative or
+    non-finite entry, or an integer slice whose entries sum to 2**63 or more
+    raises ValueError, rather than wrap in int64 or run in another dtype.
+    The slices are summed only when the largest entry times the slice size
+    comes within a factor of two of 2**63, and only a slice whose float sum
+    does is summed again exactly.
+    """
+    u = np.asarray(u)
+    if u.dtype.kind not in "biuf":
+        raise ValueError("entries must be real numbers")
+    # reductions, not masks: cheaper on the small matrices; NaN fails both
+    lo, hi = u.min(initial=0), u.max(initial=0)
+    if not (lo >= 0 and hi < np.inf):
+        raise ValueError("entries must be finite and nonnegative")
+    if u.dtype.kind == "f":
+        return u.astype(np.float64, copy=False)
+    if float(hi) * math.prod(u.shape[1:]) >= 2**62:
+        sums = u.sum(axis=(1, 2), dtype=np.float64)
+        if not all(_below_int64(u[b]) for b in np.flatnonzero(sums >= 2**62)):
+            raise ValueError("integer entries of each slice must sum below 2**63")
+    return u.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
 class ServiceMatrix:
     """N x K array of nonnegative service requirements / requests.
 
-    Integer entries give exact integer dynamics; real entries (used by the
-    exponential ensemble checks) run in double precision.  Zeros are
-    allowed everywhere.  Every departure epoch and store total lies within
-    the sum of the entries, so integer entries whose sum reaches 2**63
-    raise ValueError rather than wrap in int64.
+    The entries enter by the batches' rule, :func:`_entries`, as a batch of
+    one: integer entries give exact int64 dynamics, real ones (used by the
+    exponential ensemble checks) run in float64, and zeros are allowed
+    everywhere.
     """
 
     u: np.ndarray
@@ -62,15 +90,7 @@ class ServiceMatrix:
         u = np.asarray(self.u)
         if u.ndim != 2 or u.size == 0:
             raise ValueError("u must be a non-empty 2-d array")
-        if u.min() < 0:  # a reduction, not a mask: cheaper on the small matrices
-            raise ValueError("entries must be nonnegative")
-        if u.dtype.kind in "iub":
-            if not _below_int64(u):
-                raise ValueError("integer entries must sum below 2**63")
-            u = u.astype(np.int64)
-        else:
-            u = u.astype(np.float64)
-        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "u", _entries(u[None])[0])
 
     @property
     def N(self) -> int:
@@ -105,21 +125,9 @@ class TandemTrace:
 
 
 def _rows_last(u) -> np.ndarray:
-    """A (B, N, K) batch as the contiguous (N, K, B) array the kernels scan;
-    free when ``u`` is already a view of one.
-
-    As in :class:`ServiceMatrix`, every output of a slice of nonnegative
-    integers lies within the sum of its entries, so an integer batch raises
-    ValueError when some slice sums to 2**63 or more, rather than wrap in
-    int64.  Each slice is screened by its float sum, and only a slice whose
-    sum comes within a factor of two of 2**63 is summed again exactly.
-    """
-    u = np.ascontiguousarray(np.moveaxis(np.asarray(u), 0, -1))
-    if u.dtype.kind in "iu":
-        sums = u.sum(axis=(0, 1), dtype=np.float64)
-        if not all(_below_int64(u[:, :, b]) for b in np.flatnonzero(sums >= 2**62)):
-            raise ValueError("integer entries of each slice must sum below 2**63")
-    return u
+    """:func:`_entries` of a (B, N, K) batch as the contiguous (N, K, B)
+    array the kernels scan; free when ``u`` is already a view of one."""
+    return np.ascontiguousarray(np.moveaxis(_entries(u), 0, -1))
 
 
 def _queue_scan(u: np.ndarray) -> np.ndarray:
@@ -196,30 +204,3 @@ def store_departures_batch(u: np.ndarray) -> np.ndarray:
     last = _store_scan(_rows_last(u))[0][:, -1]
     return _accumulate(np.add, last).T
 
-
-def matrix_to_csv(U, fh) -> None:
-    """One row per customer, one column per queue index.
-
-    Floats keep their decimal point (``%#.17g``), so :func:`matrix_from_csv`
-    reads an integral-valued float matrix back as floats.
-    """
-    U = _as_matrix(U)
-    fmt = "%d" if U.u.dtype.kind == "i" else "%#.17g"
-    np.savetxt(fh, U.u, delimiter=",", fmt=fmt)
-
-
-_INTEGER_TEXT = re.compile(r"[\d\s,+-]*")
-
-
-def matrix_from_csv(fh) -> ServiceMatrix:
-    """Read a matrix written by :func:`matrix_to_csv`.
-
-    The text fixes the dtype, not the values: a file of plain integer
-    fields gives int64 entries, any other number format float64.
-    """
-    text = fh.read()
-    dtype = np.int64 if _INTEGER_TEXT.fullmatch(text) else np.float64
-    with warnings.catch_warnings():  # ServiceMatrix rejects an empty matrix
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        u = np.loadtxt(text.splitlines(), delimiter=",", ndmin=2, dtype=dtype)
-    return ServiceMatrix(u)

@@ -161,8 +161,12 @@ def test_exclusion_step_commutes_with_bus_stop(counts, master):
     (lambda: exclusion_step([1, 0], [1, 1]), "one bus size per marker"),
     (lambda: to_exclusion([2, -1]), "nonnegative integers"),
     (lambda: to_exclusion([1.5, 2]), "nonnegative integers"),
+    (lambda: bus_stop_step([3, 1], [-2, 1]), "nonnegative"),  # counts were [5, -2]
+    (lambda: exclusion_step([1, 0, 0, 1, 0], [0, -2]), "nonnegative integers"),  # a marker lost
+    (lambda: exclusion_step([1, 0, 0, 1, 0], [1.5, 1.7]), "nonnegative integers"),  # truncated
 ], ids=["too-few-buses", "too-many-buses", "too-few-exclusion-buses",
-        "too-many-exclusion-buses", "negative-count", "fractional-count"])
+        "too-many-exclusion-buses", "negative-count", "fractional-count",
+        "negative-bus", "negative-exclusion-bus", "fractional-exclusion-bus"])
 def test_particle_inputs_are_checked(call, message):
     with pytest.raises(ValueError, match=message):
         call()

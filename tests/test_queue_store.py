@@ -784,13 +784,15 @@ def test_trace_csv():
 @pytest.mark.parametrize("call, message", [
     (lambda: lindley_forward(0, [1, 2], [3]), "at least one mark per gap"),
     (lambda: lindley_forward(2**62, [0], [2**62]), "not fit int64"),  # was OverflowError
+    (lambda: lindley_forward(0, np.array([2**63], dtype=np.uint64),
+                             np.array([1, 1], dtype=np.uint64)), "gaps must lie below 2"),
     (lambda: trace_from_arrays([], []), "at least one customer"),
     (lambda: trace_from_arrays([0, 1], [1]), "1-d of equal length"),
     (lambda: transform(MarkedSequence(np.array([]), np.array([]), 0.0)), "non-empty"),
     (lambda: workload_pair(trace_from_arrays([0, 1], [2, 0])), "strictly positive marks"),
     (lambda: zigzag([3, 2], [1, 1]), "k marks and k-1 internal gaps"),
     (lambda: zigzag([], []), "k marks and k-1 internal gaps"),
-], ids=["lindley-marks", "lindley-int64", "no-customer", "unequal-shapes", "empty-input",
+], ids=["lindley-marks", "lindley-int64", "lindley-gap", "no-customer", "unequal-shapes", "empty-input",
         "zero-mark", "zigzag-gaps", "zigzag-empty"])
 def test_queue_inputs_are_checked(call, message):
     with pytest.raises(ValueError, match=message):

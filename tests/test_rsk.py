@@ -461,6 +461,7 @@ def test_path_batches_match_per_case_loops(u):
 
 @settings(deadline=None, max_examples=80)
 @_example_all
+@example(np.array([[[3, 2], [1, 4]]], dtype=np.uint64))  # the tandem column read D = 5
 @given(stacks())
 def test_six_way_batch_matches_per_case_loops(u):
     lam1, lamK, ok = verify_row_queue_batch(u)

@@ -1,17 +1,25 @@
-import io
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dualq.queue_store import _accumulate
-from dualq.rsk import growth_shapes, shape, tableau_of, word_of
+from dualq.rsk import (
+    growth_shapes,
+    lambda_operators,
+    lambda_operators_batch,
+    path_max,
+    path_max_batch,
+    path_min,
+    path_min_batch,
+    shape,
+    tableau_of,
+    verify_row_queue,
+    verify_row_queue_batch,
+    word_of,
+)
 from dualq.sampling import Seed
 from dualq.tandem import (
     ServiceMatrix,
-    matrix_from_csv,
-    matrix_to_csv,
     queue_departures,
     queue_departures_batch,
     store_departures_batch,
@@ -224,15 +232,36 @@ def batches(draw, floats=False):
 @example(np.arange(5, dtype=np.int64).reshape(1, 5, 1))  # K = 1
 @example(np.arange(20, dtype=np.int64).reshape(2, 2, 5) % 6)  # N < K
 def test_batches_match_scalar_paths(u):
-    # integer kernels, scalar and batch entry points alike, are exact
-    D3 = queue_departures_batch(u)
-    R2 = store_departures_batch(u)
-    for i in range(u.shape[0]):
-        D, (r, w, R) = queue_cells(u[i]), store_cells(u[i])
-        tr = tandem_trace(ServiceMatrix(u[i]))
-        for got, want in ((D3[i], D), (queue_departures(u[i]), D), (tr.Dmat, D),
-                          (R2[i], R), (tr.rmat, r), (tr.wmat, w), (tr.R_seq, R)):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+    # every tandem and rsk entry point, scalar and batch alike, runs boolean
+    # and integer entries exactly in int64 and real ones in float64; the
+    # word, and what is built on it, refuses real entries
+    B, N, K = u.shape
+    for dtype in (np.int64, np.bool_, np.int8, np.int32, np.uint64, np.float32, np.float64):
+        v = u.astype(dtype)
+        x = v.astype(np.float64 if v.dtype.kind == "f" else np.int64)
+        D3, R2 = queue_departures_batch(v), store_departures_batch(v)
+        hi, lo = path_max_batch(v), path_min_batch(v)
+        if x.dtype == np.int64:
+            top, bottom = lambda_operators_batch(v)
+            lam1, lamK, ok = verify_row_queue_batch(v)
+        else:
+            for integer_only in (lambda_operators_batch, verify_row_queue_batch, growth_shapes):
+                with pytest.raises(ValueError, match="integer entries"):
+                    integer_only(v)
+        for i in range(B):
+            D, (r, w, R) = queue_cells(x[i]), store_cells(x[i])
+            tr = tandem_trace(ServiceMatrix(v[i]))
+            for got, want in ((D3[i], D), (queue_departures(v[i]), D), (tr.Dmat, D),
+                              (R2[i], R), (tr.rmat, r), (tr.wmat, w), (tr.R_seq, R),
+                              (hi[i], D[N, K]), (path_max(v[i]), D[N, K]),
+                              (lo[i], R[-1]), (path_min(v[i]), R[-1])):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            if x.dtype == np.int64:
+                rep = verify_row_queue(v[i])
+                assert lambda_operators(v[i]) == (top[i], bottom[i]) == (D[N, K], R[-1])
+                assert rep.ok and ok[i]
+                assert rep.lambda1 == tuple(lam1[i].tolist()) == (D[N, K],) * 4
+                assert rep.lambdaK == tuple(lamK[i].tolist()) == (R[-1],) * 4
 
 
 @settings(deadline=None, max_examples=60)
@@ -301,35 +330,6 @@ def test_float_layouts_equal_scalar_entry_points(B, N, K):
     assert np.array_equal(R2[-1], store_cells(u[-1])[2])
 
 
-# --- io -------------------------------------------------------------------------
-
-def test_matrix_csv_roundtrip():
-    buf = io.StringIO()
-    matrix_to_csv(U22, buf)
-    buf.seek(0)
-    U2 = matrix_from_csv(buf)
-    assert np.array_equal(U2.u, U22.u)
-    assert U2.u.dtype == np.int64
-    # a float matrix stays float, integral values included
-    for u in ([[1.0, 2.0], [0.0, 3.0]], [[0.1, 2.5e-300], [1e300, 3.0]]):
-        buf = io.StringIO()
-        matrix_to_csv(ServiceMatrix(np.array(u)), buf)
-        buf.seek(0)
-        U2 = matrix_from_csv(buf)
-        assert U2.u.dtype == np.float64
-        assert np.array_equal(U2.u, np.array(u))
-
-
-@pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank-lines"])
-def test_empty_csv_raises_value_error_not_warning(text):
-    # numpy's "loadtxt: input contained no data" escaped first, so under an
-    # error filter the caller got a UserWarning instead of the ValueError
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="non-empty"):
-            matrix_from_csv(io.StringIO(text))
-
-
 def test_matrix_validation():
     with pytest.raises(ValueError):
         ServiceMatrix(np.array([[-1, 2]]))
@@ -349,15 +349,27 @@ def test_matrix_just_below_the_int64_limit_is_exact():
     assert store_flow(u.T)[2].tolist() == [2**62, 2**63 - 1]
 
 
-@pytest.mark.parametrize("batch", [queue_departures_batch, store_departures_batch, growth_shapes])
-@pytest.mark.parametrize("u", [
-    np.array([[[2**62, 2**62]]]),                  # D(1, 2) wrapped to -2**63
-    np.array([[[2**62], [2**62]]]),                # R(2) wrapped to -2**63
-    np.array([[[1, 1]], [[2**62, 2**62]]]),        # one slice of two
-    np.array([[[2**63]]], dtype=np.uint64),
-], ids=["queue", "store", "second-slice", "uint64"])
-def test_batches_reject_a_slice_past_int64(batch, u):
-    with pytest.raises(ValueError, match="sum below 2\\*\\*63"):
+def service_matrices(u):
+    return [ServiceMatrix(m) for m in u]
+
+
+# every batch entry point, ServiceMatrix's batch of one and the rsk batches
+# too, enters by the one rule of tandem._entries
+@pytest.mark.parametrize("batch", [
+    queue_departures_batch, store_departures_batch, growth_shapes, service_matrices,
+    lambda_operators_batch, path_max_batch, path_min_batch, verify_row_queue_batch])
+@pytest.mark.parametrize("u, message", [
+    (np.array([[[2**62, 2**62]]]), "sum below 2\\*\\*63"),            # D(1, 2) wrapped to -2**63
+    (np.array([[[2**62], [2**62]]]), "sum below 2\\*\\*63"),          # R(2) wrapped to -2**63
+    (np.array([[[1, 1]], [[2**62, 2**62]]]), "sum below 2\\*\\*63"),  # one slice of two
+    (np.array([[[2**63]]], dtype=np.uint64), "sum below 2\\*\\*63"),
+    (np.array([[[2**62, 2**62], [-2**62, 0]]]), "finite and nonnegative"),  # D = -2**63
+    (np.array([[[1.0, np.nan]]]), "finite and nonnegative"),
+    (np.array([[[np.inf, 1.0]]]), "finite and nonnegative"),  # D = NaN, with a RuntimeWarning
+    (np.array([[["1", "2"]]]), "real numbers"),
+], ids=["queue", "store", "second-slice", "uint64", "negative", "nan", "inf", "string"])
+def test_batches_reject_a_slice_past_int64(batch, u, message):
+    with pytest.raises(ValueError, match=message):
         batch(u)
 
 
