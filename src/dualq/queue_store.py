@@ -8,7 +8,8 @@ the amounts requested, ``w`` the stock level and ``r`` the amount sold.
 queue; ``(D, r)`` is the output marked sequence.
 
 Everything here is deterministic: integer inputs stay in exact integer
-arithmetic, real inputs in double precision.
+arithmetic, real inputs in double precision, and inputs of any other dtype
+raise ValueError (:func:`_run_dtype`).
 
 The trace (:func:`_fifo_series`, shared with the tandem kernels: customers
 first, replications innermost), the busy-period bounds and the knots of
@@ -20,11 +21,11 @@ per-customer witness.  The zigzags of a trace's own busy periods come from
 one table per trace (:func:`_zigzag_table`, cached on the trace, whose
 arrays are therefore read-only); the per-period pass :func:`_zigzag_runs`
 serves :func:`zigzag` and any other customer range.  The table's runs come
-from :func:`_period_runs`, which zigzag-law in :mod:`~dualq.stattest` calls
-too: it counts the same runs, period checks and closing heights.  Scans
-over customers use :func:`_accumulate`: a loop over rows when the rows are
-wider than the customer axis is long, ``ufunc.accumulate`` otherwise, with
-the same values either way.
+from :func:`_period_run_tuples`, one tuple per period, and zigzag-law in
+:mod:`~dualq.stattest` counts the same tuples.  Scans over customers use
+:func:`_accumulate`: a loop over rows when the rows are wider than the
+customer axis is long, ``ufunc.accumulate`` otherwise, with the same values
+either way.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -59,9 +61,17 @@ __all__ = [
 ]
 
 
-def _common_dtype(*arrays, extra_scalar=0):
-    ints = all(np.asarray(a).dtype.kind in "iub" for a in arrays)
-    if ints and float(extra_scalar) == int(extra_scalar):
+def _run_dtype(w1, *arrays):
+    """The dtype a run of the recursions takes: int64 when every array holds
+    booleans or integers and ``w1`` is integral, float64 otherwise.  Arrays
+    of any other dtype, a ``w1`` that is not a real number, and a ``w1``
+    that is not finite and nonnegative raise ValueError."""
+    if any(np.asarray(x).dtype.kind not in "biuf" for x in arrays) or not (
+            isinstance(w1, numbers.Real) or np.asarray(w1).dtype.kind in "biuf"):
+        raise ValueError("inputs must be real numbers")
+    if not 0 <= w1 < math.inf:
+        raise ValueError("w1 must be finite and nonnegative")
+    if all(np.asarray(x).dtype.kind in "biu" for x in arrays) and w1 == int(w1):
         return np.int64
     return np.float64
 
@@ -110,21 +120,19 @@ def lindley_forward(w1, a, s) -> np.ndarray:
     """Waiting times by the forward recursion w_{n+1} = (w_n + s_n - a_n)^+.
 
     ``a`` holds the gaps between consecutive arrivals (length N-1 for N
-    customers), ``s`` the marks, all finite and nonnegative; only the first
-    len(a) marks are consumed.  Returns len(a)+1 values starting at ``w1``.
-    Every wait lies within w1 plus the marks consumed, so integer inputs
-    whose total reaches 2**63, or an integer gap from 2**63, raise
-    ValueError rather than leave int64.
+    customers), ``s`` the marks, all real, finite and nonnegative, as is
+    ``w1`` (:func:`_run_dtype`); only the first len(a) marks are consumed.
+    Returns len(a)+1 values starting at ``w1``.  Every wait lies within w1
+    plus the marks consumed, so integer inputs whose total reaches 2**63, or
+    an integer gap from 2**63, raise ValueError rather than leave int64.
     """
     a = np.asarray(a)
     s = np.asarray(s)
     if s.size < a.size:
         raise ValueError("need at least one mark per gap")
-    if not math.isfinite(w1):
-        raise ValueError("w1 must be finite")
-    if w1 < 0 or (a.size and a.min() < 0) or (s.size and s.min() < 0):
-        raise ValueError("w1, gaps and marks must be nonnegative")
-    dtype = _common_dtype(a, s, extra_scalar=w1)
+    dtype = _run_dtype(w1, a, s)
+    if (a.size and a.min() < 0) or (s.size and s.min() < 0):
+        raise ValueError("gaps and marks must be nonnegative")
     # on the inputs as given: the cast to int64 wraps uint64 entries from 2**63
     if dtype is np.int64 and not _below_int64(s[:a.size], int(w1)):
         raise ValueError("integer waits would not fit int64: "
@@ -190,12 +198,13 @@ def trace_from_arrays(A, s, w1=0) -> QueueTrace:
 
     D is the running max-plus form seeded with D_1 = A_1 + w1 + s_1, which
     is the closed form of the recursion D_{n+1} = max(D_n, A_{n+1}) + s_{n+1}.
-    A, s and w1 must be finite, w1 and s nonnegative and A nondecreasing.
-    Marks may be zero and arrivals simultaneous here (the saturated-tandem
-    sections need that); use :func:`transform` when starting from a
-    validated MarkedSequence.  Every output of an integer trace lies within
-    A_N + w1 + sum(s) (less A_1 if A_1 is negative), so integer inputs whose
-    total reaches 2**63 raise ValueError rather than wrap in int64.
+    A, s and w1 must be real and finite (:func:`_run_dtype`), w1 and s
+    nonnegative and A nondecreasing.  Marks may be zero and arrivals
+    simultaneous here (the saturated-tandem sections need that); use
+    :func:`transform` when starting from a validated MarkedSequence.  Every
+    output of an integer trace lies within A_N + w1 + sum(s) (less A_1 if
+    A_1 is negative), so integer inputs whose total reaches 2**63 raise
+    ValueError rather than wrap in int64.
     """
     A = np.asarray(A)
     s = np.asarray(s)
@@ -203,9 +212,7 @@ def trace_from_arrays(A, s, w1=0) -> QueueTrace:
         raise ValueError("need at least one customer")
     if A.shape != s.shape or A.ndim != 1:
         raise ValueError("A and s must be 1-d of equal length")
-    if not math.isfinite(w1) or w1 < 0:
-        raise ValueError("w1 must be finite and nonnegative")
-    dtype = _common_dtype(A, s, extra_scalar=w1)
+    dtype = _run_dtype(w1, A, s)
     # on the inputs as given: the cast to int64 wraps uint64 entries from
     # 2**63, and max and min bound A before it is known to be nondecreasing
     if dtype is np.int64 and not _below_int64(
@@ -457,10 +464,9 @@ def _running_sums(x, starts, stops):
     return out
 
 
-def _period_runs(A, s, D):
-    """Run lengths of every busy period, back to back in one array (period p
-    in entries 2 f_p to 2 stop_p - 1), and the bounds of the periods
-    :func:`_zigzag_runs` accepts.
+def _period_run_tuples(A, s, D):
+    """Yield the first customer and the run lengths, as one tuple, of every
+    busy period :func:`_zigzag_runs` accepts, in order.
 
     The running height of every period is summed left to right by
     :func:`_running_sums`, so the checks (positive marks, positive gaps, no
@@ -483,7 +489,9 @@ def _period_runs(A, s, D):
     runs[1:-1:2] = g
     runs[2 * last + 1] = h[2 * last]
     keep = ~np.logical_or.reduceat(bad, firsts)
-    return runs, firsts[keep], stops[keep]
+    flat = tuple(runs.tolist())  # a slice of a tuple is the period's tuple
+    for f, e in zip(firsts[keep].tolist(), stops[keep].tolist()):
+        yield f, flat[2 * f:2 * e]
 
 
 def _zigzag_table(trace: QueueTrace) -> list:
@@ -500,11 +508,9 @@ def _zigzag_table(trace: QueueTrace) -> list:
     # no partial sum of 2N-1 marks and gaps exceeds 3N times the largest entry
     if s.dtype == np.int64 and 3 * A.size * max(_magnitude(A), _magnitude(s)) >= 2**63:
         return []
-    runs, firsts, stops = _period_runs(A, s, trace.D)
-    flat = tuple(runs.tolist())  # a slice of a tuple is the period's tuple
     table = [None] * A.size
-    for f, e in zip(firsts.tolist(), stops.tolist()):
-        table[f] = ZigzagTrajectory._validated(flat[2 * f:2 * e])
+    for f, runs in _period_run_tuples(A, s, trace.D):
+        table[f] = ZigzagTrajectory._validated(runs)
     return table
 
 

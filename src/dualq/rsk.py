@@ -12,13 +12,16 @@ the two tandem kernels run once per stack, row insertion once per case.
 Row insertion takes a word one tableau row at a time (:func:`_insert_word`),
 letter by letter within a row, with no shortcut through the letter counts,
 so the tableau stays a witness independent of the chains and the kernels.
-The scalar witnesses are the batched ones on a batch of one.
+The scalar witnesses are the same computations on a batch of one.
 :func:`growth_shapes` gives the same shapes from Fomin's local rule, batched
 over replications, for the Monte Carlo shape law; its first coordinate is
 the queue recursion, so it is not one of the six witnesses.  It fills each
 cell for all replications at once on (K, reps) arrays, the replications
 innermost, as the tandem kernels do.
-Matrices enter by the tandem kernels' rule (``tandem._entries``); the word
+Each public call checks its matrix once, by the tandem kernels' rule
+(``tandem._entries``; through :class:`~dualq.tandem.ServiceMatrix` for the
+scalar calls), and its witnesses compute on the array that check returns;
+the two tandem batches check it again at their own boundary.  The word
 also needs integer entries.  The path oracles refuse matrices with N + K
 above :data:`BRUTE_FORCE_LIMIT`.
 """
@@ -50,11 +53,8 @@ __all__ = [
     "nabla",
     "triangle",
     "lambda_operators",
-    "lambda_operators_batch",
     "path_max",
-    "path_max_batch",
     "path_min",
-    "path_min_batch",
     "verify_row_queue",
     "verify_row_queue_batch",
     "RowQueueReport",
@@ -243,9 +243,8 @@ def shape(T: Tableau) -> tuple:
 
 
 def _words(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Words of each (N, K) slice of ``u``, zero-padded to the longest:
-    (B, max M) letters and the word lengths M (B,)."""
-    u = tandem._entries(u)
+    """Words of each (N, K) slice of a checked batch ``u``, zero-padded to
+    the longest: (B, max M) letters and the word lengths M (B,)."""
     if u.dtype.kind != "i":
         raise ValueError("the word construction needs integer entries")
     B, N, K = u.shape
@@ -291,13 +290,6 @@ def _operator_chains(words: np.ndarray, M: np.ndarray, K: int) -> tuple[np.ndarr
     return top[rows, M], bottom[rows, M]
 
 
-def lambda_operators_batch(u) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`lambda_operators` of each (N, K) integer slice, (B, N, K) ->
-    ((B,), (B,))."""
-    u = np.asarray(u)
-    return _operator_chains(*_words(u), u.shape[2])
-
-
 def lambda_operators(U) -> tuple[int, int]:
     """(lambda_1, lambda_K) via the operator chains, evaluated left to right.
 
@@ -305,7 +297,8 @@ def lambda_operators(U) -> tuple[int, int]:
     lambda_K = x_K triangle ... triangle x_2 triangle x_1 (M); the
     operations are non-associative, so the fold order matters.
     """
-    top, bottom = lambda_operators_batch(tandem._as_matrix(U).u[None])
+    U = tandem._as_matrix(U)
+    top, bottom = _operator_chains(*_words(U.u[None]), U.K)
     return int(top[0]), int(bottom[0])
 
 
@@ -355,9 +348,9 @@ def _skew_paths(N: int, K: int) -> np.ndarray:
     return np.array(paths, dtype=np.intp)
 
 
-def _path_sums(u, paths_of) -> np.ndarray:
-    """Node sums (B, P) of the P paths ``paths_of(N, K)`` over each (N, K) slice."""
-    u = tandem._entries(u)
+def _path_sums(u: np.ndarray, paths_of) -> np.ndarray:
+    """Node sums (B, P) of the P paths ``paths_of(N, K)`` over each (N, K)
+    slice of a checked batch ``u``."""
     B, N, K = u.shape
     if N + K > BRUTE_FORCE_LIMIT:
         raise SizeLimitError(
@@ -365,24 +358,14 @@ def _path_sums(u, paths_of) -> np.ndarray:
     return u.reshape(B, N * K)[:, paths_of(N, K)].sum(axis=-1)
 
 
-def path_max_batch(u) -> np.ndarray:
-    """:func:`path_max` of each (N, K) slice, (B, N, K) -> (B,)."""
-    return _path_sums(u, _up_right_paths).max(axis=-1)
-
-
-def path_min_batch(u) -> np.ndarray:
-    """:func:`path_min` of each (N, K) slice, (B, N, K) -> (B,)."""
-    return _path_sums(u, _skew_paths).min(axis=-1)
-
-
 def path_max(U):
     """Exhaustive maximum of node sums over up-right paths (1,1)->(N,K)."""
-    return path_max_batch(tandem._as_matrix(U).u[None])[0]
+    return _path_sums(tandem._as_matrix(U).u[None], _up_right_paths).max()
 
 
 def path_min(U):
     """Exhaustive minimum of node sums over the dual path set; 0 when empty."""
-    return path_min_batch(tandem._as_matrix(U).u[None])[0]
+    return _path_sums(tandem._as_matrix(U).u[None], _skew_paths).min()
 
 
 @dataclass(frozen=True)
@@ -399,12 +382,17 @@ def verify_row_queue_batch(u) -> tuple:
     """The six-way identity on each (N, K) integer slice of ``u``: the (B, 4)
     quadruples lambda1 and lambdaK, columns (tableau, operator chain, path
     oracle, tandem recursion), and ok (B,), whether each holds one value."""
-    u = np.asarray(u)
+    return _six_way(tandem._entries(u))
+
+
+def _six_way(u: np.ndarray) -> tuple:
+    """:func:`verify_row_queue_batch` of a checked batch ``u``."""
     B, N, K = u.shape
     lam1, lamK = np.empty((2, B, 4), dtype=np.int64)
     words, M = _words(u)  # one word build for the chains and the insertions
     lam1[:, 1], lamK[:, 1] = _operator_chains(words, M, K)
-    lam1[:, 2], lamK[:, 2] = path_max_batch(u), path_min_batch(u)
+    lam1[:, 2] = _path_sums(u, _up_right_paths).max(axis=-1)
+    lamK[:, 2] = _path_sums(u, _skew_paths).min(axis=-1)
     for b in range(B):  # row insertion: one fold per case
         sh = tableau_of(words[b, :M[b]]).shape() + (0,) * K
         lam1[b, 0], lamK[b, 0] = sh[0], sh[K - 1]
@@ -415,5 +403,5 @@ def verify_row_queue_batch(u) -> tuple:
 
 
 def verify_row_queue(U) -> RowQueueReport:
-    lam1, lamK, ok = verify_row_queue_batch(tandem._as_matrix(U).u[None])
+    lam1, lamK, ok = _six_way(tandem._as_matrix(U).u[None])
     return RowQueueReport(tuple(lam1[0].tolist()), tuple(lamK[0].tolist()), bool(ok[0]))

@@ -9,11 +9,12 @@ the :class:`ExperimentReport` holds the one pre-registered significance
 level ``alpha`` and decides every test's verdict and its own.
 
 burke's queue is in equilibrium from customer 1, whose wait is a stationary
-draw; zigzag-law counts the runs :func:`~dualq.queue_store._period_runs`
-builds for the busy periods of one queue trace, the same runs, period checks
-and closing heights as :func:`~dualq.queue_store.zigzag_from_trace`'s table;
-noncolliding's walks are conditioned step by step by an h-transform, and its
-reference pair is (D(n, 2), R(n)) from the :mod:`~dualq.tandem` kernels.
+draw; zigzag-law counts the run tuples that
+:func:`~dualq.queue_store._period_run_tuples` builds for the busy periods of
+one queue trace, the tuples of :func:`~dualq.queue_store.zigzag_from_trace`'s
+table; noncolliding's walks are conditioned step by step by an h-transform,
+and its reference pair is (D(n, 2), R(n)) from the :mod:`~dualq.tandem`
+kernels.
 The test resolutions are the constants :data:`MIN_EXPECTED` and :data:`MAX_RISE`.
 
 Replications stay in numpy arrays from the draw to the contingency table.
@@ -44,7 +45,7 @@ from .rsk import growth_shapes, normalize_partition
 from .queue_store import (
     ZigzagTrajectory,
     _period_bounds,
-    _period_runs,
+    _period_run_tuples,
     enumerate_trajectories,
     transform,
 )
@@ -439,9 +440,9 @@ def trajectory_pmf(runs, p: float, q: float) -> float:
 def _sample_busy_trajectories(params: RateParams, n_periods: int, seed: Seed):
     """Runs of the first ``n_periods`` busy periods of one queue trace that
     starts empty, yielded one tuple per period.  They are built once, by
-    :func:`~dualq.queue_store._period_runs` on the customers of those
-    periods: the same runs, period checks and closing heights (left-to-right
-    running sums) as the table of :func:`~dualq.queue_store.zigzag_from_trace`.
+    :func:`~dualq.queue_store._period_run_tuples` on the customers of those
+    periods: the same tuples (runs, period checks and left-to-right closing
+    heights) as the table of :func:`~dualq.queue_store.zigzag_from_trace`.
     The trace is that of the first k customers of ``sample_input``, k
     doubling until the last period kept is closed (a stream's first k draws
     do not depend on k).  k starts at 2 * n_periods: k customers start at
@@ -454,10 +455,8 @@ def _sample_busy_trajectories(params: RateParams, n_periods: int, seed: Seed):
             break
         k *= 2
     end = firsts[n_periods]
-    runs, firsts, stops = _period_runs(tr.A[:end], tr.s[:end], tr.D[:end])
-    flat = tuple(runs.tolist())  # a slice of a tuple is the period's tuple
-    for f, e in zip(firsts.tolist(), stops.tolist()):
-        yield flat[2 * f:2 * e]
+    for _, runs in _period_run_tuples(tr.A[:end], tr.s[:end], tr.D[:end]):
+        yield runs
 
 
 def zigzag_law_experiment(p: float, q: float, seed: Seed, n_periods: int = 100_000,

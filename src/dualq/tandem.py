@@ -10,9 +10,10 @@ The two observables are D(N, K), the departure instant of customer N from
 the last queue, and R(N), the cumulative amount shipped by the last store
 over slots 1..N.
 
-Every matrix and batch enters by one rule, :func:`_entries`: integer and
-boolean entries run exactly in int64, real ones in float64, and anything
-else raises ValueError.
+Every matrix and batch enters by one rule, :func:`_entries`: a batch is
+(B, N, K) with N, K >= 1, integer and boolean entries run exactly in int64,
+real ones in float64, and anything else raises ValueError.  An rsk call
+applies it once, and the two public batches here again at their boundary.
 
 Each tandem has one kernel, shared by the batched entry points and the
 scalar ones (a batch of one).  The kernels work on (N, K, reps) arrays,
@@ -50,15 +51,19 @@ def _entries(u) -> np.ndarray:
     """A (B, N, K) batch with its entries as the kernels take them: boolean
     and integer entries as int64, real ones as float64.
 
-    Every departure epoch and store total of a slice of nonnegative entries
-    lies within the sum of its entries, so a non-real dtype, a negative or
-    non-finite entry, or an integer slice whose entries sum to 2**63 or more
-    raises ValueError, rather than wrap in int64 or run in another dtype.
-    The slices are summed only when the largest entry times the slice size
-    comes within a factor of two of 2**63, and only a slice whose float sum
-    does is summed again exactly.
+    A batch that is not 3-d, or whose slices have no row or no column,
+    raises ValueError; a batch of no slices is fine.  Every departure epoch
+    and store total of a slice of nonnegative entries lies within the sum
+    of its entries, so a non-real dtype, a negative or non-finite entry, or
+    an integer slice whose entries sum to 2**63 or more raises ValueError,
+    rather than wrap in int64 or run in another dtype.  The slices are
+    summed only when the largest entry times the slice size comes within a
+    factor of two of 2**63, and only a slice whose float sum does is summed
+    again exactly.
     """
     u = np.asarray(u)
+    if u.ndim != 3 or 0 in u.shape[1:]:
+        raise ValueError(f"a batch must be (B, N, K) with N, K >= 1, not of shape {u.shape}")
     if u.dtype.kind not in "biuf":
         raise ValueError("entries must be real numbers")
     # reductions, not masks: cheaper on the small matrices; NaN fails both
@@ -78,18 +83,18 @@ def _entries(u) -> np.ndarray:
 class ServiceMatrix:
     """N x K array of nonnegative service requirements / requests.
 
-    The entries enter by the batches' rule, :func:`_entries`, as a batch of
-    one: integer entries give exact int64 dynamics, real ones (used by the
-    exponential ensemble checks) run in float64, and zeros are allowed
-    everywhere.
+    The matrix enters by the batches' rule, :func:`_entries`, as a batch of
+    one, so N and K are at least 1: integer entries give exact int64
+    dynamics, real ones (used by the exponential ensemble checks) run in
+    float64, and zeros are allowed everywhere.
     """
 
     u: np.ndarray
 
     def __post_init__(self):
         u = np.asarray(self.u)
-        if u.ndim != 2 or u.size == 0:
-            raise ValueError("u must be a non-empty 2-d array")
+        if u.ndim != 2:
+            raise ValueError(f"u must be an N x K matrix, not of shape {u.shape}")
         object.__setattr__(self, "u", _entries(u[None])[0])
 
     @property

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -272,6 +273,14 @@ def test_integer_trace_just_below_the_int64_limit_is_exact():
     assert backward_check(tr).ok
     tr = trace_from_arrays([-2**62, 2**62 - 3], [1, 1])  # span 2**63 - 1
     assert tr.r.tolist() == [1] and tr.w.tolist() == [0, 0]
+
+
+def test_integer_w1_past_float_precision_stays_exact():
+    # 2**53 + 1 has no float64: the trace ran in float64, D_1 = 2**53
+    w1 = 2**53 + 1
+    tr = trace_from_arrays([0, 1], [1, 1], w1=w1)
+    assert tr.D.dtype == np.int64 and tr.D.tolist() == [w1 + 1, w1 + 2]
+    assert lindley_forward(w1, [1], [1]).tolist() == [w1, w1]
 
 
 def test_trace_keeps_simultaneous_arrivals_and_zero_marks():
@@ -792,11 +801,26 @@ def test_trace_csv():
     (lambda: workload_pair(trace_from_arrays([0, 1], [2, 0])), "strictly positive marks"),
     (lambda: zigzag([3, 2], [1, 1]), "k marks and k-1 internal gaps"),
     (lambda: zigzag([], []), "k marks and k-1 internal gaps"),
+    # non-real inputs: parsed from the strings, cast with a ComplexWarning,
+    # rounded to float64, UFuncTypeError, TypeError
+    (lambda: trace_from_arrays(np.array(["0", "3"]), np.array(["5", "1"])), "real numbers"),
+    (lambda: trace_from_arrays(np.array([0, 3 + 1j]), [5, 1]), "real numbers"),
+    (lambda: trace_from_arrays(np.array([0, 2**70], dtype=object), [1, 1]), "real numbers"),
+    (lambda: trace_from_arrays([0, 3], [5, 1], w1="1"), "real numbers"),
+    (lambda: trace_from_arrays([0, 3], [5, 1], w1=1j), "real numbers"),
+    (lambda: lindley_forward(0, np.array([1 + 1j]), [1]), "real numbers"),
+    (lambda: lindley_forward(0, [1], np.array([2**70], dtype=object)), "real numbers"),
+    (lambda: lindley_forward(0, np.array(["1"]), np.array(["1"])), "real numbers"),
+    (lambda: lindley_forward("1", [1], [1]), "real numbers"),
 ], ids=["lindley-marks", "lindley-int64", "lindley-gap", "no-customer", "unequal-shapes", "empty-input",
-        "zero-mark", "zigzag-gaps", "zigzag-empty"])
+        "zero-mark", "zigzag-gaps", "zigzag-empty", "trace-strings", "trace-complex",
+        "trace-object", "trace-string-w1", "trace-complex-w1", "lindley-complex",
+        "lindley-object", "lindley-strings", "lindley-string-w1"])
 def test_queue_inputs_are_checked(call, message):
-    with pytest.raises(ValueError, match=message):
-        call()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a refusal, not a cast with a warning
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_backward_check_names_a_backward_lindley_violation():

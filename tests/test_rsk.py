@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dualq import cli, rsk
+from dualq import cli, rsk, tandem
 from dualq.rsk import (
     growth_shapes,
     BRUTE_FORCE_LIMIT,
@@ -14,13 +14,10 @@ from dualq.rsk import (
     insert,
     is_partition,
     lambda_operators,
-    lambda_operators_batch,
     nabla,
     normalize_partition,
     path_max,
-    path_max_batch,
     path_min,
-    path_min_batch,
     pretty,
     shape,
     tableau_of,
@@ -441,22 +438,25 @@ def _example_all(test):
 @_example_all
 @given(stacks())
 def test_chain_batch_matches_per_case_loops(u):
-    top, bottom = lambda_operators_batch(u)
+    # the chain column of the six-way batch, and the scalar chains
+    lam1, lamK, _ = verify_row_queue_batch(u)
     for b in range(u.shape[0]):
         expected = chain_loop(word_of(u[b]).tolist(), u.shape[2])
-        assert (int(top[b]), int(bottom[b])) == expected == lambda_operators(u[b])
+        assert (int(lam1[b, 1]), int(lamK[b, 1])) == expected == lambda_operators(u[b])
 
 
 @settings(deadline=None, max_examples=80)
 @_example_all
 @given(stacks())
 def test_path_batches_match_per_case_loops(u):
-    hi, lo = path_max_batch(u), path_min_batch(u)
-    assert hi.dtype == lo.dtype == u.dtype
+    # the path columns of the six-way batch, and the scalar oracles
+    lam1, lamK, _ = verify_row_queue_batch(u)
     for b in range(u.shape[0]):
+        hi, lo = path_max(u[b]), path_min(u[b])
+        assert hi.dtype == lo.dtype == u.dtype
         sums = dual_path_sums(u[b])
-        assert hi[b] == path_max(u[b])
-        assert lo[b] == path_min(u[b]) == (min(sums) if sums else 0)
+        assert lam1[b, 2] == hi
+        assert lamK[b, 2] == lo == (min(sums) if sums else 0)
 
 
 @settings(deadline=None, max_examples=80)
@@ -530,7 +530,16 @@ def test_six_way_batch_names_the_failing_witness(monkeypatch):
     assert lamK.tolist() == [[2, 2, 2, 3]] * 2
 
 
-@pytest.mark.parametrize("fn", [path_max_batch, path_min_batch, verify_row_queue_batch])
+def each_slice(fn):
+    """``fn`` of each (N, K) slice of a batch, in order."""
+    def batch(u):
+        return [fn(m) for m in np.asarray(u)]
+    batch.__name__ = f"{fn.__name__}_batch"
+    return batch
+
+
+@pytest.mark.parametrize("fn", [each_slice(path_max), each_slice(path_min),
+                                verify_row_queue_batch])
 def test_batches_keep_the_brute_force_limit(fn, monkeypatch):
     u = np.ones((2, 10, 6), dtype=np.int64)
     assert 10 + 6 > BRUTE_FORCE_LIMIT
@@ -538,6 +547,24 @@ def test_batches_keep_the_brute_force_limit(fn, monkeypatch):
         fn(u)
     monkeypatch.setattr(rsk, "BRUTE_FORCE_LIMIT", 16)
     assert fn(u) is not None
+
+
+@pytest.mark.parametrize("call, checks", [
+    (lambda u: verify_row_queue(u[0]), 3),
+    (verify_row_queue_batch, 3),
+    (lambda u: lambda_operators(u[0]), 1),
+    (lambda u: path_max(u[0]), 1),
+    (lambda u: path_min(u[0]), 1),
+    (lambda u: word_of(u[0]), 1),
+], ids=["verify_row_queue", "verify_row_queue_batch", "lambda_operators", "path_max",
+        "path_min", "word_of"])
+def test_each_call_checks_its_matrix_once(call, checks, monkeypatch):
+    # one check where the matrix enters rsk (ServiceMatrix for the scalar
+    # calls), plus the two tandem batches' own check at their boundary
+    real, seen = tandem._entries, []
+    monkeypatch.setattr(tandem, "_entries", lambda u: seen.append(u) or real(u))
+    call(np.array([[[1, 2, 0], [3, 4, 1]]] * 2))
+    assert len(seen) == checks
 
 
 

@@ -6,11 +6,8 @@ from dualq.queue_store import _accumulate
 from dualq.rsk import (
     growth_shapes,
     lambda_operators,
-    lambda_operators_batch,
     path_max,
-    path_max_batch,
     path_min,
-    path_min_batch,
     shape,
     tableau_of,
     verify_row_queue,
@@ -240,12 +237,11 @@ def test_batches_match_scalar_paths(u):
         v = u.astype(dtype)
         x = v.astype(np.float64 if v.dtype.kind == "f" else np.int64)
         D3, R2 = queue_departures_batch(v), store_departures_batch(v)
-        hi, lo = path_max_batch(v), path_min_batch(v)
         if x.dtype == np.int64:
-            top, bottom = lambda_operators_batch(v)
             lam1, lamK, ok = verify_row_queue_batch(v)
         else:
-            for integer_only in (lambda_operators_batch, verify_row_queue_batch, growth_shapes):
+            for integer_only in (verify_row_queue_batch, growth_shapes,
+                                 lambda v: lambda_operators(v[0]), lambda v: word_of(v[0])):
                 with pytest.raises(ValueError, match="integer entries"):
                     integer_only(v)
         for i in range(B):
@@ -253,12 +249,11 @@ def test_batches_match_scalar_paths(u):
             tr = tandem_trace(ServiceMatrix(v[i]))
             for got, want in ((D3[i], D), (queue_departures(v[i]), D), (tr.Dmat, D),
                               (R2[i], R), (tr.rmat, r), (tr.wmat, w), (tr.R_seq, R),
-                              (hi[i], D[N, K]), (path_max(v[i]), D[N, K]),
-                              (lo[i], R[-1]), (path_min(v[i]), R[-1])):
+                              (path_max(v[i]), D[N, K]), (path_min(v[i]), R[-1])):
                 assert got.dtype == want.dtype and np.array_equal(got, want)
             if x.dtype == np.int64:
                 rep = verify_row_queue(v[i])
-                assert lambda_operators(v[i]) == (top[i], bottom[i]) == (D[N, K], R[-1])
+                assert lambda_operators(v[i]) == (lam1[i, 1], lamK[i, 1]) == (D[N, K], R[-1])
                 assert rep.ok and ok[i]
                 assert rep.lambda1 == tuple(lam1[i].tolist()) == (D[N, K],) * 4
                 assert rep.lambdaK == tuple(lamK[i].tolist()) == (R[-1],) * 4
@@ -333,8 +328,10 @@ def test_float_layouts_equal_scalar_entry_points(B, N, K):
 def test_matrix_validation():
     with pytest.raises(ValueError):
         ServiceMatrix(np.array([[-1, 2]]))
-    with pytest.raises(ValueError):
-        ServiceMatrix(np.array([1, 2]))
+    for u in (np.array([1, 2]), np.zeros((1, 2, 2)), np.zeros((0, 3)), np.zeros((3, 0)),
+              np.array([[]])):
+        with pytest.raises(ValueError, match="not of shape"):  # 1-d, 3-d, N = 0, K = 0
+            ServiceMatrix(u)
     for u in (np.array([[2**62, 2**62]]),            # D(1, 2) wrapped to -2**63
               np.array([[2**63]], dtype=np.uint64),  # the cast wrapped it to -2**63
               np.full((3, 3), 2**60 + 2**59)):
@@ -353,11 +350,20 @@ def service_matrices(u):
     return [ServiceMatrix(m) for m in u]
 
 
-# every batch entry point, ServiceMatrix's batch of one and the rsk batches
-# too, enters by the one rule of tandem._entries
+def each_slice(fn):
+    """``fn`` of each (N, K) slice of a batch, in order."""
+    def batch(u):
+        return [fn(m) for m in np.asarray(u)]
+    batch.__name__ = f"{fn.__name__}_batch"
+    return batch
+
+
+# every batch entry point, ServiceMatrix's batch of one and the rsk scalar
+# witnesses on each slice too, enters by the one rule of tandem._entries
 @pytest.mark.parametrize("batch", [
     queue_departures_batch, store_departures_batch, growth_shapes, service_matrices,
-    lambda_operators_batch, path_max_batch, path_min_batch, verify_row_queue_batch])
+    each_slice(lambda_operators), each_slice(path_max), each_slice(path_min),
+    verify_row_queue_batch])
 @pytest.mark.parametrize("u, message", [
     (np.array([[[2**62, 2**62]]]), "sum below 2\\*\\*63"),            # D(1, 2) wrapped to -2**63
     (np.array([[[2**62], [2**62]]]), "sum below 2\\*\\*63"),          # R(2) wrapped to -2**63
@@ -367,10 +373,23 @@ def service_matrices(u):
     (np.array([[[1.0, np.nan]]]), "finite and nonnegative"),
     (np.array([[[np.inf, 1.0]]]), "finite and nonnegative"),  # D = NaN, with a RuntimeWarning
     (np.array([[["1", "2"]]]), "real numbers"),
-], ids=["queue", "store", "second-slice", "uint64", "negative", "nan", "inf", "string"])
+    (np.zeros((2, 0, 3), dtype=np.int64), "not of shape"),  # IndexError, or (2, 1, 4) outputs
+    (np.zeros((2, 3, 0), dtype=np.int64), "not of shape"),
+    (np.zeros((2, 3), dtype=np.int64), "not of shape"),  # "not enough values to unpack"
+    (np.zeros((1, 2, 2, 2), dtype=np.int64), "not of shape"),
+], ids=["queue", "store", "second-slice", "uint64", "negative", "nan", "inf", "string",
+        "no-rows", "no-columns", "2-d", "4-d"])
 def test_batches_reject_a_slice_past_int64(batch, u, message):
     with pytest.raises(ValueError, match=message):
         batch(u)
+
+
+def test_batches_of_no_slices():
+    u = np.zeros((0, 2, 3), dtype=np.int64)
+    assert queue_departures_batch(u).shape == (0, 3, 4)
+    assert store_departures_batch(u).shape == (0, 2)
+    assert growth_shapes(u).shape == (0, 3, 3)
+    assert [x.shape for x in verify_row_queue_batch(u)] == [(0, 4), (0, 4), (0,)]
 
 
 def test_batch_just_below_the_int64_limit_is_exact():
