@@ -9,6 +9,13 @@ keys as the flags, each value of its flag's type; flags win) and
 while ``trace`` always writes CSV.  Exit status: 0 when every check
 passes, 1 when a verdict fails, 2 on usage errors.  Reports carry the seed
 and parameters, so identical invocations produce identical bytes.
+
+Every report is a :class:`~dualq.stattest.ExperimentReport`, and every
+report subcommand returns it through :func:`_verdict`.  The six
+experiments hold statistical tests; ``verify-identities`` and
+``particles`` hold one exact test, a
+:class:`~dualq.stattest.ExactResult` counting the random cases that fail,
+and name the first of them in ``diagnostics.first_failure``.
 """
 
 from __future__ import annotations
@@ -118,7 +125,7 @@ def _shape_groups(n: np.ndarray, k: np.ndarray):
 
 def _random_cases(cfg, n_key: str, k_key: str, test: str, check,
                   site_draws: bool = False) -> tuple[dict, bool]:
-    """Count the random matrices that fail ``check``.
+    """Report one exact test: count the random matrices that fail ``check``.
 
     The cases come from :func:`_case_blocks`, with n and k at most
     cfg.<n_key> and cfg.<k_key>.  ``check(n, k, E, sites)`` takes a block
@@ -129,24 +136,21 @@ def _random_cases(cfg, n_key: str, k_key: str, test: str, check,
     for key, low in ((n_key, 1), (k_key, 1), ("max_entry", 0), ("cases", 1)):
         if getattr(cfg, key) < low:
             raise ValueError(f"need {key} >= {low}, got {getattr(cfg, key)}")
-    failures, first = 0, None
+    params = {key: getattr(cfg, key) for key in (n_key, k_key, "max_entry", "cases")}
+    # alpha judges statistical tests only; this report holds one exact test
+    report = stattest.ExperimentReport(cfg.subcommand, params, Seed(cfg.seed),
+                                       stattest.DEFAULT_ALPHA)
+    failures = 0
     for lo, n, k, E, sites in _case_blocks(cfg.seed, cfg.cases, getattr(cfg, n_key),
                                            getattr(cfg, k_key), cfg.max_entry, site_draws):
         failed = check(n, k, E, sites)
         failures += len(failed)
-        if failed and first is None:
+        if failed and not report.diagnostics:
             j = min(failed)
-            first = {"case": lo + j, "matrix": E[j, :n[j], :k[j]].tolist(), **failed[j]}
-    ok = failures == 0
-    params = {key: getattr(cfg, key) for key in (n_key, k_key, "max_entry", "cases")}
-    payload = {"name": cfg.subcommand, "params": params,
-               "seed": {"master": cfg.seed, "stream": 0},
-               "tests": [{"name": test, "statistic": failures, "p_value": 1.0 if ok else 0.0,
-                          "n_samples": cfg.cases, "alpha": 0.0, "passed": ok}],
-               "verdict": "pass" if ok else "fail"}
-    if first is not None:
-        payload["diagnostics"] = {"first_failure": first}
-    return payload, ok
+            report.diagnostics = {"first_failure": {
+                "case": lo + j, "matrix": E[j, :n[j], :k[j]].tolist(), **failed[j]}}
+    report.results.append(stattest.ExactResult(test, failures, cfg.cases))
+    return _verdict(report)
 
 
 def _six_way_failures(n, k, E, _) -> dict:
@@ -236,11 +240,12 @@ def _laguerre(cfg):
 
 
 def _particle_failures(n, k, E, sites) -> dict:
-    """Per case: zero-range jumps = queue departures, bus-stop loads = store
-    flow, and the exclusion encoding inverts and commutes with a bus-stop
-    slot on the case's site counts (an ample reservoir added at site 1) and
-    buses.  The two tandem scans run once per shape group, the particle
-    simulations once per case."""
+    """Per case, four equivalences: zero-range jumps = queue departures,
+    bus-stop loads = store flow, and the exclusion encoding inverts and
+    commutes with a bus-stop slot on the case's site counts (an ample
+    reservoir added at site 1) and buses.  A failing case records the names
+    of those that broke, under ``equivalences``.  The two tandem scans run
+    once per shape group, the particle simulations once per case."""
     failures = {}
     for N, K, members in _shape_groups(n, k):
         u = E[members, :N, :K]
@@ -252,14 +257,18 @@ def _particle_failures(n, k, E, sites) -> dict:
             counts, buses = (s[i, :K].tolist() for s in sites)
             counts[0] += int(u[m].sum())
             config = particles.to_exclusion(counts)
-            if not (all(jumps.get((p, j)) == D[m][p][j]
-                        for p in range(1, N + 1) for j in range(1, K + 1))
-                    and np.array_equal(particles.bus_stop_run(U), r[:, :, m])
-                    and particles.from_exclusion(config) == counts
-                    and np.array_equal(
-                        np.trim_zeros(particles.exclusion_step(config, buses), "f"),
-                        particles.to_exclusion(particles.bus_stop_step(counts, buses)[0]))):
-                failures[i] = {}
+            holds = {
+                "zero-range-jumps": all(jumps.get((p, j)) == D[m][p][j]
+                                        for p in range(1, N + 1) for j in range(1, K + 1)),
+                "bus-stop-loads": np.array_equal(particles.bus_stop_run(U), r[:, :, m]),
+                "exclusion-inverse": particles.from_exclusion(config) == counts,
+                "exclusion-step": np.array_equal(
+                    np.trim_zeros(particles.exclusion_step(config, buses), "f"),
+                    particles.to_exclusion(particles.bus_stop_step(counts, buses)[0])),
+            }
+            broken = [name for name, ok in holds.items() if not ok]
+            if broken:
+                failures[i] = {"equivalences": broken}
     return failures
 
 
@@ -291,7 +300,7 @@ def _render(payload, fmt) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["test", "statistic", "p_value", "n_samples", "alpha", "passed"])
-    for t in payload.get("tests", []):
+    for t in payload["tests"]:
         writer.writerow([t["name"], t["statistic"], t["p_value"],
                          t["n_samples"], t["alpha"], t["passed"]])
     return buf.getvalue()

@@ -14,6 +14,7 @@ values in it; the ``draw_*`` functions apply them to fresh uniforms, and
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,13 +40,23 @@ _CHILDREN = (1 << 32) - 1  # substream indices per parent
 
 @dataclass(frozen=True)
 class Seed:
-    """Philox key: ``master`` names the experiment, ``stream`` the sub-stream."""
+    """Philox key: ``master`` names the experiment, ``stream`` the sub-stream.
+
+    Both are the key's 64-bit words, so each must lie in 0..2**64 - 1;
+    a value outside would wrap onto another seed's key, so it raises.
+    """
 
     master: int
     stream: int = 0
 
+    def __post_init__(self):
+        for name in ("master", "stream"):
+            value = operator.index(getattr(self, name))
+            if not 0 <= value <= _MASK64:
+                raise ValueError(f"seed {name} must lie in 0..2**64 - 1, got {value}")
+
     def _key(self) -> np.ndarray:
-        return np.array([self.master & _MASK64, self.stream & _MASK64], dtype=np.uint64)
+        return np.array([self.master, self.stream], dtype=np.uint64)
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(key=self._key()))

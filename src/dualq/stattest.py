@@ -1,12 +1,18 @@
-"""Monte Carlo verification of the distributional results.
+"""Monte Carlo verification of the distributional results, and the report type.
 
 Each experiment is a pure function of its parameters and a
 :class:`~dualq.sampling.Seed`: rerunning with the same arguments rebuilds
-the identical report, byte for byte.  Verdicts are goodness-of-fit tests,
-never exact-equality claims.  The test primitives return what scipy
-returns, a statistic, a p-value and the sample size, as a :class:`GofResult`;
-the :class:`ExperimentReport` holds the one pre-registered significance
-level ``alpha`` and decides every test's verdict and its own.
+the identical report, byte for byte.  Their verdicts are goodness-of-fit
+tests, never exact-equality claims.  The test primitives return what scipy
+returns, a statistic, a p-value and the sample size, as a :class:`GofResult`.
+
+:class:`ExperimentReport` is the package's one report type; the CLI's
+random-case checks report through it too.  It holds the one pre-registered
+significance level ``alpha`` and tests of two kinds.  A statistical test,
+a :class:`GofResult`, passes when its p-value is at least ``alpha``.  An
+exact test, an :class:`ExactResult`, passes when none of its cases failed,
+whatever ``alpha`` is.  A report with empty ``diagnostics`` leaves that key
+out of :meth:`~ExperimentReport.to_dict`.
 
 burke's queue is in equilibrium from customer 1, whose wait is a stationary
 draw; zigzag-law counts the run tuples that
@@ -67,6 +73,7 @@ from .schur import (
 
 __all__ = [
     "GofResult",
+    "ExactResult",
     "ExperimentReport",
     "DegenerateTestError",
     "ks_test",
@@ -96,20 +103,50 @@ class DegenerateTestError(ValueError):
 
 @dataclass(frozen=True)
 class GofResult:
-    """One test's outcome as scipy gives it; the verdict is the report's."""
+    """A statistical test's outcome as scipy gives it; the report's alpha
+    judges it: it passes when its p-value is at least that level."""
 
     name: str
     statistic: float
     p_value: float
     n_samples: int
 
+    def passes(self, alpha: float) -> bool:
+        return self.p_value >= alpha
+
+    def to_dict(self, alpha: float) -> dict:
+        return {"name": self.name, "statistic": float(self.statistic),
+                "p_value": float(self.p_value), "n_samples": int(self.n_samples),
+                "alpha": alpha, "passed": self.passes(alpha)}
+
+
+@dataclass(frozen=True)
+class ExactResult:
+    """An exact check over ``n_samples`` cases, ``failures`` of which broke
+    it.  It passes when none did, at any alpha, and serializes as a test at
+    level 0.0 whose statistic is the failure count and whose p-value is 1.0
+    on a pass and 0.0 on a fail."""
+
+    name: str
+    failures: int
+    n_samples: int
+
+    def passes(self, alpha: float) -> bool:
+        return self.failures == 0
+
+    def to_dict(self, alpha: float) -> dict:
+        ok = self.passes(alpha)
+        return {"name": self.name, "statistic": int(self.failures),
+                "p_value": 1.0 if ok else 0.0, "n_samples": int(self.n_samples),
+                "alpha": 0.0, "passed": ok}
+
 
 @dataclass
 class ExperimentReport:
-    """An experiment's tests, judged at one significance level: a test
-    passes when its p-value is at least ``alpha``.  Each experiment checks
-    its inputs and builds its report before it imports scipy or draws, so
-    bad input, a bad ``alpha`` included, costs no run."""
+    """A run's tests, statistical and exact, judged at one significance
+    level ``alpha``, which only the statistical tests read.  Each experiment
+    checks its inputs and builds its report before it imports scipy or
+    draws, so bad input, a bad ``alpha`` included, costs no run."""
 
     name: str
     params: dict
@@ -122,25 +159,21 @@ class ExperimentReport:
         if not 0 < self.alpha < 1:  # NaN fails too
             raise ValueError(f"alpha must lie strictly in (0, 1), got {self.alpha}")
 
-    def _passes(self, r: GofResult) -> bool:
-        return r.p_value >= self.alpha
-
     @property
     def passed(self) -> bool:
-        return all(map(self._passes, self.results))
+        return all(r.passes(self.alpha) for r in self.results)
 
     def to_dict(self) -> dict:
-        tests = [{"name": r.name, "statistic": float(r.statistic),
-                  "p_value": float(r.p_value), "n_samples": int(r.n_samples),
-                  "alpha": self.alpha, "passed": self._passes(r)} for r in self.results]
-        return {
+        report = {
             "name": self.name,
             "params": self.params,
             "seed": {"master": self.seed.master, "stream": self.seed.stream},
-            "tests": tests,
-            "diagnostics": self.diagnostics,
+            "tests": [r.to_dict(self.alpha) for r in self.results],
             "verdict": "pass" if self.passed else "fail",
         }
+        if self.diagnostics:
+            report["diagnostics"] = self.diagnostics
+        return report
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -376,7 +377,38 @@ def test_particles_names_first_failure(capsys, monkeypatch):
     code, out, _ = run(capsys, "particles", "--cases", "10", "--seed", "4")
     assert code == 1
     first = json.loads(out)["diagnostics"]["first_failure"]
-    assert first == {"case": 0, "matrix": _case_matrix(4, 0, 5, 5)}
+    assert first == {"case": 0, "matrix": _case_matrix(4, 0, 5, 5),
+                     "equivalences": ["bus-stop-loads"]}
+
+
+_BREAKS = {  # equivalence -> the particle function it reads, and a wrong version of it
+    "zero-range-jumps": ("zero_range_run", lambda real: lambda U: [
+        dataclasses.replace(e, slot=e.slot + 1) for e in real(U)]),
+    "bus-stop-loads": ("bus_stop_run", lambda real: lambda U: real(U) + 1),
+    "exclusion-inverse": ("from_exclusion", lambda real: lambda config: real(config) + [0]),
+    "exclusion-step": ("exclusion_step",
+                       lambda real: lambda config, buses: np.append(real(config, buses), 1)),
+}
+
+
+@pytest.mark.parametrize("equivalence", sorted(_BREAKS))
+def test_particle_failure_names_the_broken_equivalence(capsys, monkeypatch, equivalence):
+    name, wrong = _BREAKS[equivalence]
+    monkeypatch.setattr(particles, name, wrong(getattr(particles, name)))
+    code, out, _ = run(capsys, "particles", "--cases", "10", "--seed", "4")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["tests"][0]["statistic"] == 10
+    assert payload["diagnostics"]["first_failure"]["equivalences"] == [equivalence]
+
+
+@pytest.mark.parametrize("subcommand", ["burke", "verify-identities", "particles"])
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_outside_64_bits_exits_two(capsys, subcommand, seed):
+    # masked to 64 bits, --seed -1 drew the stream of seed 2**64 - 1
+    code, out, err = run(capsys, subcommand, "--seed", seed)
+    assert code == 2 and out == ""
+    assert "seed master must lie in 0..2**64 - 1" in err
 
 
 # --- config types, dropped and invalid inputs ----------------------------------

@@ -58,6 +58,15 @@ def test_substream_refuses_colliding_paths():
     assert Seed(0).substream(2**32 - 2).substream(2**32 - 2).stream == 2**64 - 1
 
 
+@pytest.mark.parametrize("master, stream", [(2**64, 0), (-1, 0), (0, -1), (0, 2**64)])
+def test_seed_refuses_words_outside_64_bits(master, stream):
+    # masked to 64 bits, Seed(2**64) drew Seed(0)'s stream, Seed(-1) drew
+    # Seed(2**64 - 1)'s, and Seed(0, -1) had the key of a depth-two path
+    with pytest.raises(ValueError, match=r"must lie in 0\.\.2\*\*64 - 1"):
+        Seed(master, stream)
+    assert Seed(2**64 - 1, 2**64 - 1)._key().tolist() == [2**64 - 1] * 2
+
+
 def _key(master, path):
     s = Seed(master)
     for i in path:

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from collections import Counter
 from dataclasses import fields
@@ -8,7 +9,7 @@ import scipy
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
-from dualq import stattest
+from dualq import cli, particles, stattest
 from dualq.sampling import (
     RateParams,
     Seed,
@@ -21,6 +22,7 @@ from dualq.sampling import (
 )
 from dualq.stattest import (
     DegenerateTestError,
+    ExactResult,
     ExperimentReport,
     GofResult,
     burke_experiment,
@@ -746,12 +748,64 @@ def test_laguerre_quoted_reference_fails():
     assert not rep.passed
 
 
-def test_report_schema():
-    rep = laguerre_check(1, 1_000, Seed(603))
-    d = rep.to_dict()
+_TEST_KEYS = {"name", "statistic", "p_value", "n_samples", "alpha", "passed"}
+
+
+def test_report_schema(capsys, monkeypatch):
+    # one schema for every report: the experiments' and the random-case checks'
+    d = laguerre_check(1, 1_000, Seed(603)).to_dict()
     assert set(d) == {"name", "params", "seed", "tests", "diagnostics", "verdict"}
-    assert set(d["tests"][0]) == {"name", "statistic", "p_value", "n_samples",
-                                  "alpha", "passed"}
+    assert set(d["tests"][0]) == _TEST_KEYS
+    for argv in (["verify-identities", "--cases", "20"], ["particles", "--cases", "20"]):
+        assert cli.main(argv) == 0
+        d = json.loads(capsys.readouterr().out)
+        assert set(d) == {"name", "params", "seed", "tests", "verdict"}  # nothing to diagnose
+        assert [set(t) for t in d["tests"]] == [_TEST_KEYS]
+    real = particles.bus_stop_run
+    monkeypatch.setattr(particles, "bus_stop_run", lambda U: real(U) + 1)
+    assert cli.main(["particles", "--cases", "20"]) == 1
+    d = json.loads(capsys.readouterr().out)
+    assert set(d) == {"name", "params", "seed", "tests", "diagnostics", "verdict"}
+    assert [set(t) for t in d["tests"]] == [_TEST_KEYS]
+    assert set(d["diagnostics"]) == {"first_failure"}
+
+
+@pytest.mark.parametrize("alpha", [1e-12, 0.01, 0.5, 1 - 1e-12])
+@pytest.mark.parametrize("failures", [0, 1, 7])
+def test_exact_test_passes_iff_no_case_fails(alpha, failures):
+    rep = ExperimentReport("exact", {}, Seed(0), alpha, [ExactResult("t", failures, 10)])
+    assert rep.passed is (failures == 0)
+    assert rep.to_dict()["verdict"] == ("pass" if failures == 0 else "fail")
+
+
+@pytest.mark.parametrize("failures", [0, 3])
+def test_exact_test_serializes_as_a_p_value_at_level_zero(failures):
+    rep = ExperimentReport("exact", {}, Seed(0), 0.3, [ExactResult("t", failures, 10)])
+    (test,) = rep.to_dict()["tests"]
+    assert test == {"name": "t", "statistic": failures, "p_value": 0.0 if failures else 1.0,
+                    "n_samples": 10, "alpha": 0.0, "passed": failures == 0}
+    assert type(test["statistic"]) is int  # written as 3, not 3.0
+
+
+def test_mixed_report_judges_each_test_by_its_kind():
+    for exact, gof, alpha, verdicts in (
+            (ExactResult("e", 0, 5), GofResult("g", 1.0, 0.02, 5), 0.01, [True, True]),
+            (ExactResult("e", 0, 5), GofResult("g", 1.0, 0.02, 5), 0.05, [True, False]),
+            (ExactResult("e", 2, 5), GofResult("g", 1.0, 0.5, 5), 0.05, [False, True])):
+        rep = ExperimentReport("mixed", {}, Seed(0), alpha, [exact, gof])
+        tests = rep.to_dict()["tests"]
+        assert [t["passed"] for t in tests] == verdicts
+        assert [t["alpha"] for t in tests] == [0.0, alpha]
+        assert rep.passed is all(verdicts)
+
+
+@pytest.mark.parametrize("diagnostics, present", [
+    ({}, False), ({"first_failure": {}}, True), ({"proposals": 0}, True)])
+def test_report_omits_only_empty_diagnostics(diagnostics, present):
+    d = ExperimentReport("d", {}, Seed(0), 0.01, [], diagnostics).to_dict()
+    assert ("diagnostics" in d) is present
+    if present:
+        assert d["diagnostics"] == diagnostics
 
 
 def test_report_applies_its_alpha_to_every_test():
