@@ -5,8 +5,9 @@ Each subcommand is one entry of :data:`COMMANDS`, declared with
 a runner that takes the merged settings and returns ``(payload, ok)``.
 Every subcommand accepts ``--config FILE`` (a JSON object with the same
 keys as the flags, each value of its flag's type; flags win) and
-``--output PATH``; the report subcommands also take ``--format json|csv``,
-while ``trace`` always writes CSV.  Exit status: 0 when every check
+``--output PATH``; the report subcommands also take ``--format json|csv``
+(a failing CSV report ends with its reproducer, :func:`_render`), while
+``trace`` always writes CSV.  Exit status: 0 when every check
 passes, 1 when a verdict fails, 2 on usage errors.  Reports carry the seed
 and parameters, so identical invocations produce identical bytes.
 
@@ -245,26 +246,29 @@ def _particle_failures(n, k, E, sites) -> dict:
     commutes with a bus-stop slot on the case's site counts (an ample
     reservoir added at site 1) and buses.  A failing case records the names
     of those that broke, under ``equivalences``.  The two tandem scans run
-    once per shape group, the particle simulations once per case."""
+    once per shape group, the particle simulations once per case, and the
+    cases compare lists of Python numbers."""
     failures = {}
     for N, K, members in _shape_groups(n, k):
         u = E[members, :N, :K]
         D = tandem.queue_departures_batch(u).tolist()
-        r = tandem._store_scan(tandem._rows_last(u))[0]
+        r = tandem._store_scan(tandem._rows_last(u))[0].transpose(2, 0, 1).tolist()
+        totals = u.sum(axis=(1, 2)).tolist()
         for m, i in enumerate(members.tolist()):
             U = tandem.ServiceMatrix(u[m])
             jumps = {(e.particle, e.site): e.slot for e in particles.zero_range_run(U)}
             counts, buses = (s[i, :K].tolist() for s in sites)
-            counts[0] += int(u[m].sum())
+            counts[0] += totals[m]
             config = particles.to_exclusion(counts)
+            stepped = particles.exclusion_step(config, buses).tolist()
+            slot = particles.to_exclusion(particles.bus_stop_step(counts, buses)[0]).tolist()
             holds = {
                 "zero-range-jumps": all(jumps.get((p, j)) == D[m][p][j]
                                         for p in range(1, N + 1) for j in range(1, K + 1)),
-                "bus-stop-loads": np.array_equal(particles.bus_stop_run(U), r[:, :, m]),
+                "bus-stop-loads": particles.bus_stop_run(U).tolist() == r[m],
                 "exclusion-inverse": particles.from_exclusion(config) == counts,
-                "exclusion-step": np.array_equal(
-                    np.trim_zeros(particles.exclusion_step(config, buses), "f"),
-                    particles.to_exclusion(particles.bus_stop_step(counts, buses)[0])),
+                # the same cells after the holes the departed material left
+                "exclusion-step": stepped == [0] * (len(stepped) - len(slot)) + slot,
             }
             broken = [name for name, ok in holds.items() if not ok]
             if broken:
@@ -293,6 +297,9 @@ def _trace(cfg):
 
 
 def _render(payload, fmt) -> str:
+    """The report as text.  CSV holds the test table; a failing report
+    follows it with a blank row and a (key, value) table of its reproducer,
+    the seed, the params and each diagnostic, every value as JSON."""
     if isinstance(payload, str):  # trace: CSV already
         return payload
     if fmt == "json":
@@ -303,6 +310,11 @@ def _render(payload, fmt) -> str:
     for t in payload["tests"]:
         writer.writerow([t["name"], t["statistic"], t["p_value"],
                          t["n_samples"], t["alpha"], t["passed"]])
+    if payload["verdict"] == "fail":
+        writer.writerows([[], ["key", "value"]])
+        for key, value in (("seed", payload["seed"]), ("params", payload["params"]),
+                           *sorted(payload.get("diagnostics", {}).items())):
+            writer.writerow([key, json.dumps(value, sort_keys=True)])
     return buf.getvalue()
 
 

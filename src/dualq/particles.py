@@ -12,6 +12,13 @@ occupied cell per site followed by one empty cell per resident particle,
 downstream sites first.  A bus-stop slot then reads as every marker
 jumping right by its bus size, clipped so nobody overtakes, processed left
 to right.
+
+The simulations are oracles for the tandem kernels, sharing no code with
+them.  They and the exclusion maps turn their array input into Python
+numbers with one ``tolist()`` a call and run their per-slot and
+per-marker loops on Python ints and floats, which cost far less per
+operation than numpy scalars on matrices this small; they are the same
+values, so the outputs and their dtypes are the numpy version's.
 """
 
 from __future__ import annotations
@@ -56,11 +63,11 @@ def zero_range_run(U) -> list[JumpEvent]:
     if U.u.dtype.kind != "i":
         raise ValueError("zero-range clocks need integer entries")
     N, K = U.N, U.K
-    u = U.u
+    u = U.u.tolist()
     # sites[j] lists resident particle ids front-first; the front of a
     # nonempty site has clocks[j] service left and became front at front_since[j]
     sites = [deque(range(1, N + 1))] + [deque() for _ in range(K - 1)]
-    clocks = [int(u[0, 0])] + [None] * (K - 1)
+    clocks = [u[0][0]] + [None] * (K - 1)
     front_since = [0] * K
     log: list[JumpEvent] = []
 
@@ -76,19 +83,19 @@ def zero_range_run(U) -> list[JumpEvent]:
                 log.append(JumpEvent(particle=p, site=j + 1, slot=t))
                 moved = True
                 if sites[j]:
-                    clocks[j] = int(u[sites[j][0] - 1, j])
+                    clocks[j] = u[sites[j][0] - 1][j]
                     front_since[j] = t
                 else:
                     clocks[j] = None
                 if j + 1 < K:
                     sites[j + 1].append(p)
                     if len(sites[j + 1]) == 1:
-                        clocks[j + 1] = int(u[p - 1, j + 1])
+                        clocks[j + 1] = u[p - 1][j + 1]
                         front_since[j + 1] = t
 
     cascade(0)
     t = 0
-    horizon_guard = int(u.sum()) + N * K + 2
+    horizon_guard = sum(map(sum, u)) + N * K + 2
     while any(sites):  # a particle leaving the last site is gone
         t += 1
         if t > horizon_guard:
@@ -100,21 +107,17 @@ def zero_range_run(U) -> list[JumpEvent]:
     return log
 
 
-def bus_stop_step(counts, bus_sizes) -> tuple[list, list]:
-    """One synchronous slot of the bus-stop dynamics.
+def _amounts(x, what: str) -> list:
+    """``x`` as a list of Python numbers; ValueError unless each is finite
+    and nonnegative (NaN fails the range test too)."""
+    x = np.asarray(x).tolist()
+    if not all(0 <= v < math.inf for v in x):
+        raise ValueError(f"{what} must be finite and nonnegative")
+    return x
 
-    ``counts[j]`` is what is available at site j+1 this slot (last slot's
-    arrivals included); every bus loads min(size, available) and its cargo
-    joins the next site's availability for the following slot.  Sizes
-    are nonnegative reals, as the entries of a float matrix are.  Returns
-    (new counts, transported amounts).
-    """
-    counts = list(counts)
-    bus_sizes = list(bus_sizes)
-    if len(counts) != len(bus_sizes):
-        raise ValueError("need one bus size per site")
-    if not all(b >= 0 for b in bus_sizes):  # NaN fails too
-        raise ValueError("bus sizes must be nonnegative")
+
+def _bus_slot(counts: list, bus_sizes: list) -> tuple[list, list]:
+    """:func:`bus_stop_step` on checked lists of Python numbers."""
     moved = [min(b, c) for b, c in zip(bus_sizes, counts)]
     nxt = [c - m for c, m in zip(counts, moved)]
     for j in range(1, len(counts)):
@@ -122,13 +125,30 @@ def bus_stop_step(counts, bus_sizes) -> tuple[list, list]:
     return nxt, moved
 
 
+def bus_stop_step(counts, bus_sizes) -> tuple[list, list]:
+    """One synchronous slot of the bus-stop dynamics.
+
+    ``counts[j]`` is what is available at site j+1 this slot (last slot's
+    arrivals included); every bus loads min(size, available) and its cargo
+    joins the next site's availability for the following slot.  Counts
+    and sizes are finite nonnegative reals, as the entries of a float
+    matrix are.  Returns (new counts, transported amounts).
+    """
+    counts = _amounts(counts, "counts")
+    bus_sizes = _amounts(bus_sizes, "bus sizes")
+    if len(counts) != len(bus_sizes):
+        raise ValueError("need one bus size per site")
+    return _bus_slot(counts, bus_sizes)
+
+
 def _bus_stop_slots(U) -> tuple[list, list]:
     """Site counts at every slot boundary (the initial ones first) and the
     amounts each slot transported; bus j of slot n has size u(n, K+1-j)."""
-    counts = [U.u[:, -1].sum() + 1] + [0] * (U.K - 1)  # a reservoir that never runs dry
+    # a reservoir that never runs dry, summed as numpy sums it
+    counts = [U.u[:, -1].sum().item() + 1] + [0] * (U.K - 1)
     history, moves = [counts], []
-    for row in U.u:
-        counts, moved = bus_stop_step(counts, row[::-1])
+    for row in U.u.tolist():
+        counts, moved = _bus_slot(counts, row[::-1])
         history.append(counts)
         moves.append(moved)
     return history, moves
@@ -152,7 +172,8 @@ def to_exclusion(counts) -> np.ndarray:
     truncated) count ending the configuration.
     """
     counts = list(counts)
-    if not counts or any(c < 0 or int(c) != c for c in counts):
+    # the range test first: int() raises on NaN and inf
+    if not counts or not all(0 <= c < math.inf and int(c) == c for c in counts):
         raise ValueError("counts must be nonnegative integers")
     cells = []
     for m in reversed(counts):
@@ -161,15 +182,25 @@ def to_exclusion(counts) -> np.ndarray:
     return np.array(cells, dtype=np.int8)
 
 
+def _cells(config) -> list:
+    """A 0/1 configuration as a list of Python numbers; ValueError unless it
+    is 1-d and every cell is 0 or 1."""
+    config = np.asarray(config)
+    if config.ndim != 1:
+        raise ValueError("a configuration is a 1-d sequence of cells")
+    cells = config.tolist()
+    if not set(cells) <= {0, 1}:  # equal to 0 or 1: bools and 1.0 count, NaN fails
+        raise ValueError("cells must be 0 or 1")
+    return cells
+
+
 def from_exclusion(config) -> list:
     """Inverse of :func:`to_exclusion`: recover the per-site counts."""
-    config = np.asarray(config)
-    ones = np.flatnonzero(config == 1)
-    if ones.size == 0 or ones[0] != 0:
+    cells = _cells(config)
+    if not cells or cells[0] != 1:
         raise ValueError("configuration must start at a site marker")
-    bounds = np.append(ones, config.size)
-    gaps = [int(bounds[i + 1] - bounds[i] - 1) for i in range(ones.size)]
-    return gaps[::-1]
+    ones = [i for i, c in enumerate(cells) if c == 1] + [len(cells)]
+    return [ones[i + 1] - ones[i] - 1 for i in range(len(ones) - 2, -1, -1)]
 
 
 def occupancy_history(U, model: str = "bus-stop") -> np.ndarray:
@@ -204,25 +235,24 @@ def exclusion_step(config, bus_sizes) -> np.ndarray:
     Markers (read left to right, i.e. downstream store first) jump right by
     their site's bus size, clipped by the gap to the next marker; cells a
     marker walks past turn into holes behind it.  ``bus_sizes`` is given in
-    site order (site 1 drives the rightmost marker), nonnegative integers.
-    The configuration keeps its length; holes opening at the left edge are
-    departed material.
+    site order (site 1 drives the rightmost marker), nonnegative integers;
+    every cell of ``config`` is 0 or 1.  The configuration keeps its
+    length; holes opening at the left edge are departed material.
     """
-    out = np.asarray(config, dtype=np.int8).copy()
-    positions = np.flatnonzero(out == 1)
-    if positions.size != len(bus_sizes):
+    out = _cells(config)
+    bus_sizes = np.asarray(bus_sizes).tolist()
+    positions = [i for i, c in enumerate(out) if c == 1]
+    if len(positions) != len(bus_sizes):
         raise ValueError("need one bus size per marker")
     # the range test first: int() raises on NaN and inf
     if not all(0 <= b < math.inf and int(b) == b for b in bus_sizes):
         raise ValueError("bus sizes must be nonnegative integers")
-    n_markers = positions.size
-    for i in range(n_markers):
-        pos = positions[i]
-        limit = positions[i + 1] if i + 1 < n_markers else out.size
-        gap = limit - pos - 1
-        jump = min(int(bus_sizes[n_markers - 1 - i]), int(gap))
+    n_markers = len(positions)
+    for i, pos in enumerate(positions):
+        limit = positions[i + 1] if i + 1 < n_markers else len(out)
+        jump = min(int(bus_sizes[n_markers - 1 - i]), limit - pos - 1)
         if jump:
             out[pos] = 0
             out[pos + jump] = 1
             positions[i] = pos + jump
-    return out
+    return np.array(out, dtype=np.int8)

@@ -393,9 +393,14 @@ def _six_way(u: np.ndarray) -> tuple:
     lam1[:, 1], lamK[:, 1] = _operator_chains(words, M, K)
     lam1[:, 2] = _path_sums(u, _up_right_paths).max(axis=-1)
     lamK[:, 2] = _path_sums(u, _skew_paths).min(axis=-1)
-    for b in range(B):  # row insertion: one fold per case
-        sh = tableau_of(words[b, :M[b]]).shape() + (0,) * K
-        lam1[b, 0], lamK[b, 0] = sh[0], sh[K - 1]
+    # row insertion: one fold per case; the lengths of the first and K-th
+    # rows are lambda_1 and lambda_K, 0 for a row the tableau lacks
+    first, last = [], []
+    for b, m in enumerate(M.tolist()):
+        rows = tableau_of(words[b, :m]).rows
+        first.append(len(rows[0]) if rows else 0)
+        last.append(len(rows[K - 1]) if len(rows) >= K else 0)
+    lam1[:, 0], lamK[:, 0] = first, last
     lam1[:, 3] = tandem.queue_departures_batch(u)[:, N, K]
     lamK[:, 3] = tandem.store_departures_batch(u)[:, -1]
     ok = (lam1 == lam1[:, :1]).all(axis=1) & (lamK == lamK[:, :1]).all(axis=1)

@@ -23,6 +23,15 @@ back in front.  Scans over customers go through
 :func:`queue_store._accumulate`: a loop over rows when a row holds more
 entries than there are customers, ``ufunc.accumulate`` otherwise, chosen
 from the shape alone and adding in the same order either way.
+
+The queue kernel is a closed-form scan over the customers, stage by stage
+(:func:`queue_store._fifo_series`).  The store kernel has its min-plus
+mirror (:func:`_store_series`) and a slot-by-slot loop, picked from the
+dtype and the shape alone: integer batches whose slot axis is longer than
+a slot's row (N > K * reps, the rule of ``_accumulate``) take the closed
+form; real entries take the loop, the only path that adds in the cell
+recursion's order and so gives its bits, and so do wide integer batches,
+where the loop is the faster.  Integer outputs are equal on both paths.
 """
 
 from __future__ import annotations
@@ -148,15 +157,24 @@ def _store_scan(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-slot shipments r (N, K, B) and stocks w (N+1, K, B) of the store
     tandem of each (N, K) slice u[:, :, b].
 
-    One step per slot updates every store at once: stores 2..K receive
-    what their predecessors shipped the slot before, then ship
-    min(stock + inflow, request) and keep the rest.
+    Store j requests u(., K+1-j); store 1 always meets its request, and
+    stores 2..K receive what their predecessors shipped the slot before,
+    ship min(stock + inflow, request) and keep the rest.  Integer batches
+    whose slot axis is longer than a slot's row (N > K * B, the shape rule
+    of :func:`queue_store._accumulate`) run that recursion stage by stage
+    in closed form (:func:`_store_series`).  Real entries and wide batches
+    step slot by slot, updating every store at once: in floats only the
+    slot loop adds in the cell recursion's order, so only it gives the
+    cell recursion's bits, and on wide integer batches it is the faster.
     """
     N, K, B = u.shape
     req = u[:, ::-1]  # store j requests u(., K+1-j)
     r = np.empty_like(u)
     w = np.zeros((N + 1, K, B), dtype=u.dtype)
     r[:, 0] = req[:, 0]  # store 1 always meets its request
+    if u.dtype.kind == "i" and N > K * B:
+        _store_series(req, r, w)
+        return r, w
     for n in range(N if K > 1 else 0):
         avail = w[n + 1, 1:]  # stock + inflow, then what is kept
         if n:
@@ -164,6 +182,34 @@ def _store_scan(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.minimum(avail, req[n, 1:], out=r[n, 1:])
         avail -= r[n, 1:]
     return r, w
+
+
+def _store_series(req: np.ndarray, r: np.ndarray, w: np.ndarray) -> None:
+    """Stores 2..K of an integer store tandem in closed form, written into
+    ``r`` and ``w``, whose store-1 column is already set.
+
+    The min-plus mirror of :func:`queue_store._fifo_series`: with Q_j the
+    partial sums of store j's requests and I_j(n) = R_{j-1}(n-1) its
+    cumulative inflow, store j's cumulative output is
+    R_j = Q_j + min(0, cummin(I_j - Q_j)), its shipments r = diff(R) and
+    its stocks w = I_j - R_j.  I_j(1) = 0, so the cummin starts at
+    -Q_j(1) <= 0 and the min with 0 is already taken.  Every scan goes
+    through :func:`queue_store._accumulate`; the scratch is three (N, B)
+    arrays.
+    """
+    N, K, B = req.shape
+    R = _accumulate(np.add, req[:, 0])  # R_1: the requests of store 1
+    Q, I = np.empty((2, N, B), dtype=req.dtype)
+    I[0] = 0  # nothing reaches a store in the first slot
+    for j in range(1, K):
+        _accumulate(np.add, req[:, j], Q)
+        I[1:] = R[:-1]
+        np.subtract(I, Q, out=R)  # R_j overwrites R_{j-1}, already copied into I
+        _accumulate(np.minimum, R, R)
+        R += Q
+        np.subtract(I, R, out=w[1:, j])
+        r[0, j] = R[0]
+        np.subtract(R[1:], R[:-1], out=r[1:, j])
 
 
 def queue_departures(U) -> np.ndarray:

@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import re
@@ -400,6 +402,37 @@ def test_particle_failure_names_the_broken_equivalence(capsys, monkeypatch, equi
     payload = json.loads(out)
     assert payload["tests"][0]["statistic"] == 10
     assert payload["diagnostics"]["first_failure"]["equivalences"] == [equivalence]
+
+
+def test_passing_csv_report_is_the_test_table(capsys):
+    code, out, _ = run(capsys, "verify-identities", "--cases", "50", "--format", "csv")
+    assert code == 0
+    assert out == ("test,statistic,p_value,n_samples,alpha,passed\r\n"
+                   "six-way-identity,0,1.0,50,0.0,True\r\n")
+
+
+@pytest.mark.parametrize("argv, name, broken", [
+    (["verify-identities", "--cases", "50"], "queue_departures_batch",
+     lambda real: lambda u: real(u) + 1),
+    (["particles", "--cases", "20"], "bus_stop_run", lambda real: lambda U: real(U) + 1),
+], ids=["verify-identities", "particles"])
+def test_failing_csv_report_names_its_reproducer(capsys, monkeypatch, argv, name, broken):
+    # the CSV of a failing report carries what its JSON carries to reproduce it
+    module = tandem if name in vars(tandem) else particles
+    monkeypatch.setattr(module, name, broken(getattr(module, name)))
+    code, out, _ = run(capsys, *argv, "--seed", "4")
+    assert code == 1
+    payload = json.loads(out)
+    code, out, _ = run(capsys, *argv, "--seed", "4", "--format", "csv")
+    assert code == 1
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[:2] == [["test", "statistic", "p_value", "n_samples", "alpha", "passed"],
+                        [payload["tests"][0]["name"], str(payload["tests"][0]["statistic"]),
+                         "0.0", argv[-1], "0.0", "False"]]
+    assert rows[2:4] == [[], ["key", "value"]]
+    assert {key: json.loads(value) for key, value in rows[4:]} == {
+        "seed": payload["seed"], "params": payload["params"],
+        "first_failure": payload["diagnostics"]["first_failure"]}
 
 
 @pytest.mark.parametrize("subcommand", ["burke", "verify-identities", "particles"])

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dualq.particles import (
     bus_stop_run,
@@ -88,6 +88,29 @@ def test_bus_stop_matches_store_flow(U):
     assert np.array_equal(bus_stop_run(U), store_flow(U)[0])
 
 
+@settings(deadline=None, max_examples=80)
+@given(st.integers(1, 6).flatmap(lambda n: st.integers(1, 5).flatmap(
+    lambda k: st.lists(st.floats(0, 10, allow_nan=False, allow_infinity=False),
+                       min_size=n * k, max_size=n * k).map(
+        lambda x: np.array(x).reshape(n, k)))))
+@example(np.random.default_rng(0).exponential(size=(12, 4)))
+def test_bus_stop_matches_store_flow_on_real_entries(u):
+    # each slot adds and clips in the store kernel's order: the same bits
+    out = bus_stop_run(ServiceMatrix(u))
+    r = store_flow(u)[0]
+    assert out.dtype == r.dtype == np.float64 and np.array_equal(out, r)
+
+
+def test_oracles_keep_their_dtypes():
+    for u, dtype in ((U22.u, np.int64), (U22.u * 0.5, np.float64)):
+        assert bus_stop_run(ServiceMatrix(u)).dtype == dtype
+        assert occupancy_history(ServiceMatrix(u)).dtype == np.int64
+    stepped = exclusion_step(np.array([1, 0, 1, 0], dtype=np.int64), [1, 1])
+    assert stepped.dtype == np.int8 and stepped.tolist() == [0, 1, 0, 1]
+    assert all(type(e.slot) is int for e in zero_range_run(U22))
+    assert from_exclusion(np.array([1, 0, 1], dtype=np.int8)) == [0, 1]
+
+
 def test_bus_stop_step_conserves():
     counts = [9, 2, 0, 4]
     nxt, moved = bus_stop_step(counts, [3, 5, 1, 2])
@@ -164,9 +187,22 @@ def test_exclusion_step_commutes_with_bus_stop(counts, master):
     (lambda: bus_stop_step([3, 1], [-2, 1]), "nonnegative"),  # counts were [5, -2]
     (lambda: exclusion_step([1, 0, 0, 1, 0], [0, -2]), "nonnegative integers"),  # a marker lost
     (lambda: exclusion_step([1, 0, 0, 1, 0], [1.5, 1.7]), "nonnegative integers"),  # truncated
+    (lambda: to_exclusion([np.inf]), "nonnegative integers"),  # OverflowError
+    (lambda: from_exclusion([1, 2, 0]), "0 or 1"),  # returned [2]
+    (lambda: from_exclusion([1, 0.5, 1]), "0 or 1"),  # returned [0, 1]
+    (lambda: from_exclusion([[1, 0], [1, 0]]), "1-d"),
+    (lambda: exclusion_step([1, 0.5, 0, 1], [1, 1]), "0 or 1"),  # 0.5 truncated to 0
+    (lambda: exclusion_step([1, 0, 300, 1], [1, 1]), "0 or 1"),  # OverflowError
+    (lambda: bus_stop_step([-3, 2], [1, 1]), "finite and nonnegative"),  # loads [-3, 1]
+    (lambda: bus_stop_step([np.nan, 2], [1, 1]), "finite and nonnegative"),
+    (lambda: bus_stop_step([np.inf, 2], [1, 1]), "finite and nonnegative"),
+    (lambda: bus_stop_step([3, 2], [np.inf, 1]), "finite and nonnegative"),
 ], ids=["too-few-buses", "too-many-buses", "too-few-exclusion-buses",
         "too-many-exclusion-buses", "negative-count", "fractional-count",
-        "negative-bus", "negative-exclusion-bus", "fractional-exclusion-bus"])
+        "negative-bus", "negative-exclusion-bus", "fractional-exclusion-bus",
+        "infinite-count", "cell-of-two", "fractional-cell", "2-d-configuration",
+        "fractional-exclusion-cell", "exclusion-cell-past-int8", "negative-bus-count",
+        "nan-bus-count", "infinite-bus-count", "infinite-bus"])
 def test_particle_inputs_are_checked(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dualq import tandem
 from dualq.queue_store import _accumulate
 from dualq.rsk import (
     growth_shapes,
@@ -323,6 +324,68 @@ def test_float_layouts_equal_scalar_entry_points(B, N, K):
     D = queue_cells(u[-1])
     assert np.max(np.abs(D3[-1] - D)) <= 1e-12 * max(1.0, float(D.max()))
     assert np.array_equal(R2[-1], store_cells(u[-1])[2])
+
+
+# --- the store scan's two paths ----------------------------------------------------
+#
+# Integer batches whose slot axis is longer than a slot's row (N > K * B) run the
+# store recursion stage by stage in closed form; real entries and wide batches step
+# slot by slot.  Both must give the cell recursion's integers.
+
+def closed_form_calls(monkeypatch):
+    """Record the shape of every batch the closed form runs on."""
+    calls = []
+    real = tandem._store_series
+
+    def recording(req, r, w):
+        calls.append(req.shape)
+        return real(req, r, w)
+
+    monkeypatch.setattr(tandem, "_store_series", recording)
+    return calls
+
+
+@pytest.mark.parametrize("B, K, extra, closed", [
+    (1, 1, 0, False), (1, 1, 1, True), (2, 3, 0, False), (2, 3, 1, True),
+    (3, 4, 0, False), (3, 4, 1, True)])
+def test_store_path_boundary(monkeypatch, B, K, extra, closed):
+    N = K * B + extra
+    u = Seed(23).generator().integers(0, 7, size=(B, N, K))
+    calls = closed_form_calls(monkeypatch)
+    R2 = store_departures_batch(u)
+    assert calls == ([(N, K, B)] if closed else [])
+    for i in range(B):
+        assert np.array_equal(R2[i], store_cells(u[i])[2])
+
+
+def test_store_closed_form_on_a_long_matrix(monkeypatch):
+    u = Seed(24).generator().integers(0, 6, size=(3000, 7))
+    calls = closed_form_calls(monkeypatch)
+    got, want = store_flow(u), store_cells(u)
+    assert calls == [(3000, 7, 1)]
+    for g, x in zip(got, want):
+        assert g.dtype == x.dtype == np.int64 and np.array_equal(g, x)
+
+
+def test_store_closed_form_just_below_the_int64_limit(monkeypatch):
+    # K = 3 and N = 4 > K: every stage runs on the closed path, on a slice whose
+    # entries sum to 2**63 - 1, the largest R(N) that fits
+    u = np.full((4, 3), 2**59 + 2**57 + 2**55, dtype=np.int64)
+    u[0, 0] = u[-1, -1] = 0
+    u[-1, -1] = 2**63 - 1 - int(u.sum())
+    assert sum(u.ravel().tolist()) == 2**63 - 1 and u.min() >= 0
+    calls = closed_form_calls(monkeypatch)
+    r, w, R = store_flow(u)
+    assert calls == [(4, 3, 1)]
+    for got, want in zip((r, w, R), store_cells(u)):
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def test_real_entries_keep_the_slot_loop(monkeypatch):
+    u = Seed(25).generator().exponential(1.0, size=(1, 500, 3))
+    calls = closed_form_calls(monkeypatch)
+    R2 = store_departures_batch(u)
+    assert calls == [] and np.array_equal(R2[0], store_cells(u[0])[2])
 
 
 def test_matrix_validation():
