@@ -47,7 +47,6 @@ from .tandem import (
 from .rsk import (
     Tableau,
     word_of,
-    insert,
     tableau_of,
     shape,
     pretty,

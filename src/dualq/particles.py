@@ -108,9 +108,12 @@ def zero_range_run(U) -> list[JumpEvent]:
 
 
 def _amounts(x, what: str) -> list:
-    """``x`` as a list of Python numbers; ValueError unless each is finite
-    and nonnegative (NaN fails the range test too)."""
-    x = np.asarray(x).tolist()
+    """``x`` as a list of Python numbers; ValueError unless it is 1-d and
+    each is finite and nonnegative (NaN fails the range test too)."""
+    x = np.asarray(x)
+    if x.ndim != 1:
+        raise ValueError(f"{what} must be a 1-d sequence")
+    x = x.tolist()
     if not all(0 <= v < math.inf for v in x):
         raise ValueError(f"{what} must be finite and nonnegative")
     return x
@@ -171,6 +174,8 @@ def to_exclusion(counts) -> np.ndarray:
     one empty cell per resident particle, with the reservoir's (finite,
     truncated) count ending the configuration.
     """
+    if np.ndim(counts) != 1:
+        raise ValueError("counts must be a 1-d sequence, one per site")
     counts = list(counts)
     # the range test first: int() raises on NaN and inf
     if not counts or not all(0 <= c < math.inf and int(c) == c for c in counts):
@@ -208,13 +213,14 @@ def occupancy_history(U, model: str = "bus-stop") -> np.ndarray:
 
     Row t holds the per-site particle counts after slot t (row 0 is the
     initial state).  For the bus-stop model the reservoir column carries
-    its truncated count; for the zero-range model the counts are
-    reconstructed from the jump log, so they match the clock dynamics
-    exactly.
+    its finite stand-in count, and the counts keep the dtype of U's
+    entries, as :func:`bus_stop_run` does; for the zero-range model the
+    counts are reconstructed from the jump log, so they match the clock
+    dynamics exactly.
     """
     U = tandem._as_matrix(U)
     if model == "bus-stop":
-        return np.array(_bus_stop_slots(U)[0], dtype=np.int64)
+        return np.array(_bus_stop_slots(U)[0], dtype=U.u.dtype)
     if model == "zero-range":
         N, K = U.N, U.K
         log = zero_range_run(U)
@@ -240,7 +246,10 @@ def exclusion_step(config, bus_sizes) -> np.ndarray:
     length; holes opening at the left edge are departed material.
     """
     out = _cells(config)
-    bus_sizes = np.asarray(bus_sizes).tolist()
+    bus_sizes = np.asarray(bus_sizes)
+    if bus_sizes.ndim != 1:
+        raise ValueError("bus sizes must be a 1-d sequence, one per marker")
+    bus_sizes = bus_sizes.tolist()
     positions = [i for i, c in enumerate(out) if c == 1]
     if len(positions) != len(bus_sizes):
         raise ValueError("need one bus size per marker")

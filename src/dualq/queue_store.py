@@ -128,6 +128,8 @@ def lindley_forward(w1, a, s) -> np.ndarray:
     """
     a = np.asarray(a)
     s = np.asarray(s)
+    if a.ndim != 1 or s.ndim != 1:
+        raise ValueError("gaps and marks must be 1-d sequences")
     if s.size < a.size:
         raise ValueError("need at least one mark per gap")
     dtype = _run_dtype(w1, a, s)
@@ -400,9 +402,6 @@ class ZigzagTrajectory:
     def n_peaks(self) -> int:
         return len(self.run_lengths) // 2
 
-    def reversed(self) -> "ZigzagTrajectory":
-        return ZigzagTrajectory(self.run_lengths[::-1])
-
 
 def zigzag(s, a) -> ZigzagTrajectory:
     """Zigzag trajectory of one busy period.
@@ -410,12 +409,16 @@ def zigzag(s, a) -> ZigzagTrajectory:
     ``s`` holds the k marks of the period's customers, ``a`` the k-1 gaps
     between them.  Up-runs are the marks; down-runs are the gaps, and the
     final down-run is whatever height is left when the last service ends.
-    Raises if the gaps would break the period in two.
+    Raises if the gaps would break the period in two, or if a mark or gap is
+    not finite.
     """
     s = list(np.asarray(s).tolist())
     a = list(np.asarray(a).tolist())
     if len(s) == 0 or len(a) != len(s) - 1:
         raise ValueError("need k marks and k-1 internal gaps")
+    # NaN passes the sign tests of the per-period pass, so it is refused here
+    if not all(-math.inf < x < math.inf for x in s + a):
+        raise ValueError("marks and gaps must be finite")
     return _zigzag_runs(s, a, itertools.repeat(0))
 
 

@@ -46,7 +46,6 @@ __all__ = [
     "is_partition",
     "word_of",
     "growth_shapes",
-    "insert",
     "tableau_of",
     "shape",
     "pretty",
@@ -102,9 +101,6 @@ class Tableau:
 
     def shape(self) -> tuple:
         return normalize_partition(len(r) for r in self.rows)
-
-    def size(self) -> int:
-        return sum(len(r) for r in self.rows)
 
     def is_valid(self, alphabet: int | None = None) -> bool:
         for i, row in enumerate(self.rows):
@@ -205,9 +201,11 @@ def growth_shapes(u) -> np.ndarray:
 
 
 def _letters(word) -> list:
-    """The word as a list of ints; ValueError unless every letter is a
-    positive integer (integral floats count)."""
+    """The word as a list of ints; ValueError unless it is 1-d and every
+    letter is a positive integer (integral floats count)."""
     word = np.asarray(word)
+    if word.ndim != 1:
+        raise ValueError("a word is a 1-d sequence of letters")
     letters = word.tolist()
     if word.dtype.kind not in "iu":
         # the range test first: int() raises on NaN and inf
@@ -217,15 +215,6 @@ def _letters(word) -> list:
     if letters and min(letters) < 1:
         raise ValueError("letters are positive integers")
     return letters
-
-
-def insert(T: Tableau, letter: int) -> Tableau:
-    """Row-insert one letter, returning a new tableau with one more box."""
-    rows = [list(r) for r in T.rows]
-    _insert_word(rows, _letters([letter]))
-    out = Tableau.__new__(Tableau)
-    out.rows = rows
-    return out
 
 
 def tableau_of(word) -> Tableau:

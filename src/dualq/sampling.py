@@ -5,11 +5,9 @@ All randomness flows through counter-based Philox streams keyed by
 of execution order, and distinct keys give independent streams, so
 replications can be farmed out in any schedule.
 
-Every law is drawn by inverse CDF, one uniform per value.  The transforms
-(``_to_geometric``, ``_to_geometric0``, ``_to_exponential``) work in place
-on an array of uniforms on [0, 1), the geometric ones leaving integer
-values in it; the ``draw_*`` functions apply them to fresh uniforms, and
-:func:`model_draw` picks the one that draws a model's gaps and marks.
+Every law is drawn by inverse CDF, one uniform per value: each ``draw_*``
+function turns an array of fresh uniforms on [0, 1) into its law in place,
+and :func:`model_draw` picks the one that draws a model's gaps and marks.
 """
 
 from __future__ import annotations
@@ -146,49 +144,39 @@ def _below_int64(x: np.ndarray, head: int = 0) -> bool:
     return head + sum(x.ravel().tolist()) < 2**63
 
 
-def _to_geometric(u: np.ndarray, p: float) -> np.ndarray:
-    """floor(log1p(-u) / log1p(-p)) + 1, in place; inf where a subnormal p
-    overflows the quotient."""
-    with np.errstate(divide="ignore", over="ignore"):
-        scale = np.log1p(-p)
-        np.log1p(np.negative(u, out=u), out=u)
-        np.floor(np.divide(u, scale, out=u), out=u)
-    return np.add(u, 1, out=u)
-
-
-def _to_geometric0(u: np.ndarray, q: float) -> np.ndarray:
-    """floor(log1p(-u) / log(q)), in place."""
-    np.log1p(np.negative(u, out=u), out=u)
-    return np.floor(np.divide(u, np.log(q), out=u), out=u)
-
-
-def _to_exponential(u: np.ndarray, rate: float) -> np.ndarray:
-    """-log1p(-u) / rate, in place, as log1p(-u) / -rate: IEEE division is
-    symmetric in sign, so the bits are the same and a pass is saved."""
-    np.log1p(np.negative(u, out=u), out=u)
-    return np.divide(u, -rate, out=u)
-
-
 def draw_geometric(gen: np.random.Generator, p: float, shape) -> np.ndarray:
-    """Inverse CDF of P{X=k} = (1-p)^(k-1) p on {1, 2, ...}: one uniform per draw.
+    """Inverse CDF of P{X=k} = (1-p)^(k-1) p on {1, 2, ...}: one uniform per
+    draw, floor(log1p(-u) / log1p(-p)) + 1.
 
     Raises ValueError when a draw does not fit int64, which takes p below
-    about 4e-18.
+    about 4e-18 (a subnormal p overflows the quotient to inf).
     """
-    x = _to_geometric(gen.random(shape), p)
+    x = gen.random(shape)
+    with np.errstate(divide="ignore", over="ignore"):
+        scale = np.log1p(-p)
+        np.log1p(np.negative(x, out=x), out=x)
+        np.floor(np.divide(x, scale, out=x), out=x)
+    np.add(x, 1, out=x)
     if x.size and x.max() >= 2**63:
         raise ValueError(f"p = {p!r} is too small: a geometric draw does not fit int64")
     return x.astype(np.int64)
 
 
 def draw_geometric0(gen: np.random.Generator, q: float, shape) -> np.ndarray:
-    """Inverse CDF of P{X=k} = (1-q) q^k on {0, 1, 2, ...}: one uniform per draw."""
-    return _to_geometric0(gen.random(shape), q).astype(np.int64)
+    """Inverse CDF of P{X=k} = (1-q) q^k on {0, 1, 2, ...}: one uniform per
+    draw, floor(log1p(-u) / log(q))."""
+    x = gen.random(shape)
+    np.log1p(np.negative(x, out=x), out=x)
+    return np.floor(np.divide(x, np.log(q), out=x), out=x).astype(np.int64)
 
 
 def draw_exponential(gen: np.random.Generator, rate: float, shape) -> np.ndarray:
-    """Inverse CDF of Exp(rate) (mean 1/rate): one uniform per draw."""
-    return _to_exponential(gen.random(shape), rate)
+    """Inverse CDF of Exp(rate) (mean 1/rate): one uniform per draw,
+    -log1p(-u) / rate, computed as log1p(-u) / -rate: IEEE division is
+    symmetric in sign, so the bits are the same and a pass is saved."""
+    x = gen.random(shape)
+    np.log1p(np.negative(x, out=x), out=x)
+    return np.divide(x, -rate, out=x)
 
 
 def model_draw(params: RateParams):

@@ -33,14 +33,15 @@ one sorted copy of the sample walked :data:`_KS_BLOCK` values at a time,
 and takes the p-value from scipy's exact two-sided law.  The categorical
 experiments (interchange, shape-law, noncolliding) count the distinct rows
 of their outcome array with :func:`_row_counts`, which sorts one int64 key
-per row and builds a Python tuple only per distinct row; :func:`_pool`
-merges rows into categories, and the counts go to the chi-square tests.  A
-test that cannot be formed raises :class:`DegenerateTestError` naming the
-test.
+per row and builds a Python tuple only per distinct row (rows too wide to
+key are counted as tuples); :func:`_pool` merges rows into categories, and
+the counts go to the chi-square tests.  A test that cannot be formed
+raises :class:`DegenerateTestError` naming the test.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -376,38 +377,25 @@ def _row_counts(rows: np.ndarray) -> Counter:
     Each row is folded into one int64 mixed-radix key: column j, shifted by
     its minimum, is a digit of radix span_j = max_j - min_j + 1.  One
     numeric sort of the keys counts the rows, and only the distinct keys are
-    decoded back into tuples.  When the next column would carry a key past
-    int64, the partial keys are first replaced by their dense ranks, and a
-    table keeps the prefix of columns each rank stands for.
+    decoded back into tuples.  Rows whose key could pass int64 are counted
+    plainly, one tuple per row.
     """
     rows = np.asarray(rows)
     # column by column: a reduction over axis 0 of a C-ordered array walks its short rows
     lows = [int(col.min()) for col in rows.T]
     spans = [int(col.max()) - low + 1 for col, low in zip(rows.T, lows)]
-    first, table = 0, np.zeros((1, 0), dtype=np.int64)  # columns before `first`, by key rank
-
-    def decode(keys, stop):
-        # the rows of columns 0..stop-1 that keys over columns first..stop-1 stand for
-        digits = []
-        for c in range(stop - 1, first - 1, -1):
-            keys, d = np.divmod(keys, spans[c])
-            digits.append(d + lows[c])
-        return np.column_stack([table[keys], *digits[::-1]])
-
-    key, size = np.zeros(len(rows), dtype=np.int64), 1  # every key is below size
+    if math.prod(spans) >= _KEY_LIMIT:
+        return Counter(map(tuple, rows.tolist()))
+    key = np.zeros(len(rows), dtype=np.int64)
     for j, (low, span) in enumerate(zip(lows, spans)):
-        if size * span >= _KEY_LIMIT:
-            distinct, key = np.unique(key, return_inverse=True)
-            first, table = j, decode(distinct, j)
-            size = distinct.size
-            if size * span >= _KEY_LIMIT:
-                raise ValueError(f"column {j} spans too many values to key {len(rows)} rows")
         key *= span
         key += np.subtract(rows[:, j], low, dtype=np.int64)
-        size *= span
     distinct, counts = np.unique(key, return_counts=True)
-    keys = map(tuple, decode(distinct, len(spans)).tolist())
-    return Counter(dict(zip(keys, counts.tolist())))
+    decoded = np.empty((distinct.size, len(spans)), dtype=np.int64)
+    for j in range(len(spans) - 1, -1, -1):
+        distinct, decoded[:, j] = np.divmod(distinct, spans[j])
+        decoded[:, j] += lows[j]
+    return Counter(dict(zip(map(tuple, decoded.tolist()), counts.tolist())))
 
 
 def _pool(counts: Counter, key) -> Counter:

@@ -1,14 +1,45 @@
-"""Every name a ``dualq`` module exports resolves, and the package imports
-only exported names, so a deleted function cannot leave a stale export."""
+"""Every name a ``dualq`` module exports resolves, the package imports only
+exported names, and every public name has a caller outside the tests or is a
+test oracle listed in :data:`ORACLES`.
+
+A public name is a name in a module's ``__all__`` (``cli.main``, the console
+script, aside) or a public method or property of a class a module exports.
+Its callers are the references to it in the package source, the demos and
+the benchmark harness: for a module's name ``f``, a read of ``f``, an import
+of it, or a read of ``module.f`` or ``dualq.f``; for a method or property, a
+read of the attribute.  The package's re-exports in ``__init__.py`` do not
+count, and neither do references inside the name's own def.  A name the
+benchmark's tracer wraps (``LAYERS`` in ``perfbench/tracing.py``) counts as
+called: the tracer and the workloads reach the modules through strings,
+which a name scan misses.
+
+Methods and properties are matched by attribute name alone, so one named
+like a common attribute hides an orphan: any ``.size`` or ``.shape`` read,
+numpy's included, counts as a call of a method of that name.
+"""
 
 import ast
 import importlib
 import pkgutil
 from pathlib import Path
 
+import pytest
+
 import dualq
 
 INIT = Path(dualq.__file__)
+ROOT = Path(__file__).resolve().parents[1]
+CALLER_GLOBS = ("src/dualq/*.py", "demos/*.py", "perfbench/*.py")
+
+# public names that only the tests call, each with the reason it stays
+ORACLES = {
+    "queue_store.zigzag": "the public face of _zigzag_runs, the per-period "
+                          "oracle for zigzag_from_trace's table",
+    "rsk.Tableau.is_valid": "checks the output of tableau_of and ssyt_enumerate",
+    "rsk.Tableau.weight": "supplies the x^T terms when test_schur enumerates "
+                          "tableaux to check schur_eval",
+    "schur.ssyt_enumerate": "the enumeration oracle for ssyt_count and schur_eval",
+}
 
 
 def test_every_exported_name_resolves():
@@ -30,3 +61,127 @@ def test_the_package_imports_only_exported_names():
             stray += [f"{node.module}.{alias.name}" for alias in node.names
                       if alias.name not in module.__all__]
     assert stray == []
+
+
+# --- the orphan scan -----------------------------------------------------------
+
+def _sources() -> dict:
+    """Path relative to the repository root -> source text, for every file
+    whose references count as callers."""
+    return {path.relative_to(ROOT).as_posix(): path.read_text()
+            for pattern in CALLER_GLOBS for path in sorted(ROOT.glob(pattern))}
+
+
+def _assigned(tree, name: str):
+    """The literal value of the module-level assignment to ``name``, or None."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    return None
+
+
+def _public_names(modules: dict) -> set:
+    """``module.name`` for every name in a module's ``__all__`` and
+    ``module.Class.attr`` for every public method or property of a class it
+    exports; ``modules`` maps each module name to its parsed source."""
+    names = set()
+    for module, tree in modules.items():
+        exported = set(_assigned(tree, "__all__") or ())
+        names |= {f"{module}.{name}" for name in exported}
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and node.name in exported:
+                names |= {f"{module}.{node.name}.{f.name}" for f in node.body
+                          if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")}
+    return names - {"cli.main"}
+
+
+class _References(ast.NodeVisitor):
+    """The names (read or imported), the attributes and the ``name.attr``
+    pairs (read) of a source, leaving out what a def reads of its own name,
+    and the imports when ``reexports`` says they only re-export."""
+
+    def __init__(self, reexports: bool):
+        self.names, self.attrs, self.pairs, self.defs = set(), set(), set(), []
+        self.reexports = reexports
+
+    def visit_FunctionDef(self, node):
+        self.defs.append(node.name)
+        self.generic_visit(node)
+        self.defs.pop()
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Load) and node.id not in self.defs:
+            self.names.add(node.id)
+
+    def visit_Attribute(self, node):
+        if isinstance(node.ctx, ast.Load) and node.attr not in self.defs:
+            self.attrs.add(node.attr)
+            if isinstance(node.value, ast.Name):
+                self.pairs.add((node.value.id, node.attr))
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node):
+        if not self.reexports:
+            self.names.update(alias.name for alias in node.names)
+
+
+def _audit(sources: dict) -> tuple:
+    """(public names with no caller that :data:`ORACLES` lacks, entries of
+    :data:`ORACLES` that are not such names) for ``sources``, as
+    :func:`_sources` gives them."""
+    trees = {path: ast.parse(text) for path, text in sources.items()}
+    modules = {Path(path).stem: tree for path, tree in trees.items()
+               if path.startswith("src/dualq/")
+               and Path(path).stem not in ("__init__", "__main__")}
+    layers = _assigned(trees["perfbench/tracing.py"], "LAYERS")
+    traced = {f"{layer}.{name}" for layer, names in layers.items() for name in names}
+    names, attrs, pairs = set(), set(), set()
+    for path, tree in trees.items():
+        refs = _References(reexports=path == "src/dualq/__init__.py")
+        refs.visit(tree)
+        names |= refs.names
+        attrs |= refs.attrs
+        pairs |= refs.pairs
+    orphans = set()
+    for public in _public_names(modules) - traced:
+        module, *owner, name = public.split(".")
+        if owner:  # a method or property
+            called = name in attrs
+        else:
+            called = name in names or {(module, name), ("dualq", name)} & pairs
+        if not called:
+            orphans.add(public)
+    return orphans - ORACLES.keys(), ORACLES.keys() - orphans
+
+
+def test_every_public_name_has_a_caller_or_is_a_listed_oracle():
+    assert _audit(_sources()) == (set(), set())
+
+
+def _with_unused_export(source: str) -> str:
+    return source.replace("__all__ = [", '__all__ = ["unused", ', 1) + (
+        "\n\ndef unused():\n    return unused()\n")  # a call of its own does not count
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.stem for p in (ROOT / "src" / "dualq").glob("*.py")
+    if "__all__" in p.read_text()))
+def test_the_scan_reports_an_unused_export(module):
+    sources = _sources()
+    path = f"src/dualq/{module}.py"
+    sources[path] = _with_unused_export(sources[path])
+    assert _audit(sources) == ({f"{module}.unused"}, set())
+
+
+def test_the_scan_reports_an_unused_method_of_an_exported_class():
+    sources = _sources()
+    sources["src/dualq/rsk.py"] = sources["src/dualq/rsk.py"].replace(
+        "    def shape(self)", "    def unused(self):\n        return 0\n\n    def shape(self)", 1)
+    assert _audit(sources) == ({"rsk.Tableau.unused"}, set())
+
+
+def test_the_scan_reports_an_oracle_that_gained_a_caller():
+    sources = _sources()
+    sources["demos/03_tableau_identities.py"] += "\nssyt_enumerate((2, 1), 3)\n"
+    assert _audit(sources) == (set(), {"schur.ssyt_enumerate"})

@@ -104,7 +104,7 @@ def test_bus_stop_matches_store_flow_on_real_entries(u):
 def test_oracles_keep_their_dtypes():
     for u, dtype in ((U22.u, np.int64), (U22.u * 0.5, np.float64)):
         assert bus_stop_run(ServiceMatrix(u)).dtype == dtype
-        assert occupancy_history(ServiceMatrix(u)).dtype == np.int64
+        assert occupancy_history(ServiceMatrix(u)).dtype == dtype
     stepped = exclusion_step(np.array([1, 0, 1, 0], dtype=np.int64), [1, 1])
     assert stepped.dtype == np.int8 and stepped.tolist() == [0, 1, 0, 1]
     assert all(type(e.slot) is int for e in zero_range_run(U22))
@@ -136,6 +136,19 @@ def test_bus_stop_occupancy_history():
     # what leaves the system each slot is exactly the last site's transport
     totals = hist.sum(axis=1)
     assert np.array_equal(totals[:-1] - totals[1:], moved[:, -1])
+
+
+def test_bus_stop_occupancy_keeps_real_counts():
+    # the counts were cast to int64: [3, 0], [2, 0], [1, 1]
+    hist = occupancy_history(np.array([[0.5, 0.7], [0.25, 1.5]]))
+    assert hist.dtype == np.float64
+    assert hist.tolist() == [[3.2, 0], [2.5, 0.7], [1.0, 1.95]]
+
+
+def test_bus_stop_occupancy_of_an_integer_matrix_stays_int64():
+    hist = occupancy_history(np.array([[1, 2], [3, 1]], dtype=np.int8))
+    assert hist.dtype == np.int64
+    assert hist.tolist() == [[4, 0], [2, 2], [1, 1]]
 
 
 def test_occupancy_unknown_model():
@@ -197,12 +210,18 @@ def test_exclusion_step_commutes_with_bus_stop(counts, master):
     (lambda: bus_stop_step([np.nan, 2], [1, 1]), "finite and nonnegative"),
     (lambda: bus_stop_step([np.inf, 2], [1, 1]), "finite and nonnegative"),
     (lambda: bus_stop_step([3, 2], [np.inf, 1]), "finite and nonnegative"),
+    # not 1-d: each raised TypeError comparing a list with a number
+    (lambda: to_exclusion([[1, 2]]), "counts must be a 1-d sequence"),
+    (lambda: exclusion_step([1, 0, 1], [[1], [1]]), "bus sizes must be a 1-d sequence"),
+    (lambda: bus_stop_step([[1, 2]], [[1, 2]]), "counts must be a 1-d sequence"),
+    (lambda: bus_stop_step([1, 2], [[1], [2]]), "bus sizes must be a 1-d sequence"),
 ], ids=["too-few-buses", "too-many-buses", "too-few-exclusion-buses",
         "too-many-exclusion-buses", "negative-count", "fractional-count",
         "negative-bus", "negative-exclusion-bus", "fractional-exclusion-bus",
         "infinite-count", "cell-of-two", "fractional-cell", "2-d-configuration",
         "fractional-exclusion-cell", "exclusion-cell-past-int8", "negative-bus-count",
-        "nan-bus-count", "infinite-bus-count", "infinite-bus"])
+        "nan-bus-count", "infinite-bus-count", "infinite-bus", "2-d-counts",
+        "2-d-exclusion-buses", "2-d-bus-counts", "2-d-buses"])
 def test_particle_inputs_are_checked(call, message):
     with pytest.raises(ValueError, match=message):
         call()

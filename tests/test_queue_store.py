@@ -752,7 +752,7 @@ def test_enumerate_trajectories_catalan_counts():
 
 def test_trajectory_reversal_is_valid():
     for t in enumerate_trajectories(4):
-        r = t.reversed()
+        r = ZigzagTrajectory(t.run_lengths[::-1])  # the constructor checks it
         assert r.total_rise == t.total_rise
         assert r.n_peaks == t.n_peaks
 
@@ -812,10 +812,20 @@ def test_trace_csv():
     (lambda: lindley_forward(0, [1], np.array([2**70], dtype=object)), "real numbers"),
     (lambda: lindley_forward(0, np.array(["1"]), np.array(["1"])), "real numbers"),
     (lambda: lindley_forward("1", [1], [1]), "real numbers"),
+    # not 1-d: TypeError from the per-customer loop
+    (lambda: lindley_forward(0, [[1, 2]], [[1, 2]]), "1-d sequences"),
+    (lambda: lindley_forward(0, 1, [1]), "1-d sequences"),
+    # NaN passed the sign tests: run lengths (nan, nan) and (1.0, 0.5, nan, nan)
+    (lambda: zigzag([np.nan], []), "finite"),
+    (lambda: zigzag([np.inf], []), "finite"),
+    (lambda: zigzag([1.0, np.nan], [0.5]), "finite"),
+    (lambda: zigzag([1.0, 1.0], [np.nan]), "finite"),
 ], ids=["lindley-marks", "lindley-int64", "lindley-gap", "no-customer", "unequal-shapes", "empty-input",
         "zero-mark", "zigzag-gaps", "zigzag-empty", "trace-strings", "trace-complex",
         "trace-object", "trace-string-w1", "trace-complex-w1", "lindley-complex",
-        "lindley-object", "lindley-strings", "lindley-string-w1"])
+        "lindley-object", "lindley-strings", "lindley-string-w1", "lindley-2-d",
+        "lindley-0-d-gaps", "zigzag-nan", "zigzag-inf", "zigzag-nan-mark",
+        "zigzag-nan-gap"])
 def test_queue_inputs_are_checked(call, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a refusal, not a cast with a warning

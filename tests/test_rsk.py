@@ -11,7 +11,6 @@ from dualq.rsk import (
     BRUTE_FORCE_LIMIT,
     SizeLimitError,
     Tableau,
-    insert,
     is_partition,
     lambda_operators,
     nabla,
@@ -124,32 +123,25 @@ def test_word_rejects_floats():
 
 # --- insertion -----------------------------------------------------------------
 
-def test_insert_into_empty():
-    assert insert(Tableau(), 1).rows == [[1]]
-
-
-def test_insert_bump():
-    assert insert(Tableau([[1, 2]]), 1).rows == [[1, 1], [2]]
-
-
-def test_insert_rejects_bad_letter():
-    with pytest.raises(ValueError):
-        insert(Tableau(), 0)
-
-
 @pytest.mark.parametrize("bad", [1.7, 0, -3, float("nan"), float("inf")])
 def test_tableau_of_rejects_what_insert_rejects(bad):
-    # tableau_of cast to int64: [1.7, 1] gave [[1, 1]], [0, 2] gave [[0, 2]]
-    for call in (lambda: tableau_of([bad, 2]), lambda: tableau_of([2, bad]),
-                 lambda: insert(Tableau(), bad)):
+    # the letters row insertion cannot place; tableau_of once cast to int64:
+    # [1.7, 1] gave [[1, 1]], [0, 2] gave [[0, 2]]
+    for word in ([bad], [bad, 2], [2, bad]):
         with pytest.raises(ValueError, match="letters are positive integers"):
-            call()
+            tableau_of(word)
+
+
+@pytest.mark.parametrize("word", [[[1, 2], [3, 4]], [[1]], 3, np.ones((2, 0), dtype=int)])
+def test_tableau_of_refuses_a_word_that_is_not_1d(word):
+    # a 2-d word raised TypeError from comparing a row with 1
+    with pytest.raises(ValueError, match="1-d sequence of letters"):
+        tableau_of(word)
 
 
 def test_integral_float_letters_still_insert():
-    # guard: insert took 2.0 before, and tableau_of takes what insert takes
-    assert insert(Tableau(), 2.0).rows == [[2]]
-    assert insert(Tableau(), 2**70).rows == [[2**70]]
+    assert tableau_of([2.0]).rows == [[2]]
+    assert tableau_of([2**70]).rows == [[2**70]]
     assert tableau_of([2.0, 1.0, 3.0]).rows == tableau_of([2, 1, 3]).rows == [[1, 3], [2]]
     assert tableau_of(np.array([2, 1], dtype=np.uint8)).rows == [[1], [2]]
     assert tableau_of([]).rows == []
@@ -158,19 +150,21 @@ def test_integral_float_letters_still_insert():
 @given(words())
 def test_insert_maximal_letter_appends(word):
     T = tableau_of(word)
-    T2 = insert(T, 4)
-    assert len(T2.rows[0]) == len(T.rows[0]) + 1 if T.rows else T2.rows == [[4]]
+    T2 = tableau_of(word + [4])
+    assert T2.rows == [T.rows[0] + [4]] + T.rows[1:] if T.rows else T2.rows == [[4]]
 
 
 @given(words(), st.integers(1, 4))
 def test_insert_valid_and_adds_one_box(word, letter):
     T = tableau_of(word)
     assert T.is_valid(alphabet=4)
-    T2 = insert(T, letter)
+    assert sum(shape(T)) == len(word)
+    rows = [list(r) for r in T.rows]
+    rsk._insert_word(rows, [letter])
+    T2 = Tableau(rows)
     assert T2.is_valid(alphabet=4)
-    assert T2.size() == T.size() + 1
-    # the original is untouched
-    assert T.size() == len(word)
+    assert sum(shape(T2)) == len(word) + 1
+    assert T2 == tableau_of(word + [letter])
 
 
 def insertion_words():
@@ -198,7 +192,7 @@ big_letter_words = st.lists(st.sampled_from([1, 2, _BIG - 1, _BIG]), max_size=20
 def test_insertion_matches_the_scan_oracle(word, letter, more):
     T = tableau_of(word)
     assert T.rows == bump_rows(word)
-    assert insert(T, letter).rows == bump_rows(word + [letter])
+    assert tableau_of(word + [letter]).rows == bump_rows(word + [letter])
     rsk._insert_word(T.rows, list(more))  # a whole word onto a filled tableau
     assert T.rows == bump_rows(word + more)
 
@@ -223,8 +217,8 @@ def test_insertion_cost_follows_the_letters_present():
     n = 2000
     assert tableau_of(range(n, 0, -1)).rows == [[y] for y in range(1, n + 1)]
     assert tableau_of([_BIG]).rows == [[_BIG]]
-    assert insert(Tableau([[1, 2], [3]]), _BIG).rows == [[1, 2, _BIG], [3]]
-    assert insert(Tableau([[_BIG]]), 1).rows == [[1], [_BIG]]
+    assert tableau_of([3, 1, 2, _BIG]).rows == [[1, 2, _BIG], [3]]
+    assert tableau_of([_BIG, 1]).rows == [[1], [_BIG]]
 
 
 def test_tableau_of_empty_word():

@@ -7,7 +7,6 @@ from dualq.sampling import (
     RateParams,
     Seed,
     _stationary_wait,
-    _to_exponential,
     _wait_below,
     draw_exponential,
     draw_geometric,
@@ -305,13 +304,23 @@ def test_wait_below_is_the_law_of_the_stationary_wait(params):
                                ).pvalue >= 0.01
 
 
+class _Uniforms:
+    """A generator that draws the given uniforms, so a test can read them."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, shape):
+        return self.u.reshape(shape).copy()
+
+
 @pytest.mark.parametrize("rate", [0.3, 0.7, 1.0, 1.7, 3.0, 1e-3, 1e3])
 def test_to_exponential_keeps_the_bits_of_negating_first(rate):
-    # log1p(-u) / -rate against the two-step -(log1p(-u)) / rate
+    # draw_exponential's log1p(-u) / -rate against the two-step -(log1p(-u)) / rate
     u = np.concatenate([[0.0, 5e-324, 1 - 2**-53], Seed(9).generator().random(10**5)])
     two_step = np.log1p(-u)
     two_step = np.negative(two_step) / rate
-    got = _to_exponential(u.copy(), rate)
+    got = draw_exponential(_Uniforms(u), rate, u.shape)
     assert got.tobytes() == two_step.tobytes()
 
 

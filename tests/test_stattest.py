@@ -281,9 +281,15 @@ def _first_and_last(row):
 @example([[5, -1, 2]], None, np.int64)             # one row
 @example([[2, 2]] * 7, None, np.int64)             # all rows equal
 @example([[1, 0, 2], [1, 5, 2], [1, 0, 2]], _first_and_last, np.int64)
-# 30 columns spanning about 1000 values each: the keys are re-ranked several times
+# 30 columns spanning about 1000 values each, and two spanning 2**62 + 1:
+# rows too wide to key, counted as tuples
 @example([[(389 * (i % 9) + 97 * j) % 1001 for j in range(30)] for i in range(14)],
          None, np.int64)
+@example([[0, 0], [2**62, 2**62], [0, 0]], None, np.int64)
+# spans 2 and 2**62 multiply to 2**63, so the rows are counted as tuples;
+# one value less and they are keyed, the largest key 2**63 - 3
+@example([[0, 0], [1, 2**62 - 1], [0, 0]], None, np.int64)
+@example([[0, 0], [1, 2**62 - 2], [1, 2**62 - 2]], None, np.int64)
 @example([[3], [-2], [3], [0]], None, np.int64)    # a single column
 # negative int32 entries whose column spans pass int32
 @example([[-5, 7], [-5, 7], [2**31 - 1, -2**31], [-2**31, 0]], None, np.int32)
@@ -296,12 +302,6 @@ def test_row_counts_match_counter_of_rows(rows, key, dtype):
     assert got == want
     # python ints, not numpy scalars: chi2_two_sample orders ties by repr
     assert all(type(x) is int for k in got for x in (k if isinstance(k, tuple) else (k,)))
-
-
-def test_row_counts_refuse_columns_too_wide_to_key():
-    # after re-ranking, 2 distinct prefixes times a span of 2**62 + 1 pass int64
-    with pytest.raises(ValueError, match="column 1"):
-        _row_counts(np.array([[0, 0], [2**62, 2**62]]))
 
 
 def test_independence_detects_coupling():
