@@ -17,12 +17,16 @@ first, replications innermost), the busy-period bounds and the knots of
 the backward identities as pointwise array expressions over neighbouring
 entries, sharing no code with the closed forms; :func:`lindley_forward`
 stays an element-by-element loop on Python scalars, the remaining
-per-customer witness.  The zigzags of a trace's own busy periods come from
-one table per trace (:func:`_zigzag_table`, cached on the trace, whose
-arrays are therefore read-only); the per-period pass :func:`_zigzag_runs`
-serves :func:`zigzag` and any other customer range.  The table's runs come
-from :func:`_period_run_tuples`, one tuple per period, and zigzag-law in
-:mod:`~dualq.stattest` counts the same tuples.  Scans over customers use
+per-customer witness.  :func:`busy_periods` is a read-only sequence over
+the period bounds that builds each :class:`BusyPeriod` only when it is
+read.  The zigzags of a trace's own busy periods come from one table per
+trace (:func:`_zigzag_table`, cached on the trace, whose arrays are
+therefore read-only); the per-period pass :func:`_zigzag_runs` serves
+:func:`zigzag` and any other customer range.  The table's runs come from
+:func:`_period_run_tuples`, a lazy iterator of one tuple per period, and
+zigzag-law in :mod:`~dualq.stattest` counts the same tuples as they
+stream.  A period with a non-finite mark or gap has no table entry, and
+the per-period pass refuses it.  Scans over customers use
 :func:`_accumulate`: a loop over rows when the rows are wider than the
 customer axis is long, ``ufunc.accumulate`` otherwise, with the same values
 either way.
@@ -34,6 +38,9 @@ import csv
 import itertools
 import math
 import numbers
+import operator
+from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -345,19 +352,48 @@ class BusyPeriod(NamedTuple):
         return self.end - self.start
 
 
-def busy_periods(trace: QueueTrace) -> list[BusyPeriod]:
+def busy_periods(trace: QueueTrace) -> Sequence[BusyPeriod]:
     """Split the trace into busy periods.
 
     A new period starts whenever a customer arrives strictly after the
     previous departure; an arrival at the exact departure instant keeps the
-    server busy and extends the current period.
+    server busy and extends the current period.  Returns a read-only
+    sequence over the period bounds that builds each :class:`BusyPeriod`
+    as it is read; a slice of it is a list.
     """
-    A, D = trace.A, trace.D
-    firsts, stops = _period_bounds(A, D)
-    # tuple.__new__ builds each period in C, where _make adds a Python call
-    return list(map(tuple.__new__, itertools.repeat(BusyPeriod), zip(
-        A[firsts].astype(float).tolist(), D[stops - 1].astype(float).tolist(),
-        map(range, firsts.tolist(), stops.tolist()))))
+    return _BusyPeriods(trace.A, trace.D)
+
+
+class _BusyPeriods(Sequence):
+    """The busy periods of one trace: the trace's own ``A`` and ``D`` and the
+    arrays of :func:`_period_bounds`, no object per period until one is read."""
+
+    __slots__ = ("_A", "_D", "_firsts", "_stops")
+
+    def __init__(self, A, D):
+        self._A, self._D = A, D
+        self._firsts, self._stops = _period_bounds(A, D)
+
+    def __len__(self) -> int:
+        return len(self._firsts)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self._periods(self._firsts[i], self._stops[i]))
+        i, n = operator.index(i), len(self)
+        if not -n <= i < n:
+            raise IndexError("busy period index out of range")
+        i %= n
+        return self[i:i + 1][0]  # through the slice, so its floats are those iteration gives
+
+    def __iter__(self):
+        return self._periods(self._firsts, self._stops)
+
+    def _periods(self, firsts, stops):
+        # tuple.__new__ builds each period in C, where _make adds a Python call
+        return map(tuple.__new__, itertools.repeat(BusyPeriod), zip(
+            self._A[firsts].astype(float).tolist(), self._D[stops - 1].astype(float).tolist(),
+            map(range, firsts.tolist(), stops.tolist())))
 
 
 @dataclass(frozen=True, slots=True)
@@ -412,14 +448,7 @@ def zigzag(s, a) -> ZigzagTrajectory:
     Raises if the gaps would break the period in two, or if a mark or gap is
     not finite.
     """
-    s = list(np.asarray(s).tolist())
-    a = list(np.asarray(a).tolist())
-    if len(s) == 0 or len(a) != len(s) - 1:
-        raise ValueError("need k marks and k-1 internal gaps")
-    # NaN passes the sign tests of the per-period pass, so it is refused here
-    if not all(-math.inf < x < math.inf for x in s + a):
-        raise ValueError("marks and gaps must be finite")
-    return _zigzag_runs(s, a, itertools.repeat(0))
+    return _zigzag_runs(list(np.asarray(s).tolist()), list(np.asarray(a).tolist()))
 
 
 def zigzag_from_trace(trace: QueueTrace, period: BusyPeriod) -> ZigzagTrajectory:
@@ -437,8 +466,8 @@ def zigzag_from_trace(trace: QueueTrace, period: BusyPeriod) -> ZigzagTrajectory
     z = table[c.start] if 0 <= c.start < len(table) else None
     if z is not None and len(z.run_lengths) == 2 * (c.stop - c.start):
         return z
-    A = trace.A[c.start:c.stop].tolist()
-    return _zigzag_runs(trace.s[c.start:c.stop].tolist(), A[1:], A)
+    A = trace.A[c.start:c.stop].tolist()  # gaps of Python numbers: exact for integers
+    return _zigzag_runs(trace.s[c.start:c.stop].tolist(), list(map(operator.sub, A[1:], A)))
 
 
 def _magnitude(x) -> int:
@@ -468,13 +497,14 @@ def _running_sums(x, starts, stops):
 
 
 def _period_run_tuples(A, s, D):
-    """Yield the first customer and the run lengths, as one tuple, of every
-    busy period :func:`_zigzag_runs` accepts, in order.
+    """The first customers of the busy periods :func:`_zigzag_runs` accepts,
+    as an array, and a lazy iterator over their run tuples, in order.
 
     The running height of every period is summed left to right by
-    :func:`_running_sums`, so the checks (positive marks, positive gaps, no
-    gap above the height) and the closing heights are those of the
-    per-period pass, bit for bit.
+    :func:`_running_sums`, so the checks (finite marks and gaps, positive
+    marks, positive gaps, no gap above the height) and the closing heights
+    are those of the per-period pass, bit for bit.  Each run tuple is a
+    slice of one tuple of all the runs, taken as the iterator is read.
     """
     firsts, stops = _period_bounds(A, D)
     last = stops - 1
@@ -487,14 +517,16 @@ def _period_run_tuples(A, s, D):
         h = _running_sums(runs[:-1], 2 * firsts, 2 * last + 1)
         inner = np.ones(g.size, dtype=bool)  # gap n lies inside a period
         inner[last[:-1]] = False
-        bad = s <= 0
-        bad[:-1] |= inner & ((g <= 0) | (g > h[:-1:2]))
+        # each test is what must hold, so a NaN, which fails them all, is refused
+        bad = ~((s > 0) & (s < math.inf))
+        bad[:-1] |= inner & ~((g > 0) & (g <= h[:-1:2]) & (g < math.inf))
     runs[1:-1:2] = g
     runs[2 * last + 1] = h[2 * last]
     keep = ~np.logical_or.reduceat(bad, firsts)
     flat = tuple(runs.tolist())  # a slice of a tuple is the period's tuple
-    for f, e in zip(firsts[keep].tolist(), stops[keep].tolist()):
-        yield f, flat[2 * f:2 * e]
+    bounds = (2 * np.append(firsts, A.size)).tolist()
+    tuples = map(flat.__getitem__, itertools.starmap(slice, itertools.pairwise(bounds)))
+    return firsts[keep], itertools.compress(tuples, keep.tolist())
 
 
 def _zigzag_table(trace: QueueTrace) -> list:
@@ -503,7 +535,8 @@ def _zigzag_table(trace: QueueTrace) -> list:
 
     A trace whose ``A`` and ``s`` are not both int64 or both float64, or
     whose integer sums could leave int64, gets an empty table: each of its
-    periods takes the per-period pass.
+    periods takes the per-period pass.  The trajectories are made and
+    filled by ``map`` in C, with no Python frame per period.
     """
     A, s = trace.A, trace.s
     if A.dtype != s.dtype or s.dtype not in (np.int64, np.float64):
@@ -511,26 +544,32 @@ def _zigzag_table(trace: QueueTrace) -> list:
     # no partial sum of 2N-1 marks and gaps exceeds 3N times the largest entry
     if s.dtype == np.int64 and 3 * A.size * max(_magnitude(A), _magnitude(s)) >= 2**63:
         return []
+    firsts, runs = _period_run_tuples(A, s, trace.D)
+    zigzags = list(map(object.__new__, itertools.repeat(ZigzagTrajectory, len(firsts))))
+    # the slot's own setter: the runs are already checked, and frozen refuses setattr
+    deque(map(ZigzagTrajectory.run_lengths.__set__, zigzags, runs), maxlen=0)
     table = [None] * A.size
-    for f, runs in _period_run_tuples(A, s, trace.D):
-        table[f] = ZigzagTrajectory._validated(runs)
+    deque(map(table.__setitem__, firsts.tolist(), zigzags), maxlen=0)
     return table
 
 
-def _zigzag_runs(s: list, later, earlier) -> ZigzagTrajectory:
-    """Validate k marks and the k-1 gaps between them in one pass, gap i
-    taken as later[i] - earlier[i] (subtracting 0 leaves a gap exact).
+def _zigzag_runs(s: list, a: list) -> ZigzagTrajectory:
+    """Validate k marks and the k-1 gaps between them in one pass.
 
     The running height takes the same steps as the check in
     :class:`ZigzagTrajectory`, which therefore cannot fail and is skipped.
     """
+    if len(s) == 0 or len(a) != len(s) - 1:
+        raise ValueError("need k marks and k-1 internal gaps")
+    # NaN passes the sign tests below, so it is refused here
+    if not all(-math.inf < x < math.inf for x in s + a):
+        raise ValueError("marks and gaps must be finite")
     runs = []
     h = 0
-    for si, t, t0 in zip(s, later, earlier):
+    for si, ai in zip(s, a):
         if si <= 0:
             raise ValueError("marks must be positive within a busy period")
         h += si
-        ai = t - t0
         if ai <= 0:
             raise ValueError("gaps must be positive")
         if ai > h:

@@ -16,7 +16,7 @@ out of :meth:`~ExperimentReport.to_dict`.
 
 burke's queue is in equilibrium from customer 1, whose wait is a stationary
 draw; zigzag-law counts the run tuples that
-:func:`~dualq.queue_store._period_run_tuples` builds for the busy periods of
+:func:`~dualq.queue_store._period_run_tuples` streams for the busy periods of
 one queue trace, the tuples of :func:`~dualq.queue_store.zigzag_from_trace`'s
 table; noncolliding's walks are conditioned step by step by an h-transform,
 and its reference pair is (D(n, 2), R(n)) from the :mod:`~dualq.tandem`
@@ -460,7 +460,8 @@ def trajectory_pmf(runs, p: float, q: float) -> float:
 
 def _sample_busy_trajectories(params: RateParams, n_periods: int, seed: Seed):
     """Runs of the first ``n_periods`` busy periods of one queue trace that
-    starts empty, yielded one tuple per period.  They are built once, by
+    starts empty, as a lazy iterator of one tuple per period, read once by
+    the caller.  They are built by
     :func:`~dualq.queue_store._period_run_tuples` on the customers of those
     periods: the same tuples (runs, period checks and left-to-right closing
     heights) as the table of :func:`~dualq.queue_store.zigzag_from_trace`.
@@ -476,8 +477,7 @@ def _sample_busy_trajectories(params: RateParams, n_periods: int, seed: Seed):
             break
         k *= 2
     end = firsts[n_periods]
-    for _, runs in _period_run_tuples(tr.A[:end], tr.s[:end], tr.D[:end]):
-        yield runs
+    return _period_run_tuples(tr.A[:end], tr.s[:end], tr.D[:end])[1]
 
 
 def zigzag_law_experiment(p: float, q: float, seed: Seed, n_periods: int = 100_000,

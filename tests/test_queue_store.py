@@ -2,6 +2,7 @@ import dataclasses
 import io
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -427,10 +428,60 @@ def test_busy_periods_and_zigzags_match_loops(pairs, scale):
     A = np.cumsum([g for g, _ in pairs]) * scale
     tr = trace_from_arrays(A, np.array([m for _, m in pairs]) * scale)
     periods = busy_periods(tr)
-    assert repr(periods) == repr(busy_periods_loop(tr))
+    assert repr(list(periods)) == repr(busy_periods_loop(tr))
     for p in periods:
         c = p.customers
         assert zigzag_from_trace(tr, p) == zigzag(tr.s[c.start:c.stop], tr.a[c.start:c.stop - 1])
+
+
+def test_busy_periods_view():
+    tr = trace_from_arrays([0, 3, 100, 200, 201], [5, 1, 2, 3, 1])
+    periods = busy_periods(tr)
+    assert len(periods) == 3
+    assert periods[2] == periods[-1] == BusyPeriod(200.0, 204.0, range(3, 5))
+    assert periods[0] == periods[-3] == BusyPeriod(0.0, 6.0, range(0, 2))
+    for i in (3, -4, 2**70):
+        with pytest.raises(IndexError, match="out of range"):
+            periods[i]
+    with pytest.raises(TypeError):
+        periods[1.0]
+    with pytest.raises(TypeError):
+        periods[0] = periods[1]
+    assert periods[1:] == [periods[1], periods[2]]
+    assert periods[::-2] == [periods[2], periods[0]]
+    assert periods[5:] == []
+    assert list(periods) == list(periods) == periods[:] == list(reversed(periods))[::-1]
+    assert periods.index(periods[1]) == 1 and periods[1] in periods
+    assert type(periods[0].start) is float and type(periods[0].customers.stop) is int
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(1, 4)), min_size=1, max_size=30),
+       st.sampled_from([1, 0.5]), st.data())
+def test_busy_periods_view_reads_like_the_loop(pairs, scale, data):
+    A = np.cumsum([g for g, _ in pairs]) * scale
+    tr = trace_from_arrays(A, np.array([m for _, m in pairs]) * scale)
+    periods, want = busy_periods(tr), busy_periods_loop(tr)
+    n = len(want)
+    assert len(periods) == n
+    assert list(periods) == want
+    assert [periods[i] for i in range(-n, n)] == want + want
+    bound = st.none() | st.integers(-n - 2, n + 2)
+    cut = slice(data.draw(bound), data.draw(bound), data.draw(st.sampled_from([None, 1, 2, -1, -3])))
+    assert periods[cut] == want[cut]
+
+
+def test_busy_periods_keep_no_object_per_period():
+    # about 2.6e4 periods: as a list of BusyPeriod they kept about 5.8 MB alive
+    tr = transform(sample_input(RateParams("geomgeom1", 0.3, 0.6), 50_000, Seed(0)))
+    tracemalloc.start()
+    try:
+        periods = busy_periods(tr)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(periods) > 20_000
+    assert kept < 2**20
 
 
 # --- array forms against their per-customer oracles ---------------------------
@@ -620,6 +671,22 @@ def test_zigzag_table_is_zigzag_on_every_period(pairs, w1):
         assert from_trace(tr, p.customers) == zigzag_of_range(tr, p.customers)
 
 
+@pytest.mark.parametrize("A, s", [
+    ([0.0, 1.0], [math.nan, 1.0]),   # gave the runs (nan, nan) and (nan, 1.0, 1.0, nan)
+    ([0.0, 1.0], [math.inf, 1.0]),
+    ([0.0, math.nan], [1.0, 1.0]),   # a NaN gap
+])
+def test_a_non_finite_mark_or_gap_is_refused_like_zigzag(A, s):
+    # hand-built: trace_from_arrays refuses non-finite entries
+    A, s = np.array(A), np.array(s)
+    tr = QueueTrace(A=A, s=s, D=A + s, w=np.zeros(2), r=np.zeros(1))
+    assert [p.customers for p in busy_periods(tr)] == [range(0, 2)]
+    assert queue_store._zigzag_table(tr) == [None, None]
+    assert from_trace(tr, range(0, 2)) == "ValueError: marks and gaps must be finite"
+    for c in (range(0, 2), range(0, 1), range(1, 2)):
+        assert from_trace(tr, c) == zigzag_of_range(tr, c)
+
+
 def test_a_zero_mark_raises_only_for_its_period():
     tr = trace_from_arrays([0, 1, 10, 11, 20], [2, 0, 2, 2, 1])
     got = [from_trace(tr, p.customers) for p in busy_periods(tr)]
@@ -664,7 +731,7 @@ def test_zigzag_table_is_built_once_per_trace(monkeypatch, model):
     monkeypatch.setattr(queue_store, "_zigzag_table", lambda tr: calls.append(1) or build(tr))
     tr = random_trace(23, model=model, n=200)
     same = twin(tr)
-    periods = busy_periods(tr)
+    periods = list(busy_periods(tr))
     zigzags = [zigzag_from_trace(tr, p) for p in periods + periods[::-1]]
     from_trace(tr, range(1, 7))
     assert len(calls) == 1
