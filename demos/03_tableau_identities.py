@@ -15,7 +15,6 @@ from dualq import (
     path_max,
     path_min,
     pretty,
-    shape,
     tableau_of,
     tandem_outputs,
     verify_row_queue,
@@ -30,7 +29,7 @@ print("matrix:\n", U.u)
 print("word:  ", " ".join(map(str, word)))
 print("tableau:")
 print(pretty(T))
-print("shape: ", shape(T))
+print("shape: ", T.shape())
 
 print("\noperator chains (lambda_1, lambda_K):", lambda_operators(U))
 print("path oracles (max, min):              ", (int(path_max(U)), int(path_min(U))))
@@ -48,7 +47,7 @@ print(f"\nrandom 5x4 instance: lambda1 {rv.lambda1}  lambdaK {rv.lambdaK}  ok={r
 
 # prefixes agree too: the shape after n rows gives (D(n), R(n))
 D_seq, R_seq = tandem_outputs(V)
-shapes = [shape(tableau_of(word_of(ServiceMatrix(V.u[:n])))) for n in range(1, 6)]
+shapes = [tableau_of(word_of(ServiceMatrix(V.u[:n]))).shape() for n in range(1, 6)]
 print("prefix shapes:", shapes)
 print("D prefix:     ", D_seq.tolist())
 print("R prefix:     ", R_seq.tolist())

@@ -17,7 +17,7 @@ from dualq import (
     shape_pmf,
     transition_prob,
 )
-from dualq.rsk import shape, tableau_of, word_of
+from dualq.rsk import tableau_of, word_of
 from dualq.sampling import draw_geometric0
 
 q = (0.3, 0.5)
@@ -27,7 +27,7 @@ reps = 30_000
 # simulate shapes directly to eyeball the law
 gen = Seed(12).generator()
 U = np.stack([draw_geometric0(gen, qj, (reps, N)) for qj in q], axis=2)
-counts = Counter(shape(tableau_of(word_of(m))) for m in U)
+counts = Counter(tableau_of(word_of(m)).shape() for m in U)
 
 print(f"shape law at q={q}, N={N} ({reps} samples)")
 print(f"{'shape':<12}{'observed':>10}{'predicted':>11}")

@@ -48,7 +48,6 @@ from .rsk import (
     Tableau,
     word_of,
     tableau_of,
-    shape,
     pretty,
     lambda_operators,
     path_max,
@@ -56,7 +55,6 @@ from .rsk import (
     verify_row_queue,
 )
 from .schur import (
-    WeightVector,
     ssyt_enumerate,
     ssyt_count,
     schur_eval,

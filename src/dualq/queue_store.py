@@ -21,12 +21,12 @@ per-customer witness.  :func:`busy_periods` is a read-only sequence over
 the period bounds that builds each :class:`BusyPeriod` only when it is
 read.  The zigzags of a trace's own busy periods come from one table per
 trace (:func:`_zigzag_table`, cached on the trace, whose arrays are
-therefore read-only); the per-period pass :func:`_zigzag_runs` serves
-:func:`zigzag` and any other customer range.  The table's runs come from
+therefore read-only); :func:`zigzag`, the per-period pass, serves any
+other customer range.  The table's runs come from
 :func:`_period_run_tuples`, a lazy iterator of one tuple per period, and
 zigzag-law in :mod:`~dualq.stattest` counts the same tuples as they
-stream.  A period with a non-finite mark or gap has no table entry, and
-the per-period pass refuses it.  Scans over customers use
+stream.  A period with a non-finite mark, gap or closing height has no
+table entry, and :func:`zigzag` refuses it.  Scans over customers use
 :func:`_accumulate`: a loop over rows when the rows are wider than the
 customer axis is long, ``ufunc.accumulate`` otherwise, with the same values
 either way.
@@ -213,7 +213,8 @@ def trace_from_arrays(A, s, w1=0) -> QueueTrace:
     :func:`transform` when starting from a validated MarkedSequence.  Every
     output of an integer trace lies within A_N + w1 + sum(s) (less A_1 if
     A_1 is negative), so integer inputs whose total reaches 2**63 raise
-    ValueError rather than wrap in int64.
+    ValueError rather than wrap in int64; real inputs whose D, w or r
+    overflow float64 raise ValueError too.
     """
     A = np.asarray(A)
     s = np.asarray(s)
@@ -234,15 +235,18 @@ def trace_from_arrays(A, s, w1=0) -> QueueTrace:
         raise ValueError("A and s must be finite and the marks nonnegative")
     if (A[1:] < A[:-1]).any():
         raise ValueError("arrival epochs must be nondecreasing")
-    arrivals = A.copy()
-    arrivals[0] += dtype(w1)       # the first customer finds w1 of work ahead
-    D = _fifo_series(arrivals[:, None], s[:, None, None])[:, 0, 0]
-    # w via w_{n+1} = (D_n - A_{n+1})^+ rather than D - s - A: the clamp
-    # makes idle arrivals exactly zero, with no float residue
-    w = np.empty_like(D)
-    w[0] = dtype(w1)
-    np.maximum(D[:-1] - A[1:], 0, out=w[1:])
-    r = np.minimum(D[:-1], A[1:]) - A[:-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        arrivals = A.copy()
+        arrivals[0] += dtype(w1)       # the first customer finds w1 of work ahead
+        D = _fifo_series(arrivals[:, None], s[:, None, None])[:, 0, 0]
+        # w via w_{n+1} = (D_n - A_{n+1})^+ rather than D - s - A: the clamp
+        # makes idle arrivals exactly zero, with no float residue
+        w = np.empty_like(D)
+        w[0] = dtype(w1)
+        np.maximum(D[:-1] - A[1:], 0, out=w[1:])
+        r = np.minimum(D[:-1], A[1:]) - A[:-1]
+    if not all(np.isfinite(x).all() for x in (D, w, r)):
+        raise ValueError("real trace does not fit float64: a departure, wait or r overflows")
     return QueueTrace(A=A, s=s, D=D, w=w, r=r)
 
 
@@ -423,13 +427,6 @@ class ZigzagTrajectory:
         if h != 0:
             raise ValueError("total increase must equal total decrease")
 
-    @classmethod
-    def _validated(cls, runs: tuple) -> "ZigzagTrajectory":
-        """Wrap runs the caller has already checked, without checking again."""
-        z = object.__new__(cls)
-        object.__setattr__(z, "run_lengths", runs)
-        return z
-
     @property
     def total_rise(self):
         return sum(self.run_lengths[::2])
@@ -445,10 +442,36 @@ def zigzag(s, a) -> ZigzagTrajectory:
     ``s`` holds the k marks of the period's customers, ``a`` the k-1 gaps
     between them.  Up-runs are the marks; down-runs are the gaps, and the
     final down-run is whatever height is left when the last service ends.
-    Raises if the gaps would break the period in two, or if a mark or gap is
-    not finite.
+    Raises ValueError if the gaps would break the period in two, or if a
+    mark, a gap or the closing height is not finite.  The height is summed
+    left to right, as in :func:`_period_run_tuples`.
     """
-    return _zigzag_runs(list(np.asarray(s).tolist()), list(np.asarray(a).tolist()))
+    s, a = np.asarray(s), np.asarray(a)
+    if s.ndim != 1 or a.ndim != 1 or s.size == 0 or a.size != s.size - 1:
+        raise ValueError("need k marks and k-1 internal gaps")
+    s, a = s.tolist(), a.tolist()
+    # NaN passes the sign tests below, so it is refused here
+    if not all(-math.inf < x < math.inf for x in s + a):
+        raise ValueError("marks and gaps must be finite")
+    runs = []
+    h = 0
+    for si, ai in zip(s, a):
+        if si <= 0:
+            raise ValueError("marks must be positive within a busy period")
+        h += si
+        if ai <= 0:
+            raise ValueError("gaps must be positive")
+        if ai > h:
+            raise ValueError("gap exceeds current workload: not a single busy period")
+        runs += (si, ai)
+        h -= ai
+    if s[-1] <= 0:
+        raise ValueError("marks must be positive within a busy period")
+    h += s[-1]
+    if h == math.inf:  # finite marks whose sum overflows float64
+        raise ValueError("the height of the busy period overflows")
+    runs += (s[-1], h)
+    return ZigzagTrajectory(tuple(runs))
 
 
 def zigzag_from_trace(trace: QueueTrace, period: BusyPeriod) -> ZigzagTrajectory:
@@ -457,9 +480,8 @@ def zigzag_from_trace(trace: QueueTrace, period: BusyPeriod) -> ZigzagTrajectory
     The first call builds the zigzags of all the trace's own busy periods at
     once (:func:`_zigzag_table`); a customer range that is one of them is
     answered from that table.  Any other range, such as a hand-built period,
-    a part of a period or two periods joined, goes through the per-period
-    pass: its trajectory or error is that of :func:`zigzag` on the same
-    customers.
+    a part of a period or two periods joined, goes through :func:`zigzag`
+    on the same customers.
     """
     c = period.customers
     table = trace._zigzags
@@ -467,7 +489,7 @@ def zigzag_from_trace(trace: QueueTrace, period: BusyPeriod) -> ZigzagTrajectory
     if z is not None and len(z.run_lengths) == 2 * (c.stop - c.start):
         return z
     A = trace.A[c.start:c.stop].tolist()  # gaps of Python numbers: exact for integers
-    return _zigzag_runs(trace.s[c.start:c.stop].tolist(), list(map(operator.sub, A[1:], A)))
+    return zigzag(trace.s[c.start:c.stop].tolist(), list(map(operator.sub, A[1:], A)))
 
 
 def _magnitude(x) -> int:
@@ -497,21 +519,22 @@ def _running_sums(x, starts, stops):
 
 
 def _period_run_tuples(A, s, D):
-    """The first customers of the busy periods :func:`_zigzag_runs` accepts,
-    as an array, and a lazy iterator over their run tuples, in order.
+    """The first customers of the busy periods :func:`zigzag` accepts, as an
+    array, and a lazy iterator over their run tuples, in order.
 
     The running height of every period is summed left to right by
     :func:`_running_sums`, so the checks (finite marks and gaps, positive
-    marks, positive gaps, no gap above the height) and the closing heights
-    are those of the per-period pass, bit for bit.  Each run tuple is a
-    slice of one tuple of all the runs, taken as the iterator is read.
+    marks, positive gaps, no gap above the height, a finite closing height)
+    and the closing heights are those of :func:`zigzag`, bit for bit.  Each
+    run tuple is a slice of one tuple of all the runs, taken as the
+    iterator is read.
     """
     firsts, stops = _period_bounds(A, D)
     last = stops - 1
-    g = np.diff(A)
     runs = np.empty(2 * A.size, s.dtype)
     runs[::2] = s
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite hand-built entries
+        g = np.diff(A)
         # the height steps s_0, -g_0, s_1, ..., s_{N-1}: period p sums 2 f_p to 2 last_p
         np.negative(g, out=runs[1:-1:2])
         h = _running_sums(runs[:-1], 2 * firsts, 2 * last + 1)
@@ -520,6 +543,7 @@ def _period_run_tuples(A, s, D):
         # each test is what must hold, so a NaN, which fails them all, is refused
         bad = ~((s > 0) & (s < math.inf))
         bad[:-1] |= inner & ~((g > 0) & (g <= h[:-1:2]) & (g < math.inf))
+        bad[last] |= ~(h[2 * last] < math.inf)  # finite marks whose sum overflows
     runs[1:-1:2] = g
     runs[2 * last + 1] = h[2 * last]
     keep = ~np.logical_or.reduceat(bad, firsts)
@@ -530,13 +554,15 @@ def _period_run_tuples(A, s, D):
 
 
 def _zigzag_table(trace: QueueTrace) -> list:
-    """The zigzag of every busy period of ``trace`` that :func:`_zigzag_runs`
+    """The zigzag of every busy period of ``trace`` that :func:`zigzag`
     accepts, at the index of the period's first customer (None elsewhere).
 
     A trace whose ``A`` and ``s`` are not both int64 or both float64, or
     whose integer sums could leave int64, gets an empty table: each of its
-    periods takes the per-period pass.  The trajectories are made and
-    filled by ``map`` in C, with no Python frame per period.
+    periods goes through :func:`zigzag`.  The trajectories are made and
+    filled by ``map`` in C, with no Python frame per period, and skip the
+    constructor's checks, which the runs already passed: this is the one
+    place a :class:`ZigzagTrajectory` is built without them.
     """
     A, s = trace.A, trace.s
     if A.dtype != s.dtype or s.dtype not in (np.int64, np.float64):
@@ -551,36 +577,6 @@ def _zigzag_table(trace: QueueTrace) -> list:
     table = [None] * A.size
     deque(map(table.__setitem__, firsts.tolist(), zigzags), maxlen=0)
     return table
-
-
-def _zigzag_runs(s: list, a: list) -> ZigzagTrajectory:
-    """Validate k marks and the k-1 gaps between them in one pass.
-
-    The running height takes the same steps as the check in
-    :class:`ZigzagTrajectory`, which therefore cannot fail and is skipped.
-    """
-    if len(s) == 0 or len(a) != len(s) - 1:
-        raise ValueError("need k marks and k-1 internal gaps")
-    # NaN passes the sign tests below, so it is refused here
-    if not all(-math.inf < x < math.inf for x in s + a):
-        raise ValueError("marks and gaps must be finite")
-    runs = []
-    h = 0
-    for si, ai in zip(s, a):
-        if si <= 0:
-            raise ValueError("marks must be positive within a busy period")
-        h += si
-        if ai <= 0:
-            raise ValueError("gaps must be positive")
-        if ai > h:
-            raise ValueError("gap exceeds current workload: not a single busy period")
-        runs += (si, ai)
-        h -= ai
-    if s[-1] <= 0:
-        raise ValueError("marks must be positive within a busy period")
-    h += s[-1]
-    runs += (s[-1], h)
-    return ZigzagTrajectory._validated(tuple(runs))
 
 
 def enumerate_trajectories(total_rise: int) -> list[ZigzagTrajectory]:

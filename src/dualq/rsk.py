@@ -47,7 +47,6 @@ __all__ = [
     "word_of",
     "growth_shapes",
     "tableau_of",
-    "shape",
     "pretty",
     "nabla",
     "triangle",
@@ -225,10 +224,6 @@ def tableau_of(word) -> Tableau:
     out = Tableau.__new__(Tableau)
     out.rows = rows
     return out
-
-
-def shape(T: Tableau) -> tuple:
-    return T.shape()
 
 
 def _words(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

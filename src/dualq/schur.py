@@ -16,7 +16,6 @@ work too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import factorial, perm, prod
@@ -24,7 +23,6 @@ from math import factorial, perm, prod
 from .rsk import Tableau, _partition, normalize_partition
 
 __all__ = [
-    "WeightVector",
     "empty_row_prob",
     "ssyt_enumerate",
     "ssyt_count",
@@ -37,28 +35,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Per-stage geometric parameters q_j, each in (0, 1)."""
-
-    q: tuple
-
-    def __post_init__(self):
-        q = tuple(self.q)
-        object.__setattr__(self, "q", q)
-        if not q or any(not 0 < qj < 1 for qj in q):
-            raise ValueError("every weight must lie strictly in (0, 1)")
-
-    def __iter__(self):
-        return iter(self.q)
-
-    def __len__(self):
-        return len(self.q)
-
-
 def _weights(q) -> tuple:
-    """The weights as a tuple, each checked to lie in (0, 1) as WeightVector does."""
-    return (q if isinstance(q, WeightVector) else WeightVector(q)).q
+    """The weights q_j as a tuple, each checked to lie strictly in (0, 1)."""
+    q = tuple(q)
+    if not q or any(not 0 < qj < 1 for qj in q):
+        raise ValueError("every weight must lie strictly in (0, 1)")
+    return q
 
 
 def empty_row_prob(q):

@@ -13,9 +13,13 @@ benchmark's tracer wraps (``LAYERS`` in ``perfbench/tracing.py``) counts as
 called: the tracer and the workloads reach the modules through strings,
 which a name scan misses.
 
-Methods and properties are matched by attribute name alone, so one named
-like a common attribute hides an orphan: any ``.size`` or ``.shape`` read,
-numpy's included, counts as a call of a method of that name.
+Methods and properties are matched by attribute name alone.  One named
+like an attribute of a built-in container, ``str``, ``np.ndarray`` or
+``np.random.Generator`` (:data:`COMMON`) counts as called only where the
+attribute is called, ``.name(``: a read of numpy's ``.shape`` is no call of
+``Tableau.shape``.  A call still hides an orphan of the same name, so an
+array's ``.copy()`` would count as a call of an unused method ``copy``; and
+a property named like one (none is today) would need a call to count.
 """
 
 import ast
@@ -23,6 +27,7 @@ import importlib
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dualq
@@ -31,10 +36,11 @@ INIT = Path(dualq.__file__)
 ROOT = Path(__file__).resolve().parents[1]
 CALLER_GLOBS = ("src/dualq/*.py", "demos/*.py", "perfbench/*.py")
 
+# attribute names of objects the sources hold everywhere
+COMMON = frozenset().union(*map(dir, (np.ndarray, list, tuple, dict, str, np.random.Generator)))
+
 # public names that only the tests call, each with the reason it stays
 ORACLES = {
-    "queue_store.zigzag": "the public face of _zigzag_runs, the per-period "
-                          "oracle for zigzag_from_trace's table",
     "rsk.Tableau.is_valid": "checks the output of tableau_of and ssyt_enumerate",
     "rsk.Tableau.weight": "supplies the x^T terms when test_schur enumerates "
                           "tableaux to check schur_eval",
@@ -97,12 +103,13 @@ def _public_names(modules: dict) -> set:
 
 
 class _References(ast.NodeVisitor):
-    """The names (read or imported), the attributes and the ``name.attr``
-    pairs (read) of a source, leaving out what a def reads of its own name,
-    and the imports when ``reexports`` says they only re-export."""
+    """The names (read or imported), the attributes (read, and called) and
+    the ``name.attr`` pairs (read) of a source, leaving out what a def reads
+    of its own name, and the imports when ``reexports`` says they only
+    re-export."""
 
     def __init__(self, reexports: bool):
-        self.names, self.attrs, self.pairs, self.defs = set(), set(), set(), []
+        self.names, self.attrs, self.calls, self.pairs, self.defs = set(), set(), set(), set(), []
         self.reexports = reexports
 
     def visit_FunctionDef(self, node):
@@ -121,6 +128,11 @@ class _References(ast.NodeVisitor):
                 self.pairs.add((node.value.id, node.attr))
         self.generic_visit(node)
 
+    def visit_Call(self, node):
+        if isinstance(node.func, ast.Attribute) and node.func.attr not in self.defs:
+            self.calls.add(node.func.attr)
+        self.generic_visit(node)
+
     def visit_ImportFrom(self, node):
         if not self.reexports:
             self.names.update(alias.name for alias in node.names)
@@ -136,18 +148,19 @@ def _audit(sources: dict) -> tuple:
                and Path(path).stem not in ("__init__", "__main__")}
     layers = _assigned(trees["perfbench/tracing.py"], "LAYERS")
     traced = {f"{layer}.{name}" for layer, names in layers.items() for name in names}
-    names, attrs, pairs = set(), set(), set()
+    names, attrs, calls, pairs = set(), set(), set(), set()
     for path, tree in trees.items():
         refs = _References(reexports=path == "src/dualq/__init__.py")
         refs.visit(tree)
         names |= refs.names
         attrs |= refs.attrs
+        calls |= refs.calls
         pairs |= refs.pairs
     orphans = set()
     for public in _public_names(modules) - traced:
         module, *owner, name = public.split(".")
         if owner:  # a method or property
-            called = name in attrs
+            called = name in (calls if name in COMMON else attrs)
         else:
             called = name in names or {(module, name), ("dualq", name)} & pairs
         if not called:
@@ -179,6 +192,12 @@ def test_the_scan_reports_an_unused_method_of_an_exported_class():
     sources["src/dualq/rsk.py"] = sources["src/dualq/rsk.py"].replace(
         "    def shape(self)", "    def unused(self):\n        return 0\n\n    def shape(self)", 1)
     assert _audit(sources) == ({"rsk.Tableau.unused"}, set())
+
+
+def test_the_scan_counts_only_calls_of_a_method_named_like_a_common_attribute():
+    # numpy's .shape reads are no call of Tableau.shape
+    sources = {path: text.replace(".shape()", ".shape") for path, text in _sources().items()}
+    assert _audit(sources) == ({"rsk.Tableau.shape"}, set())
 
 
 def test_the_scan_reports_an_oracle_that_gained_a_caller():

@@ -687,6 +687,26 @@ def test_a_non_finite_mark_or_gap_is_refused_like_zigzag(A, s):
         assert from_trace(tr, c) == zigzag_of_range(tr, c)
 
 
+def test_a_sum_that_overflows_float64_is_refused():
+    # finite marks whose running height overflows: the trace gave D = [1e308, inf]
+    # with only a RuntimeWarning, and zigzag and the table the runs
+    # (1e308, 1.0, 1e308, inf), which ZigzagTrajectory itself refuses
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="does not fit float64"):
+            trace_from_arrays([0.0, 1.0], [1e308, 1e308])
+        assert raised(zigzag, [1e308, 1e308], [1.0]) == "the height of the busy period overflows"
+        A, s = np.array([0.0, 1.0]), np.array([1e308, 1e308])
+        tr = QueueTrace(A=A, s=s, D=np.array([1e308, math.inf]), w=np.zeros(2), r=np.zeros(1))
+        assert queue_store._zigzag_table(tr) == [None, None]
+        assert from_trace(tr, range(0, 2)) == "ValueError: the height of the busy period overflows"
+        assert from_trace(tr, range(0, 1)) == "(1e+308, 1e+308)"
+        # a gap that overflows lies between two periods: the table has both, with no warning
+        A = np.array([-1e308, 1e308])
+        tr = QueueTrace(A=A, s=np.ones(2), D=A + 1, w=np.zeros(2), r=np.ones(1))
+        assert [from_trace(tr, p.customers) for p in busy_periods(tr)] == ["(1.0, 1.0)"] * 2
+
+
 def test_a_zero_mark_raises_only_for_its_period():
     tr = trace_from_arrays([0, 1, 10, 11, 20], [2, 0, 2, 2, 1])
     got = [from_trace(tr, p.customers) for p in busy_periods(tr)]
@@ -887,12 +907,13 @@ def test_trace_csv():
     (lambda: zigzag([np.inf], []), "finite"),
     (lambda: zigzag([1.0, np.nan], [0.5]), "finite"),
     (lambda: zigzag([1.0, 1.0], [np.nan]), "finite"),
+    (lambda: zigzag(1.0, []), "k marks and k-1 internal gaps"),  # was TypeError from list(1.0)
 ], ids=["lindley-marks", "lindley-int64", "lindley-gap", "no-customer", "unequal-shapes", "empty-input",
         "zero-mark", "zigzag-gaps", "zigzag-empty", "trace-strings", "trace-complex",
         "trace-object", "trace-string-w1", "trace-complex-w1", "lindley-complex",
         "lindley-object", "lindley-strings", "lindley-string-w1", "lindley-2-d",
         "lindley-0-d-gaps", "zigzag-nan", "zigzag-inf", "zigzag-nan-mark",
-        "zigzag-nan-gap"])
+        "zigzag-nan-gap", "zigzag-0-d-marks"])
 def test_queue_inputs_are_checked(call, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a refusal, not a cast with a warning

@@ -18,7 +18,6 @@ from dualq.rsk import (
     path_max,
     path_min,
     pretty,
-    shape,
     tableau_of,
     triangle,
     verify_row_queue,
@@ -158,12 +157,12 @@ def test_insert_maximal_letter_appends(word):
 def test_insert_valid_and_adds_one_box(word, letter):
     T = tableau_of(word)
     assert T.is_valid(alphabet=4)
-    assert sum(shape(T)) == len(word)
+    assert sum(T.shape()) == len(word)
     rows = [list(r) for r in T.rows]
     rsk._insert_word(rows, [letter])
     T2 = Tableau(rows)
     assert T2.is_valid(alphabet=4)
-    assert sum(shape(T2)) == len(word) + 1
+    assert sum(T2.shape()) == len(word) + 1
     assert T2 == tableau_of(word + [letter])
 
 
@@ -223,28 +222,28 @@ def test_insertion_cost_follows_the_letters_present():
 
 def test_tableau_of_empty_word():
     assert tableau_of([]).rows == []
-    assert shape(tableau_of([])) == ()
+    assert tableau_of([]).shape() == ()
 
 
 def test_tableau_of_two_by_two_word():
-    assert shape(tableau_of(word_of(U22))) == (8, 2)
+    assert tableau_of(word_of(U22)).shape() == (8, 2)
 
 
 @given(st.integers(0, 12))
 def test_single_letter_word(n):
-    assert shape(tableau_of([1] * n)) == ((n,) if n else ())
+    assert tableau_of([1] * n).shape() == ((n,) if n else ())
 
 
 @given(words())
 def test_shape_bounded_by_alphabet(word):
-    sh = shape(tableau_of(word))
+    sh = tableau_of(word).shape()
     assert len(sh) <= 4
     assert sum(sh) == len(word)
     assert all(sh[i] >= sh[i + 1] for i in range(len(sh) - 1))
 
 
 def test_shape_examples():
-    assert shape(Tableau([[1, 1, 2], [2]])) == (3, 1)
+    assert Tableau([[1, 1, 2], [2]]).shape() == (3, 1)
 
 
 def test_pretty():
@@ -334,7 +333,7 @@ def test_growth_shapes_match_insertion_on_every_prefix(U):
     grown = growth_shapes(U.u[None])[0]
     assert not grown[0].any()
     for n in range(1, U.N + 1):
-        sh = shape(tableau_of(word_of(ServiceMatrix(U.u[:n]))))
+        sh = tableau_of(word_of(ServiceMatrix(U.u[:n]))).shape()
         assert tuple(x for x in grown[n].tolist() if x) == sh
 
 
@@ -345,7 +344,7 @@ def test_growth_shapes_wide_batches_match_insertion(B, N, K):
     assert grown.shape == (B, N + 1, K) and grown.dtype == np.int64
     for b in range(B):
         for n in (N - 1, N):
-            sh = shape(tableau_of(word_of(ServiceMatrix(u[b, :n]))))
+            sh = tableau_of(word_of(ServiceMatrix(u[b, :n]))).shape()
             assert tuple(x for x in grown[b, n].tolist() if x) == sh
 
 
@@ -355,7 +354,7 @@ def test_growth_shapes_long_matrix():
     u = np.random.default_rng(31).integers(0, 3, size=(1, 1500, 3))
     grown = growth_shapes(u)[0]
     for n in (1, 2, 700, 1500):
-        sh = shape(tableau_of(word_of(ServiceMatrix(u[0, :n]))))
+        sh = tableau_of(word_of(ServiceMatrix(u[0, :n]))).shape()
         assert tuple(x for x in grown[n].tolist() if x) == sh
     assert np.array_equal(grown[1:, 0], queue_departures(u[0])[1:, -1])
     assert np.array_equal(grown[1:, -1], store_flow(u[0])[2])

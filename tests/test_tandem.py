@@ -9,7 +9,6 @@ from dualq.rsk import (
     lambda_operators,
     path_max,
     path_min,
-    shape,
     tableau_of,
     verify_row_queue,
     verify_row_queue_batch,
@@ -159,7 +158,7 @@ def test_tandem_outputs_two_by_two():
 def test_prefixes_match_rsk_shapes(U):
     D_seq, R_seq = tandem_outputs(U)
     for n in range(1, U.N + 1):
-        sh = shape(tableau_of(word_of(ServiceMatrix(U.u[:n]))))
+        sh = tableau_of(word_of(ServiceMatrix(U.u[:n]))).shape()
         lam1 = sh[0] if sh else 0
         lamK = sh[U.K - 1] if len(sh) >= U.K else 0
         assert D_seq[n - 1] == lam1
@@ -174,7 +173,7 @@ def test_d_seq_strictly_increasing_when_positive():
 
 
 def test_shape_mass_and_ordering():
-    sh = shape(tableau_of(word_of(U22)))
+    sh = tableau_of(word_of(U22)).shape()
     assert sum(sh) == U22.u.sum()
     D_seq, R_seq = tandem_outputs(U22)
     assert D_seq[-1] >= R_seq[-1]
