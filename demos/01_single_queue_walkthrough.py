@@ -10,12 +10,12 @@ import sys
 import numpy as np
 
 from dualq import (
+    QueueTrace,
     RateParams,
     Seed,
     backward_check,
     busy_periods,
     sample_input,
-    trace_from_arrays,
     trace_to_csv,
     transform,
     workload_pair,
@@ -23,7 +23,7 @@ from dualq import (
 )
 
 # the worked example: two customers, the second arrives mid-service
-trace = trace_from_arrays(A=[0, 3], s=[5, 1])
+trace = QueueTrace(A=[0, 3], s=[5, 1])
 print("hand example (A=0,3  s=5,1):")
 trace_to_csv(trace, sys.stdout)
 print(f"conservation r+d = a+s':  {trace.r + trace.d} == {trace.a + trace.s[1:]}")

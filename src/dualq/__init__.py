@@ -26,7 +26,6 @@ from .queue_store import (
     ZigzagTrajectory,
     lindley_forward,
     transform,
-    trace_from_arrays,
     queue_length,
     workload_pair,
     busy_periods,

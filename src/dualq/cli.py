@@ -291,8 +291,7 @@ def _particles(cfg):
 def _trace(cfg):
     buf = io.StringIO()
     queue_store.trace_to_csv(
-        queue_store.trace_from_arrays(_number_array(cfg.a), _number_array(cfg.s), w1=cfg.w1),
-        buf)
+        queue_store.QueueTrace(_number_array(cfg.a), _number_array(cfg.s), cfg.w1), buf)
     return buf.getvalue(), True
 
 

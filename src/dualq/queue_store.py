@@ -56,7 +56,6 @@ __all__ = [
     "ZigzagTrajectory",
     "lindley_forward",
     "transform",
-    "trace_from_arrays",
     "queue_length",
     "workload_pair",
     "busy_periods",
@@ -83,14 +82,26 @@ def _run_dtype(w1, *arrays):
     return np.float64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QueueTrace:
-    """Per-customer input and output of one model run.
+    """Per-customer input and output of one model run, built from the
+    input alone: ``QueueTrace(A, s, w1=0)``.
 
-    ``A, s, D, w`` have length N; ``r`` has length N-1 because r_n needs
-    the next arrival.  Gaps ``a`` and ``d`` are the first differences of
-    ``A`` and ``D``.  The arrays are held as read-only views: the trace
-    caches its zigzag table, which must not go stale.
+    ``A`` are the arrival epochs, ``s`` the marks and ``w1`` the initial
+    wait; the constructor computes the departures ``D``, waits ``w`` and
+    ``r``, which can be read but not passed in.  ``A, s, D, w`` have length
+    N; ``r`` has length N-1 because r_n needs the next arrival.  Gaps ``a``
+    and ``d`` are the first differences of ``A`` and ``D``.
+
+    D is the closed form (:func:`_fifo_series`) of the recursion
+    D_{n+1} = max(D_n, A_{n+1}) + s_{n+1} from D_1 = A_1 + w1 + s_1.  A, s
+    and w1 must be real and finite (:func:`_run_dtype`), w1 and s
+    nonnegative and A nondecreasing; marks may be zero and arrivals
+    simultaneous (the saturated-tandem sections need that).  Integer inputs
+    whose total A_N + w1 + sum(s) (less A_1 if A_1 is negative) reaches
+    2**63, and real inputs whose D, w or r overflow float64, raise
+    ValueError.  The arrays are read-only, ``A`` and ``s`` copies of the
+    input: the trace caches its zigzag table, which must not go stale.
     """
 
     A: np.ndarray
@@ -99,12 +110,39 @@ class QueueTrace:
     w: np.ndarray
     r: np.ndarray
 
-    def __post_init__(self):
-        for name in ("A", "s", "D", "w", "r"):
-            x = np.asarray(getattr(self, name))
-            if x.flags.writeable:  # an array already read-only is kept, so equal traces stay equal
-                x = x.view()
-                x.flags.writeable = False
+    def __init__(self, A, s, w1=0):
+        A = np.asarray(A)
+        s = np.asarray(s)
+        if A.size == 0:
+            raise ValueError("need at least one customer")
+        if A.shape != s.shape or A.ndim != 1:
+            raise ValueError("A and s must be 1-d of equal length")
+        dtype = _run_dtype(w1, A, s)
+        # on the inputs as given: the cast to int64 wraps uint64 entries from
+        # 2**63, and max and min bound A before it is known to be nondecreasing
+        if dtype is np.int64 and not _below_int64(
+                s, max(int(A.max()), 0) - min(int(A.min()), 0) + int(w1)):
+            raise ValueError("integer trace does not fit int64: "
+                             "max(A_N, 0) - min(A_1, 0) + w1 + sum(s) reaches 2**63")
+        A, s = A.astype(dtype), s.astype(dtype)  # copies: no caller can write them
+        if not (np.isfinite(A).all() and np.isfinite(s).all()) or s.min() < 0:
+            raise ValueError("A and s must be finite and the marks nonnegative")
+        if (A[1:] < A[:-1]).any():
+            raise ValueError("arrival epochs must be nondecreasing")
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            arrivals = A.copy()
+            arrivals[0] += dtype(w1)       # the first customer finds w1 of work ahead
+            D = _fifo_series(arrivals[:, None], s[:, None, None])[:, 0, 0]
+            # w via w_{n+1} = (D_n - A_{n+1})^+ rather than D - s - A: the clamp
+            # makes idle arrivals exactly zero, with no float residue
+            w = np.empty_like(D)
+            w[0] = dtype(w1)
+            np.maximum(D[:-1] - A[1:], 0, out=w[1:])
+            r = np.minimum(D[:-1], A[1:]) - A[:-1]
+        if not all(np.isfinite(x).all() for x in (D, w, r)):
+            raise ValueError("real trace does not fit float64: a departure, wait or r overflows")
+        for name, x in zip(("A", "s", "D", "w", "r"), (A, s, D, w, r)):
+            x.flags.writeable = False
             object.__setattr__(self, name, x)
 
     @cached_property
@@ -202,59 +240,9 @@ def _fifo_series(A, s, out=None):
     return D
 
 
-def trace_from_arrays(A, s, w1=0) -> QueueTrace:
-    """Build the full trace from raw epoch/mark arrays.
-
-    D is the running max-plus form seeded with D_1 = A_1 + w1 + s_1, which
-    is the closed form of the recursion D_{n+1} = max(D_n, A_{n+1}) + s_{n+1}.
-    A, s and w1 must be real and finite (:func:`_run_dtype`), w1 and s
-    nonnegative and A nondecreasing.  Marks may be zero and arrivals
-    simultaneous here (the saturated-tandem sections need that); use
-    :func:`transform` when starting from a validated MarkedSequence.  Every
-    output of an integer trace lies within A_N + w1 + sum(s) (less A_1 if
-    A_1 is negative), so integer inputs whose total reaches 2**63 raise
-    ValueError rather than wrap in int64; real inputs whose D, w or r
-    overflow float64 raise ValueError too.
-    """
-    A = np.asarray(A)
-    s = np.asarray(s)
-    if A.size == 0:
-        raise ValueError("need at least one customer")
-    if A.shape != s.shape or A.ndim != 1:
-        raise ValueError("A and s must be 1-d of equal length")
-    dtype = _run_dtype(w1, A, s)
-    # on the inputs as given: the cast to int64 wraps uint64 entries from
-    # 2**63, and max and min bound A before it is known to be nondecreasing
-    if dtype is np.int64 and not _below_int64(
-            s, max(int(A.max()), 0) - min(int(A.min()), 0) + int(w1)):
-        raise ValueError("integer trace does not fit int64: "
-                         "max(A_N, 0) - min(A_1, 0) + w1 + sum(s) reaches 2**63")
-    A = A.astype(dtype)
-    s = s.astype(dtype)
-    if not (np.isfinite(A).all() and np.isfinite(s).all()) or s.min() < 0:
-        raise ValueError("A and s must be finite and the marks nonnegative")
-    if (A[1:] < A[:-1]).any():
-        raise ValueError("arrival epochs must be nondecreasing")
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        arrivals = A.copy()
-        arrivals[0] += dtype(w1)       # the first customer finds w1 of work ahead
-        D = _fifo_series(arrivals[:, None], s[:, None, None])[:, 0, 0]
-        # w via w_{n+1} = (D_n - A_{n+1})^+ rather than D - s - A: the clamp
-        # makes idle arrivals exactly zero, with no float residue
-        w = np.empty_like(D)
-        w[0] = dtype(w1)
-        np.maximum(D[:-1] - A[1:], 0, out=w[1:])
-        r = np.minimum(D[:-1], A[1:]) - A[:-1]
-    if not all(np.isfinite(x).all() for x in (D, w, r)):
-        raise ValueError("real trace does not fit float64: a departure, wait or r overflows")
-    return QueueTrace(A=A, s=s, D=D, w=w, r=r)
-
-
 def transform(inp: MarkedSequence, w1=0) -> QueueTrace:
     """Map the input marked sequence to the full output trace."""
-    if len(inp) == 0:
-        raise ValueError("input must be non-empty")
-    return trace_from_arrays(inp.epochs, inp.marks, w1=w1)
+    return QueueTrace(inp.epochs, inp.marks, w1)
 
 
 def queue_length(trace: QueueTrace, t_grid) -> np.ndarray:
@@ -627,6 +615,10 @@ def backward_check(trace: QueueTrace) -> BackwardCheckReport:
     array expression over neighbouring entries; the first violation is
     the first in customer order, sojourn before backward Lindley.  A NaN
     error counts as an infinite one, and an infinite error is a violation.
+
+    It is the oracle of :class:`QueueTrace`'s closed form, sharing no code
+    with it, so only a corrupted trace can fail it: a kernel bug, or a test
+    that writes a field.
     """
     rel_tol = 0.0 if trace.A.dtype.kind in "iu" else 1e-12
     tol = rel_tol * max(1.0, float(np.abs(trace.D).max()))

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -89,46 +90,45 @@ def _partition(parts) -> tuple:
     return normalize_partition(parts)
 
 
+@dataclass(frozen=True, slots=True)
 class Tableau:
-    """Semistandard Young tableau: rows weakly increase left to right,
-    columns strictly increase downward."""
+    """Semistandard Young tableau: nonempty rows of positive integer letters
+    that weakly increase left to right, no row longer than the one above it,
+    and columns that strictly increase downward.
 
-    __slots__ = ("rows",)
+    The rows are held as a tuple of tuples, and the constructor raises
+    ValueError unless they form such a tableau.  :func:`tableau_of` is the
+    one place a tableau is built without the check: row insertion keeps
+    the rows semistandard.
+    """
 
-    def __init__(self, rows=()):
-        self.rows = [list(r) for r in rows]
+    rows: tuple = ()
+
+    def __post_init__(self):
+        rows = tuple(map(tuple, self.rows))
+        object.__setattr__(self, "rows", rows)
+        for i, row in enumerate(rows):
+            if not row or (i and len(row) > len(rows[i - 1])):
+                raise ValueError("rows must be nonempty and no longer than the row above")
+            for j, x in enumerate(row):
+                if not (isinstance(x, numbers.Integral) and x >= 1):
+                    raise ValueError("letters are positive integers")
+                if j and row[j - 1] > x:
+                    raise ValueError("rows must weakly increase")
+                if i and rows[i - 1][j] >= x:
+                    raise ValueError("columns must strictly increase")
 
     def shape(self) -> tuple:
-        return normalize_partition(len(r) for r in self.rows)
-
-    def is_valid(self, alphabet: int | None = None) -> bool:
-        for i, row in enumerate(self.rows):
-            if i + 1 < len(self.rows) and len(self.rows[i + 1]) > len(row):
-                return False
-            for j, x in enumerate(row):
-                if x < 1 or (alphabet is not None and x > alphabet):
-                    return False
-                if j and row[j - 1] > x:
-                    return False
-                if i and self.rows[i - 1][j] >= x:
-                    return False
-        return True
+        return tuple(map(len, self.rows))
 
     def weight(self, alphabet: int) -> tuple:
         counts = [0] * alphabet
         for row in self.rows:
             for x in row:
+                if x > alphabet:
+                    raise ValueError(f"letter {x} lies above the alphabet 1..{alphabet}")
                 counts[x - 1] += 1
         return tuple(counts)
-
-    def __eq__(self, other):
-        return isinstance(other, Tableau) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(tuple(tuple(r) for r in self.rows))
-
-    def __repr__(self):
-        return f"Tableau({self.rows!r})"
 
 
 def pretty(T: Tableau) -> str:
@@ -221,8 +221,8 @@ def tableau_of(word) -> Tableau:
     computed one tableau row at a time (:func:`_insert_word`)."""
     rows: list[list[int]] = []
     _insert_word(rows, _letters(word))
-    out = Tableau.__new__(Tableau)
-    out.rows = rows
+    out = object.__new__(Tableau)  # no check: insertion keeps the rows semistandard
+    object.__setattr__(out, "rows", tuple(map(tuple, rows)))
     return out
 
 

@@ -22,10 +22,10 @@ from dualq.particles import (
     zero_range_run,
 )
 from dualq.queue_store import (
+    QueueTrace,
     backward_check,
     busy_periods,
     enumerate_trajectories,
-    trace_from_arrays,
     transform,
     zigzag_from_trace,
 )
@@ -113,7 +113,7 @@ def _check_representation(a, marks, exact):
     rel = 0 if exact else 1e-12
     A = np.concatenate([[0], np.cumsum(a)])
     s = np.concatenate([[0], marks])           # s_1 = 0
-    trace = trace_from_arrays(A, s, w1=0)
+    trace = QueueTrace(A, s, w1=0)
     scale = max(1.0, float(np.abs(trace.D).max()))
     ca = np.concatenate([[0], np.cumsum(a)])   # ca[j] = a_1 + ... + a_j
     cs = np.concatenate([[0, 0], np.cumsum(marks)])  # cs[j] = s_2 + ... + s_j

@@ -41,7 +41,6 @@ COMMON = frozenset().union(*map(dir, (np.ndarray, list, tuple, dict, str, np.ran
 
 # public names that only the tests call, each with the reason it stays
 ORACLES = {
-    "rsk.Tableau.is_valid": "checks the output of tableau_of and ssyt_enumerate",
     "rsk.Tableau.weight": "supplies the x^T terms when test_schur enumerates "
                           "tableaux to check schur_eval",
     "schur.ssyt_enumerate": "the enumeration oracle for ssyt_count and schur_eval",

@@ -21,7 +21,6 @@ from dualq.queue_store import (
     enumerate_trajectories,
     lindley_forward,
     queue_length,
-    trace_from_arrays,
     trace_to_csv,
     transform,
     workload_pair,
@@ -196,7 +195,7 @@ def test_transform_single_customer():
 
 
 def test_transform_hand_example():
-    tr = trace_from_arrays([0, 3], [5, 1])
+    tr = QueueTrace([0, 3], [5, 1])
     assert tr.D.tolist() == [5, 6]
     assert tr.r.tolist() == [3]
     assert tr.w.tolist() == [0, 2]
@@ -241,7 +240,7 @@ def test_trace_invariants(master, w1):
 
 
 def test_transform_with_initial_backlog():
-    tr = trace_from_arrays([0, 3], [5, 1], w1=4)
+    tr = QueueTrace([0, 3], [5, 1], w1=4)
     assert tr.D.tolist() == [9, 10]
     assert tr.w.tolist() == [4, 6]
 
@@ -265,27 +264,41 @@ def test_transform_with_initial_backlog():
 ])
 def test_trace_rejects_inputs_without_meaning(A, s, w1, message):
     with pytest.raises(ValueError, match=message):
-        trace_from_arrays(A, s, w1=w1)
+        QueueTrace(A, s, w1=w1)
 
 
 def test_integer_trace_just_below_the_int64_limit_is_exact():
-    tr = trace_from_arrays([0, 0], [2**62, 2**62 - 1])
+    tr = QueueTrace([0, 0], [2**62, 2**62 - 1])
     assert tr.D.tolist() == [2**62, 2**63 - 1]
     assert backward_check(tr).ok
-    tr = trace_from_arrays([-2**62, 2**62 - 3], [1, 1])  # span 2**63 - 1
+    tr = QueueTrace([-2**62, 2**62 - 3], [1, 1])  # span 2**63 - 1
     assert tr.r.tolist() == [1] and tr.w.tolist() == [0, 0]
 
 
 def test_integer_w1_past_float_precision_stays_exact():
     # 2**53 + 1 has no float64: the trace ran in float64, D_1 = 2**53
     w1 = 2**53 + 1
-    tr = trace_from_arrays([0, 1], [1, 1], w1=w1)
+    tr = QueueTrace([0, 1], [1, 1], w1=w1)
     assert tr.D.dtype == np.int64 and tr.D.tolist() == [w1 + 1, w1 + 2]
     assert lindley_forward(w1, [1], [1]).tolist() == [w1, w1]
 
 
+def test_a_trace_is_built_from_its_input_alone():
+    # D, w and r follow from (A, s, w1): a caller cannot pass them in
+    for out in ("D", "w", "r"):
+        with pytest.raises(TypeError):
+            QueueTrace([0, 3], [5, 1], **{out: [5, 6]})
+    base = np.array([0, 3])
+    A = base.view()
+    A.flags.writeable = False
+    tr = QueueTrace(A, [5, 1], 4)
+    base[1] = 100  # the trace holds a copy, even of a read-only view
+    assert tr.A.tolist() == [0, 3] and tr.D.tolist() == [9, 10]
+    assert not any(x.flags.writeable for x in (tr.A, tr.s, tr.D, tr.w, tr.r))
+
+
 def test_trace_keeps_simultaneous_arrivals_and_zero_marks():
-    tr = trace_from_arrays([0, 0, 2], [0, 3, 0])
+    tr = QueueTrace([0, 0, 2], [0, 3, 0])
     assert tr.D.tolist() == [0, 3, 3]
     assert tr.w.tolist() == [0, 0, 1]
     assert tr.r.tolist() == [0, 2]
@@ -294,7 +307,7 @@ def test_trace_keeps_simultaneous_arrivals_and_zero_marks():
 # --- queue length ------------------------------------------------------------
 
 def test_queue_length_examples():
-    tr = trace_from_arrays([0, 3], [5, 1])
+    tr = QueueTrace([0, 3], [5, 1])
     assert queue_length(tr, [-1]).tolist() == [0]
     assert queue_length(tr, [4]).tolist() == [2]
     assert queue_length(tr, [5.5]).tolist() == [1]
@@ -324,7 +337,7 @@ def test_queue_length_jumps_exactly_at_arrivals_and_departures():
 # --- workload ----------------------------------------------------------------
 
 def test_workload_hand_example():
-    tr = trace_from_arrays([0, 3], [5, 1])
+    tr = QueueTrace([0, 3], [5, 1])
     W, Wbar = workload_pair(tr)
     assert W(0) == 5
     assert W(3) == 3
@@ -356,7 +369,7 @@ def test_piecewise_linear_without_knots_is_zero():
     assert p(1) == 0.0 and type(p(1)) is float
 
 def test_workload_idle_stretch_vanishes():
-    tr = trace_from_arrays([0, 100], [1, 1])
+    tr = QueueTrace([0, 100], [1, 1])
     W, Wbar = workload_pair(tr)
     for t in [2, 50, 99.5]:
         assert W(t) == 0
@@ -395,7 +408,7 @@ def test_workload_against_definition_on_grid():
 # --- busy periods ------------------------------------------------------------
 
 def test_busy_single_customer():
-    tr = trace_from_arrays([2], [3])
+    tr = QueueTrace([2], [3])
     periods = busy_periods(tr)
     assert len(periods) == 1
     assert (periods[0].start, periods[0].end) == (2, 5)
@@ -403,7 +416,7 @@ def test_busy_single_customer():
 
 
 def test_busy_hand_example():
-    tr = trace_from_arrays([0, 3, 100], [5, 1, 2])
+    tr = QueueTrace([0, 3, 100], [5, 1, 2])
     periods = busy_periods(tr)
     assert [(p.start, p.end) for p in periods] == [(0, 6), (100, 102)]
     assert [p.customers for p in periods] == [range(0, 2), range(2, 3)]
@@ -426,7 +439,7 @@ def test_busy_idle_partition():
 def test_busy_periods_and_zigzags_match_loops(pairs, scale):
     # integer gaps and marks hit the tie "arrival at the departure instant"
     A = np.cumsum([g for g, _ in pairs]) * scale
-    tr = trace_from_arrays(A, np.array([m for _, m in pairs]) * scale)
+    tr = QueueTrace(A, np.array([m for _, m in pairs]) * scale)
     periods = busy_periods(tr)
     assert repr(list(periods)) == repr(busy_periods_loop(tr))
     for p in periods:
@@ -435,7 +448,7 @@ def test_busy_periods_and_zigzags_match_loops(pairs, scale):
 
 
 def test_busy_periods_view():
-    tr = trace_from_arrays([0, 3, 100, 200, 201], [5, 1, 2, 3, 1])
+    tr = QueueTrace([0, 3, 100, 200, 201], [5, 1, 2, 3, 1])
     periods = busy_periods(tr)
     assert len(periods) == 3
     assert periods[2] == periods[-1] == BusyPeriod(200.0, 204.0, range(3, 5))
@@ -460,7 +473,7 @@ def test_busy_periods_view():
        st.sampled_from([1, 0.5]), st.data())
 def test_busy_periods_view_reads_like_the_loop(pairs, scale, data):
     A = np.cumsum([g for g, _ in pairs]) * scale
-    tr = trace_from_arrays(A, np.array([m for _, m in pairs]) * scale)
+    tr = QueueTrace(A, np.array([m for _, m in pairs]) * scale)
     periods, want = busy_periods(tr), busy_periods_loop(tr)
     n = len(want)
     assert len(periods) == n
@@ -499,7 +512,15 @@ AT_DEPARTURE = [(0, 2), (2, 1), (1, 1), (4, 2.5)]  # 2nd arrives as the 1st leav
 
 def trace_of(pairs, w1=0):
     A = np.cumsum([g for g, _ in pairs])
-    return trace_from_arrays(A, np.array([m for _, m in pairs]), w1=w1)
+    return QueueTrace(A, np.array([m for _, m in pairs]), w1=w1)
+
+
+def corrupted(tr, **fields):
+    """``tr`` with the given fields overwritten: a trace that no input
+    gives, which only a kernel bug or a test that writes a field makes."""
+    for name, x in fields.items():
+        object.__setattr__(tr, name, np.asarray(x))
+    return tr
 
 
 def assert_paths_equal(got, want):
@@ -559,10 +580,10 @@ def test_lindley_forward_matches_loop(pairs, w1, float_gaps):
 @example(AT_DEPARTURE, 0, None)
 def test_backward_check_matches_loop(pairs, w1, corrupt):
     tr = trace_of(pairs, w1)
-    if corrupt is not None:
+    if corrupt is not None:  # a valid trace, then one wait written over
         w = tr.w.copy()
         w[corrupt % len(w)] += 1
-        tr = QueueTrace(A=tr.A, s=tr.s, D=tr.D, w=w, r=tr.r)
+        tr = corrupted(tr, w=w)
     got = backward_check(tr)
     assert got == backward_check_loop(tr)
     if corrupt is not None and len(tr) > 1:
@@ -573,7 +594,7 @@ def test_backward_check_names_first_violation():
     tr = trace_of(ONE_PERIOD)
     w = tr.w.copy()
     w[2] += 1
-    bad = QueueTrace(A=tr.A, s=tr.s, D=tr.D, w=w, r=tr.r)
+    bad = corrupted(tr, w=w)  # a valid trace, then one wait written over
     got = backward_check(bad)
     assert got == backward_check_loop(bad)
     assert not got.ok
@@ -586,7 +607,7 @@ def test_backward_check_counts_a_non_finite_error_as_a_violation(bad):
     tr = trace_of([(0.0, 3.0), (1.0, 2.0), (3.0, 1.0), (0.5, 2.0)])
     w = tr.w.copy()
     w[1] = bad
-    tr = QueueTrace(A=tr.A, s=tr.s, D=tr.D, w=w, r=tr.r)
+    tr = corrupted(tr, w=w)  # a valid trace, then one wait written over
     got = backward_check(tr)
     assert got == backward_check_loop(tr)
     assert got == BackwardCheckReport(ok=False, max_error=math.inf,
@@ -599,8 +620,10 @@ def test_integer_backward_check_is_exact_at_large_magnitudes(d0, first):
     # w_n + s_n = 2**63 + 2**60 leaves int64; with d_1 = 0 the corrupted
     # trace's w_3 + r_2 - d_1 does too, and a wrapped sum would clamp to 0
     W, S = 2**62 + 2**60, 2**62
-    tr = QueueTrace(A=np.arange(3), s=np.full(3, S), D=np.array([d0, 0, S]),
-                    w=np.full(3, W), r=np.full(2, S))
+    # a valid trace, then the marks and every output written over: no input
+    # that fits int64 gives these
+    tr = corrupted(QueueTrace(np.arange(3), np.ones(3, dtype=np.int64)), s=np.full(3, S),
+                   D=np.array([d0, 0, S]), w=np.full(3, W), r=np.full(2, S))
     got = backward_check(tr)
     assert got == backward_check_loop(tr)
     assert got.first_violation == first
@@ -623,8 +646,8 @@ def raised(f, *args):
 ])
 def test_zigzag_from_trace_rejects_like_zigzag(A, s):
     A, s = np.array(A), np.array(s)
-    # hand-built: trace_from_arrays would accept these, but not as one period
-    tr = QueueTrace(A=A, s=s, D=A + s, w=np.zeros_like(A), r=np.zeros(1, dtype=A.dtype))
+    tr = QueueTrace(A, s)
+    # hand-built: the trace may split these customers into two periods
     period = BusyPeriod(0.0, float(A[-1] + s[-1]), range(0, 2))
     assert raised(zigzag_from_trace, tr, period) == raised(zigzag, s, np.diff(A))
 
@@ -646,8 +669,8 @@ def from_trace(tr, c):
 
 
 def twin(tr):
-    """An equal trace on the same arrays, without the other's table."""
-    return QueueTrace(A=tr.A, s=tr.s, D=tr.D, w=tr.w, r=tr.r)
+    """An equal trace on the same input, without the other's table."""
+    return QueueTrace(tr.A, tr.s, tr.w[0])
 
 
 # (gap, mark) per customer: zero gaps give simultaneous arrivals, zero marks
@@ -669,6 +692,8 @@ def test_zigzag_table_is_zigzag_on_every_period(pairs, w1):
     tr = trace_of(pairs, w1)
     for p in busy_periods(tr):
         assert from_trace(tr, p.customers) == zigzag_of_range(tr, p.customers)
+    # the table fills its trajectories' slots without the constructor's checks
+    assert all(z is None or ZigzagTrajectory(z.run_lengths) == z for z in tr._zigzags)
 
 
 @pytest.mark.parametrize("A, s", [
@@ -677,9 +702,10 @@ def test_zigzag_table_is_zigzag_on_every_period(pairs, w1):
     ([0.0, math.nan], [1.0, 1.0]),   # a NaN gap
 ])
 def test_a_non_finite_mark_or_gap_is_refused_like_zigzag(A, s):
-    # hand-built: trace_from_arrays refuses non-finite entries
+    # a valid trace, then its input written over: QueueTrace refuses
+    # non-finite entries
     A, s = np.array(A), np.array(s)
-    tr = QueueTrace(A=A, s=s, D=A + s, w=np.zeros(2), r=np.zeros(1))
+    tr = corrupted(QueueTrace([0.0, 1.0], [1.0, 1.0]), A=A, s=s, D=A + s)
     assert [p.customers for p in busy_periods(tr)] == [range(0, 2)]
     assert queue_store._zigzag_table(tr) == [None, None]
     assert from_trace(tr, range(0, 2)) == "ValueError: marks and gaps must be finite"
@@ -694,21 +720,20 @@ def test_a_sum_that_overflows_float64_is_refused():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="does not fit float64"):
-            trace_from_arrays([0.0, 1.0], [1e308, 1e308])
+            QueueTrace([0.0, 1.0], [1e308, 1e308])
         assert raised(zigzag, [1e308, 1e308], [1.0]) == "the height of the busy period overflows"
-        A, s = np.array([0.0, 1.0]), np.array([1e308, 1e308])
-        tr = QueueTrace(A=A, s=s, D=np.array([1e308, math.inf]), w=np.zeros(2), r=np.zeros(1))
+        # a valid trace, then the marks and departures written over
+        tr = corrupted(QueueTrace([0.0, 1.0], [1.0, 1.0]), s=[1e308, 1e308], D=[1e308, math.inf])
         assert queue_store._zigzag_table(tr) == [None, None]
         assert from_trace(tr, range(0, 2)) == "ValueError: the height of the busy period overflows"
         assert from_trace(tr, range(0, 1)) == "(1e+308, 1e+308)"
         # a gap that overflows lies between two periods: the table has both, with no warning
-        A = np.array([-1e308, 1e308])
-        tr = QueueTrace(A=A, s=np.ones(2), D=A + 1, w=np.zeros(2), r=np.ones(1))
+        tr = QueueTrace([-1e308, 1e308], [1.0, 1.0])
         assert [from_trace(tr, p.customers) for p in busy_periods(tr)] == ["(1.0, 1.0)"] * 2
 
 
 def test_a_zero_mark_raises_only_for_its_period():
-    tr = trace_from_arrays([0, 1, 10, 11, 20], [2, 0, 2, 2, 1])
+    tr = QueueTrace([0, 1, 10, 11, 20], [2, 0, 2, 2, 1])
     got = [from_trace(tr, p.customers) for p in busy_periods(tr)]
     assert got == ["ValueError: marks must be positive within a busy period",
                    "(2, 1, 2, 3)", "(1, 1)"]
@@ -758,7 +783,8 @@ def test_zigzag_table_is_built_once_per_trace(monkeypatch, model):
     assert all(z is y for z, y in zip(zigzags, zigzags[::-1]))  # answered by the table
     # the table is no field: equality (field by field) and repr do not see it
     assert [f.name for f in dataclasses.fields(tr)] == ["A", "s", "D", "w", "r"]
-    assert all(getattr(tr, f.name) is getattr(same, f.name) for f in dataclasses.fields(tr))
+    assert all(np.array_equal(getattr(tr, f.name), getattr(same, f.name))
+               for f in dataclasses.fields(tr))
     assert repr(tr) == repr(same)
     with pytest.raises(ValueError, match="read-only"):
         tr.s[0] = 1.0
@@ -770,7 +796,7 @@ def test_zigzag_table_sums_a_long_period_like_the_loop():
     rng = np.random.default_rng(4)
     s = np.concatenate((rng.exponential(1.0, 3000), rng.exponential(0.2, 500)))
     A = np.cumsum(np.concatenate(([0.0], rng.exponential(0.9, 2999), rng.exponential(1.0, 500))))
-    tr = trace_from_arrays(A, s)
+    tr = QueueTrace(A, s)
     periods = busy_periods(tr)
     assert len(periods[0].customers) > 1000
     for p in periods:
@@ -847,11 +873,11 @@ def test_trajectory_reversal_is_valid():
 # --- backward relations ------------------------------------------------------
 
 def test_backward_check_hand_example():
-    assert backward_check(trace_from_arrays([0, 3], [5, 1])).ok
+    assert backward_check(QueueTrace([0, 3], [5, 1])).ok
 
 
 def test_backward_check_all_idle():
-    tr = trace_from_arrays([0, 100, 200], [1, 1, 1])
+    tr = QueueTrace([0, 100, 200], [1, 1, 1])
     assert np.all(tr.w == 0)
     assert backward_check(tr).ok
 
@@ -866,7 +892,7 @@ def test_backward_check_random(master):
 # --- csv ---------------------------------------------------------------------
 
 def test_trace_csv():
-    tr = trace_from_arrays([0, 3], [5, 1])
+    tr = QueueTrace([0, 3], [5, 1])
     buf = io.StringIO()
     trace_to_csv(tr, buf)
     lines = buf.getvalue().strip().splitlines()
@@ -882,19 +908,19 @@ def test_trace_csv():
     (lambda: lindley_forward(2**62, [0], [2**62]), "not fit int64"),  # was OverflowError
     (lambda: lindley_forward(0, np.array([2**63], dtype=np.uint64),
                              np.array([1, 1], dtype=np.uint64)), "gaps must lie below 2"),
-    (lambda: trace_from_arrays([], []), "at least one customer"),
-    (lambda: trace_from_arrays([0, 1], [1]), "1-d of equal length"),
-    (lambda: transform(MarkedSequence(np.array([]), np.array([]), 0.0)), "non-empty"),
-    (lambda: workload_pair(trace_from_arrays([0, 1], [2, 0])), "strictly positive marks"),
+    (lambda: QueueTrace([], []), "at least one customer"),
+    (lambda: QueueTrace([0, 1], [1]), "1-d of equal length"),
+    (lambda: transform(MarkedSequence(np.array([]), np.array([]), 0.0)), "at least one customer"),
+    (lambda: workload_pair(QueueTrace([0, 1], [2, 0])), "strictly positive marks"),
     (lambda: zigzag([3, 2], [1, 1]), "k marks and k-1 internal gaps"),
     (lambda: zigzag([], []), "k marks and k-1 internal gaps"),
     # non-real inputs: parsed from the strings, cast with a ComplexWarning,
     # rounded to float64, UFuncTypeError, TypeError
-    (lambda: trace_from_arrays(np.array(["0", "3"]), np.array(["5", "1"])), "real numbers"),
-    (lambda: trace_from_arrays(np.array([0, 3 + 1j]), [5, 1]), "real numbers"),
-    (lambda: trace_from_arrays(np.array([0, 2**70], dtype=object), [1, 1]), "real numbers"),
-    (lambda: trace_from_arrays([0, 3], [5, 1], w1="1"), "real numbers"),
-    (lambda: trace_from_arrays([0, 3], [5, 1], w1=1j), "real numbers"),
+    (lambda: QueueTrace(np.array(["0", "3"]), np.array(["5", "1"])), "real numbers"),
+    (lambda: QueueTrace(np.array([0, 3 + 1j]), [5, 1]), "real numbers"),
+    (lambda: QueueTrace(np.array([0, 2**70], dtype=object), [1, 1]), "real numbers"),
+    (lambda: QueueTrace([0, 3], [5, 1], w1="1"), "real numbers"),
+    (lambda: QueueTrace([0, 3], [5, 1], w1=1j), "real numbers"),
     (lambda: lindley_forward(0, np.array([1 + 1j]), [1]), "real numbers"),
     (lambda: lindley_forward(0, [1], np.array([2**70], dtype=object)), "real numbers"),
     (lambda: lindley_forward(0, np.array(["1"]), np.array(["1"])), "real numbers"),
@@ -922,11 +948,10 @@ def test_queue_inputs_are_checked(call, message):
 
 
 def test_backward_check_names_a_backward_lindley_violation():
-    # hand-built: the sojourn identity holds at every customer, but the first
-    # departure gap d_1 = 0 breaks w_2 = (w_3 + r_2 - d_1)^+
-    one = np.ones(3, dtype=np.int64)
-    tr = QueueTrace(A=np.arange(3), s=one, D=np.array([1, 1, 2]),
-                    w=np.zeros(3, dtype=np.int64), r=one[:2])
+    # a valid trace, then its departures written over: the sojourn identity
+    # holds at every customer, but the first departure gap d_1 = 0 breaks
+    # w_2 = (w_3 + r_2 - d_1)^+
+    tr = corrupted(QueueTrace(np.arange(3), np.ones(3, dtype=np.int64)), D=[1, 1, 2])
     got = backward_check(tr)
     assert got == backward_check_loop(tr)
     assert got.first_violation == ("backward-lindley", 2, 1.0)

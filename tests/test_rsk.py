@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from itertools import combinations
 
@@ -63,7 +64,7 @@ def bump_rows(word):
     """Rows of the insertion tableau of ``word``, letter by letter: each
     letter goes into the first row by :func:`scan_insert`, the displaced
     entry into the next row, and so on; past the last row it starts a new
-    one."""
+    one.  The rows are lists."""
     rows = []
     for x in word:
         for row in rows:
@@ -73,6 +74,11 @@ def bump_rows(word):
         else:
             rows.append([x])
     return rows
+
+
+def frozen(rows):
+    """``rows`` as a :class:`Tableau` holds them: a tuple of tuples."""
+    return tuple(map(tuple, rows))
 
 
 def words(max_len=30, k=4):
@@ -139,30 +145,28 @@ def test_tableau_of_refuses_a_word_that_is_not_1d(word):
 
 
 def test_integral_float_letters_still_insert():
-    assert tableau_of([2.0]).rows == [[2]]
-    assert tableau_of([2**70]).rows == [[2**70]]
-    assert tableau_of([2.0, 1.0, 3.0]).rows == tableau_of([2, 1, 3]).rows == [[1, 3], [2]]
-    assert tableau_of(np.array([2, 1], dtype=np.uint8)).rows == [[1], [2]]
-    assert tableau_of([]).rows == []
+    assert tableau_of([2.0]).rows == ((2,),)
+    assert tableau_of([2**70]).rows == ((2**70,),)
+    assert tableau_of([2.0, 1.0, 3.0]).rows == tableau_of([2, 1, 3]).rows == ((1, 3), (2,))
+    assert tableau_of(np.array([2, 1], dtype=np.uint8)).rows == ((1,), (2,))
+    assert tableau_of([]).rows == ()
 
 
 @given(words())
 def test_insert_maximal_letter_appends(word):
     T = tableau_of(word)
     T2 = tableau_of(word + [4])
-    assert T2.rows == [T.rows[0] + [4]] + T.rows[1:] if T.rows else T2.rows == [[4]]
+    assert T2.rows == (T.rows[0] + (4,),) + T.rows[1:] if T.rows else T2.rows == ((4,),)
 
 
 @given(words(), st.integers(1, 4))
 def test_insert_valid_and_adds_one_box(word, letter):
     T = tableau_of(word)
-    assert T.is_valid(alphabet=4)
-    assert sum(T.shape()) == len(word)
+    assert sum(T.weight(4)) == sum(T.shape()) == len(word)
     rows = [list(r) for r in T.rows]
     rsk._insert_word(rows, [letter])
     T2 = Tableau(rows)
-    assert T2.is_valid(alphabet=4)
-    assert sum(T2.shape()) == len(word) + 1
+    assert sum(T2.weight(4)) == sum(T2.shape()) == len(word) + 1
     assert T2 == tableau_of(word + [letter])
 
 
@@ -190,10 +194,12 @@ big_letter_words = st.lists(st.sampled_from([1, 2, _BIG - 1, _BIG]), max_size=20
        st.one_of(insertion_words(), big_letter_words))
 def test_insertion_matches_the_scan_oracle(word, letter, more):
     T = tableau_of(word)
-    assert T.rows == bump_rows(word)
-    assert tableau_of(word + [letter]).rows == bump_rows(word + [letter])
-    rsk._insert_word(T.rows, list(more))  # a whole word onto a filled tableau
-    assert T.rows == bump_rows(word + more)
+    assert T.rows == frozen(bump_rows(word))
+    assert Tableau(T.rows) == T  # the checked constructor takes the unchecked build
+    assert tableau_of(word + [letter]).rows == frozen(bump_rows(word + [letter]))
+    rows = [list(r) for r in T.rows]
+    rsk._insert_word(rows, list(more))  # a whole word onto a filled tableau
+    assert rows == bump_rows(word + more)
 
 
 @settings(max_examples=300)
@@ -214,14 +220,14 @@ def test_row_pass_is_the_scan_oracle_letter_by_letter(start, word):
 def test_insertion_cost_follows_the_letters_present():
     # a decreasing permutation bumps every letter down a column of n rows
     n = 2000
-    assert tableau_of(range(n, 0, -1)).rows == [[y] for y in range(1, n + 1)]
-    assert tableau_of([_BIG]).rows == [[_BIG]]
-    assert tableau_of([3, 1, 2, _BIG]).rows == [[1, 2, _BIG], [3]]
-    assert tableau_of([_BIG, 1]).rows == [[1], [_BIG]]
+    assert tableau_of(range(n, 0, -1)).rows == tuple((y,) for y in range(1, n + 1))
+    assert tableau_of([_BIG]).rows == ((_BIG,),)
+    assert tableau_of([3, 1, 2, _BIG]).rows == ((1, 2, _BIG), (3,))
+    assert tableau_of([_BIG, 1]).rows == ((1,), (_BIG,))
 
 
 def test_tableau_of_empty_word():
-    assert tableau_of([]).rows == []
+    assert tableau_of([]).rows == ()
     assert tableau_of([]).shape() == ()
 
 
@@ -479,7 +485,7 @@ def test_six_way_batch_matches_per_case_loops(u):
 def test_matrix_words_insert_as_the_scan_oracle_inserts_them(u):
     for case in u:
         word = word_of(case).tolist()
-        assert tableau_of(word).rows == bump_rows(word)
+        assert tableau_of(word).rows == frozen(bump_rows(word))
 
 
 def seed_case(seed, i):
@@ -561,14 +567,30 @@ def test_each_call_checks_its_matrix_once(call, checks, monkeypatch):
 
 
 
-# --- Tableau.is_valid ------------------------------------------------------------
+# --- Tableau's checks ------------------------------------------------------------
 
-@pytest.mark.parametrize("rows, alphabet", [
-    ([[1], [2, 2]], None),   # a lower row longer than the one above it
-    ([[0, 1]], None),        # a letter below 1
-    ([[1, 3]], 2),           # a letter above the alphabet
-    ([[2, 1]], None),        # a row that decreases
-    ([[1, 2], [1]], None),   # a column that does not strictly increase
-], ids=["shape", "letter-zero", "letter-past-alphabet", "row", "column"])
-def test_tableau_is_valid_rejects(rows, alphabet):
-    assert Tableau(rows).is_valid(alphabet) is False
+@pytest.mark.parametrize("rows, alphabet, message", [
+    ([[1], [2, 2]], None, "no longer than the row above"),  # a lower row longer than the one above
+    ([[0, 1]], None, "positive integers"),                  # a letter below 1
+    # a letter above the alphabet: weight raised IndexError
+    ([[1, 3]], 2, r"letter 3 lies above the alphabet 1\.\.2"),
+    ([[2, 1]], None, "weakly increase"),                    # a row that decreases
+    ([[1, 2], [1]], None, "strictly increase"),             # a column that does not strictly increase
+    # built, and weight(2) counted the 0 as the letter 2: (1, 2)
+    ([[2, 1], [0]], None, "weakly increase"),
+    ([[1], []], None, "nonempty"),                          # an empty row: (1,) and (1, 0) are one shape
+    ([[1.0]], None, "positive integers"),                   # a letter that is no integer
+], ids=["shape", "letter-zero", "letter-past-alphabet", "row", "column", "row-over-zero",
+        "empty-row", "float-letter"])
+def test_tableau_is_valid_rejects(rows, alphabet, message):
+    with pytest.raises(ValueError, match=message):
+        Tableau(rows).weight(alphabet)
+
+
+def test_tableau_is_a_frozen_value():
+    T = Tableau([[1, 1, 2], [2]])
+    assert T.rows == ((1, 1, 2), (2,))
+    assert T == tableau_of([1, 2, 1, 2]) and hash(T) == hash(tableau_of([1, 2, 1, 2]))
+    assert T.weight(3) == (2, 2, 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        T.rows = ()
