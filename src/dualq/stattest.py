@@ -24,13 +24,17 @@ kernels.
 The test resolutions are the constants :data:`MIN_EXPECTED` and :data:`MAX_RISE`.
 
 Replications stay in numpy arrays from the draw to the contingency table.
-The tandem matrices are drawn straight into the (N, K, reps) layout the
-kernels scan, replications innermost; laguerre draws and scans them
-:data:`_LAGUERRE_BLOCK` entries at a time.  An experiment keeps copies of
-the output columns its tests read, never views that would hold a kernel's
-whole output alive.  :func:`ks_test` computes the statistic itself, from
-one sorted copy of the sample walked :data:`_KS_BLOCK` values at a time,
-and takes the p-value from scipy's exact two-sided law.  The categorical
+Every replication loop follows one rule: :func:`_blocks` cuts the
+replications into blocks of at most :data:`_BLOCK` entries, and each block
+is drawn, scanned by the kernels and reduced to the values the tests read
+before the next is drawn, so memory beyond those values does not grow with
+the replications.  A substream's generator draws block after block, one
+uniform per draw, so no report depends on the block size.  The tandem
+matrices are drawn straight into the (N, K, block) layout the kernels scan,
+replications innermost.  zigzag-law cuts its periods into blocks by the
+same rule.  :func:`ks_test` computes the statistic itself, from one sorted
+copy of the sample walked :data:`_BLOCK` values at a time, and takes the
+p-value from scipy's exact two-sided law.  The categorical
 experiments (interchange, shape-law, noncolliding) count the distinct rows
 of their outcome array with :func:`_row_counts`, which sorts one int64 key
 per row and builds a Python tuple only per distinct row (rows too wide to
@@ -41,6 +45,7 @@ raises :class:`DegenerateTestError` naming the test.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -181,7 +186,16 @@ class ExperimentReport:
 # test primitives
 
 
-_KS_BLOCK = 1 << 16  # values per block in ks_test: bounds the CDF's and D's temporaries
+_BLOCK = 1 << 16  # entries per block of every blocked loop (replications, or ks_test's values)
+
+
+def _blocks(reps: int, entries: int):
+    """(lo, hi) ranges that cut ``range(reps)`` into consecutive blocks of
+    at most :data:`_BLOCK` entries, ``entries`` per replication, and at
+    least one replication each; only the last block can be short."""
+    step = max(1, _BLOCK // entries)
+    for lo in range(0, reps, step):
+        yield lo, min(lo + step, reps)
 
 
 def ks_test(sample, cdf, *, name: str = "ks") -> GofResult:
@@ -190,7 +204,7 @@ def ks_test(sample, cdf, *, name: str = "ks") -> GofResult:
     ``cdf`` must be elementwise: its value at a point may not depend on the
     other points of the array it is given.  The sample is sorted once, into
     a float64 copy (the caller's array keeps its order), and walked
-    :data:`_KS_BLOCK` values at a time: the CDF of a block, then its
+    :data:`_BLOCK` values at a time: the CDF of a block, then its
     D+ = max(i/n - F(x_i)) and D- = max(F(x_i) - (i-1)/n) by the elementwise
     expressions of scipy's ``kstest``, so memory beyond the copy stays a few
     blocks.  D is D+ when D+ > D-, else D-, as in scipy; the p-value is the
@@ -207,8 +221,7 @@ def ks_test(sample, cdf, *, name: str = "ks") -> GofResult:
     x = np.sort(sample).astype(np.float64, copy=False)  # the CDF gets floats
     n = x.size
     d_plus = d_minus = -np.inf
-    for lo in range(0, n, _KS_BLOCK):
-        hi = min(lo + _KS_BLOCK, n)
+    for lo, hi in _blocks(n, 1):
         values = cdf(x[lo:hi])
         grid = np.arange(float(lo), hi + 1) / n  # (i-1)/n and i/n for the block's i
         # np.maximum and ndarray.max keep a NaN, where Python's max drops it
@@ -358,14 +371,19 @@ def geometric_fit_test(sample, p, *, name: str = "geometric-fit") -> GofResult:
 # experiments
 
 
-def _geometric0_matrices(weights, reps: int, N: int, seed: Seed, base: int) -> np.ndarray:
-    """(reps, N, K) tandem entries; column j is zero-inclusive geometric with
-    parameter weights[j], drawn from substream base + j.  The result is a
-    view of an (N, K, reps) array, the layout the tandem kernels scan."""
-    u = np.empty((N, len(weights), reps), dtype=np.int64)
-    for j, w in enumerate(weights):
-        u[:, j] = draw_geometric0(seed.substream(base + j).generator(), w, (reps, N)).T
-    return u.transpose(2, 0, 1)
+def _geometric0_matrices(weights, reps: int, N: int, seed: Seed, base: int):
+    """(lo, hi, u) for each block of :func:`_blocks`, u the (hi - lo, N, K)
+    tandem entries of replications lo..hi-1; column j is zero-inclusive
+    geometric with parameter weights[j], drawn from substream base + j.  Each
+    column's generator is made once and draws block after block, and one
+    uniform makes one draw, so the entries do not depend on the blocks.  u is
+    a view of an (N, K, hi - lo) array, the layout the tandem kernels scan."""
+    gens = [seed.substream(base + j).generator() for j in range(len(weights))]
+    for lo, hi in _blocks(reps, N * len(weights)):
+        u = np.empty((N, len(weights), hi - lo), dtype=np.int64)
+        for j, (gen, w) in enumerate(zip(gens, weights)):
+            u[:, j] = draw_geometric0(gen, w, (hi - lo, N)).T
+        yield lo, hi, u.transpose(2, 0, 1)
 
 
 _KEY_LIMIT = 2**63  # row keys are int64: every key stays below this
@@ -468,7 +486,14 @@ def _sample_busy_trajectories(params: RateParams, n_periods: int, seed: Seed):
     The trace is that of the first k customers of ``sample_input``, k
     doubling until the last period kept is closed (a stream's first k draws
     do not depend on k).  k starts at 2 * n_periods: k customers start at
-    most k periods, and n_periods + 1 must start."""
+    most k periods, and n_periods + 1 must start.
+
+    The periods go to :func:`~dualq.queue_store._period_run_tuples` in the
+    blocks of :func:`_blocks`, a period counting as many entries as a mean
+    period has runs (two per customer: a mark and a gap).  A block's
+    customers are cut at the first customer of a period, where a period's
+    runs depend on no other customer, so the tuples do not depend on the
+    blocks, and only one block's flat run tuple is alive at a time."""
     k = 2 * n_periods
     while True:
         tr = transform(sample_input(params, k, seed))
@@ -476,8 +501,11 @@ def _sample_busy_trajectories(params: RateParams, n_periods: int, seed: Seed):
         if firsts.size > n_periods:
             break
         k *= 2
-    end = firsts[n_periods]
-    return _period_run_tuples(tr.A[:end], tr.s[:end], tr.D[:end])[1]
+    # two runs per customer of a mean period, its customers rounded up
+    runs_per_period = 2 * -(-int(firsts[n_periods]) // n_periods)
+    return itertools.chain.from_iterable(
+        _period_run_tuples(tr.A[a:b], tr.s[a:b], tr.D[a:b])[1]
+        for a, b in (firsts[[lo, hi]] for lo, hi in _blocks(n_periods, runs_per_period)))
 
 
 def zigzag_law_experiment(p: float, q: float, seed: Seed, n_periods: int = 100_000,
@@ -548,11 +576,11 @@ def _minmax_functionals(a, s):
     ``a`` has n columns (a_1..a_n); ``s`` has n columns holding s_2..s_{n+1}.
     """
     # D(n, 2) and R(n) of the two-stage tandem, on a (reps, n, 2) view of
-    # the (n, 2, reps) layout the kernels scan; copies, since a view of one
-    # value per replication would keep each kernel's whole output alive
+    # the (n, 2, reps) layout the kernels scan; views, which the caller
+    # copies into its own arrays block by block
     u = np.stack([a.T, s.T], axis=1).transpose(2, 0, 1)
-    return (tandem.queue_departures_batch(u)[:, -1, -1].copy(),
-            tandem.store_departures_batch(u)[:, -1].copy())
+    return (tandem.queue_departures_batch(u)[:, -1, -1],
+            tandem.store_departures_batch(u)[:, -1])
 
 
 def _conditioned_walks(params: RateParams, n: int, reps: int, seed: Seed):
@@ -611,9 +639,13 @@ def noncolliding_experiment(params: RateParams, n: int, reps: int, seed: Seed,
     cond_x, _, cond_y, proposals = _conditioned_walks(params, n, reps, seed)
 
     draw = model_draw(params)
-    a2 = draw(seed.substream(2).generator(), params.arrival, (reps, n))
-    s2 = draw(seed.substream(3).generator(), params.service, (reps, n))
-    hi, lo = _minmax_functionals(a2, s2)
+    gaps, marks = seed.substream(2).generator(), seed.substream(3).generator()
+    hi = np.empty(reps, dtype=cond_x.dtype)
+    lo = np.empty(reps, dtype=cond_x.dtype)
+    for start, stop in _blocks(reps, 2 * n):
+        hi[start:stop], lo[start:stop] = _minmax_functionals(
+            draw(gaps, params.arrival, (stop - start, n)),
+            draw(marks, params.service, (stop - start, n)))
 
     if params.model == "geomgeom1":
         counts_c = _row_counts(np.stack([cond_x, cond_y], axis=1))
@@ -649,30 +681,29 @@ def interchange_experiment(q, sigma, N: int, reps: int, seed: Seed,
     from scipy import stats
 
     def sample_outputs(weights, base):
-        # copies of the columns the tests read, not views that keep each
-        # kernel's whole padded output alive; order="K" keeps D's layout,
-        # replications innermost, so the means sum the same contiguous rows
-        u = _geometric0_matrices(weights, reps, N, seed, base)
-        D = tandem.queue_departures_batch(u)[:, 1:, K].copy(order="K")
-        R = tandem.store_departures_batch(u)[:, -1].copy()
-        return D, R
+        # D.T, of shape (N, reps), and R filled block by block, then reduced
+        # to what the tests read before the next pass draws.  D.T keeps the
+        # replications innermost, so the mean and variance of D's last column
+        # sum one contiguous row, in the same order whatever the blocks
+        Dt, R = np.empty((N, reps), dtype=np.int64), np.empty(reps, dtype=np.int64)
+        for lo, hi, u in _geometric0_matrices(weights, reps, N, seed, base):
+            Dt[:, lo:hi] = tandem.queue_departures_batch(u)[:, 1:, K].T
+            R[lo:hi] = tandem.store_departures_batch(u)[:, -1]
+        last = Dt[-1]
+        return (_row_counts(np.stack([last, R], axis=1)), _row_counts(Dt.T),
+                last.mean(), last.var(ddof=1), R.mean())
 
-    D1, R1 = sample_outputs(q, 0)
-    D2, R2 = sample_outputs(q_perm, K)
-
-    joint1 = _row_counts(np.stack([D1[:, -1], R1], axis=1))
-    joint2 = _row_counts(np.stack([D2[:, -1], R2], axis=1))
+    joint1, prefix1, m1, v1, r1 = sample_outputs(q, 0)
+    joint2, prefix2, m2, v2, r2 = sample_outputs(q_perm, K)
     results = report.results
     results.append(chi2_two_sample(joint1, joint2, name="joint-D-R-two-sample"))
-    results.append(chi2_two_sample(_row_counts(D1), _row_counts(D2),
-                                   name="departure-prefix-two-sample"))
-    m1, m2 = D1[:, -1].mean(), D2[:, -1].mean()
-    se = np.sqrt(D1[:, -1].var(ddof=1) / reps + D2[:, -1].var(ddof=1) / reps)
+    results.append(chi2_two_sample(prefix1, prefix2, name="departure-prefix-two-sample"))
+    se = np.sqrt(v1 / reps + v2 / reps)
     z = (m1 - m2) / se
     results.append(GofResult("mean-D-equal", float(z),
                              float(2 * stats.norm.sf(abs(z))), 2 * reps))
     report.diagnostics = {"mean_D": [float(m1), float(m2)],
-                          "mean_R": [float(R1.mean()), float(R2.mean())]}
+                          "mean_R": [float(r1), float(r2)]}
     return report
 
 
@@ -703,15 +734,20 @@ def shape_law_experiment(q, N: int, reps: int, seed: Seed,
     K = len(q)
     report = ExperimentReport(
         "shape-law", {"q": [float(x) for x in q], "N": N, "reps": reps}, seed, alpha)
-    grown = growth_shapes(_geometric0_matrices(q, reps, N + 1, seed, 0))
+
+    def shape_rows(weights, rows, base):
+        # the shapes at N..rows of each replication as one row, block by block
+        out = np.empty((reps, (rows + 1 - N) * K), dtype=np.int64)
+        for lo, hi, u in _geometric0_matrices(weights, reps, rows, seed, base):
+            out[lo:hi] = growth_shapes(u)[:, N:].reshape(hi - lo, -1)
+        return out
+
     # one count of the distinct (shape at N, shape at N+1) rows serves both laws
-    pair_rows = _row_counts(grown[:, N:].reshape(reps, 2 * K))
-    del grown  # freed before the reversed-weight pass builds its own
+    pair_rows = _row_counts(shape_rows(q, N + 1, 0))
     count_n = _pool(pair_rows, lambda row: normalize_partition(row[:K]))
     pair_counts = _pool(pair_rows, lambda row: (normalize_partition(row[:K]),
                                                 normalize_partition(row[K:])))
-    u2 = _geometric0_matrices(q[::-1], reps, N, seed, K)
-    count_rev = _pool(_row_counts(growth_shapes(u2)[:, N]), normalize_partition)
+    count_rev = _pool(_row_counts(shape_rows(q[::-1], N, K)), normalize_partition)
 
     # Cut each pmf where _pmf_chi2 stops seeing it: a shape left out has p < cut, a
     # pair left out of row m has pm * pt < cut, so reps times either is below
@@ -734,9 +770,6 @@ def shape_law_experiment(q, N: int, reps: int, seed: Seed,
     return report
 
 
-_LAGUERRE_BLOCK = 147_456  # entries per draw, 16384 3 x 3 matrices: bounds laguerre's memory
-
-
 def laguerre_check(K: int, reps: int, seed: Seed, reference_mean: float | None = None,
                    alpha: float = DEFAULT_ALPHA) -> ExperimentReport:
     """Exponentiality of the square-case cumulative store output.
@@ -757,10 +790,9 @@ def laguerre_check(K: int, reps: int, seed: Seed, reference_mean: float | None =
     from scipy import stats
     gen = seed.substream(0).generator()
     R = np.empty(reps)
-    block = max(1, _LAGUERRE_BLOCK // (K * K))  # matrices; one stream, so any block gives one R
-    for start in range(0, reps, block):
-        u = draw_exponential(gen, 1.0, (min(block, reps - start), K, K))
-        R[start:start + len(u)] = tandem.store_departures_batch(u)[:, -1]
+    for lo, hi in _blocks(reps, K * K):  # one stream, so any block gives one R
+        u = draw_exponential(gen, 1.0, (hi - lo, K, K))
+        R[lo:hi] = tandem.store_departures_batch(u)[:, -1]
     report.results = [ks_test(R, stats.expon(scale=ref).cdf, name=f"R-exponential-mean-{ref:g}")]
     report.diagnostics = {"sample_mean": float(R.mean()), "sample_std": float(R.std(ddof=1))}
     return report

@@ -120,7 +120,7 @@ def test_ks_matches_scipy_on_unsorted_sample(kind):
 def test_ks_nan_fails_the_test():
     # the NaN sorts into the last of three blocks; a running max taken with
     # Python's max dropped it and passed the sample with D = -inf and p = 1.0
-    x = sample_exponential(1.0, 3 * stattest._KS_BLOCK, Seed(5))
+    x = sample_exponential(1.0, 3 * stattest._BLOCK, Seed(5))
     x[0] = np.nan
     got = ks_test(x, stats.expon().cdf)
     assert np.isnan(got.statistic) and np.isnan(got.p_value)
@@ -130,7 +130,7 @@ def test_ks_nan_fails_the_test():
 
 def test_ks_nan_from_the_cdf_propagates():
     # the NaN comes from the CDF in the first block, and the later blocks are finite
-    x = sample_exponential(1.0, 2 * stattest._KS_BLOCK, Seed(6))
+    x = sample_exponential(1.0, 2 * stattest._BLOCK, Seed(6))
     first = np.sort(x)[0]
     got = ks_test(x, lambda t: np.where(t == first, np.nan, stats.expon.cdf(t)))
     assert np.isnan(got.statistic) and np.isnan(got.p_value)
@@ -161,8 +161,8 @@ def test_ks_calls_the_cdf_in_blocks():
         sizes.append(t.size)
         return stats.expon.cdf(t)
 
-    ks_test(sample_exponential(1.0, 3 * stattest._KS_BLOCK + 5, Seed(4)), cdf)
-    assert sizes == [stattest._KS_BLOCK] * 3 + [5]
+    ks_test(sample_exponential(1.0, 3 * stattest._BLOCK + 5, Seed(4)), cdf)
+    assert sizes == [stattest._BLOCK] * 3 + [5]
 
 
 def test_chi2_exact_match_is_zero():
@@ -737,13 +737,13 @@ def test_laguerre_two_stages():
 
 def test_laguerre_blocks_do_not_change_the_report(monkeypatch):
     whole = laguerre_check(3, 50, Seed(604)).to_dict()
-    monkeypatch.setattr(stattest, "_LAGUERRE_BLOCK", 7 * 9)  # 50 matrices in 8 blocks, the last short
+    monkeypatch.setattr(stattest, "_BLOCK", 7 * 9)  # 50 matrices in 8 blocks, the last short
     assert laguerre_check(3, 50, Seed(604)).to_dict() == whole
 
 
 def test_laguerre_blocks_count_entries(monkeypatch):
     # at K = 8 a block of 200 000 matrices held 100 MB; blocks now hold at
-    # most _LAGUERRE_BLOCK entries whatever K is
+    # most _BLOCK entries whatever K is
     blocks = []
     kernel = stattest.tandem.store_departures_batch
 
@@ -753,7 +753,7 @@ def test_laguerre_blocks_count_entries(monkeypatch):
 
     monkeypatch.setattr(stattest.tandem, "store_departures_batch", spy)
     laguerre_check(8, 5000, Seed(605))
-    per_block = stattest._LAGUERRE_BLOCK // 64
+    per_block = stattest._BLOCK // 64
     assert blocks == [(per_block, 8, 8)] * (5000 // per_block) + [(5000 % per_block, 8, 8)]
 
 
@@ -854,6 +854,66 @@ def test_experiment_alpha_reaches_every_test():
     assert set(passed) == {True, False}  # this seed has tests on both sides of 0.3
 
 
+# --- blocks -----------------------------------------------------------------------
+
+# each experiment at 2003 replications (periods for zigzag-law), which a
+# block of 100 entries cuts into blocks of a few replications, the last short
+_BLOCKED_RUNS = {
+    "interchange-2": lambda: interchange_experiment((0.3, 0.6), (1, 0), 4, 2003, Seed(0)),
+    "interchange-3": lambda: interchange_experiment((0.3, 0.6, 0.45), (2, 0, 1), 3, 2003, Seed(1)),
+    "shape-law-2": lambda: shape_law_experiment((0.3, 0.5), 4, 2003, Seed(2)),
+    "shape-law-3": lambda: shape_law_experiment((0.3, 0.5, 0.4), 3, 2003, Seed(3)),
+    "noncolliding-geom": lambda: noncolliding_experiment(GEOM, 3, 2003, Seed(4)),
+    "noncolliding-exp": lambda: noncolliding_experiment(EXPO, 3, 2003, Seed(5)),
+    # near saturation: the trace doubles three times, and a period counts 28 entries
+    "zigzag-law": lambda: zigzag_law_experiment(0.55, 0.6, Seed(6), n_periods=2003),
+    "laguerre": lambda: laguerre_check(3, 2003, Seed(7)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCKED_RUNS))
+def test_blocks_do_not_change_the_report(name, monkeypatch):
+    run = _BLOCKED_RUNS[name]
+    whole = run().to_dict()
+    cuts = []
+    blocks = stattest._blocks
+
+    def spy(reps, entries):
+        cuts.append(list(blocks(reps, entries)))
+        return iter(cuts[-1])
+
+    monkeypatch.setattr(stattest, "_BLOCK", 100)
+    monkeypatch.setattr(stattest, "_blocks", spy)
+    assert run().to_dict() == whole
+    # every loop ran on several blocks, and its last block was short
+    assert cuts
+    for (lo, hi), *_, (last_lo, last_hi) in cuts:
+        assert last_hi - last_lo < hi - lo
+
+
+def test_blocks_cut_the_replications():
+    assert list(stattest._blocks(10, stattest._BLOCK // 4)) == [(0, 4), (4, 8), (8, 10)]
+    assert list(stattest._blocks(3, 2 * stattest._BLOCK)) == [(0, 1), (1, 2), (2, 3)]
+    assert list(stattest._blocks(0, 1)) == []
+
+
+@pytest.mark.parametrize("run", [
+    lambda: interchange_experiment((0.3, 0.6), (1, 0), 4, 100_000, Seed(0)),
+    lambda: shape_law_experiment((0.3, 0.5), 4, 100_000, Seed(0)),
+    lambda: noncolliding_experiment(GEOM, 3, 100_000, Seed(0)),
+], ids=["interchange", "shape-law", "noncolliding"])
+def test_kernels_see_at_most_a_block(run, monkeypatch):
+    # at CLI sizes a whole batch holds 600 000 to 1 000 000 entries
+    sizes = []
+    for module, kernel in [(stattest.tandem, "queue_departures_batch"),
+                           (stattest.tandem, "store_departures_batch"),
+                           (stattest, "growth_shapes")]:
+        real = getattr(module, kernel)
+        monkeypatch.setattr(module, kernel, lambda u, real=real: sizes.append(u.size) or real(u))
+    run()
+    assert len(sizes) > 2 and max(sizes) <= stattest._BLOCK
+
+
 # --- memory -----------------------------------------------------------------------
 
 def _peak_mb(run) -> float:
@@ -866,21 +926,20 @@ def _peak_mb(run) -> float:
 
 
 # each run at its CLI defaults, with its bound in MB: about 1.2 times the
-# traced peak, and below the peak when ks_test handed scipy the whole sample
-# and the experiments kept views of the kernels' outputs (in brackets); for
-# zigzag-law the bracket is its peak when a generator yielded the run tuples
-# from two lists of bounds, which the bound would still admit
+# traced peak.  In brackets, the peak before: for laguerre and ks when
+# ks_test handed scipy the whole sample, for the others when the experiment
+# drew and scanned all of its replications at once instead of block by block
 _AT_DEFAULTS = {
-    "zigzag-law": (lambda: zigzag_law_experiment(0.3, 0.7, Seed(0)), 31),  # 25.9 (29.0)
+    "zigzag-law": (lambda: zigzag_law_experiment(0.3, 0.7, Seed(0)), 15),  # 12.4 (25.9)
     "laguerre": (lambda: laguerre_check(3, 10**6, Seed(0)), 23),  # 19.4 (53.5)
     "ks": (lambda: ks_test(sample_exponential(2.0, 10**6, Seed(1)),
                            stats.expon(scale=0.5).cdf), 23),  # 19.3 (53.4)
     "noncolliding": (lambda: noncolliding_experiment(RateParams("geomgeom1", 0.3, 0.7), 3,
-                                                     100_000, Seed(0)), 35),  # 29.8 (35.9)
+                                                     100_000, Seed(0)), 11),  # 8.5 (29.8)
     "interchange": (lambda: interchange_experiment((0.3, 0.6), (1, 0), 4, 100_000, Seed(0)),
-                    33),  # 27.5 (45.8)
+                    10),  # 7.7 (27.5)
     "shape-law": (lambda: shape_law_experiment((0.3, 0.5), 4, 100_000, Seed(0)),
-                  32),  # 26.7 (33.2)
+                  6),  # 4.8 (26.7)
 }
 
 
