@@ -3,8 +3,11 @@
 Each experiment is a pure function of its parameters and a
 :class:`~dualq.sampling.Seed`: rerunning with the same arguments rebuilds
 the identical report, byte for byte.  Their verdicts are goodness-of-fit
-tests, never exact-equality claims.  The test primitives return what scipy
-returns, a statistic, a p-value and the sample size, as a :class:`GofResult`.
+tests, never exact-equality claims.  The test primitives return a statistic,
+a p-value and the sample size as a :class:`GofResult`, bit for bit what
+scipy's ``stats`` test of the same kind returns: every law comes from
+:mod:`~dualq._laws`, which evaluates scipy's own expressions over
+``scipy.special`` and so spares a run the import of scipy's ``stats``.
 
 :class:`ExperimentReport` is the package's one report type; the CLI's
 random-case checks report through it too.  It holds the one pre-registered
@@ -34,12 +37,12 @@ matrices are drawn straight into the (N, K, block) layout the kernels scan,
 replications innermost.  zigzag-law cuts its periods into blocks by the
 same rule.  :func:`ks_test` computes the statistic itself, from one sorted
 copy of the sample walked :data:`_BLOCK` values at a time, and takes the
-p-value from scipy's exact two-sided law.  The categorical
-experiments (interchange, shape-law, noncolliding) count the distinct rows
-of their outcome array with :func:`_row_counts`, which sorts one int64 key
-per row and builds a Python tuple only per distinct row (rows too wide to
-key are counted as tuples); :func:`_pool` merges rows into categories, and
-the counts go to the chi-square tests.  A test that cannot be formed
+p-value from the exact two-sided law :func:`~dualq._laws.kstwo_sf`.  The
+categorical experiments (interchange, shape-law, noncolliding) count the
+distinct rows of their outcome array with :func:`_row_counts`, which sorts
+one int64 key per row and builds a Python tuple only per distinct row (rows
+too wide to key are counted as tuples); :func:`_pool` merges rows into
+categories, and the counts go to the chi-square tests.  A test that cannot be formed
 raises :class:`DegenerateTestError` naming the test.
 """
 
@@ -109,8 +112,9 @@ class DegenerateTestError(ValueError):
 
 @dataclass(frozen=True)
 class GofResult:
-    """A statistical test's outcome as scipy gives it; the report's alpha
-    judges it: it passes when its p-value is at least that level."""
+    """A statistical test's outcome, its statistic and p-value as scipy's
+    ``stats`` test of its kind gives them; the report's alpha judges it: it
+    passes when its p-value is at least that level."""
 
     name: str
     statistic: float
@@ -151,8 +155,9 @@ class ExactResult:
 class ExperimentReport:
     """A run's tests, statistical and exact, judged at one significance
     level ``alpha``, which only the statistical tests read.  Each experiment
-    checks its inputs and builds its report before it imports scipy or
-    draws, so bad input, a bad ``alpha`` included, costs no run."""
+    checks its inputs and builds its report before it imports
+    :mod:`~dualq._laws` (and with it scipy) or draws, so bad input, a bad
+    ``alpha`` included, costs no run."""
 
     name: str
     params: dict
@@ -208,12 +213,12 @@ def ks_test(sample, cdf, *, name: str = "ks") -> GofResult:
     D+ = max(i/n - F(x_i)) and D- = max(F(x_i) - (i-1)/n) by the elementwise
     expressions of scipy's ``kstest``, so memory beyond the copy stays a few
     blocks.  D is D+ when D+ > D-, else D-, as in scipy; the p-value is the
-    exact two-sided law ``stats.kstwo.sf(D, n)`` clipped to [0, 1], which is
-    the method ``kstest`` picks by default.  Statistic and p-value equal
-    ``stats.kstest``'s bit for bit.  A NaN in the sample makes both NaN,
-    so the test fails at any level.
+    exact two-sided law :func:`~dualq._laws.kstwo_sf`, scipy's
+    ``stats.kstwo.sf(D, n)``, which is the method ``kstest`` picks by
+    default.  Statistic and p-value equal ``stats.kstest``'s bit for bit.
+    A NaN in the sample makes both NaN, so the test fails at any level.
     """
-    from scipy import stats
+    from . import _laws
 
     sample = np.asarray(sample)
     if sample.size == 0:
@@ -228,8 +233,7 @@ def ks_test(sample, cdf, *, name: str = "ks") -> GofResult:
         d_plus = np.maximum(d_plus, (grid[1:] - values).max())
         d_minus = np.maximum(d_minus, (values - grid[:-1]).max())
     d = d_plus if d_plus > d_minus else d_minus
-    p = np.clip(stats.kstwo.sf(d, n), 0.0, 1.0)
-    return GofResult(name, float(d), float(p), n)
+    return GofResult(name, float(d), float(_laws.kstwo_sf(d, n)), n)
 
 
 def _pool_bins(observed, expected):
@@ -257,7 +261,7 @@ def chi2_test(observed, expected, *, name: str = "chi2") -> GofResult:
     Totals must agree to 1e-9 (relative); anything thinner than
     :data:`MIN_EXPECTED` is merged with its neighbour before testing.
     """
-    from scipy import stats
+    from . import _laws
 
     observed = np.asarray(observed, dtype=float)
     expected = np.asarray(expected, dtype=float)
@@ -269,7 +273,7 @@ def chi2_test(observed, expected, *, name: str = "chi2") -> GofResult:
     obs, exp = _pool_bins(observed, expected)
     if len(obs) < 2:
         raise DegenerateTestError(f"{name}: fewer than two bins after pooling")
-    stat, p = stats.chisquare(obs, exp)
+    stat, p = _laws.chisquare(obs, exp)
     return GofResult(name, float(stat), float(p), int(round(so)))
 
 
@@ -281,7 +285,7 @@ def chi2_two_sample(keys_x, keys_y, *, name: str = "chi2-2samp") -> GofResult:
     either group) are lumped into one rest cell; categories are ordered by
     combined count so the binning is deterministic.
     """
-    from scipy import stats
+    from . import _laws
 
     cx = Counter(keys_x)
     cy = Counter(keys_y)
@@ -301,8 +305,8 @@ def chi2_two_sample(keys_x, keys_y, *, name: str = "chi2-2samp") -> GofResult:
     table = table[:, table.sum(axis=0) > 0]
     if table.shape[1] < 2:
         raise DegenerateTestError(f"{name}: fewer than two categories after pooling")
-    res = stats.chi2_contingency(table, correction=False)
-    return GofResult(name, float(res.statistic), float(res.pvalue), total)
+    stat, p = _laws.chi2_contingency(table)
+    return GofResult(name, float(stat), float(p), total)
 
 
 def _margin_bins(values, n_bins):
@@ -327,7 +331,7 @@ def _margin_bins(values, n_bins):
 def independence_test(x, y, *, name: str = "independence") -> GofResult:
     """Contingency chi-square of the joint, each margin binned into 8
     groups, against the product of the empirical marginals."""
-    from scipy import stats
+    from . import _laws
 
     x = np.asarray(x)
     y = np.asarray(y)
@@ -338,18 +342,26 @@ def independence_test(x, y, *, name: str = "independence") -> GofResult:
     table = table[table.sum(axis=1) > 0][:, table.sum(axis=0) > 0]
     if table.shape[0] < 2 or table.shape[1] < 2:
         raise DegenerateTestError(f"{name}: need at least a 2x2 table")
-    res = stats.chi2_contingency(table, correction=False)
-    return GofResult(name, float(res.statistic), float(res.pvalue), x.size)
+    stat, p = _laws.chi2_contingency(table)
+    return GofResult(name, float(stat), float(p), x.size)
 
 
 def lag1_test(x, *, name: str = "lag1") -> GofResult:
-    """Pearson correlation between consecutive terms; i.i.d. data pass."""
-    from scipy import stats
+    """Pearson correlation between consecutive terms; i.i.d. data pass.
+
+    It needs at least 4 values, 3 pairs: 2 pairs give r = +-1 and p = 1
+    whatever the data.  Nor is r defined when the earlier or the later terms
+    are all equal.  Both raise :class:`DegenerateTestError`.
+    """
+    from . import _laws
 
     x = np.asarray(x, dtype=float)
-    if x.size < 3:
-        raise DegenerateTestError(f"{name}: need at least 3 values, got {x.size}")
-    r, p = stats.pearsonr(x[:-1], x[1:])
+    if x.size < 4:
+        raise DegenerateTestError(f"{name}: need at least 4 values, got {x.size}")
+    before, after = x[:-1], x[1:]
+    if (before == before[0]).all() or (after == after[0]).all():
+        raise DegenerateTestError(f"{name}: constant terms, the correlation is undefined")
+    r, p = _laws.pearsonr(before, after)
     return GofResult(name, float(r), float(p), x.size)
 
 
@@ -441,7 +453,7 @@ def burke_experiment(params: RateParams, horizon: int, seed: Seed, alpha: float 
     report = ExperimentReport(
         "burke", {"model": params.model, "arrival": params.arrival,
                   "service": params.service, "horizon": horizon}, seed, alpha)
-    from scipy import stats
+    from . import _laws
     w1 = _stationary_wait(params, seed.substream(2).generator())
     tr = transform(sample_input(params, horizon + 1, seed), w1=w1)
     d, r = tr.d, tr.r
@@ -453,7 +465,7 @@ def burke_experiment(params: RateParams, horizon: int, seed: Seed, alpha: float 
     def fit(x, rate, name):  # against the input law of the same parameter
         if params.model == "geomgeom1":
             return geometric_fit_test(x, rate, name=name)
-        return ks_test(x, stats.expon(scale=1 / rate).cdf, name=name)
+        return ks_test(x, lambda t: _laws.expon_cdf(t, 1 / rate), name=name)
 
     report.results = [fit(d, params.arrival, "gaps-fit-arrival-law"),
                       fit(r, params.service, "marks-fit-mark-law"),
@@ -523,7 +535,7 @@ def zigzag_law_experiment(p: float, q: float, seed: Seed, n_periods: int = 100_0
     report = ExperimentReport(
         "zigzag-law", {"p": p, "q": q, "n_periods": n_periods, "max_rise": MAX_RISE},
         seed, alpha)
-    from scipy import stats
+    from . import _laws
     counts = Counter(_sample_busy_trajectories(params, n_periods, seed))
     catalog = []
     for L in range(1, MAX_RISE + 1):
@@ -563,7 +575,7 @@ def zigzag_law_experiment(p: float, q: float, seed: Seed, n_periods: int = 100_0
         n_pairs_total += n1 + n2
     if dof:
         results.append(GofResult("time-reversal-symmetry", stat,
-                                 float(stats.chi2.sf(stat, dof)), n_pairs_total))
+                                 float(_laws.chi2_sf(stat, dof)), n_pairs_total))
 
     report.diagnostics = {"distinct_trajectories": len(counts)}
     return report
@@ -678,7 +690,7 @@ def interchange_experiment(q, sigma, N: int, reps: int, seed: Seed,
     report = ExperimentReport(
         "interchange", {"q": list(map(float, q)), "sigma": list(sigma), "N": N, "reps": reps},
         seed, alpha)
-    from scipy import stats
+    from . import _laws
 
     def sample_outputs(weights, base):
         # D.T, of shape (N, reps), and R filled block by block, then reduced
@@ -701,7 +713,7 @@ def interchange_experiment(q, sigma, N: int, reps: int, seed: Seed,
     se = np.sqrt(v1 / reps + v2 / reps)
     z = (m1 - m2) / se
     results.append(GofResult("mean-D-equal", float(z),
-                             float(2 * stats.norm.sf(abs(z))), 2 * reps))
+                             float(_laws.normal_two_sided(z)), 2 * reps))
     report.diagnostics = {"mean_D": [float(m1), float(m2)],
                           "mean_R": [float(r1), float(r2)]}
     return report
@@ -787,12 +799,13 @@ def laguerre_check(K: int, reps: int, seed: Seed, reference_mean: float | None =
         raise ValueError(f"reference_mean must be positive and finite, got {reference_mean}")
     report = ExperimentReport("laguerre", {"K": K, "reps": reps, "reference_mean": ref},
                               seed, alpha)
-    from scipy import stats
+    from . import _laws
     gen = seed.substream(0).generator()
     R = np.empty(reps)
     for lo, hi in _blocks(reps, K * K):  # one stream, so any block gives one R
         u = draw_exponential(gen, 1.0, (hi - lo, K, K))
         R[lo:hi] = tandem.store_departures_batch(u)[:, -1]
-    report.results = [ks_test(R, stats.expon(scale=ref).cdf, name=f"R-exponential-mean-{ref:g}")]
+    report.results = [ks_test(R, lambda t: _laws.expon_cdf(t, ref),
+                              name=f"R-exponential-mean-{ref:g}")]
     report.diagnostics = {"sample_mean": float(R.mean()), "sample_std": float(R.std(ddof=1))}
     return report

@@ -672,8 +672,10 @@ def test_laguerre_single_rep_exits_two(capsys):
     # pools every category into its rest cell
     (("interchange", "--q", "0.2,0.5,0.7", "--sigma", "2,0,1", "--n", "6", "--reps", "3000"),
      "departure-prefix-two-sample: fewer than two categories"),
-    # two gaps are one lag-1 pair; died with scipy's bare length error
-    (("burke", "--model", "exp", "--horizon", "2"), "gap-lag1: need at least 3 values"),
+    # three gaps are two lag-1 pairs, whose r is +-1 and p = 1.0 whatever the
+    # data: both lag-1 tests passed (two gaps died with scipy's length error)
+    (("burke", "--model", "exp", "--horizon", "3", "--seed", "1"),
+     "gap-lag1: need at least 4 values"),
 ], ids=["interchange", "burke"])
 def test_degenerate_test_names_itself(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -759,9 +761,36 @@ print(code, "scipy" in sys.modules, file=sys.stderr)
     ("particles", "--cases", "50"),
 ])
 def test_exact_subcommands_do_not_import_scipy(argv):
+    proc = _run_probe(_SCIPY_PROBE, *argv)
+    assert proc.stderr.split()[-2:] == ["0", "False"], proc.stderr
+
+
+def _run_probe(probe: str, *args) -> subprocess.CompletedProcess:
+    """Run ``probe`` in a fresh interpreter on this checkout's package."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv], env=env,
+    return subprocess.run([sys.executable, "-c", probe, *args], env=env,
                           capture_output=True, text=True, timeout=120)
-    assert proc.stderr.split()[-2:] == ["0", "False"], proc.stderr
+
+
+# The experiments take their laws from scipy.special; scipy.stats costs most of
+# their memory and stays out.
+_LAWS_PROBE = """
+import sys
+from dualq.cli import main
+for argv in sys.argv[1:]:
+    code = main(argv.split())
+    print(argv.split()[0], code, "scipy.special" in sys.modules,
+          "scipy.stats" in sys.modules, file=sys.stderr)
+"""
+_SMALL_EXPERIMENTS = ("burke --horizon 2000", "zigzag-law --periods 2000",
+                      "noncolliding --reps 2000", "interchange --reps 2000",
+                      "shape-law --reps 2000", "laguerre --reps 2000")
+
+
+def test_experiments_import_scipy_special_and_not_scipy_stats():
+    proc = _run_probe(_LAWS_PROBE, *_SMALL_EXPERIMENTS)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == [f"{argv.split()[0]} 0 True False"
+                                        for argv in _SMALL_EXPERIMENTS], proc.stderr

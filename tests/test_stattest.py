@@ -961,7 +961,14 @@ def test_memory_peak_at_default_sizes(name):
     (lambda: independence_test(np.ones(50, dtype=np.int64), np.arange(50)),
      DegenerateTestError, "at least a 2x2 table"),
     (lambda: geometric_fit_test(np.array([0, 1, 2, 3]), 0.5), ValueError, "live on {1, 2"),
-], ids=["ks-empty", "chi2-shapes", "constant-margin", "geometric-zero"])
+    # two pairs give r = +-1 and p = 1.0; scipy passed them
+    (lambda: lag1_test([0.5, 2.0, 1.0], name="gap-lag1"), DegenerateTestError,
+     "gap-lag1: need at least 4 values, got 3"),
+    # scipy returned NaN with a ConstantInputWarning, a traceback under -W error
+    (lambda: lag1_test([1.0, 1.0, 1.0, 2.0]), DegenerateTestError, "lag1: constant terms"),
+    (lambda: lag1_test([2.0, 1.0, 1.0, 1.0]), DegenerateTestError, "lag1: constant terms"),
+], ids=["ks-empty", "chi2-shapes", "constant-margin", "geometric-zero",
+        "lag1-two-pairs", "lag1-constant-before", "lag1-constant-after"])
 def test_primitive_inputs_are_checked(call, error, message):
     with pytest.raises(error, match=message):
         call()
