@@ -9,18 +9,16 @@ import sys
 
 import numpy as np
 
-from dualq import (
+from dualq.queue_store import (
     QueueTrace,
-    RateParams,
-    Seed,
     backward_check,
     busy_periods,
-    sample_input,
     trace_to_csv,
     transform,
     workload_pair,
     zigzag_from_trace,
 )
+from dualq.sampling import RateParams, Seed, sample_input
 
 # the worked example: two customers, the second arrives mid-service
 trace = QueueTrace(A=[0, 3], s=[5, 1])

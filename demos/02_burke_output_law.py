@@ -8,7 +8,8 @@ both the geometric and the exponential model are in equilibrium from the
 first customer and every customer is tested.
 """
 
-from dualq import RateParams, Seed, burke_experiment
+from dualq.sampling import RateParams, Seed
+from dualq.stattest import burke_experiment
 
 
 def show(params, horizon):

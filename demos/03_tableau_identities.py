@@ -8,18 +8,17 @@ cumulative output of the store tandem (and the skew path minimum).
 
 import numpy as np
 
-from dualq import (
-    Seed,
-    ServiceMatrix,
+from dualq.rsk import (
     lambda_operators,
     path_max,
     path_min,
     pretty,
     tableau_of,
-    tandem_outputs,
     verify_row_queue,
     word_of,
 )
+from dualq.sampling import Seed
+from dualq.tandem import ServiceMatrix, tandem_outputs
 
 U = ServiceMatrix(np.array([[1, 2],
                             [3, 4]]))

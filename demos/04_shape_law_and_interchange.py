@@ -10,15 +10,10 @@ from collections import Counter
 
 import numpy as np
 
-from dualq import (
-    Seed,
-    interchange_experiment,
-    shape_law_experiment,
-    shape_pmf,
-    transition_prob,
-)
 from dualq.rsk import tableau_of, word_of
-from dualq.sampling import draw_geometric0
+from dualq.sampling import Seed, draw_geometric0
+from dualq.schur import shape_pmf, transition_prob
+from dualq.stattest import interchange_experiment, shape_law_experiment
 
 q = (0.3, 0.5)
 N = 4

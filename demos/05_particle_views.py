@@ -9,18 +9,16 @@ occupancy vector into an exclusion configuration.
 
 import numpy as np
 
-from dualq import (
-    ServiceMatrix,
+from dualq.particles import (
     bus_stop_run,
     bus_stop_step,
+    exclusion_step,
     from_exclusion,
     occupancy_history,
-    queue_departures,
-    store_flow,
     to_exclusion,
     zero_range_run,
 )
-from dualq.particles import exclusion_step
+from dualq.tandem import ServiceMatrix, queue_departures, store_flow
 
 U = ServiceMatrix(np.array([[1, 2],
                             [3, 4]]))

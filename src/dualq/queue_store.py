@@ -82,7 +82,7 @@ def _run_dtype(w1, *arrays):
     return np.float64
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class QueueTrace:
     """Per-customer input and output of one model run, built from the
     input alone: ``QueueTrace(A, s, w1=0)``.
@@ -102,6 +102,7 @@ class QueueTrace:
     2**63, and real inputs whose D, w or r overflow float64, raise
     ValueError.  The arrays are read-only, ``A`` and ``s`` copies of the
     input: the trace caches its zigzag table, which must not go stale.
+    The trace compares and hashes by identity, as its fields are arrays.
     """
 
     A: np.ndarray
@@ -253,14 +254,14 @@ def queue_length(trace: QueueTrace, t_grid) -> np.ndarray:
     return (arrived - departed).astype(np.int64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PiecewiseLinear:
     """Right-continuous piecewise-linear path.
 
     Knots carry the value at the knot and the left limit there; the path is
     linear between knots (toward the next knot's left limit), zero before
     the first knot and held at the last knot's value after it.  A path
-    without knots is zero everywhere.
+    without knots is zero everywhere.  Paths compare and hash by identity.
     """
 
     times: np.ndarray
@@ -545,20 +546,13 @@ def _zigzag_table(trace: QueueTrace) -> list:
     """The zigzag of every busy period of ``trace`` that :func:`zigzag`
     accepts, at the index of the period's first customer (None elsewhere).
 
-    A trace whose ``A`` and ``s`` are not both int64 or both float64, or
-    whose integer sums could leave int64, gets an empty table: each of its
-    periods goes through :func:`zigzag`.  The trajectories are made and
-    filled by ``map`` in C, with no Python frame per period, and skip the
-    constructor's checks, which the runs already passed: this is the one
-    place a :class:`ZigzagTrajectory` is built without them.
+    The trajectories are made and filled by ``map`` in C, with no Python
+    frame per period, and skip the constructor's checks, which the runs
+    already passed: this is the one place a :class:`ZigzagTrajectory` is
+    built without them.
     """
-    A, s = trace.A, trace.s
-    if A.dtype != s.dtype or s.dtype not in (np.int64, np.float64):
-        return []
-    # no partial sum of 2N-1 marks and gaps exceeds 3N times the largest entry
-    if s.dtype == np.int64 and 3 * A.size * max(_magnitude(A), _magnitude(s)) >= 2**63:
-        return []
-    firsts, runs = _period_run_tuples(A, s, trace.D)
+    A = trace.A
+    firsts, runs = _period_run_tuples(A, trace.s, trace.D)
     zigzags = list(map(object.__new__, itertools.repeat(ZigzagTrajectory, len(firsts))))
     # the slot's own setter: the runs are already checked, and frozen refuses setattr
     deque(map(ZigzagTrajectory.run_lengths.__set__, zigzags, runs), maxlen=0)

@@ -63,7 +63,8 @@ BRUTE_FORCE_LIMIT = 14
 
 
 class SizeLimitError(ValueError):
-    """Exhaustive path enumeration would be too large."""
+    """Exhaustive path enumeration, or a truncated shape pmf
+    (:data:`dualq.schur.SHAPE_BUDGET`), would be too large."""
 
 
 def normalize_partition(parts) -> tuple:

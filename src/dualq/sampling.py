@@ -74,12 +74,13 @@ class Seed:
         return Seed(self.master, (self.stream << 32) + index + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarkedSequence:
     """Finite window of strictly increasing epochs carrying positive marks.
 
     Epochs are real for the exponential model and integer for the geometric
     one; the window is ``[0, window_end]`` with every epoch inside it.
+    Sequences compare and hash by identity, as their fields are arrays.
     """
 
     epochs: np.ndarray

@@ -10,17 +10,17 @@ and the shape sequence in N is a Markov chain whose transitions multiply
 a(q) s_l(q) / s_m(q) on interlacing pairs.  #SSYT is the hook-content
 formula; s_l sums over interlacing chains.  Both truncated pmfs, of the
 shape and of one transition row, come from one loop that widens the leading
-part.  Everything is exact when the q_j are ``fractions.Fraction``; floats
-work too.
+part, and refuse to hold more than :data:`SHAPE_BUDGET` shapes.  Everything
+is exact when the q_j are ``fractions.Fraction``; floats work too.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
-from math import factorial, perm, prod
+from itertools import combinations_with_replacement, count, product
+from math import comb, factorial, perm, prod
 
-from .rsk import Tableau, _partition, normalize_partition
+from .rsk import SizeLimitError, Tableau, _partition, normalize_partition
 
 __all__ = [
     "empty_row_prob",
@@ -32,7 +32,12 @@ __all__ = [
     "interlaces",
     "transition_prob",
     "transition_distribution",
+    "SHAPE_BUDGET",
 ]
+
+# the most shapes a truncated pmf may hold: its cost grows faster than its
+# shape count, and a weight near 1 or many rows need millions of shapes
+SHAPE_BUDGET = 20_000
 
 
 def _weights(q) -> tuple:
@@ -151,19 +156,27 @@ def shape_pmf(l, q, N: int):
     return empty_row_prob(q) ** N * schur_eval(l, q) * ssyt_count(l, N)
 
 
-def _truncated_pmf(c, tails, prob, residual) -> dict:
+def _truncated_pmf(c, tails, width, prob, residual) -> dict:
     """``prob`` of the partition (c, *tail) for every tail in ``tails(c)``,
-    then ``tails(c + 1)``, ... until less than ``residual`` of the mass is left."""
+    then ``tails(c + 1)``, ... until less than ``residual`` of the mass is left.
+
+    ``width(c)`` is the number of tails of ``c``.  SizeLimitError before the
+    first leading part whose tails would take the pmf past :data:`SHAPE_BUDGET`.
+    """
     out: dict[tuple, object] = {}
     total = 0
-    for c in range(c, c + 10001):
+    for c in count(c):
+        if len(out) + width(c) > SHAPE_BUDGET:
+            raise SizeLimitError(
+                f"{len(out)} shapes with leading part below {c} leave "
+                f"{float(1 - total):.3g} of the mass; leading part {c} would add "
+                f"{width(c)} more, past the shape budget {SHAPE_BUDGET}")
         for tail in tails(c):
             l = normalize_partition((c,) + tail)
             out[l] = p = prob(l)
             total = total + p
         if 1 - total < residual:
             return out
-    raise RuntimeError("truncated pmf failed to converge")
 
 
 def shape_distribution(q, N: int, residual: float = 1e-10) -> dict:
@@ -175,8 +188,9 @@ def shape_distribution(q, N: int, residual: float = 1e-10) -> dict:
     q = _weights(q)
     if N < 0:
         raise ValueError("N must be >= 0")
-    aN, kinds = empty_row_prob(q) ** N, tuple(map(type, q))
-    return _truncated_pmf(0, lambda c: combinations_with_replacement(range(c, -1, -1), len(q) - 1),
+    aN, kinds, K = empty_row_prob(q) ** N, tuple(map(type, q)), len(q)
+    return _truncated_pmf(0, lambda c: combinations_with_replacement(range(c, -1, -1), K - 1),
+                          lambda c: comb(c + K - 1, K - 1),
                           lambda l: aN * _schur_rec(l, q, kinds) * ssyt_count(l, N), residual)
 
 
@@ -215,5 +229,6 @@ def transition_distribution(m, q, residual: float = 1e-10) -> dict:
     pad = list(m) + [0] * (K - len(m))
     # interlacing forces l_i in [m_i, m_{i-1}] for i >= 2; only l_1 is free
     inner_ranges = [range(pad[i], pad[i - 1] + 1) for i in range(1, K)]
-    return _truncated_pmf(pad[0], lambda c: product(*inner_ranges),
+    size = prod(map(len, inner_ranges))
+    return _truncated_pmf(pad[0], lambda c: product(*inner_ranges), lambda c: size,
                           lambda l: a * _schur_rec(l, q, kinds) / sm, residual)

@@ -747,6 +747,19 @@ def shape_law_experiment(q, N: int, reps: int, seed: Seed,
     report = ExperimentReport(
         "shape-law", {"q": [float(x) for x in q], "N": N, "reps": reps}, seed, alpha)
 
+    # Cut each pmf where _pmf_chi2 stops seeing it: a shape left out has p < cut, a
+    # pair left out of row m has pm * pt < cut, so reps times either is below
+    # MIN_EXPECTED / 2 and it pools into the rest cell, a complement, anyway.
+    # Both pmfs come first: one past schur.SHAPE_BUDGET is refused before any draw.
+    cut = MIN_EXPECTED / reps / 2
+    dist = {k: float(v) for k, v in shape_distribution(q, N, residual=cut).items()}
+    pair_pmf: dict[tuple, float] = {}
+    for m, pm in dist.items():
+        if reps * pm < 25:
+            continue
+        for l, pt in transition_distribution(m, q, residual=cut / pm).items():
+            pair_pmf[(m, l)] = pm * float(pt)
+
     def shape_rows(weights, rows, base):
         # the shapes at N..rows of each replication as one row, block by block
         out = np.empty((reps, (rows + 1 - N) * K), dtype=np.int64)
@@ -761,22 +774,9 @@ def shape_law_experiment(q, N: int, reps: int, seed: Seed,
                                                 normalize_partition(row[K:])))
     count_rev = _pool(_row_counts(shape_rows(q[::-1], N, K)), normalize_partition)
 
-    # Cut each pmf where _pmf_chi2 stops seeing it: a shape left out has p < cut, a
-    # pair left out of row m has pm * pt < cut, so reps times either is below
-    # MIN_EXPECTED / 2 and it pools into the rest cell, a complement, anyway.
-    cut = MIN_EXPECTED / reps / 2
-    dist = {k: float(v) for k, v in shape_distribution(q, N, residual=cut).items()}
     results = report.results
     results.append(_pmf_chi2(count_n, dist, reps, name="shape-frequencies"))
-
-    pair_pmf: dict[tuple, float] = {}
-    for m, pm in dist.items():
-        if reps * pm < 25:
-            continue
-        for l, pt in transition_distribution(m, q, residual=cut / pm).items():
-            pair_pmf[(m, l)] = pm * float(pt)
     results.append(_pmf_chi2(pair_counts, pair_pmf, reps, name="growth-transitions"))
-
     results.append(chi2_two_sample(count_n, count_rev, name="weight-permutation-two-sample"))
     report.diagnostics = {"distinct_shapes": len(count_n)}
     return report

@@ -88,14 +88,15 @@ def _entries(u) -> np.ndarray:
     return u.astype(np.int64, copy=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ServiceMatrix:
     """N x K array of nonnegative service requirements / requests.
 
     The matrix enters by the batches' rule, :func:`_entries`, as a batch of
     one, so N and K are at least 1: integer entries give exact int64
     dynamics, real ones (used by the exponential ensemble checks) run in
-    float64, and zeros are allowed everywhere.
+    float64, and zeros are allowed everywhere.  Matrices compare and hash
+    by identity.
     """
 
     u: np.ndarray
@@ -119,7 +120,7 @@ def _as_matrix(U) -> ServiceMatrix:
     return U if isinstance(U, ServiceMatrix) else ServiceMatrix(np.asarray(U))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TandemTrace:
     """Joint queue/store run of one saturated tandem.
 
@@ -128,7 +129,8 @@ class TandemTrace:
     the amount store k ships during slot n, and ``wmat[n-1, k-1]`` the
     stock of store k at the start of slot n (so w(k, k) = 0: material
     needs k-1 slots to propagate down the line).  Store 1 is the infinite
-    reservoir; its tracked stock is recorded as zero.
+    reservoir; its tracked stock is recorded as zero.  Traces compare and
+    hash by identity, as their fields are arrays.
     """
 
     Dmat: np.ndarray

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy
 
-from dualq import cli, particles, rsk, tandem
+from dualq import cli, particles, rsk, schur, tandem
 from dualq.cli import main
 from dualq.sampling import Seed
 
@@ -550,6 +550,19 @@ def test_verify_identities_checks_the_path_limit_before_the_first_draw(monkeypat
 def test_verify_identities_runs_at_the_path_limit(capsys):
     code, out, _ = run(capsys, "verify-identities", "--n", "7", "--k", "7", "--cases", "20")
     assert code == 0 and json.loads(out)["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("argv", [
+    ("--q", "0.999,0.5", "--n", "2", "--reps", "50"),           # ran for over 120 s
+    ("--q", "0.5,0.6,0.7", "--n", "20", "--reps", "20000"),    # exited 2 after 166 s
+    ("--q", "0.2,0.4,0.6,0.3", "--n", "8", "--reps", "20000"),  # killed after 73 CPU minutes
+], ids=["weight-near-one", "twenty-rows", "four-stages"])
+def test_shape_law_past_the_shape_budget_exits_two_before_the_first_draw(
+        monkeypatch, capsys, argv):
+    monkeypatch.setattr(Seed, "generator", _no_draws)
+    code, out, err = run(capsys, "shape-law", *argv)
+    assert code == 2 and out == ""
+    assert f"past the shape budget {schur.SHAPE_BUDGET}" in err
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -1,14 +1,13 @@
-"""Every name a ``dualq`` module exports resolves, the package imports only
-exported names, and every public name has a caller outside the tests or is a
-test oracle listed in :data:`ORACLES`.
+"""Every name a ``dualq`` module exports resolves, importing the package
+loads none of its modules, and every public name has a caller outside the
+tests or is a test oracle listed in :data:`ORACLES`.
 
 A public name is a name in a module's ``__all__`` (``cli.main``, the console
 script, aside) or a public method or property of a class a module exports.
 Its callers are the references to it in the package source, the demos and
 the benchmark harness: for a module's name ``f``, a read of ``f``, an import
-of it, or a read of ``module.f`` or ``dualq.f``; for a method or property, a
-read of the attribute.  The package's re-exports in ``__init__.py`` do not
-count, and neither do references inside the name's own def.  A name the
+of it, or a read of ``module.f``; for a method or property, a read of the
+attribute.  References inside the name's own def do not count.  A name the
 benchmark's tracer wraps (``LAYERS`` in ``perfbench/tracing.py``) counts as
 called: the tracer and the workloads reach the modules through strings,
 which a name scan misses.
@@ -24,15 +23,20 @@ a property named like one (none is today) would need a call to count.
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dualq
+from dualq.queue_store import QueueTrace, workload_pair
+from dualq.sampling import MarkedSequence
+from dualq.tandem import ServiceMatrix, tandem_trace
 
-INIT = Path(dualq.__file__)
 ROOT = Path(__file__).resolve().parents[1]
 CALLER_GLOBS = ("src/dualq/*.py", "demos/*.py", "perfbench/*.py")
 
@@ -58,14 +62,16 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
-def test_the_package_imports_only_exported_names():
-    stray = []
-    for node in ast.walk(ast.parse(INIT.read_text())):
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            module = importlib.import_module(f"dualq.{node.module}")
-            stray += [f"{node.module}.{alias.name}" for alias in node.names
-                      if alias.name not in module.__all__]
-    assert stray == []
+def test_importing_the_package_loads_none_of_its_modules():
+    # each name is imported from its module; the package itself binds only
+    # __version__, so it needs neither its modules nor numpy
+    src = str(Path(dualq.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, dualq; print([m for m in sys.modules if m.startswith(('dualq.', 'numpy'))])"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout == "[]\n"
 
 
 # --- the orphan scan -----------------------------------------------------------
@@ -104,12 +110,10 @@ def _public_names(modules: dict) -> set:
 class _References(ast.NodeVisitor):
     """The names (read or imported), the attributes (read, and called) and
     the ``name.attr`` pairs (read) of a source, leaving out what a def reads
-    of its own name, and the imports when ``reexports`` says they only
-    re-export."""
+    of its own name."""
 
-    def __init__(self, reexports: bool):
+    def __init__(self):
         self.names, self.attrs, self.calls, self.pairs, self.defs = set(), set(), set(), set(), []
-        self.reexports = reexports
 
     def visit_FunctionDef(self, node):
         self.defs.append(node.name)
@@ -133,8 +137,7 @@ class _References(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node):
-        if not self.reexports:
-            self.names.update(alias.name for alias in node.names)
+        self.names.update(alias.name for alias in node.names)
 
 
 def _audit(sources: dict) -> tuple:
@@ -143,13 +146,12 @@ def _audit(sources: dict) -> tuple:
     :func:`_sources` gives them."""
     trees = {path: ast.parse(text) for path, text in sources.items()}
     modules = {Path(path).stem: tree for path, tree in trees.items()
-               if path.startswith("src/dualq/")
-               and Path(path).stem not in ("__init__", "__main__")}
+               if path.startswith("src/dualq/")}
     layers = _assigned(trees["perfbench/tracing.py"], "LAYERS")
     traced = {f"{layer}.{name}" for layer, names in layers.items() for name in names}
     names, attrs, calls, pairs = set(), set(), set(), set()
-    for path, tree in trees.items():
-        refs = _References(reexports=path == "src/dualq/__init__.py")
+    for tree in trees.values():
+        refs = _References()
         refs.visit(tree)
         names |= refs.names
         attrs |= refs.attrs
@@ -161,7 +163,7 @@ def _audit(sources: dict) -> tuple:
         if owner:  # a method or property
             called = name in (calls if name in COMMON else attrs)
         else:
-            called = name in names or {(module, name), ("dualq", name)} & pairs
+            called = name in names or (module, name) in pairs
         if not called:
             orphans.add(public)
     return orphans - ORACLES.keys(), ORACLES.keys() - orphans
@@ -203,3 +205,26 @@ def test_the_scan_reports_an_oracle_that_gained_a_caller():
     sources = _sources()
     sources["demos/03_tableau_identities.py"] += "\nssyt_enumerate((2, 1), 3)\n"
     assert _audit(sources) == (set(), {"schur.ssyt_enumerate"})
+
+
+# --- the types that hold arrays ---------------------------------------------------
+
+ARRAY_HOLDERS = {
+    "QueueTrace": lambda: QueueTrace([0, 1], [1, 1]),
+    "PiecewiseLinear": lambda: workload_pair(QueueTrace([0, 1], [1, 1]))[0],
+    "MarkedSequence": lambda: MarkedSequence(np.array([1, 2]), np.array([1, 1]), 3),
+    "ServiceMatrix": lambda: ServiceMatrix(np.array([[1, 2], [3, 4]])),
+    "TandemTrace": lambda: tandem_trace(np.array([[1, 2], [3, 4]])),
+}
+
+
+@pytest.mark.parametrize("make", ARRAY_HOLDERS.values(), ids=ARRAY_HOLDERS.keys())
+def test_a_type_that_holds_arrays_compares_and_hashes_by_identity(make):
+    # a field-by-field == raised on the arrays' ambiguous truth value, and hash
+    # on the arrays being unhashable
+    x, twin = make(), make()
+    assert x == x and not x != x
+    assert x != twin and not x == twin
+    assert hash(x) == hash(x)
+    assert x in {x} and twin not in {x}
+    assert len({x, twin, x}) == 2

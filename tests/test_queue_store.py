@@ -803,6 +803,23 @@ def test_zigzag_table_sums_a_long_period_like_the_loop():
         assert from_trace(tr, p.customers) == zigzag_of_range(tr, p.customers)
 
 
+@pytest.mark.parametrize("A, s", [
+    ([0, 1], [2**62, 2**62 - 2]),         # heights up to 2**63 - 3
+    ([-2**62, 2**62 - 3], [1, 1]),        # a gap of 2**63 - 3
+    ([0, 5, 2**61], [3, 3, 2**61]),
+])
+def test_zigzag_table_holds_every_period_of_a_trace_at_the_int64_edge(A, s):
+    # QueueTrace's int64 bound covers every partial sum of the runs: these
+    # traces got an empty table from a cruder bound of 3N times the largest entry
+    tr = QueueTrace(A, s)
+    table = queue_store._zigzag_table(tr)
+    periods = busy_periods(tr)
+    assert [i for i, z in enumerate(table) if z is not None] == [
+        p.customers.start for p in periods]
+    for p in periods:
+        assert repr(table[p.customers.start].run_lengths) == zigzag_of_range(tr, p.customers)
+
+
 @settings(deadline=None, max_examples=100)
 @given(st.lists(st.integers(1, 70), min_size=1, max_size=30), st.integers(0, 2**32))
 @example([1], 0)

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dualq import schur
+from dualq.rsk import SizeLimitError
 from dualq.schur import (
     empty_row_prob,
     interlaces,
@@ -321,6 +323,19 @@ def test_weights_checked_where_they_enter(q):
                  lambda: transition_distribution((), q)):
         with pytest.raises(ValueError, match="strictly in"):
             call()
+
+
+@pytest.mark.parametrize("pmf", [lambda: shape_distribution((0.3, 0.5, 0.4), 4, residual=1e-4),
+                                 lambda: transition_distribution((3, 1), (0.3, 0.5, 0.4))],
+                         ids=["shape_distribution", "transition_distribution"])
+def test_a_truncated_pmf_holds_at_most_the_shape_budget(monkeypatch, pmf):
+    full = pmf()
+    monkeypatch.setattr(schur, "SHAPE_BUDGET", len(full))
+    assert pmf() == full
+    # a budget one smaller refuses the last leading part
+    monkeypatch.setattr(schur, "SHAPE_BUDGET", len(full) - 1)
+    with pytest.raises(SizeLimitError, match=f"past the shape budget {len(full) - 1}$"):
+        pmf()
 
 
 # --- the partition rule, checked once for every entry point ---------------------
