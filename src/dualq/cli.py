@@ -1,8 +1,9 @@
 """Command-line entry point: experiment runner and identity verifier.
 
-Each subcommand is one entry of :data:`COMMANDS`, declared with
-:func:`_command` next to its runner: its flags as (type, default, help) and
-a runner that takes the merged settings and returns ``(payload, ok)``.
+Each subcommand is one entry of :data:`~dualq._commands.COMMANDS`, which
+holds its help and its flags as (type, default, help); that module parses
+the command line without numpy.  Here :func:`_runs` binds each entry's name
+to its runner, which takes the merged settings and returns ``(payload, ok)``.
 Every subcommand accepts ``--config FILE`` (a JSON object with the same
 keys as the flags, each value of its flag's type; flags win) and
 ``--output PATH``; the report subcommands also take ``--format json|csv``
@@ -17,6 +18,10 @@ experiments hold statistical tests; ``verify-identities`` and
 ``particles`` hold one exact test, a
 :class:`~dualq.stattest.ExactResult` counting the random cases that fail,
 and name the first of them in ``diagnostics.first_failure``.
+
+This module imports every layer, and numpy with them, when it is imported:
+the benchmark's worker relies on that.  :mod:`dualq.__main__` parses first
+and imports it only for a run.
 """
 
 from __future__ import annotations
@@ -27,38 +32,25 @@ import io
 import json
 import re
 import sys
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import particles, queue_store, rsk, stattest, tandem
+from ._commands import COMMANDS, DEFAULT_ALPHA, parse
 from .sampling import RateParams, Seed
 
-__all__ = ["main"]
+__all__ = ["main", "dispatch"]
+
+RUNNERS: dict[str, Callable] = {}  # subcommand -> runner: settings -> (payload, ok)
 
 
-@dataclass(frozen=True)
-class Command:
-    help: str
-    flags: dict  # key -> (type, default, help), the shared --config/--output first
-    run: Callable  # settings namespace -> (payload, ok)
-
-
-COMMANDS: dict[str, Command] = {}
-
-_IO_FLAGS = {"config": (str, None, "JSON file supplying the same keys; flags override"),
-             "output": (str, None, None)}
-_REPORT_FLAGS = {**_IO_FLAGS, "format": (str, "json", "json or csv")}
-_ALPHA = (float, stattest.DEFAULT_ALPHA, "")
-
-
-def _command(name: str, help: str, io_flags: dict = _REPORT_FLAGS, **flags):
-    """Register the decorated runner as subcommand ``name``; ``--help`` keeps this order."""
-    def register(run):
-        COMMANDS[name] = Command(help, {**io_flags, **flags}, run)
+def _runs(name: str):
+    """Bind the decorated runner to subcommand ``name`` of the table."""
+    def bind(run):
+        RUNNERS[name] = run
         return run
-    return register
+    return bind
 
 
 def _split(text: str, typ) -> list:
@@ -140,7 +132,7 @@ def _random_cases(cfg, n_key: str, k_key: str, test: str, check,
     params = {key: getattr(cfg, key) for key in (n_key, k_key, "max_entry", "cases")}
     # alpha judges statistical tests only; this report holds one exact test
     report = stattest.ExperimentReport(cfg.subcommand, params, Seed(cfg.seed),
-                                       stattest.DEFAULT_ALPHA)
+                                       DEFAULT_ALPHA)
     failures = 0
     for lo, n, k, E, sites in _case_blocks(cfg.seed, cfg.cases, getattr(cfg, n_key),
                                            getattr(cfg, k_key), cfg.max_entry, site_draws):
@@ -166,10 +158,7 @@ def _six_way_failures(n, k, E, _) -> dict:
     return failures
 
 
-@_command("verify-identities", "six-way tableau/path/tandem identity on random matrices",
-         n=(int, 6, "max customers"), k=(int, 4, "max stages"),
-         max_entry=(int, 5, "entries drawn from {0..max}"),
-         cases=(int, 10000, "random matrices"), seed=(int, 0, ""))
+@_runs("verify-identities")
 def _verify_identities(cfg):
     if cfg.n + cfg.k > rsk.BRUTE_FORCE_LIMIT:  # the path oracles' limit, before any draw
         raise ValueError(f"n + k = {cfg.n + cfg.k} exceeds the brute-force limit "
@@ -177,64 +166,39 @@ def _verify_identities(cfg):
     return _random_cases(cfg, "n", "k", "six-way-identity", _six_way_failures)
 
 
-@_command("burke", "joint output law of the equilibrium queue",
-         model=(str, "geom", "geom (geomgeom1) or exp (mm1)"),
-         p=(float, 0.3, "arrival parameter (p or lambda)"),
-         q=(float, 0.6, "mark parameter (q or mu)"),
-         horizon=(int, 100000, "customers, in equilibrium from the first"),
-         seed=(int, 0, ""), alpha=_ALPHA,
-         dump_samples=(str, None, "write raw (d, r) pairs to this CSV path"))
+@_runs("burke")
 def _burke(cfg):
     return _verdict(stattest.burke_experiment(
         _rate_params(cfg), cfg.horizon, Seed(cfg.seed), alpha=cfg.alpha,
         samples_path=cfg.dump_samples))
 
 
-@_command("zigzag-law", "busy-period trajectory law",
-         p=(float, 0.3, "gap parameter"), q=(float, 0.7, "mark parameter, 0 < p < q < 1"),
-         periods=(int, 100000, "busy periods"),
-         seed=(int, 0, ""), alpha=_ALPHA)
+@_runs("zigzag-law")
 def _zigzag_law(cfg):
     return _verdict(stattest.zigzag_law_experiment(
         cfg.p, cfg.q, Seed(cfg.seed), n_periods=cfg.periods, alpha=cfg.alpha))
 
 
-@_command("noncolliding",
-         "walks conditioned never to collide (exact h-transform) vs max/min functionals",
-         model=(str, "geom", "geom (geomgeom1) or exp (mm1)"),
-         p=(float, 0.3, "gap parameter"), q=(float, 0.7, "mark parameter"),
-         n=(int, 3, "steps per conditioned walk"),
-         reps=(int, 100000, "conditioned walks"),
-         seed=(int, 0, ""), alpha=_ALPHA)
+@_runs("noncolliding")
 def _noncolliding(cfg):
     return _verdict(stattest.noncolliding_experiment(
         _rate_params(cfg), cfg.n, cfg.reps, Seed(cfg.seed), alpha=cfg.alpha))
 
 
-@_command("interchange", "stage reordering leaves (D, R) unchanged",
-         q=(str, "0.3,0.6", "comma-separated stage weights"),
-         sigma=(str, "1,0", "0-based permutation"),
-         n=(int, 4, "customers"), reps=(int, 100000, ""),
-         seed=(int, 0, ""), alpha=_ALPHA)
+@_runs("interchange")
 def _interchange(cfg):
     return _verdict(stattest.interchange_experiment(
         _split(cfg.q, float), _split(cfg.sigma, int), cfg.n, cfg.reps, Seed(cfg.seed),
         alpha=cfg.alpha))
 
 
-@_command("shape-law", "insertion-shape law and growth transitions",
-         q=(str, "0.3,0.5", "comma-separated stage weights"),
-         n=(int, 4, "rows"), reps=(int, 100000, ""),
-         seed=(int, 0, ""), alpha=_ALPHA)
+@_runs("shape-law")
 def _shape_law(cfg):
     return _verdict(stattest.shape_law_experiment(
         _split(cfg.q, float), cfg.n, cfg.reps, Seed(cfg.seed), alpha=cfg.alpha))
 
 
-@_command("laguerre", "exponentiality of R in the square exponential case",
-         k=(int, 3, "stages (square case)"), reps=(int, 1000000, ""),
-         reference_mean=(float, None, "positive and finite; default the exact 1/K"),
-         seed=(int, 0, ""), alpha=_ALPHA)
+@_runs("laguerre")
 def _laguerre(cfg):
     return _verdict(stattest.laguerre_check(cfg.k, cfg.reps, Seed(cfg.seed),
                                             reference_mean=cfg.reference_mean, alpha=cfg.alpha))
@@ -276,18 +240,13 @@ def _particle_failures(n, k, E, sites) -> dict:
     return failures
 
 
-@_command("particles", "particle-system equivalences on random instances",
-         cases=(int, 1000, ""), max_n=(int, 5, ""), max_k=(int, 5, ""),
-         max_entry=(int, 5, ""), seed=(int, 0, ""))
+@_runs("particles")
 def _particles(cfg):
     return _random_cases(cfg, "max_n", "max_k", "particle-equivalences",
                          _particle_failures, site_draws=True)
 
 
-@_command("trace", "per-customer trace table as CSV", io_flags=_IO_FLAGS,
-         a=(str, "0,3", "comma-separated arrival epochs"),
-         s=(str, "5,1", "comma-separated marks"),
-         w1=(float, 0.0, "initial wait"))
+@_runs("trace")
 def _trace(cfg):
     buf = io.StringIO()
     queue_store.trace_to_csv(
@@ -321,47 +280,40 @@ def _render(payload, fmt) -> str:
 _CONFIG_TYPES = {int: (int,), float: (int, float), str: (str,)}
 
 
-def _settings(cmd: Command, flags: dict) -> argparse.Namespace:
+def _settings(flags: dict) -> argparse.Namespace:
     """defaults <- config file <- flags; config values must have their flag's type."""
+    table = COMMANDS[flags["subcommand"]].flags
     config = {}
     if "config" in flags:
         with open(flags["config"]) as fh:
             config = json.load(fh)
         if not isinstance(config, dict):
             raise ValueError("the config file must hold a JSON object")
-    unknown = set(config) - set(cmd.flags)
+    unknown = set(config) - set(table)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     for key, value in config.items():
-        typ = cmd.flags[key][0]
+        typ = table[key][0]
         if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[typ]):
             raise ValueError(f"config key {key!r} must be {typ.__name__}, got {value!r}")
         config[key] = typ(value)
-    defaults = {key: default for key, (_, default, _) in cmd.flags.items()}
+    defaults = {key: default for key, (_, default, _) in table.items()}
     cfg = argparse.Namespace(**{**defaults, **config, **flags})
     if getattr(cfg, "format", "json") not in ("json", "csv"):
         raise ValueError(f"unknown format {cfg.format!r}; use json or csv")
     return cfg
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="dualq",
-                                     description="queue/store duality toolkit")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, cmd in COMMANDS.items():
-        p = sub.add_parser(name, help=cmd.help)
-        for key, (typ, _, hlp) in cmd.flags.items():
-            p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=typ, help=hlp,
-                           default=argparse.SUPPRESS)
-    return parser
-
-
 def main(argv=None) -> int:
-    flags = vars(_build_parser().parse_args(argv))
-    cmd = COMMANDS[flags["subcommand"]]
+    return dispatch(parse(argv))
+
+
+def dispatch(flags: dict) -> int:
+    """Run a subcommand from the flags :func:`~dualq._commands.parse` gave:
+    merge its settings, run it and write its report; return the exit status."""
     try:
-        cfg = _settings(cmd, flags)
-        payload, ok = cmd.run(cfg)
+        cfg = _settings(flags)
+        payload, ok = RUNNERS[cfg.subcommand](cfg)
         text = _render(payload, getattr(cfg, "format", None))
         if cfg.output:
             with open(cfg.output, "w", newline="") as fh:

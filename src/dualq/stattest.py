@@ -56,6 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tandem
+from ._commands import DEFAULT_ALPHA
 from .rsk import growth_shapes, normalize_partition
 from .queue_store import (
     ZigzagTrajectory,
@@ -102,7 +103,6 @@ __all__ = [
 
 
 MIN_EXPECTED = 5.0  # expected count below which a chi-square cell is pooled
-DEFAULT_ALPHA = 0.01  # significance level of every experiment and its --alpha flag
 MAX_RISE = 4  # zigzag-law's catalog: every trajectory up to this rise (Catalan growth)
 
 

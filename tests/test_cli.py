@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy
 
-from dualq import cli, particles, rsk, schur, tandem
+from dualq import _commands, cli, particles, rsk, schur, tandem
 from dualq.cli import main
 from dualq.sampling import Seed
 
@@ -744,12 +744,12 @@ def _readme_command_lines() -> list[list[str]]:
 def test_readme_command_lines_parse(capsys):
     # a flag deleted from the CLI must not linger in the documented commands
     commands = _readme_command_lines()
-    assert len(commands) >= len(cli.COMMANDS)
-    assert {argv[0] for argv in commands} == set(cli.COMMANDS)
+    assert len(commands) >= len(_commands.COMMANDS)
+    assert {argv[0] for argv in commands} == set(_commands.COMMANDS)
     failures = []
     for argv in commands:
         try:
-            cli._build_parser().parse_args(argv)
+            _commands.parse(argv)
         except SystemExit:
             failures.append((" ".join(argv), capsys.readouterr().err.strip()))
     assert failures == []
@@ -778,13 +778,19 @@ def test_exact_subcommands_do_not_import_scipy(argv):
     assert proc.stderr.split()[-2:] == ["0", "False"], proc.stderr
 
 
+def _python(*args, text: bool = True) -> subprocess.CompletedProcess:
+    """Run ``python args`` in a fresh interpreter on this checkout's package;
+    argparse wraps its help to 80 columns there."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "COLUMNS": "80",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=text, timeout=120)
+
+
 def _run_probe(probe: str, *args) -> subprocess.CompletedProcess:
     """Run ``probe`` in a fresh interpreter on this checkout's package."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-c", probe, *args], env=env,
-                          capture_output=True, text=True, timeout=120)
+    return _python("-c", probe, *args)
 
 
 # The experiments take their laws from scipy.special; scipy.stats costs most of
@@ -807,3 +813,55 @@ def test_experiments_import_scipy_special_and_not_scipy_stats():
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines() == [f"{argv.split()[0]} 0 True False"
                                         for argv in _SMALL_EXPERIMENTS], proc.stderr
+
+
+# --- the entry point: python -m dualq and the console script -------------------
+
+def _imported(importtime_report: str) -> set:
+    """The modules a ``python -X importtime`` report on stderr lists."""
+    return {line.rsplit("|", 1)[1].strip() for line in importtime_report.splitlines()
+            if line.startswith("import time:")}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("--help",), 0),
+    (("burke", "--help"), 0),
+    (("--no-such-flag",), 2),
+])
+def test_parsing_loads_neither_numpy_nor_the_layers(argv, code):
+    # --help and usage errors end in dualq._commands, before dualq.cli
+    proc = _python("-X", "importtime", "-m", "dualq", *argv)
+    assert proc.returncode == code, proc.stderr
+    loaded = _imported(proc.stderr)
+    assert "argparse" in loaded
+    assert {m for m in loaded if m.split(".")[0] in ("numpy", "scipy")} == set()
+    assert {m for m in loaded if m.startswith("dualq.")} == {"dualq._commands"}
+
+
+LAYERS = ("sampling", "queue_store", "tandem", "rsk", "schur", "particles", "stattest")
+
+
+def test_importing_cli_loads_every_layer():
+    # the benchmark's worker imports dualq.cli, then finds each layer in
+    # sys.modules to empty its caches and to trace it
+    proc = _run_probe("import sys, dualq.cli; print(*sorted(sys.modules))")
+    assert proc.returncode == 0, proc.stderr
+    assert {f"dualq.{layer}" for layer in LAYERS} <= set(proc.stdout.split())
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("trace", "--a", "0,3", "--s", "5,1")])
+def test_python_m_dualq_matches_main(capsys, monkeypatch, argv):
+    # the same bytes, the trace's CSV line ends included
+    proc = _python("-m", "dualq", *argv, text=False)
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.out.encode(),
+                                                           out.err.encode())
+
+
+def test_every_subcommand_of_the_table_has_a_runner():
+    assert set(cli.RUNNERS) == set(_commands.COMMANDS)

@@ -2,8 +2,8 @@
 loads none of its modules, and every public name has a caller outside the
 tests or is a test oracle listed in :data:`ORACLES`.
 
-A public name is a name in a module's ``__all__`` (``cli.main``, the console
-script, aside) or a public method or property of a class a module exports.
+A public name is a name in a module's ``__all__`` (``cli.main``, the command
+line's entry, aside) or a public method or property of a class a module exports.
 Its callers are the references to it in the package source, the demos and
 the benchmark harness: for a module's name ``f``, a read of ``f``, an import
 of it, or a read of ``module.f``; for a method or property, a read of the
@@ -54,8 +54,6 @@ ORACLES = {
 def test_every_exported_name_resolves():
     missing = []
     for info in pkgutil.iter_modules(dualq.__path__):
-        if info.name == "__main__":  # runs the CLI on import
-            continue
         module = importlib.import_module(f"dualq.{info.name}")
         missing += [f"{info.name}.{name}" for name in getattr(module, "__all__", ())
                     if not hasattr(module, name)]
