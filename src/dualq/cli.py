@@ -204,13 +204,39 @@ def _laguerre(cfg):
                                             reference_mean=cfg.reference_mean, alpha=cfg.alpha))
 
 
+def _broken_equivalences(u: list, N: int, K: int, D: list, r: list, reservoir,
+                         counts: list, buses: list) -> list:
+    """The names of the particle equivalences one case breaks, from the
+    particle cores on lists: the case's matrix rows ``u``, its queue
+    departures ``D`` and store flow ``r`` from the tandem kernels, an
+    ample reservoir, and its site counts (reservoir included) and buses."""
+    jumps = {(p, j): t for p, j, t in particles._zero_range_log(u, N, K)}
+    cells = particles._gap_cells(counts)
+    inverse = particles._gap_counts(cells) == counts
+    stepped = particles._exclusion_slot(cells, buses)  # in place
+    slot = particles._gap_cells(particles._bus_slot(counts, buses)[0])
+    holds = {
+        "zero-range-jumps": all(jumps.get((p, j)) == D[p][j]
+                                for p in range(1, N + 1) for j in range(1, K + 1)),
+        "bus-stop-loads": particles._bus_stop_slots(u, reservoir)[1] == r,
+        "exclusion-inverse": inverse,
+        # the same cells after the holes the departed material left
+        "exclusion-step": stepped == [0] * (len(stepped) - len(slot)) + slot,
+    }
+    return [name for name, ok in holds.items() if not ok]
+
+
 def _particle_failures(n, k, E, sites) -> dict:
     """Per case, four equivalences: zero-range jumps = queue departures,
     bus-stop loads = store flow, and the exclusion encoding inverts and
     commutes with a bus-stop slot on the case's site counts (an ample
     reservoir added at site 1) and buses.  A failing case records the names
-    of those that broke, under ``equivalences``.  The two tandem scans run
-    once per shape group, the particle simulations once per case, and the
+    of those that broke, under ``equivalences``; a case on which a particle
+    oracle raises records the exception, under ``error``.  Per shape group,
+    the two tandem scans run once, and the matrices, site draws, reservoirs
+    and kernel outputs become lists with one ``tolist()`` each; per case,
+    the particle cores (``particles._zero_range_log`` and the others) run
+    on those lists, with no numpy call and no check of their own, and the
     cases compare lists of Python numbers."""
     failures = {}
     for N, K, members in _shape_groups(n, k):
@@ -218,23 +244,18 @@ def _particle_failures(n, k, E, sites) -> dict:
         D = tandem.queue_departures_batch(u).tolist()
         r = tandem._store_scan(tandem._rows_last(u))[0].transpose(2, 0, 1).tolist()
         totals = u.sum(axis=(1, 2)).tolist()
-        for m, i in enumerate(members.tolist()):
-            U = tandem.ServiceMatrix(u[m])
-            jumps = {(e.particle, e.site): e.slot for e in particles.zero_range_run(U)}
-            counts, buses = (s[i, :K].tolist() for s in sites)
+        # a reservoir that never runs dry: the last column's total plus one
+        reservoirs = (u[:, :, -1].sum(axis=1) + 1).tolist()
+        site_counts, site_buses = (s[members, :K].tolist() for s in sites)
+        for m, (i, rows) in enumerate(zip(members.tolist(), u.tolist())):
+            counts = site_counts[m]
             counts[0] += totals[m]
-            config = particles.to_exclusion(counts)
-            stepped = particles.exclusion_step(config, buses).tolist()
-            slot = particles.to_exclusion(particles.bus_stop_step(counts, buses)[0]).tolist()
-            holds = {
-                "zero-range-jumps": all(jumps.get((p, j)) == D[m][p][j]
-                                        for p in range(1, N + 1) for j in range(1, K + 1)),
-                "bus-stop-loads": particles.bus_stop_run(U).tolist() == r[m],
-                "exclusion-inverse": particles.from_exclusion(config) == counts,
-                # the same cells after the holes the departed material left
-                "exclusion-step": stepped == [0] * (len(stepped) - len(slot)) + slot,
-            }
-            broken = [name for name, ok in holds.items() if not ok]
+            try:
+                broken = _broken_equivalences(rows, N, K, D[m], r[m], reservoirs[m],
+                                              counts, site_buses[m])
+            except Exception as exc:  # an oracle that raises fails its case
+                failures[i] = {"error": f"{type(exc).__name__}: {exc}"}
+                continue
             if broken:
                 failures[i] = {"equivalences": broken}
     return failures

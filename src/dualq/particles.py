@@ -14,11 +14,17 @@ jumping right by its bus size, clipped so nobody overtakes, processed left
 to right.
 
 The simulations are oracles for the tandem kernels, sharing no code with
-them.  They and the exclusion maps turn their array input into Python
-numbers with one ``tolist()`` a call and run their per-slot and
-per-marker loops on Python ints and floats, which cost far less per
-operation than numpy scalars on matrices this small; they are the same
-values, so the outputs and their dtypes are the numpy version's.
+them.  Each of them and of the exclusion maps has one body, a private core
+on lists of Python numbers (``_zero_range_log``, ``_bus_stop_slots``,
+``_gap_cells``, ``_gap_counts``, ``_exclusion_slot``; ``_bus_slot`` for
+:func:`bus_stop_step`), which runs the per-slot and per-marker loops on
+Python ints and floats, far cheaper per operation than numpy scalars on
+matrices this small.  The public function is that core's wrapper: it
+checks its input, turns it into lists with one ``tolist()``, and builds
+the output: :class:`JumpEvent` records, loads and counts in the dtype of
+the matrix's entries, or int8 cells.  A caller that already holds
+checked lists, as the ``particles`` subcommand does for a whole group of
+same-shape cases, calls the cores.
 """
 
 from __future__ import annotations
@@ -62,16 +68,21 @@ def zero_range_run(U) -> list[JumpEvent]:
     U = tandem._as_matrix(U)
     if U.u.dtype.kind != "i":
         raise ValueError("zero-range clocks need integer entries")
-    N, K = U.N, U.K
-    u = U.u.tolist()
+    return [JumpEvent(p, j, t) for p, j, t in _zero_range_log(U.u.tolist(), U.N, U.K)]
+
+
+def _zero_range_log(u: list, N: int, K: int):
+    """:func:`zero_range_run` on the rows ``u`` of an N x K integer matrix:
+    yields each jump as a tuple (particle, site, slot), in the order of
+    the log."""
     # sites[j] lists resident particle ids front-first; the front of a
     # nonempty site has clocks[j] service left and became front at front_since[j]
     sites = [deque(range(1, N + 1))] + [deque() for _ in range(K - 1)]
     clocks = [u[0][0]] + [None] * (K - 1)
     front_since = [0] * K
-    log: list[JumpEvent] = []
-
-    def cascade(t):
+    horizon_guard = sum(map(sum, u)) + N * K + 2
+    t = 0
+    while True:
         # expired fronts jump now; zero clocks chain through several sites
         moved = True
         while moved:
@@ -80,7 +91,7 @@ def zero_range_run(U) -> list[JumpEvent]:
                 if not sites[j] or clocks[j] != 0:
                     continue
                 p = sites[j].popleft()
-                log.append(JumpEvent(particle=p, site=j + 1, slot=t))
+                yield p, j + 1, t
                 moved = True
                 if sites[j]:
                     clocks[j] = u[sites[j][0] - 1][j]
@@ -92,19 +103,14 @@ def zero_range_run(U) -> list[JumpEvent]:
                     if len(sites[j + 1]) == 1:
                         clocks[j + 1] = u[p - 1][j + 1]
                         front_since[j + 1] = t
-
-    cascade(0)
-    t = 0
-    horizon_guard = sum(map(sum, u)) + N * K + 2
-    while any(sites):  # a particle leaving the last site is gone
+        if not any(sites):  # a particle leaving the last site is gone
+            return
         t += 1
         if t > horizon_guard:
             raise RuntimeError("zero-range run failed to drain")
         for j in range(K):
             if sites[j] and front_since[j] < t:
                 clocks[j] -= 1
-        cascade(t)
-    return log
 
 
 def _amounts(x, what: str) -> list:
@@ -144,17 +150,24 @@ def bus_stop_step(counts, bus_sizes) -> tuple[list, list]:
     return _bus_slot(counts, bus_sizes)
 
 
-def _bus_stop_slots(U) -> tuple[list, list]:
+def _bus_stop_slots(u: list, reservoir) -> tuple[list, list]:
     """Site counts at every slot boundary (the initial ones first) and the
-    amounts each slot transported; bus j of slot n has size u(n, K+1-j)."""
-    # a reservoir that never runs dry, summed as numpy sums it
-    counts = [U.u[:, -1].sum().item() + 1] + [0] * (U.K - 1)
+    amounts each slot transported, for the rows ``u`` of the matrix; bus j
+    of slot n has size u(n, K+1-j).  Site 1 starts with ``reservoir``, at
+    least what its buses take in all, and the other sites empty."""
+    counts = [reservoir] + [0] * (len(u[0]) - 1)
     history, moves = [counts], []
-    for row in U.u.tolist():
+    for row in u:
         counts, moved = _bus_slot(counts, row[::-1])
         history.append(counts)
         moves.append(moved)
     return history, moves
+
+
+def _bus_stop_history(U) -> tuple[list, list]:
+    """:func:`_bus_stop_slots` of a checked matrix, with a reservoir that
+    never runs dry: its last column's total plus one, summed as numpy sums it."""
+    return _bus_stop_slots(U.u.tolist(), U.u[:, -1].sum().item() + 1)
 
 
 def bus_stop_run(U) -> np.ndarray:
@@ -164,7 +177,7 @@ def bus_stop_run(U) -> np.ndarray:
     particular the last column's total is R(N).
     """
     U = tandem._as_matrix(U)
-    return np.array(_bus_stop_slots(U)[1], dtype=U.u.dtype)
+    return np.array(_bus_stop_history(U)[1], dtype=U.u.dtype)
 
 
 def to_exclusion(counts) -> np.ndarray:
@@ -180,11 +193,16 @@ def to_exclusion(counts) -> np.ndarray:
     # the range test first: int() raises on NaN and inf
     if not counts or not all(0 <= c < math.inf and int(c) == c for c in counts):
         raise ValueError("counts must be nonnegative integers")
+    return np.array(_gap_cells([int(m) for m in counts]), dtype=np.int8)
+
+
+def _gap_cells(counts: list) -> list:
+    """:func:`to_exclusion` of a list of nonnegative ints, as a list of cells."""
     cells = []
     for m in reversed(counts):
         cells.append(1)
-        cells.extend([0] * int(m))
-    return np.array(cells, dtype=np.int8)
+        cells.extend([0] * m)
+    return cells
 
 
 def _cells(config) -> list:
@@ -204,6 +222,11 @@ def from_exclusion(config) -> list:
     cells = _cells(config)
     if not cells or cells[0] != 1:
         raise ValueError("configuration must start at a site marker")
+    return _gap_counts(cells)
+
+
+def _gap_counts(cells: list) -> list:
+    """:func:`from_exclusion` of a list of 0/1 cells that starts at a marker."""
     ones = [i for i, c in enumerate(cells) if c == 1] + [len(cells)]
     return [ones[i + 1] - ones[i] - 1 for i in range(len(ones) - 2, -1, -1)]
 
@@ -220,7 +243,7 @@ def occupancy_history(U, model: str = "bus-stop") -> np.ndarray:
     """
     U = tandem._as_matrix(U)
     if model == "bus-stop":
-        return np.array(_bus_stop_slots(U)[0], dtype=U.u.dtype)
+        return np.array(_bus_stop_history(U)[0], dtype=U.u.dtype)
     if model == "zero-range":
         N, K = U.N, U.K
         log = zero_range_run(U)
@@ -250,18 +273,24 @@ def exclusion_step(config, bus_sizes) -> np.ndarray:
     if bus_sizes.ndim != 1:
         raise ValueError("bus sizes must be a 1-d sequence, one per marker")
     bus_sizes = bus_sizes.tolist()
-    positions = [i for i, c in enumerate(out) if c == 1]
-    if len(positions) != len(bus_sizes):
+    if out.count(1) != len(bus_sizes):
         raise ValueError("need one bus size per marker")
     # the range test first: int() raises on NaN and inf
     if not all(0 <= b < math.inf and int(b) == b for b in bus_sizes):
         raise ValueError("bus sizes must be nonnegative integers")
+    return np.array(_exclusion_slot(out, [int(b) for b in bus_sizes]), dtype=np.int8)
+
+
+def _exclusion_slot(cells: list, bus_sizes: list) -> list:
+    """:func:`exclusion_step` of a list of 0/1 cells, in place, with one
+    nonnegative int bus size per marker, in site order; returns ``cells``."""
+    positions = [i for i, c in enumerate(cells) if c == 1]
     n_markers = len(positions)
     for i, pos in enumerate(positions):
-        limit = positions[i + 1] if i + 1 < n_markers else len(out)
-        jump = min(int(bus_sizes[n_markers - 1 - i]), limit - pos - 1)
+        limit = positions[i + 1] if i + 1 < n_markers else len(cells)
+        jump = min(bus_sizes[n_markers - 1 - i], limit - pos - 1)
         if jump:
-            out[pos] = 0
-            out[pos + jump] = 1
+            cells[pos] = 0
+            cells[pos + jump] = 1
             positions[i] = pos + jump
-    return np.array(out, dtype=np.int8)
+    return cells

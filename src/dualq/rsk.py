@@ -8,10 +8,13 @@ departure D(N, K), while lambda_K equals the skew path minimum and the
 cumulative store output R(N).  :func:`verify_row_queue_batch` checks all
 six numbers against each other on a stack of same-shape matrices, each
 computed independently: the operator chains, both path enumerations and
-the two tandem kernels run once per stack, row insertion once per case.
+the two tandem kernels run once per stack, row insertion once per case, on
+that case's row of one ``tolist()`` of the stack's words, with no numpy
+call and no :class:`Tableau` per case: it reads only two row lengths.
 Row insertion takes a word one tableau row at a time (:func:`_insert_word`),
 letter by letter within a row, with no shortcut through the letter counts,
 so the tableau stays a witness independent of the chains and the kernels.
+:func:`tableau_of` is the checking entry point to the same insertion.
 The scalar witnesses are the same computations on a batch of one.
 :func:`growth_shapes` gives the same shapes from Fomin's local rule, batched
 over replications, for the Monte Carlo shape law; its first coordinate is
@@ -378,11 +381,13 @@ def _six_way(u: np.ndarray) -> tuple:
     lam1[:, 1], lamK[:, 1] = _operator_chains(words, M, K)
     lam1[:, 2] = _path_sums(u, _up_right_paths).max(axis=-1)
     lamK[:, 2] = _path_sums(u, _skew_paths).min(axis=-1)
-    # row insertion: one fold per case; the lengths of the first and K-th
-    # rows are lambda_1 and lambda_K, 0 for a row the tableau lacks
+    # row insertion: one fold per case, on one tolist() of the stack's
+    # words; the lengths of the first and K-th rows are lambda_1 and
+    # lambda_K, 0 for a row the tableau lacks
     first, last = [], []
-    for b, m in enumerate(M.tolist()):
-        rows = tableau_of(words[b, :m]).rows
+    for word, m in zip(words.tolist(), M.tolist()):
+        rows: list[list[int]] = []
+        _insert_word(rows, word[:m])
         first.append(len(rows[0]) if rows else 0)
         last.append(len(rows[K - 1]) if len(rows) >= K else 0)
     lam1[:, 0], lamK[:, 0] = first, last

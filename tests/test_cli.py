@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -373,9 +372,16 @@ def test_verify_identities_names_first_failure(capsys, monkeypatch):
     assert lamK == [lamK[0]] * 4
 
 
+def _more_loads(real):
+    """``particles._bus_stop_slots`` with every load one too many."""
+    def wrong(u, reservoir):
+        history, moves = real(u, reservoir)
+        return history, [[x + 1 for x in row] for row in moves]
+    return wrong
+
+
 def test_particles_names_first_failure(capsys, monkeypatch):
-    real = particles.bus_stop_run
-    monkeypatch.setattr(particles, "bus_stop_run", lambda U: real(U) + 1)
+    monkeypatch.setattr(particles, "_bus_stop_slots", _more_loads(particles._bus_stop_slots))
     code, out, _ = run(capsys, "particles", "--cases", "10", "--seed", "4")
     assert code == 1
     first = json.loads(out)["diagnostics"]["first_failure"]
@@ -383,13 +389,13 @@ def test_particles_names_first_failure(capsys, monkeypatch):
                      "equivalences": ["bus-stop-loads"]}
 
 
-_BREAKS = {  # equivalence -> the particle function it reads, and a wrong version of it
-    "zero-range-jumps": ("zero_range_run", lambda real: lambda U: [
-        dataclasses.replace(e, slot=e.slot + 1) for e in real(U)]),
-    "bus-stop-loads": ("bus_stop_run", lambda real: lambda U: real(U) + 1),
-    "exclusion-inverse": ("from_exclusion", lambda real: lambda config: real(config) + [0]),
-    "exclusion-step": ("exclusion_step",
-                       lambda real: lambda config, buses: np.append(real(config, buses), 1)),
+_BREAKS = {  # equivalence -> the particle core it reads, and a wrong version of it
+    "zero-range-jumps": ("_zero_range_log", lambda real: lambda u, N, K: (
+        (p, j, t + 1) for p, j, t in real(u, N, K))),
+    "bus-stop-loads": ("_bus_stop_slots", _more_loads),
+    "exclusion-inverse": ("_gap_counts", lambda real: lambda cells: real(cells) + [0]),
+    "exclusion-step": ("_exclusion_slot",
+                       lambda real: lambda cells, buses: real(cells, buses) + [1]),
 }
 
 
@@ -404,6 +410,50 @@ def test_particle_failure_names_the_broken_equivalence(capsys, monkeypatch, equi
     assert payload["diagnostics"]["first_failure"]["equivalences"] == [equivalence]
 
 
+def test_particle_case_on_which_an_oracle_raises_fails_by_name(capsys, monkeypatch):
+    # an oracle that raises on one drawn case fails that case, not the run
+    real = particles._exclusion_slot
+
+    def clip_past_the_edge(cells, buses):
+        if sum(buses) > 10:
+            raise IndexError("list assignment index out of range")
+        return real(cells, buses)
+
+    monkeypatch.setattr(particles, "_exclusion_slot", clip_past_the_edge)
+    code, out, _ = run(capsys, "particles", "--cases", "10", "--seed", "4")
+    assert code == 1
+    payload = json.loads(out)
+    raised = [i for i in range(10) if sum(_fresh_particle_inputs(4, i, 5, 5)[2]) > 10]
+    assert 0 < len(raised) < 10
+    assert payload["tests"][0]["statistic"] == len(raised)
+    assert payload["diagnostics"]["first_failure"] == {
+        "case": raised[0], "matrix": _case_matrix(4, raised[0], 5, 5),
+        "error": "IndexError: list assignment index out of range"}
+
+
+def _refused(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+    return refuse
+
+
+# the checking, converting entry points a random-case check must not call per
+# case: the cases run the list-level cores on one tolist() per shape group
+_PER_CASE = [(rsk, "tableau_of"), (rsk, "_letters"), (particles, "JumpEvent"),
+             (particles, "to_exclusion"), (particles, "from_exclusion"),
+             (particles, "exclusion_step"), (particles, "bus_stop_run"),
+             (tandem, "ServiceMatrix")]
+
+
+@pytest.mark.parametrize("subcommand", ["verify-identities", "particles"])
+def test_random_cases_make_no_numpy_round_trip_per_case(capsys, monkeypatch, subcommand):
+    for module, name in _PER_CASE:
+        monkeypatch.setattr(module, name, _refused(f"{module.__name__}.{name}"))
+    code, out, _ = run(capsys, subcommand, "--cases", "200")
+    assert code == 0
+    assert json.loads(out)["tests"][0]["statistic"] == 0
+
+
 def test_passing_csv_report_is_the_test_table(capsys):
     code, out, _ = run(capsys, "verify-identities", "--cases", "50", "--format", "csv")
     assert code == 0
@@ -414,7 +464,7 @@ def test_passing_csv_report_is_the_test_table(capsys):
 @pytest.mark.parametrize("argv, name, broken", [
     (["verify-identities", "--cases", "50"], "queue_departures_batch",
      lambda real: lambda u: real(u) + 1),
-    (["particles", "--cases", "20"], "bus_stop_run", lambda real: lambda U: real(U) + 1),
+    (["particles", "--cases", "20"], "_bus_stop_slots", _more_loads),
 ], ids=["verify-identities", "particles"])
 def test_failing_csv_report_names_its_reproducer(capsys, monkeypatch, argv, name, broken):
     # the CSV of a failing report carries what its JSON carries to reproduce it

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dualq import particles
 from dualq.particles import (
     bus_stop_run,
     bus_stop_step,
@@ -15,6 +16,9 @@ from dualq.sampling import Seed
 from dualq.tandem import ServiceMatrix, queue_departures, store_flow
 
 U22 = ServiceMatrix(np.array([[1, 2], [3, 4]]))
+# zero entries, N = 1, K = 1 and N < K, for the core-against-wrapper checks
+EDGE_MATRICES = [ServiceMatrix(np.array(u)) for u in (
+    [[0]], [[3]], [[0, 0], [0, 0]], [[2], [0], [5]], [[1, 0, 4]], [[0, 2, 2], [3, 0, 1]])]
 
 
 def matrices(max_n=5, max_k=5, max_entry=5):
@@ -225,3 +229,52 @@ def test_exclusion_step_commutes_with_bus_stop(counts, master):
 def test_particle_inputs_are_checked(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+# --- list-level cores against their public wrappers -------------------------------
+
+def _on_edges(*more):
+    """Add each of EDGE_MATRICES as an example, with the arguments ``more``."""
+    def add(test):
+        for U in EDGE_MATRICES:
+            test = example(U, *more)(test)
+        return test
+    return add
+
+
+@settings(deadline=None, max_examples=80)
+@_on_edges()
+@given(matrices())
+def test_zero_range_log_is_the_run_without_its_records(U):
+    log = list(particles._zero_range_log(U.u.tolist(), U.N, U.K))
+    assert log == [(e.particle, e.site, e.slot) for e in zero_range_run(U)]
+    assert all(type(x) is int for jump in log for x in jump)
+
+
+@settings(deadline=None, max_examples=80)
+@_on_edges(1)
+@given(matrices(), st.integers(1, 50))
+def test_bus_stop_slots_give_the_run_for_any_ample_reservoir(U, extra):
+    # an ample reservoir is its last column's total plus at least one: the
+    # subcommand sums it once per group of cases, the wrapper once per matrix
+    reservoir = int(U.u[:, -1].sum()) + extra
+    history, moves = particles._bus_stop_slots(U.u.tolist(), reservoir)
+    assert moves == bus_stop_run(U).tolist()
+    # the reservoir's surplus stays at site 1; the other sites never see it
+    expected = occupancy_history(U).tolist()
+    assert [h[1:] for h in history] == [h[1:] for h in expected]
+    assert {h[0] - e[0] for h, e in zip(history, expected)} == {extra - 1}
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=6), st.integers(0, 2**32))
+@example([0], 0)
+@example([0, 0, 0], 1)
+def test_exclusion_cores_match_their_wrappers(counts, master):
+    buses = Seed(master).generator().integers(0, 6, size=len(counts)).tolist()
+    cells = particles._gap_cells(counts)
+    assert cells == to_exclusion(counts).tolist()
+    assert particles._gap_counts(cells) == from_exclusion(to_exclusion(counts)) == counts
+    stepped = exclusion_step(to_exclusion(counts), buses).tolist()
+    assert particles._exclusion_slot(cells, buses) is cells  # in place
+    assert cells == stepped

@@ -477,6 +477,20 @@ def test_six_way_batch_matches_per_case_loops(u):
         assert rep.lambdaK[3] == store_flow(u[b])[2][-1]
 
 
+@settings(deadline=None, max_examples=80)
+@_example_all
+@given(stacks())
+def test_six_way_tableau_column_is_the_tableau_of_each_word(u):
+    # the batch inserts each case's row of one tolist() of the stack's words;
+    # tableau_of, the checking entry point, gives the same two row lengths
+    lam1, lamK, _ = verify_row_queue_batch(u)
+    K = u.shape[2]
+    for b in range(u.shape[0]):
+        rows = tableau_of(word_of(ServiceMatrix(u[b]))).rows
+        assert lam1[b, 0] == (len(rows[0]) if rows else 0)
+        assert lamK[b, 0] == (len(rows[K - 1]) if len(rows) >= K else 0)
+
+
 @settings(deadline=None, max_examples=150)
 @_example_all
 @example(np.array([[[1, 2, 0], [0, 0, 0], [3, 0, 1]],   # an all-zero row between others

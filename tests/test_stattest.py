@@ -776,8 +776,8 @@ def test_report_schema(capsys, monkeypatch):
         d = json.loads(capsys.readouterr().out)
         assert set(d) == {"name", "params", "seed", "tests", "verdict"}  # nothing to diagnose
         assert [set(t) for t in d["tests"]] == [_TEST_KEYS]
-    real = particles.bus_stop_run
-    monkeypatch.setattr(particles, "bus_stop_run", lambda U: real(U) + 1)
+    real = particles._gap_counts  # the subcommand's exclusion-inverse core
+    monkeypatch.setattr(particles, "_gap_counts", lambda cells: real(cells) + [0])
     assert cli.main(["particles", "--cases", "20"]) == 1
     d = json.loads(capsys.readouterr().out)
     assert set(d) == {"name", "params", "seed", "tests", "diagnostics", "verdict"}
