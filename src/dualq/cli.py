@@ -17,7 +17,9 @@ report subcommand returns it through :func:`_verdict`.  The six
 experiments hold statistical tests; ``verify-identities`` and
 ``particles`` hold one exact test, a
 :class:`~dualq.stattest.ExactResult` counting the random cases that fail,
-and name the first of them in ``diagnostics.first_failure``.
+and name the first of them in ``diagnostics.first_failure``; each checks
+a shape group of its cases with one call into the layer that owns the
+check, ``rsk.verify_row_queue_batch`` or ``particles._broken_equivalences``.
 
 This module imports every layer, and numpy with them, when it is imported:
 the benchmark's worker relies on that.  :mod:`dualq.__main__` parses first
@@ -36,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import particles, queue_store, rsk, stattest, tandem
+from . import particles, queue_store, rsk, stattest
 from ._commands import COMMANDS, DEFAULT_ALPHA, parse
 from .sampling import RateParams, Seed
 
@@ -80,7 +82,12 @@ def _verdict(report: stattest.ExperimentReport) -> tuple[dict, bool]:
     return report.to_dict(), report.passed
 
 
-CASE_ENTRIES = 147_456  # matrix entries drawn per block of cases: bounds the memory of any run
+# A block of random cases draws at most CASE_ENTRIES matrix entries (or one
+# matrix), and a case's total, the length of its word, gap cells and slots,
+# may not pass CASE_TOTAL, checked on n_max * k_max * max_entry before any
+# draw: so a block's words hold at most CASE_ENTRIES * max_entry letters.
+CASE_ENTRIES = 147_456
+CASE_TOTAL = 256  # 7 x 7 matrices at max_entry 5 fit
 
 
 def _case_blocks(seed: int, cases: int, n_max: int, k_max: int, max_entry: int,
@@ -130,6 +137,9 @@ def _random_cases(cfg, n_key: str, k_key: str, test: str, check,
         if getattr(cfg, key) < low:
             raise ValueError(f"need {key} >= {low}, got {getattr(cfg, key)}")
     params = {key: getattr(cfg, key) for key in (n_key, k_key, "max_entry", "cases")}
+    if (total := params[n_key] * params[k_key] * cfg.max_entry) > CASE_TOTAL:
+        raise ValueError(f"{n_key} * {k_key} * max_entry = {total} exceeds the case "
+                         f"budget {CASE_TOTAL}")
     # alpha judges statistical tests only; this report holds one exact test
     report = stattest.ExperimentReport(cfg.subcommand, params, Seed(cfg.seed),
                                        DEFAULT_ALPHA)
@@ -204,60 +214,17 @@ def _laguerre(cfg):
                                             reference_mean=cfg.reference_mean, alpha=cfg.alpha))
 
 
-def _broken_equivalences(u: list, N: int, K: int, D: list, r: list, reservoir,
-                         counts: list, buses: list) -> list:
-    """The names of the particle equivalences one case breaks, from the
-    particle cores on lists: the case's matrix rows ``u``, its queue
-    departures ``D`` and store flow ``r`` from the tandem kernels, an
-    ample reservoir, and its site counts (reservoir included) and buses."""
-    jumps = {(p, j): t for p, j, t in particles._zero_range_log(u, N, K)}
-    cells = particles._gap_cells(counts)
-    inverse = particles._gap_counts(cells) == counts
-    stepped = particles._exclusion_slot(cells, buses)  # in place
-    slot = particles._gap_cells(particles._bus_slot(counts, buses)[0])
-    holds = {
-        "zero-range-jumps": all(jumps.get((p, j)) == D[p][j]
-                                for p in range(1, N + 1) for j in range(1, K + 1)),
-        "bus-stop-loads": particles._bus_stop_slots(u, reservoir)[1] == r,
-        "exclusion-inverse": inverse,
-        # the same cells after the holes the departed material left
-        "exclusion-step": stepped == [0] * (len(stepped) - len(slot)) + slot,
-    }
-    return [name for name, ok in holds.items() if not ok]
-
-
 def _particle_failures(n, k, E, sites) -> dict:
-    """Per case, four equivalences: zero-range jumps = queue departures,
-    bus-stop loads = store flow, and the exclusion encoding inverts and
-    commutes with a bus-stop slot on the case's site counts (an ample
-    reservoir added at site 1) and buses.  A failing case records the names
-    of those that broke, under ``equivalences``; a case on which a particle
-    oracle raises records the exception, under ``error``.  Per shape group,
-    the two tandem scans run once, and the matrices, site draws, reservoirs
-    and kernel outputs become lists with one ``tolist()`` each; per case,
-    the particle cores (``particles._zero_range_log`` and the others) run
-    on those lists, with no numpy call and no check of their own, and the
-    cases compare lists of Python numbers."""
+    """Check each shape group of the block with ``particles._broken_equivalences``;
+    a failing case records the names of those it breaks, under ``equivalences``,
+    or what an oracle raised on it, under ``error``."""
     failures = {}
     for N, K, members in _shape_groups(n, k):
-        u = E[members, :N, :K]
-        D = tandem.queue_departures_batch(u).tolist()
-        r = tandem._store_scan(tandem._rows_last(u))[0].transpose(2, 0, 1).tolist()
-        totals = u.sum(axis=(1, 2)).tolist()
-        # a reservoir that never runs dry: the last column's total plus one
-        reservoirs = (u[:, :, -1].sum(axis=1) + 1).tolist()
-        site_counts, site_buses = (s[members, :K].tolist() for s in sites)
-        for m, (i, rows) in enumerate(zip(members.tolist(), u.tolist())):
-            counts = site_counts[m]
-            counts[0] += totals[m]
-            try:
-                broken = _broken_equivalences(rows, N, K, D[m], r[m], reservoirs[m],
-                                              counts, site_buses[m])
-            except Exception as exc:  # an oracle that raises fails its case
-                failures[i] = {"error": f"{type(exc).__name__}: {exc}"}
-                continue
-            if broken:
-                failures[i] = {"equivalences": broken}
+        broken = particles._broken_equivalences(E[members, :N, :K],
+                                                *(s[members, :K] for s in sites))
+        for i, names in zip(members.tolist(), broken):
+            if names:
+                failures[i] = {"error" if isinstance(names, str) else "equivalences": names}
     return failures
 
 

@@ -22,9 +22,9 @@ Python ints and floats, far cheaper per operation than numpy scalars on
 matrices this small.  The public function is that core's wrapper: it
 checks its input, turns it into lists with one ``tolist()``, and builds
 the output: :class:`JumpEvent` records, loads and counts in the dtype of
-the matrix's entries, or int8 cells.  A caller that already holds
-checked lists, as the ``particles`` subcommand does for a whole group of
-same-shape cases, calls the cores.
+the matrix's entries, or int8 cells.  The cores' one other caller is
+:func:`_broken_equivalences`, the ``particles`` subcommand's check of a
+group of same-shape cases, which makes its lists with one ``tolist()`` each.
 """
 
 from __future__ import annotations
@@ -76,10 +76,9 @@ def _zero_range_log(u: list, N: int, K: int):
     yields each jump as a tuple (particle, site, slot), in the order of
     the log."""
     # sites[j] lists resident particle ids front-first; the front of a
-    # nonempty site has clocks[j] service left and became front at front_since[j]
+    # nonempty site has clocks[j] service left
     sites = [deque(range(1, N + 1))] + [deque() for _ in range(K - 1)]
     clocks = [u[0][0]] + [None] * (K - 1)
-    front_since = [0] * K
     horizon_guard = sum(map(sum, u)) + N * K + 2
     t = 0
     while True:
@@ -95,21 +94,19 @@ def _zero_range_log(u: list, N: int, K: int):
                 moved = True
                 if sites[j]:
                     clocks[j] = u[sites[j][0] - 1][j]
-                    front_since[j] = t
                 else:
                     clocks[j] = None
                 if j + 1 < K:
                     sites[j + 1].append(p)
                     if len(sites[j + 1]) == 1:
                         clocks[j + 1] = u[p - 1][j + 1]
-                        front_since[j + 1] = t
         if not any(sites):  # a particle leaving the last site is gone
             return
         t += 1
         if t > horizon_guard:
             raise RuntimeError("zero-range run failed to drain")
-        for j in range(K):
-            if sites[j] and front_since[j] < t:
+        for j in range(K):  # every front became front in an earlier slot
+            if sites[j]:
                 clocks[j] -= 1
 
 
@@ -292,5 +289,40 @@ def _exclusion_slot(cells: list, bus_sizes: list) -> list:
         if jump:
             cells[pos] = 0
             cells[pos + jump] = 1
-            positions[i] = pos + jump
     return cells
+
+
+def _broken_equivalences(u: np.ndarray, counts: np.ndarray, buses: np.ndarray):
+    """Four equivalences on each case of a stack of checked (B, N, K) integer
+    matrices ``u`` with site counts and buses (B, K): zero-range jumps =
+    queue departures, bus-stop loads = store flow, and the exclusion encoding
+    inverts and commutes with a bus-stop slot.  Site 1's count gains the
+    case's total, which its buses, taking at most the last column's total,
+    never drain, so the bus-stop run shares it as its reservoir.  Yields per
+    case the names of those broken, in that order, or "Type: message" of
+    what an oracle raised.  The tandem scans run once per stack, each input
+    becomes lists with one ``tolist()``, and the cores run on the lists."""
+    N, K = u.shape[1:]
+    D = tandem.queue_departures_batch(u).tolist()
+    r = tandem._store_scan(tandem._rows_last(u))[0].transpose(2, 0, 1).tolist()
+    for rows, D_b, r_b, total, c, b in zip(u.tolist(), D, r, u.sum(axis=(1, 2)).tolist(),
+                                           counts.tolist(), buses.tolist()):
+        c[0] += total
+        try:
+            jumps = {(p, j): t for p, j, t in _zero_range_log(rows, N, K)}
+            cells = _gap_cells(c)
+            inverse = _gap_counts(cells) == c
+            stepped = _exclusion_slot(cells, b)  # in place
+            slot = _gap_cells(_bus_slot(c, b)[0])
+            holds = {
+                "zero-range-jumps": all(jumps.get((p, j)) == D_b[p][j]
+                                        for p in range(1, N + 1) for j in range(1, K + 1)),
+                "bus-stop-loads": _bus_stop_slots(rows, c[0])[1] == r_b,
+                "exclusion-inverse": inverse,
+                # the same cells after the holes the departed material left
+                "exclusion-step": stepped == [0] * (len(stepped) - len(slot)) + slot,
+            }
+        except Exception as exc:  # an oracle that raises fails its case
+            yield f"{type(exc).__name__}: {exc}"
+            continue
+        yield [name for name, ok in holds.items() if not ok]

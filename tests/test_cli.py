@@ -597,6 +597,32 @@ def test_verify_identities_checks_the_path_limit_before_the_first_draw(monkeypat
         assert f"n + k = 15 exceeds the brute-force limit {rsk.BRUTE_FORCE_LIMIT}" in err
 
 
+@pytest.mark.parametrize("argv, total", [
+    (("verify-identities", "--n", "6", "--k", "6", "--max-entry", "50"), 1800),
+    (("verify-identities", "--n", "1", "--k", "1", "--max-entry", "257"), 257),
+    (("particles", "--max-entry", "1000"), 25000),
+    (("particles", "--max-n", "20", "--max-k", "20"), 2000),
+])
+def test_random_cases_past_the_case_budget_exit_two_before_the_first_draw(
+        monkeypatch, capsys, argv, total):
+    # a case's word, gap cells and slots grow with its total: verify-identities
+    # at 6 x 6 and --max-entry 200 took 2.4 s and 95 MB per 4096 cases
+    monkeypatch.setattr(Seed, "generator", _no_draws)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"= {total} exceeds the case budget {cli.CASE_TOTAL}" in err
+
+
+@pytest.mark.parametrize("argv", [  # 7 x 7 at max_entry 5: the path-limit test below
+    ("verify-identities", "--n", "1", "--k", "1", "--max-entry", "256"),
+    ("particles", "--max-n", "16", "--max-k", "16", "--max-entry", "1"),
+    ("particles", "--max-n", "300", "--max-k", "2", "--max-entry", "0"),
+])
+def test_random_cases_run_at_the_case_budget(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--cases", "20")
+    assert code == 0 and json.loads(out)["verdict"] == "pass"
+
+
 def test_verify_identities_runs_at_the_path_limit(capsys):
     code, out, _ = run(capsys, "verify-identities", "--n", "7", "--k", "7", "--cases", "20")
     assert code == 0 and json.loads(out)["verdict"] == "pass"

@@ -226,3 +226,34 @@ def test_a_type_that_holds_arrays_compares_and_hashes_by_identity(make):
     assert hash(x) == hash(x)
     assert x in {x} and twin not in {x}
     assert len({x, twin, x}) == 2
+
+
+# --- what the command line reads of the layers ----------------------------------
+
+def _private_reads(source: str) -> set:
+    """(module, name) for every private name of another ``dualq`` module
+    that ``source``, a module of the package, imports or reads as
+    ``module.name``."""
+    modules = {path.stem for path in (ROOT / "src" / "dualq").glob("*.py")}
+    reads = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            reads |= {(node.module, alias.name) for alias in node.names
+                      if alias.name.startswith("_")}
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules and node.attr.startswith("_")
+              and not node.attr.startswith("__")):
+            reads.add((node.value.id, node.attr))
+    return reads
+
+
+def test_cli_reads_no_private_name_of_a_layer_but_the_particle_check():
+    # each exact check's rules live in its own layer, behind one call:
+    # rsk.verify_row_queue_batch and particles._broken_equivalences
+    assert _private_reads((ROOT / "src" / "dualq" / "cli.py").read_text()) == {
+        ("particles", "_broken_equivalences")}
+
+
+def test_the_private_read_scan_sees_imports_and_attribute_reads():
+    source = "from . import tandem\nfrom .rsk import _six_way, tableau_of\nx = tandem._rows_last\n"
+    assert _private_reads(source) == {("rsk", "_six_way"), ("tandem", "_rows_last")}
