@@ -82,10 +82,11 @@ def _verdict(report: stattest.ExperimentReport) -> tuple[dict, bool]:
     return report.to_dict(), report.passed
 
 
-# A block of random cases draws at most CASE_ENTRIES matrix entries (or one
-# matrix), and a case's total, the length of its word, gap cells and slots,
-# may not pass CASE_TOTAL, checked on n_max * k_max * max_entry before any
-# draw: so a block's words hold at most CASE_ENTRIES * max_entry letters.
+# A case's total, the length of its word, gap cells and slots, may not pass
+# CASE_TOTAL, checked on n_max * k_max * max_entry before any draw.  A block
+# of random cases (or one case) draws at most CASE_ENTRIES matrix entries
+# and at most 5 * CASE_ENTRIES letters, n_max * k_max * max_entry a case; at
+# max_entry <= 5 the entries bind.
 CASE_ENTRIES = 147_456
 CASE_TOTAL = 256  # 7 x 7 matrices at max_entry 5 fit
 
@@ -101,10 +102,13 @@ def _case_blocks(seed: int, cases: int, n_max: int, k_max: int, max_entry: int,
     ``site_draws``, substreams 3 and 4 draw a row of k_max values in 0..5,
     the site counts and the buses, listed in ``sites``.  A stream draws the
     same values however it is cut, so the blocks, of :data:`CASE_ENTRIES`
-    entries of E (or one matrix), do not change the cases.
+    entries of E and 5 * CASE_ENTRIES letters (or one matrix), do not
+    change the cases.
     """
     gens = [Seed(seed).substream(j).generator() for j in range(5 if site_draws else 3)]
-    block = max(1, CASE_ENTRIES // (n_max * k_max))
+    entries = n_max * k_max
+    block = max(1, min(CASE_ENTRIES // entries,
+                       5 * CASE_ENTRIES // (entries * max(max_entry, 1))))
     for lo in range(0, cases, block):
         m = min(block, cases - lo)
         n = gens[0].integers(1, n_max + 1, size=m)

@@ -36,8 +36,11 @@ uniform per draw, so no report depends on the block size.  The tandem
 matrices are drawn straight into the (N, K, block) layout the kernels scan,
 replications innermost.  zigzag-law cuts its periods into blocks by the
 same rule.  :func:`ks_test` computes the statistic itself, from one sorted
-copy of the sample walked :data:`_BLOCK` values at a time, and takes the
-p-value from the exact two-sided law :func:`~dualq._laws.kstwo_sf`.  The
+copy of the sample walked :data:`_BLOCK` values at a time by
+:func:`_ks_sorted`, and takes the p-value from the exact two-sided law
+:func:`~dualq._laws.kstwo_sf`.  laguerre owns its sample R, so it sorts R
+in place and calls the walk itself, and then reuses R for its squared
+deviations: R is the only array of replications it holds.  The
 categorical experiments (interchange, shape-law, noncolliding) count the
 distinct rows of their outcome array with :func:`_row_counts`, which sorts
 one int64 key per row and builds a Python tuple only per distinct row (rows
@@ -208,22 +211,30 @@ def ks_test(sample, cdf, *, name: str = "ks") -> GofResult:
 
     ``cdf`` must be elementwise: its value at a point may not depend on the
     other points of the array it is given.  The sample is sorted once, into
-    a float64 copy (the caller's array keeps its order), and walked
-    :data:`_BLOCK` values at a time: the CDF of a block, then its
-    D+ = max(i/n - F(x_i)) and D- = max(F(x_i) - (i-1)/n) by the elementwise
-    expressions of scipy's ``kstest``, so memory beyond the copy stays a few
-    blocks.  D is D+ when D+ > D-, else D-, as in scipy; the p-value is the
-    exact two-sided law :func:`~dualq._laws.kstwo_sf`, scipy's
-    ``stats.kstwo.sf(D, n)``, which is the method ``kstest`` picks by
-    default.  Statistic and p-value equal ``stats.kstest``'s bit for bit.
-    A NaN in the sample makes both NaN, so the test fails at any level.
+    a float64 copy (the caller's array keeps its order), and
+    :func:`_ks_sorted` walks the copy :data:`_BLOCK` values at a time: the
+    CDF of a block, then its D+ = max(i/n - F(x_i)) and
+    D- = max(F(x_i) - (i-1)/n) by the elementwise expressions of scipy's
+    ``kstest``, so memory beyond the copy stays a few blocks.  D is D+ when
+    D+ > D-, else D-, as in scipy; the p-value is the exact two-sided law
+    :func:`~dualq._laws.kstwo_sf`, scipy's ``stats.kstwo.sf(D, n)``, which
+    is the method ``kstest`` picks by default.  Statistic and p-value equal
+    ``stats.kstest``'s bit for bit.  A NaN in the sample makes both NaN, so
+    the test fails at any level.
     """
-    from . import _laws
-
     sample = np.asarray(sample)
     if sample.size == 0:
         raise ValueError("sample must be non-empty")
-    x = np.sort(sample).astype(np.float64, copy=False)  # the CDF gets floats
+    # the CDF gets floats
+    return _ks_sorted(np.sort(sample).astype(np.float64, copy=False), cdf, name=name)
+
+
+def _ks_sorted(x: np.ndarray, cdf, *, name: str) -> GofResult:
+    """The walk of :func:`ks_test` on ``x``, a non-empty float64 sample
+    already sorted; ``x`` is only read, so a caller that owns its sample
+    can sort it in place and skip the copy."""
+    from . import _laws
+
     n = x.size
     d_plus = d_minus = -np.inf
     for lo, hi in _blocks(n, 1):
@@ -337,8 +348,8 @@ def independence_test(x, y, *, name: str = "independence") -> GofResult:
     y = np.asarray(y)
     bx = _margin_bins(x, 8)
     by = _margin_bins(y, 8)
-    table = np.zeros((bx.max() + 1, by.max() + 1))
-    np.add.at(table, (bx, by), 1)
+    nx, ny = int(bx.max()) + 1, int(by.max()) + 1
+    table = np.bincount(bx * ny + by, minlength=nx * ny).reshape(nx, ny).astype(np.float64)
     table = table[table.sum(axis=1) > 0][:, table.sum(axis=0) > 0]
     if table.shape[0] < 2 or table.shape[1] < 2:
         raise DegenerateTestError(f"{name}: need at least a 2x2 table")
@@ -790,6 +801,15 @@ def laguerre_check(K: int, reps: int, seed: Seed, reference_mean: float | None =
     single-node dual paths, i.e. exponential with mean 1/K; that is the
     default reference.  A different ``reference_mean``, positive and
     finite, can be supplied to test against an externally quoted value.
+
+    R is the only array of ``reps`` values the check holds.  Its mean is
+    summed in drawing order; then R is sorted in place, walked by
+    :func:`_ks_sorted`, and turned in place into its squared deviations
+    from that mean, whose sum, in sorted order, gives the sample standard
+    deviation (ddof 1).  The statistic, p-value and mean equal those of
+    ``ks_test(R)`` and ``R.mean()`` bit for bit; the standard deviation may
+    differ from ``R.std(ddof=1)``, which sums in drawing order, in its last
+    digit.
     """
     if K < 1 or reps < 2:
         # the sample standard deviation needs two values
@@ -805,7 +825,12 @@ def laguerre_check(K: int, reps: int, seed: Seed, reference_mean: float | None =
     for lo, hi in _blocks(reps, K * K):  # one stream, so any block gives one R
         u = draw_exponential(gen, 1.0, (hi - lo, K, K))
         R[lo:hi] = tandem.store_departures_batch(u)[:, -1]
-    report.results = [ks_test(R, lambda t: _laws.expon_cdf(t, ref),
-                              name=f"R-exponential-mean-{ref:g}")]
-    report.diagnostics = {"sample_mean": float(R.mean()), "sample_std": float(R.std(ddof=1))}
+    mean = R.mean()
+    R.sort()  # nothing reads R's drawing order after its mean
+    report.results = [_ks_sorted(R, lambda t: _laws.expon_cdf(t, ref),
+                                 name=f"R-exponential-mean-{ref:g}")]
+    np.subtract(R, mean, out=R)
+    np.multiply(R, R, out=R)
+    std = np.sqrt(np.add.reduce(R) / (reps - 1))
+    report.diagnostics = {"sample_mean": float(mean), "sample_std": float(std)}
     return report

@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -338,23 +339,54 @@ def test_blocks_do_not_change_the_cases_or_the_report(capsys, monkeypatch, subco
         assert "diagnostics" not in payload
 
 
-@pytest.mark.parametrize("budget, n_max, k_max, cases", [
-    (cli.CASE_ENTRIES, 6, 6, 10000),   # the benchmark's size: 4096 cases a block
-    (cli.CASE_ENTRIES, 40, 30, 500),
-    (100, 7, 7, 10),                  # a matrix over the budget: one a block
-    (100, 3, 4, 30),
-])
+_BLOCK_ROWS = [  # budget, n_max, k_max, max_entry, cases, cases a block
+    (cli.CASE_ENTRIES, 6, 6, 5, 10000, 4096),   # the benchmark's size
+    (cli.CASE_ENTRIES, 40, 30, 5, 500, 122),
+    (100, 7, 7, 5, 10, 2),
+    (40, 7, 7, 5, 10, 1),                      # a matrix over the budget: one a block
+    (100, 3, 4, 5, 30, 8),
+    (100, 3, 4, 0, 30, 8),                     # no letters: the entries bind
+    (100, 2, 2, 50, 30, 2),                    # the letters bind: 500 // 200
+    (100, 7, 7, 50, 3, 1),                     # a case over the letters: one a block
+    # 1 x 1 cases: at the entries budget alone, 147,456 cases and a 300 MB word array
+    (cli.CASE_ENTRIES, 1, 1, 256, 20000, 2880),
+]
+
+
+@pytest.mark.parametrize("budget, n_max, k_max, max_entry, cases, per_block", _BLOCK_ROWS,
+                         ids=[f"{b}-{n}-{k}-{c}" + ("" if e == 5 else f"-max{e}")
+                              for b, n, k, e, c, _ in _BLOCK_ROWS])
 def test_no_block_draws_more_entries_than_the_budget(monkeypatch, budget, n_max, k_max,
-                                                     cases):
+                                                     max_entry, cases, per_block):
     monkeypatch.setattr(cli, "CASE_ENTRIES", budget)
-    blocks = list(cli._case_blocks(5, cases, n_max, k_max, 5, site_draws=True))
+    blocks = list(cli._case_blocks(5, cases, n_max, k_max, max_entry, site_draws=True))
     sizes = [len(n) for _, n, *_ in blocks]
     assert [lo for lo, *_ in blocks] == [sum(sizes[:b]) for b in range(len(sizes))]
-    assert sum(sizes) == cases and max(sizes) == max(1, budget // (n_max * k_max))
+    assert sum(sizes) == cases and max(sizes) == per_block
+    letters = n_max * k_max * max_entry  # the most one case can have
     for _, n, k, E, sites in blocks:
         assert E.size <= max(budget, n_max * k_max)
+        assert len(n) * letters <= max(5 * budget, letters)
         assert E.shape == (len(n), n_max, k_max)
         assert [s.shape for s in sites] == [(len(n), k_max)] * 2
+
+
+# a run's allocations hold numpy's temporaries, so the bound holds on the pinned versions
+@pytest.mark.skipif((np.__version__, scipy.__version__) != RECORDED_WITH,
+                    reason="peak measured with numpy %s, scipy %s" % RECORDED_WITH)
+def test_tiny_shapes_keep_a_block_small(capsys):
+    # 1 x 1 cases at max_entry 256: a traced peak of 124.6 MB when a block
+    # held 147,456 cases, 18.0 MB at 2880 cases a block
+    argv = ("verify-identities", "--n", "1", "--k", "1", "--max-entry", "256")
+    assert run(capsys, *argv, "--cases", "1")[0] == 0  # imports stay out of the peak
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--cases", "20000"])
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(capsys.readouterr().out)["verdict"] == "pass"
+    assert peak < 25
 
 
 def test_verify_identities_names_first_failure(capsys, monkeypatch):

@@ -9,7 +9,7 @@ import scipy
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
-from dualq import cli, particles, stattest
+from dualq import _laws, cli, particles, stattest
 from dualq.sampling import (
     RateParams,
     Seed,
@@ -39,6 +39,7 @@ from dualq.stattest import (
     trajectory_pmf,
     zigzag_law_experiment,
     _conditioned_walks,
+    _ks_sorted,
     _margin_bins,
     _minmax_functionals,
     _pmf_chi2,
@@ -115,6 +116,19 @@ def test_ks_matches_scipy_on_unsorted_sample(kind):
     got = ks_test(x, cdf)
     assert _same_ks(got, stats.kstest(x, cdf))
     assert np.array_equal(x, before, equal_nan=True)  # the caller's array keeps its order
+
+
+@pytest.mark.parametrize("kind", sorted(_ks_samples()))
+def test_ks_is_the_walk_of_the_sorted_sample(kind):
+    # laguerre_check sorts R in place and calls the walk itself
+    x = _ks_samples()[kind]
+    before = x.copy()
+    cdf = stats.expon().cdf
+    got, want = ks_test(x, cdf, name="t"), _ks_sorted(np.sort(x), cdf, name="t")
+    assert np.array_equal([got.statistic, got.p_value], [want.statistic, want.p_value],
+                          equal_nan=True)
+    assert (got.name, got.n_samples) == (want.name, want.n_samples)
+    assert np.array_equal(x, before, equal_nan=True)
 
 
 def test_ks_nan_fails_the_test():
@@ -310,6 +324,27 @@ def test_independence_detects_coupling():
     y_indep = gen.integers(1, 20, 20_000)
     assert independence_test(x, y_indep).p_value >= 0.01
     assert not independence_test(x, x + gen.integers(0, 2, 20_000)).p_value >= 0.01
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_independence_table_counts_as_add_at(monkeypatch, seed):
+    # bins drawn with gaps, so the table has empty rows and columns to drop
+    gen = Seed(seed).generator()
+    bx = gen.choice([0, 2, 3, 7], size=500)
+    by = gen.choice([1, 4, 5], size=500, p=[0.2, 0.5, 0.3])
+    want = np.zeros((bx.max() + 1, by.max() + 1))
+    np.add.at(want, (bx, by), 1)
+    want = want[want.sum(axis=1) > 0][:, want.sum(axis=0) > 0]
+    tables = []
+    real = _laws.chi2_contingency
+    monkeypatch.setattr(_laws, "chi2_contingency", lambda t: tables.append(t) or real(t))
+    monkeypatch.setattr(stattest, "_margin_bins", lambda values, n_bins: values)
+    got = independence_test(bx, by)
+    [table] = tables
+    assert want.shape == (4, 3) and table.dtype == np.float64
+    assert np.array_equal(table, want)
+    stat, p = real(want)
+    assert (got.statistic, got.p_value, got.n_samples) == (stat, p, 500)
 
 
 def margin_bins_reference(values, n_bins):
@@ -757,6 +792,27 @@ def test_laguerre_blocks_count_entries(monkeypatch):
     assert blocks == [(per_block, 8, 8)] * (5000 // per_block) + [(5000 % per_block, 8, 8)]
 
 
+@pytest.mark.parametrize("K, reps", [(1, 2), (3, 2), (3, 1000),
+                                     (2, 3 * stattest._BLOCK // 4 + 1)])  # four blocks
+def test_laguerre_moments_and_ks_of_the_drawn_sample(monkeypatch, K, reps):
+    # R is sorted in place: the KS test and the mean keep ks_test's and
+    # R.mean()'s bits, and the std is summed over the sorted deviations
+    columns = []
+    kernel = stattest.tandem.store_departures_batch
+    monkeypatch.setattr(stattest.tandem, "store_departures_batch",
+                        lambda u: columns.append(kernel(u)[:, -1]) or kernel(u))
+    report = laguerre_check(K, reps, Seed(606))
+    R = np.concatenate(columns)
+    assert R.size == reps
+    want = ks_test(R, stats.expon(scale=1 / K).cdf)
+    assert (report.results[0].statistic, report.results[0].p_value) == (want.statistic,
+                                                                        want.p_value)
+    assert report.diagnostics["sample_mean"] == float(R.mean())
+    sorted_sum = np.add.reduce((np.sort(R) - R.mean()) ** 2)
+    assert report.diagnostics["sample_std"] == float(np.sqrt(sorted_sum / (reps - 1)))
+    assert report.diagnostics["sample_std"] == pytest.approx(R.std(ddof=1), rel=1e-14)
+
+
 def test_laguerre_quoted_reference_fails():
     # testing against mean K instead of 1/K must reject decisively
     rep = laguerre_check(3, 50_000, Seed(602), reference_mean=3.0)
@@ -926,12 +982,13 @@ def _peak_mb(run) -> float:
 
 
 # each run at its CLI defaults, with its bound in MB: about 1.2 times the
-# traced peak.  In brackets, the peak before: for laguerre and ks when
-# ks_test handed scipy the whole sample, for the others when the experiment
-# drew and scanned all of its replications at once instead of block by block
+# traced peak.  In brackets, the peak before: for ks when ks_test handed
+# scipy the whole sample, for laguerre when it gave ks_test R to copy and
+# R.std a full-size temporary, for the others when the experiment drew and
+# scanned all of its replications at once instead of block by block
 _AT_DEFAULTS = {
     "zigzag-law": (lambda: zigzag_law_experiment(0.3, 0.7, Seed(0)), 15),  # 12.4 (25.9)
-    "laguerre": (lambda: laguerre_check(3, 10**6, Seed(0)), 23),  # 19.4 (53.5)
+    "laguerre": (lambda: laguerre_check(3, 10**6, Seed(0)), 13),  # 10.3 (17.9 before)
     "ks": (lambda: ks_test(sample_exponential(2.0, 10**6, Seed(1)),
                            stats.expon(scale=0.5).cdf), 23),  # 19.3 (53.4)
     "noncolliding": (lambda: noncolliding_experiment(RateParams("geomgeom1", 0.3, 0.7), 3,
